@@ -3,8 +3,8 @@ pairs of same-shape standard bitableaux.
 
 Public API re-exports; see the individual modules for details:
 
-* :mod:`exotic_rs.partitions` -- partitions, bipartitions, index sets, counting
-* :mod:`exotic_rs.bitableaux` -- bitableaux, positions, slot searches
+* :mod:`exotic_rs.partitions` -- partitions, bipartitions, row-index helpers, counting
+* :mod:`exotic_rs.bitableaux` -- bitableaux, positions, nested sequences, enumeration
 * :mod:`exotic_rs.signed_perm` -- signed permutations and the S_2n embedding
 * :mod:`exotic_rs.correspondence` -- insertion, reverse bumping, transitions
 * :mod:`exotic_rs.verify` -- exhaustive verifiers and the golden n=3 table
@@ -13,13 +13,11 @@ Public API re-exports; see the individual modules for details:
 
 from .partitions import (
     Bipartition,
-    IndexSets,
     Partition,
     Side,
     count_bitableaux,
     dimension_b,
     enumerate_bipartitions,
-    index_sets,
     max_delta,
     max_gamma,
     partitions_of,
@@ -27,14 +25,9 @@ from .partitions import (
 from .bitableaux import (
     Bitableau,
     Position,
-    available_positions,
     enumerate_standard_bitableaux,
-    first_column_insertables,
-    from_combined,
     from_nested_sequence,
-    insertable_positions,
     row_number,
-    to_combined,
     to_nested_sequence,
 )
 from .signed_perm import (

@@ -76,7 +76,7 @@ class Bitableau:
                 if not row:
                     raise ValueError(f"{side.value} row {i} is empty; empty rows are not stored")
                 for x in row:
-                    if not isinstance(x, int) or x < 1:
+                    if type(x) is not int or x < 1:  # exact: bool is rejected
                         raise ValueError(f"entries must be positive integers, got {x!r} in {side.value} row {i}")
                     if x in seen:
                         raise ValueError(f"entries must be distinct, {x} appears twice")
@@ -117,24 +117,7 @@ class Bitableau:
     def component(self, side: Side) -> tuple[tuple[int, ...], ...]:
         return self.left if side is Side.LEFT else self.right
 
-    def has_box(self, pos: Position) -> bool:
-        rows = self.component(pos.side)
-        return pos.row <= len(rows) and pos.col <= len(rows[pos.row - 1])
-
-    def entry(self, pos: Position) -> int:
-        if not self.has_box(pos):
-            raise KeyError(f"no box at {pos!r} in shape {self.shape}")
-        return self.component(pos.side)[pos.row - 1][pos.col - 1]
-
-    def position_of(self, value: int) -> Position:
-        for side in (Side.LEFT, Side.RIGHT):
-            for i, row in enumerate(self.component(side), start=1):
-                for j, x in enumerate(row, start=1):
-                    if x == value:
-                        return Position(side, i, j)
-        raise KeyError(f"value {value} not in bitableau")
-
-    # -- functional updates (each returns a fresh, re-validated Bitableau) ----
+    # -- functional update (returns a fresh, re-validated Bitableau) ----------
 
     def with_box(self, pos: Position, value: int) -> "Bitableau":
         """Add a box at an append slot (the next free slot of its row)."""
@@ -146,32 +129,9 @@ class Bitableau:
         if pos.col != len(rows[pos.row - 1]) + 1:
             raise ValueError(f"cannot add a box at {pos!r}: not the append slot of its row")
         rows[pos.row - 1].append(value)
-        return self._replace_component(pos.side, rows)
-
-    def with_replaced(self, pos: Position, value: int) -> "Bitableau":
-        rows = [list(r) for r in self.component(pos.side)]
-        if not self.has_box(pos):
-            raise KeyError(f"no box at {pos!r} in shape {self.shape}")
-        rows[pos.row - 1][pos.col - 1] = value
-        return self._replace_component(pos.side, rows)
-
-    def without_box(self, pos: Position) -> "Bitableau":
-        """Remove the box at pos, which must be the outermost box of its row."""
-        rows = [list(r) for r in self.component(pos.side)]
-        if not self.has_box(pos):
-            raise KeyError(f"no box at {pos!r} in shape {self.shape}")
-        if pos.col != len(rows[pos.row - 1]):
-            raise ValueError(f"cannot remove {pos!r}: not the outermost box of its row")
-        rows[pos.row - 1].pop()
-        while rows and not rows[-1]:
-            rows.pop()
-        return self._replace_component(pos.side, rows)
-
-    def _replace_component(self, side: Side, rows: list[list[int]]) -> "Bitableau":
-        new = tuple(tuple(r) for r in rows)
-        if side is Side.LEFT:
-            return Bitableau(new, self.right)
-        return Bitableau(self.left, new)
+        if pos.side is Side.LEFT:
+            return Bitableau(rows, self.right)
+        return Bitableau(self.left, rows)
 
     # -- truncation and serialization -----------------------------------------
 
@@ -203,119 +163,6 @@ class Bitableau:
             if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
                 raise ValueError(f"bad bitableau object: {key!r} must be a list of rows")
         return cls(tuple(tuple(r) for r in obj["left"]), tuple(tuple(r) for r in obj["right"]))
-
-
-# -- position searches used by the bumping algorithms -------------------------
-
-
-def available_positions(t: Bitableau, value: int, min_row_number: int = 1) -> list[Position]:
-    """Boxes where ``value`` could land when bumped *down* the diagram.
-
-    A box is available for ``value`` when its entry is smaller than ``value``
-    and placing ``value`` there keeps rows and columns increasing, i.e. the
-    outward neighbor and the box below are both either absent or larger than
-    ``value``.  Only boxes with combined row number >= min_row_number are
-    returned, sorted by combined row.  ``value`` must not occur in t.
-    """
-    if value in t.entries():
-        raise ValueError(f"value {value} already occurs in the bitableau")
-    out = []
-    for side in (Side.LEFT, Side.RIGHT):
-        rows = t.component(side)
-        for i, row in enumerate(rows, start=1):
-            for j, x in enumerate(row, start=1):
-                if x > value:
-                    break
-                outward_ok = j == len(row) or row[j] > value
-                below_ok = i == len(rows) or len(rows[i]) < j or rows[i][j - 1] > value
-                if outward_ok and below_ok:
-                    out.append(Position(side, i, j))
-    counts = [p.row_number for p in out]
-    assert len(counts) == len(set(counts)), f"multiple available positions in one row: {out}"
-    out = [p for p in out if p.row_number >= min_row_number]
-    return sorted(out, key=lambda p: p.row_number)
-
-
-def insertable_positions(t: Bitableau, value: int, max_row_number: int | None = None) -> list[Position]:
-    """Slots where ``value`` can be placed keeping an increasing filling.
-
-    Two kinds of slot qualify: an occupied box whose entry is larger than
-    ``value`` (placing ``value`` displaces that entry), or an append slot --
-    the first free box of a row, including the free first box of a new bottom
-    row, provided adding a box there keeps the shape a partition.  In both
-    kinds the inward neighbor and the box above must be absent or smaller
-    than ``value``.  Only slots with combined row number <= max_row_number
-    are returned, sorted by combined row.  ``value`` must not occur in t.
-    """
-    if value in t.entries():
-        raise ValueError(f"value {value} already occurs in the bitableau")
-    out = []
-    for side in (Side.LEFT, Side.RIGHT):
-        rows = t.component(side)
-        for i, row in enumerate(rows, start=1):
-            for j, x in enumerate(row, start=1):
-                if x < value:
-                    continue
-                inward_ok = j == 1 or row[j - 2] < value
-                above_ok = i == 1 or rows[i - 2][j - 1] < value
-                if inward_ok and above_ok:
-                    out.append(Position(side, i, j))
-        for i in range(1, len(rows) + 2):
-            j = len(rows[i - 1]) + 1 if i <= len(rows) else 1
-            if i > 1 and len(rows[i - 2]) < j:
-                continue  # adding a box here would break the partition shape
-            inward_ok = j == 1 or rows[i - 1][j - 2] < value
-            above_ok = i == 1 or rows[i - 2][j - 1] < value
-            if inward_ok and above_ok:
-                out.append(Position(side, i, j))
-    counts = [p.row_number for p in out]
-    assert len(counts) == len(set(counts)), f"multiple insertable positions in one row: {out}"
-    if max_row_number is not None:
-        out = [p for p in out if p.row_number <= max_row_number]
-    return sorted(out, key=lambda p: p.row_number)
-
-
-def first_column_insertables(t: Bitableau, value: int) -> tuple[Position, Position]:
-    """The unique insertable slot in each wall-adjacent column.
-
-    For each component: the box holding the smallest column entry larger
-    than ``value``, or the append slot below the column when every entry is
-    smaller.  Both always exist (the empty component yields its (1,1) slot).
-    Returns (left_position, right_position).
-    """
-    if value in t.entries():
-        raise ValueError(f"value {value} already occurs in the bitableau")
-
-    def first_in(side: Side) -> Position:
-        rows = t.component(side)
-        for i, row in enumerate(rows, start=1):
-            if row[0] > value:
-                return Position(side, i, 1)
-        return Position(side, len(rows) + 1, 1)
-
-    return first_in(Side.LEFT), first_in(Side.RIGHT)
-
-
-# -- combined coordinates ------------------------------------------------------
-
-
-def to_combined(shape: Bipartition, pos: Position) -> tuple[int, int]:
-    """Combined (row, offset) coordinates of an in-shape box: offsets 1..mu_i
-    are the left row (wall-outward), offsets mu_i+1..mu_i+nu_i the right row."""
-    p = shape.component(pos.side).part(pos.row)
-    if pos.col > p:
-        raise ValueError(f"{pos!r} is outside shape {shape}")
-    return (pos.row, pos.col) if pos.side is Side.LEFT else (pos.row, shape.mu.part(pos.row) + pos.col)
-
-
-def from_combined(shape: Bipartition, row: int, offset: int) -> Position:
-    """Inverse of :func:`to_combined` for boxes inside ``shape``."""
-    mu_i, lam_i = shape.mu.part(row), shape.lam.part(row)
-    if row < 1 or offset < 1 or offset > lam_i:
-        raise ValueError(f"(row={row}, offset={offset}) is outside shape {shape}")
-    if offset <= mu_i:
-        return Position(Side.LEFT, row, offset)
-    return Position(Side.RIGHT, row, offset - mu_i)
 
 
 # -- nested shape sequences ----------------------------------------------------

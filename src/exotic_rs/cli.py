@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    insert <word> [--trace] [--json|--ascii]   word -> pair
+    insert <word> [--trace] [--json]           word -> pair
     bump --pair <file|-> [--trace]             pair -> word
     table <n> [--json]                         the full correspondence, grouped by shape
     cells <n>                                  words grouped by the shape insertion gives them
@@ -178,9 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("insert", help="map a word to its pair of bitableaux")
     p.add_argument("word", help='space-separated signed letters, e.g. "2 -1 3" ("" for n=0)')
     p.add_argument("--trace", action="store_true", help="include the bump-by-bump trace")
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="emit the pair as JSON")
-    fmt.add_argument("--ascii", action="store_true", help="emit the pair as pictures (default)")
+    p.add_argument("--json", action="store_true", help="emit the pair as JSON (default: pictures)")
     p.set_defaults(func=cmd_insert)
 
     p = sub.add_parser("bump", help="map a pair of bitableaux back to its word")

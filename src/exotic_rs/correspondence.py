@@ -9,34 +9,41 @@ ground truth it is checked against.
 
 Insertion, letter by letter (k = 1..n, s = |w_k|):
 
-* unbarred s starts at the unique insertable slot of the first left row;
-* barred s starts at whichever of the two wall-adjacent column slots
-  (see :func:`~exotic_rs.bitableaux.first_column_insertables`) is lower in
-  the combined row order;
+* a value x has at most one slot in each row: the column of the first entry
+  larger than x (or the free box after the row's last entry), provided the
+  row is the first of its component or the row above holds a smaller entry
+  in that column;
+* unbarred s starts at the slot of the first left row;
+* barred s starts in the wall-adjacent column: on each side, at the first
+  row whose wall entry is larger than s (or the new row below), taking the
+  lower of the two in the combined row order;
 * placing s on an occupied slot displaces the larger entry, which is then
-  placed at its lowest insertable slot among combined rows <= m+1 where m is
-  the combined row it was displaced from; a free slot ends the cascade and
-  records k at the same spot in R.
+  placed at its slot in the lowest of combined rows m+1, m, ..., 1 that has
+  one, where m is the combined row it was displaced from (left row 1 always
+  has one); a free slot ends the cascade and records k at the same spot in R.
 
 Reverse bumping undoes this: for k = n..1 it removes the box holding k in R,
-takes the entry s of T in that box, and walks s back up: from combined row m
-it moves to the highest available position among combined rows >= m-1,
-displacing the smaller entry found there; when the walk reaches combined row
-1 the letter is emitted unbarred, and when no position is available it is
+takes the entry s of T in that box, and walks s back up.  A row offers s at
+most one available box: its last entry smaller than s, provided the box
+below is absent or larger than s.  From combined row m, s moves to the
+available box in the highest of combined rows m-1, m, ... that has one,
+displacing the smaller entry found there; when the walk reaches combined
+row 1 the letter is emitted unbarred, and when no box is available it is
 emitted barred.
+
+Both directions run on plain mutable rows; the validated types
+(:class:`~exotic_rs.bitableaux.Bitableau`, :class:`CorrespondencePair`,
+:class:`~exotic_rs.signed_perm.SignedPermutation`) are built only on entry
+and exit.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import itemgetter
 
-from .bitableaux import (
-    Bitableau,
-    Position,
-    available_positions,
-    first_column_insertables,
-    insertable_positions,
-)
+from .bitableaux import Bitableau, Position
 from .partitions import Bipartition, Partition, Side, max_delta, max_gamma
 from .signed_perm import SignedPermutation
 
@@ -149,6 +156,70 @@ class RemovalRecord:
         return {"k": self.k, "letter": self.letter, "steps": [s.to_json() for s in self.steps]}
 
 
+# -- the kernel ------------------------------------------------------------------
+#
+# Both directions run on ``t = (left, right)``: the rows of the two components
+# as plain mutable lists, wall-outward.  A box is named by (c, i, j), all
+# 0-based: component c (0 left, 1 right), row i, column j; its combined row
+# number is 2i + 1 + c.  Entries stay distinct and increasing along rows and
+# columns throughout, so a row's slot for a value is found by bisection plus
+# one look at the neighbouring row.
+
+_SIDES = (Side.LEFT, Side.RIGHT)
+
+_Rows = tuple[list[list[int]], list[list[int]]]
+
+
+def _rows(t: Bitableau) -> _Rows:
+    return [list(r) for r in t.left], [list(r) for r in t.right]
+
+
+def _insert_column(rows: list[list[int]], i: int, s: int) -> int | None:
+    """Column where s enters row i (displacing the first larger entry, or
+    appending), or None; the row just past the bottom counts as empty."""
+    if i > len(rows):
+        return None
+    j = bisect_left(rows[i], s) if i < len(rows) else 0
+    if i == 0 or (len(rows[i - 1]) > j and rows[i - 1][j] < s):
+        return j
+    return None
+
+
+def _remove_column(rows: list[list[int]], i: int, s: int) -> int | None:
+    """Column of row i whose entry s displaces on its way up (the last entry
+    smaller than s, with nothing or a larger entry below it), or None."""
+    if i >= len(rows):
+        return None
+    j = bisect_left(rows[i], s) - 1
+    if j >= 0 and (i + 1 == len(rows) or len(rows[i + 1]) <= j or rows[i + 1][j] > s):
+        return j
+    return None
+
+
+def _first_slot(t: _Rows, s: int, combined: range, column) -> tuple[int, int, int] | None:
+    """The first slot for s that ``column`` finds, trying the combined rows in
+    the order given; None when no row has one."""
+    for m in combined:
+        c, i = (m - 1) % 2, (m - 1) // 2
+        j = column(t[c], i, s)
+        if j is not None:
+            return c, i, j
+    return None
+
+
+def _boxes(t: Bitableau) -> dict[int, tuple[int, int]]:
+    """The (component, row) holding each entry."""
+    return {x: (c, i) for c, rows in enumerate((t.left, t.right)) for i, row in enumerate(rows) for x in row}
+
+
+def _pop_box(rows: list[list[int]], i: int) -> int:
+    """Remove the outermost box of row i, a corner; an emptied row is the last."""
+    x = rows[i].pop()
+    if not rows[i]:
+        rows.pop()
+    return x
+
+
 # -- insertion -----------------------------------------------------------------
 
 
@@ -158,36 +229,31 @@ def insertion(w: SignedPermutation) -> CorrespondencePair:
 
 
 def insertion_with_trace(w: SignedPermutation) -> tuple[CorrespondencePair, tuple[InsertionRecord, ...]]:
-    t = Bitableau()
-    r = Bitableau()
+    t: _Rows = ([], [])
+    r: _Rows = ([], [])
     records = []
-    for k in range(1, w.n + 1):
-        letter = w.letter(k)
+    for k, letter in enumerate(w.letters, start=1):
         s = abs(letter)
         if letter > 0:
-            cands = insertable_positions(t, s, max_row_number=1)
-            assert len(cands) == 1, f"the first left row must offer exactly one slot, got {cands}"
-            target = cands[0]
+            c, i, j = 0, 0, _insert_column(t[0], 0, s)
         else:
-            lp, rp = first_column_insertables(t, s)
-            target = max((lp, rp), key=lambda p: p.row_number)
+            left, right = (bisect_left(rows, s, key=itemgetter(0)) for rows in t)
+            c, i, j = (1, right, 0) if right >= left else (0, left, 0)
         steps = []
-        while True:
-            if t.has_box(target):
-                displaced = t.entry(target)
-                t = t.with_replaced(target, s)
-                steps.append(InsertionStep(s, target, displaced))
-                cands = insertable_positions(t, displaced, max_row_number=target.row_number + 1)
-                assert cands, f"displaced entry {displaced} has no slot in rows <= {target.row_number + 1}"
-                target = max(cands, key=lambda p: p.row_number)
-                s = displaced
-            else:
-                t = t.with_box(target, s)
-                r = r.with_box(target, k)
-                steps.append(InsertionStep(s, target, None))
-                break
+        while i < len(t[c]) and j < len(t[c][i]):
+            displaced, t[c][i][j] = t[c][i][j], s
+            steps.append(InsertionStep(s, Position(_SIDES[c], i + 1, j + 1), displaced))
+            # Never None: left row 1, the last row tried, always has a slot.
+            c, i, j = _first_slot(t, displaced, range(2 * i + c + 2, 0, -1), _insert_column)
+            s = displaced
+        if i == len(t[c]):
+            t[c].append([])
+            r[c].append([])
+        t[c][i].append(s)
+        r[c][i].append(k)
+        steps.append(InsertionStep(s, Position(_SIDES[c], i + 1, j + 1), None))
         records.append(InsertionRecord(k, letter, tuple(steps)))
-    return CorrespondencePair(t, r), tuple(records)
+    return CorrespondencePair(Bitableau(*t), Bitableau(*r)), tuple(records)
 
 
 # -- reverse bumping -----------------------------------------------------------
@@ -199,67 +265,46 @@ def reverse_bumping(pair: CorrespondencePair) -> SignedPermutation:
 
 
 def reverse_bumping_with_trace(pair: CorrespondencePair) -> tuple[SignedPermutation, tuple[RemovalRecord, ...]]:
-    t, rec = pair.T, pair.R
+    t = _rows(pair.T)
+    boxes = _boxes(pair.R)
     letters_rev: list[int] = []
     records = []
     for k in range(pair.size, 0, -1):
-        t, rec, letter, steps = _remove_largest(t, rec)
+        letter, steps = _remove(t, *boxes[k])
         letters_rev.append(letter)
         records.append(RemovalRecord(k, letter, steps))
-    word = SignedPermutation(tuple(reversed(letters_rev)))
-    return word, tuple(records)
+    return SignedPermutation(tuple(reversed(letters_rev))), tuple(records)
 
 
-def _remove_largest(
-    t: Bitableau, rec: Bitableau
-) -> tuple[Bitableau, Bitableau, int, tuple[RemovalStep, ...]]:
-    """Remove the box of rec's largest entry and cascade the freed value of t
-    back up the diagram; returns the updated tableaux, the emitted letter,
-    and the cascade steps."""
-    k = rec.size
-    pos = rec.position_of(k)
-    value = t.entry(pos)
-    rec = rec.without_box(pos)
-    t = t.without_box(pos)
-    source = pos
+def _remove(t: _Rows, c: int, i: int) -> tuple[int, tuple[RemovalStep, ...]]:
+    """Remove the outermost box of row i of component c and walk its value
+    back up the diagram; returns the emitted letter and the cascade steps."""
+    j = len(t[c][i]) - 1
+    value = _pop_box(t[c], i)
     steps = []
     while True:
-        shape = _truncation_shape(t, value, source)
-        if source.row_number == 1:
-            steps.append(RemovalStep(value, source, shape, None, value))
-            return t, rec, value, tuple(steps)
-        avail = available_positions(t, value, min_row_number=source.row_number - 1)
-        if not avail:
-            steps.append(RemovalStep(value, source, shape, None, -value))
-            return t, rec, -value, tuple(steps)
-        target = avail[0]
-        displaced = t.entry(target)
-        t = t.with_replaced(target, value)
-        steps.append(RemovalStep(value, source, shape, target, None))
-        value, source = displaced, target
+        m = 2 * i + 1 + c
+        source = Position(_SIDES[c], i + 1, j + 1)
+        shape = _truncation_shape(t, value, c, i)
+        depth = 2 * max(len(t[0]), len(t[1]))
+        slot = None if m == 1 else _first_slot(t, value, range(m - 1, depth + 1), _remove_column)
+        if slot is None:
+            letter = value if m == 1 else -value
+            steps.append(RemovalStep(value, source, shape, None, letter))
+            return letter, tuple(steps)
+        c, i, j = slot
+        displaced, t[c][i][j] = t[c][i][j], value
+        steps.append(RemovalStep(value, source, shape, Position(_SIDES[c], i + 1, j + 1), None))
+        value = displaced
 
 
-def _truncation_shape(t: Bitableau, value: int, box: Position) -> Bipartition:
-    """Shape of the entries smaller than ``value`` together with ``box``
-    (the box ``value`` is about to leave; ``value`` itself is not in t)."""
-    counts = {
-        side: [sum(1 for x in row if x < value) for row in t.component(side)]
-        for side in (Side.LEFT, Side.RIGHT)
-    }
-    shape = Bipartition(
-        _as_partition(counts[Side.LEFT]),
-        _as_partition(counts[Side.RIGHT]),
-    )
-    return Bipartition(
-        shape.mu.incremented(box.row) if box.side is Side.LEFT else shape.mu,
-        shape.nu.incremented(box.row) if box.side is Side.RIGHT else shape.nu,
-    )
-
-
-def _as_partition(counts: list[int]) -> Partition:
-    while counts and counts[-1] == 0:
-        counts.pop()
-    return Partition(tuple(counts))
+def _truncation_shape(t: _Rows, value: int, c: int, i: int) -> Bipartition:
+    """Shape of the entries smaller than ``value`` together with the box of
+    row i of component c that ``value`` is leaving (``value`` is not in t)."""
+    counts = [[bisect_left(row, value) for row in rows] for rows in t]
+    counts[c] += [0] * (i + 1 - len(counts[c]))
+    counts[c][i] += 1
+    return Bipartition(Partition(tuple(counts[0])), Partition(tuple(counts[1])))
 
 
 # -- single-step reduction -------------------------------------------------------
@@ -276,10 +321,13 @@ def bump_once(pair: CorrespondencePair) -> tuple[CorrespondencePair, int, int]:
     """
     if pair.size == 0:
         raise ValueError("the empty pair has no largest entry to remove")
-    t, rec, letter, _ = _remove_largest(pair.T, pair.R)
+    c, i = _boxes(pair.R)[pair.size]
+    t, rec = _rows(pair.T), _rows(pair.R)
+    letter, _ = _remove(t, c, i)
+    _pop_box(rec[c], i)
     r = abs(letter)
-    relabel = lambda rows: tuple(tuple(x - 1 if x > r else x for x in row) for row in rows)
-    reduced = CorrespondencePair(Bitableau(relabel(t.left), relabel(t.right)), rec)
+    relabel = lambda rows: [[x - 1 if x > r else x for x in row] for row in rows]
+    reduced = CorrespondencePair(Bitableau(relabel(t[0]), relabel(t[1])), Bitableau(*rec))
     return reduced, letter, r
 
 
@@ -403,5 +451,4 @@ def outcome_of_step(step: RemovalStep):
     algorithm against :func:`second_decrement`)."""
     if step.emitted is not None:
         return TerminateUnbarred() if step.emitted > 0 else TerminateBarred()
-    assert step.target is not None
     return Continue(step.target.side, step.target.row)

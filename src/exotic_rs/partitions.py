@@ -1,4 +1,4 @@
-"""Integer partitions, bipartitions, and the row-index sets used by the
+"""Integer partitions, bipartitions, and the row-index helpers used by the
 box-removal transition rules.
 
 Conventions used throughout the package:
@@ -10,7 +10,7 @@ Conventions used throughout the package:
   row lengths of the left component, nu of the right component.  Row i of
   the combined shape has lam_i = mu_i + nu_i boxes.
 * Rows are indexed from 1 to match the usual mathematical conventions;
-  the index sets returned by :func:`index_sets` live inside
+  :func:`max_gamma` and :func:`max_delta` answer with rows in
   ``{1, ..., len(lam)}``.
 """
 
@@ -41,11 +41,12 @@ class Partition:
 
     def __post_init__(self) -> None:
         parts = tuple(self.parts)
-        if any(not isinstance(p, int) or p < 0 for p in parts):
+        # exact type check: bool is an int subclass and is rejected
+        if not set(map(type, parts)) <= {int} or min(parts, default=0) < 0:
             raise ValueError(f"partition parts must be non-negative integers: {parts!r}")
         while parts and parts[-1] == 0:
             parts = parts[:-1]
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+        if list(parts) != sorted(parts, reverse=True):
             raise ValueError(f"partition parts must be weakly decreasing: {parts!r}")
         object.__setattr__(self, "parts", parts)
 
@@ -151,42 +152,10 @@ class Bipartition:
         return self.to_text()
 
 
-@dataclass(frozen=True)
-class IndexSets:
-    """The five row-index sets attached to (bp, m).
-
-    All sets live in {1, ..., len(lam)} and each one is a contiguous
-    interval (rows with equal part values are adjacent because partitions
-    are weakly decreasing).
-    """
-
-    lam_m: frozenset[int]       # rows i with lam_i = lam_m
-    gamma_m: frozenset[int]     # rows i with mu_i = mu_m
-    delta_m: frozenset[int]     # rows i with nu_i = nu_m
-    delta_leq_m: frozenset[int]  # rows i with nu_i <= nu_m
-    delta_lt_m: frozenset[int]   # rows i with nu_i < nu_m
-
-
-def index_sets(bp: Bipartition, m: int) -> IndexSets:
-    """The row-index sets for row m of bp; m must satisfy 1 <= m <= len(lam)."""
-    n = bp.length
-    if not 1 <= m <= n:
-        raise IndexError(f"row {m} out of range 1..{n} for shape {bp}")
-    rows = range(1, n + 1)
-    lam, mu, nu = bp.lam, bp.mu, bp.nu
-    return IndexSets(
-        lam_m=frozenset(i for i in rows if lam.part(i) == lam.part(m)),
-        gamma_m=frozenset(i for i in rows if mu.part(i) == mu.part(m)),
-        delta_m=frozenset(i for i in rows if nu.part(i) == nu.part(m)),
-        delta_leq_m=frozenset(i for i in rows if nu.part(i) <= nu.part(m)),
-        delta_lt_m=frozenset(i for i in rows if nu.part(i) < nu.part(m)),
-    )
-
-
 def max_gamma(bp: Bipartition, m: int) -> int | None:
     """Largest row index i <= len(lam) with mu_i = mu_m, reading mu_m as 0
-    beyond the shape.  None when no row qualifies.  Unlike :func:`index_sets`
-    this accepts any m >= 1, which the transition rules need for m+1."""
+    beyond the shape.  None when no row qualifies.  Any m >= 1 is accepted,
+    which the transition rules need for m+1."""
     if m < 1:
         raise IndexError(f"row index must be >= 1, got {m}")
     target = bp.mu.part(m)

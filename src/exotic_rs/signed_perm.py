@@ -21,7 +21,7 @@ class SignedPermutation:
     def __post_init__(self) -> None:
         letters = tuple(self.letters)
         object.__setattr__(self, "letters", letters)
-        if any(not isinstance(x, int) for x in letters):
+        if not set(map(type, letters)) <= {int}:  # exact: bool is rejected
             raise ValueError(f"letters must be integers: {letters!r}")
         if any(x == 0 for x in letters):
             raise ValueError("letter 0 is not allowed; magnitudes run 1..n")

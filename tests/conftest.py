@@ -1,8 +1,7 @@
 """Shared hypothesis strategies.
 
 Standard bitableaux are generated by growing a shape one corner at a time,
-independently of the insertion algorithm under test; gappy fillings come
-from order-preserving relabelings of standard ones.
+independently of the insertion algorithm under test.
 """
 
 from __future__ import annotations
@@ -61,18 +60,3 @@ def standard_bitableaux(draw, max_n: int = 6, min_n: int = 0) -> Bitableau:
         t = t.with_box(pos, entry)
     return t
 
-
-@st.composite
-def gappy_bitableaux(draw, max_n: int = 6):
-    """(tableau with arbitrary distinct entries, a value not occurring in it).
-
-    The value is suitable for the slot searches, which demand it be absent.
-    """
-    base = draw(standard_bitableaux(max_n))
-    n = base.size
-    image = sorted(draw(st.sets(st.integers(1, 3 * n + 3), min_size=n + 1, max_size=n + 1)))
-    probe_index = draw(st.integers(0, n))
-    probe = image.pop(probe_index)
-    relabel = {i + 1: image[i] for i in range(n)}
-    remap = lambda rows: tuple(tuple(relabel[x] for x in row) for row in rows)
-    return Bitableau(remap(base.left), remap(base.right)), probe

@@ -1,4 +1,5 @@
-"""Bitableau storage, validation, slot searches, and serialization."""
+"""Bitableau storage, validation, truncation, nested sequences, serialization,
+and enumeration."""
 
 from __future__ import annotations
 
@@ -6,31 +7,23 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from conftest import gappy_bitableaux, standard_bitableaux
+from conftest import standard_bitableaux
 from exotic_rs import (
     Bipartition,
     Bitableau,
     Partition,
     Position,
     Side,
-    available_positions,
     count_bitableaux,
     enumerate_bipartitions,
     enumerate_standard_bitableaux,
-    first_column_insertables,
-    from_combined,
     from_nested_sequence,
-    insertable_positions,
     row_number,
-    to_combined,
     to_nested_sequence,
 )
 
 # A nine-box worked example used throughout this file.
 NINE = Bitableau([[1, 3, 6], [2]], [[4, 7], [5, 8], [9]])
-
-# An eighteen-box filling with gaps, probed with the absent value 13.
-GAPPY = Bitableau([[1, 3, 10], [5, 6, 14], [9, 11, 15]], [[4, 16], [8, 17], [18]])
 
 
 class TestRowNumbering:
@@ -65,6 +58,7 @@ class TestValidation:
             ([[]], [], "empty"),
             ([[0]], [], "positive"),
             ([[1, -2]], [], "positive"),
+            ([[True]], [], "positive"),
         ],
     )
     def test_rejects_invalid_fillings(self, left, right, message):
@@ -90,20 +84,6 @@ class TestBasicViews:
         assert NINE.shape == Bipartition(Partition((3, 1)), Partition((2, 2, 1)))
         assert NINE.size == 9
         assert NINE.is_standard
-
-    def test_entry_and_position_lookup(self):
-        assert NINE.entry(Position(Side.LEFT, 1, 2)) == 3
-        assert NINE.position_of(5) == Position(Side.RIGHT, 2, 1)
-        assert NINE.position_of(9) == Position(Side.RIGHT, 3, 1)
-        with pytest.raises(KeyError):
-            NINE.entry(Position(Side.LEFT, 1, 4))
-        with pytest.raises(KeyError):
-            NINE.position_of(10)
-
-    def test_has_box(self):
-        assert NINE.has_box(Position(Side.LEFT, 2, 1))
-        assert not NINE.has_box(Position(Side.LEFT, 2, 2))
-        assert not NINE.has_box(Position(Side.RIGHT, 4, 1))
 
     def test_render_mirrors_the_left_component(self):
         assert NINE.render() == "6 3 1 | 4 7\n2 | 5 8\n| 9"
@@ -139,179 +119,6 @@ class TestFunctionalUpdates:
             NINE.with_box(Position(Side.LEFT, 1, 2), 10)
         with pytest.raises(ValueError, match="too deep"):
             NINE.with_box(Position(Side.LEFT, 4, 1), 10)
-
-    def test_with_replaced_swaps_one_entry(self):
-        t = Bitableau([[1, 3]], [[2]]).with_replaced(Position(Side.LEFT, 1, 2), 5)
-        assert t == Bitableau([[1, 5]], [[2]])
-
-    def test_with_replaced_revalidates(self):
-        with pytest.raises(ValueError, match="increase"):
-            Bitableau([[1, 3]], [[2]]).with_replaced(Position(Side.LEFT, 1, 1), 4)
-
-    def test_without_box_removes_outermost_and_prunes_rows(self):
-        t = Bitableau([[1]], [[2]])
-        assert t.without_box(Position(Side.LEFT, 1, 1)) == Bitableau([], [[2]])
-
-    def test_without_box_rejects_inner_boxes(self):
-        with pytest.raises(ValueError, match="outermost"):
-            NINE.without_box(Position(Side.LEFT, 1, 1))
-        with pytest.raises(KeyError):
-            NINE.without_box(Position(Side.LEFT, 3, 1))
-
-
-class TestAvailablePositions:
-    def test_single_row_offers_its_last_box(self):
-        t = Bitableau([[1, 2, 3]], [])
-        assert available_positions(t, 4) == [Position(Side.LEFT, 1, 3)]
-
-    def test_worked_example_with_value_13(self):
-        got = available_positions(GAPPY, 13)
-        assert got == [
-            Position(Side.LEFT, 1, 3),   # box holding 10
-            Position(Side.RIGHT, 2, 1),  # box holding 8
-            Position(Side.LEFT, 3, 2),   # box holding 11
-        ]
-
-    def test_min_row_number_filters_shallow_rows(self):
-        got = available_positions(GAPPY, 13, min_row_number=4)
-        assert got == [Position(Side.RIGHT, 2, 1), Position(Side.LEFT, 3, 2)]
-
-    def test_value_already_present_is_rejected(self):
-        with pytest.raises(ValueError, match="already occurs"):
-            available_positions(GAPPY, 14)
-
-    @given(gappy_bitableaux())
-    def test_matches_the_removable_corners_of_the_truncation(self, tv):
-        t, s = tv
-        trunc_shape = t.truncate(s).shape
-        expected = {
-            Position(side, i, trunc_shape.component(side).part(i))
-            for side, i in trunc_shape.removable_rows()
-        }
-        assert set(available_positions(t, s)) == expected
-
-    @given(gappy_bitableaux())
-    def test_at_most_one_per_combined_row_and_sorted(self, tv):
-        t, s = tv
-        rows = [p.row_number for p in available_positions(t, s)]
-        assert rows == sorted(rows) and len(rows) == len(set(rows))
-
-    @given(gappy_bitableaux())
-    def test_placing_the_value_at_any_result_is_valid(self, tv):
-        t, s = tv
-        for pos in available_positions(t, s):
-            replaced = t.with_replaced(pos, s)  # must not raise
-            assert replaced.entry(pos) == s
-
-
-class TestInsertablePositions:
-    def test_single_box_component_offers_box_and_append(self):
-        t = Bitableau([[2]], [])
-        assert insertable_positions(t, 1, max_row_number=1) == [Position(Side.LEFT, 1, 1)]
-        assert insertable_positions(t, 1) == [
-            Position(Side.LEFT, 1, 1),
-            Position(Side.RIGHT, 1, 1),
-        ]
-
-    def test_worked_example_with_value_13(self):
-        got = insertable_positions(GAPPY, 13)
-        assert got == [
-            Position(Side.LEFT, 1, 4),   # append after 10
-            Position(Side.RIGHT, 1, 2),  # box holding 16
-            Position(Side.LEFT, 2, 3),   # box holding 14
-            Position(Side.RIGHT, 3, 1),  # box holding 18
-            Position(Side.LEFT, 4, 1),   # new bottom row
-        ]
-
-    def test_max_row_number_filters_deep_rows(self):
-        got = insertable_positions(GAPPY, 13, max_row_number=3)
-        assert [p.row_number for p in got] == [1, 2, 3]
-
-    def test_value_already_present_is_rejected(self):
-        with pytest.raises(ValueError, match="already occurs"):
-            insertable_positions(GAPPY, 16)
-
-    @given(gappy_bitableaux())
-    def test_matches_slots_where_placement_validates(self, tv):
-        t, s = tv
-        expected = set()
-        for side in (Side.LEFT, Side.RIGHT):
-            rows = t.component(side)
-            for i, row in enumerate(rows, start=1):
-                for j in range(1, len(row) + 1):
-                    try:
-                        t.with_replaced(Position(side, i, j), s)
-                    except ValueError:
-                        continue
-                    if row[j - 1] > s:
-                        expected.add(Position(side, i, j))
-            for i in range(1, len(rows) + 2):
-                j = (len(rows[i - 1]) if i <= len(rows) else 0) + 1
-                try:
-                    t.with_box(Position(side, i, j), s)
-                except ValueError:
-                    continue
-                expected.add(Position(side, i, j))
-        assert set(insertable_positions(t, s)) == expected
-
-    @given(gappy_bitableaux())
-    def test_at_most_one_per_combined_row_and_sorted(self, tv):
-        t, s = tv
-        rows = [p.row_number for p in insertable_positions(t, s)]
-        assert rows == sorted(rows) and len(rows) == len(set(rows))
-
-
-class TestFirstColumnInsertables:
-    def test_empty_bitableau_offers_both_initial_slots(self):
-        assert first_column_insertables(Bitableau(), 1) == (
-            Position(Side.LEFT, 1, 1),
-            Position(Side.RIGHT, 1, 1),
-        )
-
-    def test_small_column_overflows_to_the_slot_below(self):
-        t = Bitableau([], [[1], [2]])
-        assert first_column_insertables(t, 3) == (
-            Position(Side.LEFT, 1, 1),
-            Position(Side.RIGHT, 3, 1),
-        )
-
-    def test_worked_example_with_value_13(self):
-        assert first_column_insertables(GAPPY, 13) == (
-            Position(Side.LEFT, 4, 1),
-            Position(Side.RIGHT, 3, 1),  # box holding 18
-        )
-
-    @given(gappy_bitableaux())
-    def test_results_are_wall_adjacent_insertable_slots(self, tv):
-        t, s = tv
-        slots = set(insertable_positions(t, s))
-        for pos in first_column_insertables(t, s):
-            assert pos.col == 1
-            assert pos in slots
-
-
-class TestCombinedCoordinates:
-    @pytest.mark.parametrize(
-        "value, combined",
-        [(3, (1, 2)), (5, (2, 2)), (9, (3, 1)), (1, (1, 1)), (4, (1, 4)), (7, (1, 5))],
-    )
-    def test_worked_example_coordinates(self, value, combined):
-        pos = NINE.position_of(value)
-        assert to_combined(NINE.shape, pos) == combined
-        assert from_combined(NINE.shape, *combined) == pos
-
-    def test_out_of_shape_boxes_are_rejected(self):
-        with pytest.raises(ValueError, match="outside shape"):
-            to_combined(NINE.shape, Position(Side.LEFT, 1, 4))
-        with pytest.raises(ValueError, match="outside shape"):
-            from_combined(NINE.shape, 3, 2)
-
-    @given(standard_bitableaux(min_n=1))
-    def test_round_trip_over_every_box(self, t):
-        shape = t.shape
-        for value in t.entries():
-            pos = t.position_of(value)
-            assert from_combined(shape, *to_combined(shape, pos)) == pos
 
 
 class TestNestedSequences:

@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import exotic_rs
 from exotic_rs import (
     Report,
     SignedPermutation,
@@ -59,10 +64,10 @@ class TestInsert:
         assert out.splitlines()[0] == "letter -2: 2->(right r1 c1)"
         assert out.splitlines()[1].startswith("letter 1:")
 
-    def test_json_and_ascii_are_mutually_exclusive(self, capsys):
-        code, _, err = invoke(capsys, ["insert", "1", "--json", "--ascii"])
+    def test_ascii_flag_is_an_unknown_argument(self, capsys):
+        code, _, err = invoke(capsys, ["insert", "1", "--ascii"])
         assert code == 2
-        assert "not allowed" in err
+        assert "unrecognized arguments: --ascii" in err
 
     def test_bad_words_exit_2_with_a_diagnostic(self, capsys):
         code, _, err = invoke(capsys, ["insert", "1 x"])
@@ -122,6 +127,14 @@ class TestBump:
         )
         assert code == 2
         assert "share one shape" in err
+
+    def test_bool_entries_exit_2(self, capsys, monkeypatch):
+        bad = '{"T": {"left": [[true]], "right": []}, "R": {"left": [[1]], "right": []}}'
+        code, out, err = invoke(
+            capsys, ["bump", "--pair", "-"], stdin_text=bad, monkeypatch=monkeypatch
+        )
+        assert (code, out) == (2, "")
+        assert "positive integers, got True" in err
 
 
 class TestPipeRoundTrip:
@@ -295,6 +308,17 @@ class TestVerify:
         code, _, err = invoke(capsys, ["verify", "golden", "4"])
         assert code == 2
         assert "fixed at n=3" in err
+
+    def test_verifiers_pass_with_asserts_stripped(self):
+        src = str(Path(exotic_rs.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        for prop in ("roundtrip", "transition"):
+            done = subprocess.run(
+                [sys.executable, "-O", "-m", "exotic_rs.cli", "verify", prop, "4"],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            assert done.stdout.startswith(f"{prop} n=4: OK")
 
 
 class TestUsage:

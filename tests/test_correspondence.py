@@ -119,7 +119,8 @@ class TestInsertion:
     def test_recording_tableau_marks_box_creation(self, w):
         pair, records = insertion_with_trace(w)
         for rec in records:
-            assert pair.R.entry(rec.steps[-1].target) == rec.k
+            target = rec.steps[-1].target
+            assert pair.R.component(target.side)[target.row - 1][target.col - 1] == rec.k
 
 
 class TestReverseBumping:
@@ -178,10 +179,15 @@ class TestReverseBumping:
         for w in enumerate_signed_permutations(n):
             assert insertion(w.inverse()) == insertion(w).swapped()
 
-    @given(signed_words(max_n=8))
-    @settings(max_examples=80)
+    @given(signed_words(max_n=200))
+    @settings(max_examples=80, deadline=None)
     def test_round_trip_on_random_words(self, w):
         assert reverse_bumping(insertion(w)) == w
+
+    @given(signed_words(max_n=200))
+    @settings(max_examples=40, deadline=None)
+    def test_inverse_word_swaps_the_pair_on_random_words(self, w):
+        assert insertion(w.inverse()) == insertion(w).swapped()
 
 
 def _peel_letters(w: SignedPermutation) -> list[int]:

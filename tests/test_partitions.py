@@ -1,4 +1,4 @@
-"""Partitions, bipartitions, index sets, and counting."""
+"""Partitions, bipartitions, row-index helpers, and counting."""
 
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ from exotic_rs import (
     dimension_b,
     enumerate_bipartitions,
     enumerate_standard_bitableaux,
-    index_sets,
     max_delta,
     max_gamma,
     partitions_of,
@@ -45,6 +44,12 @@ class TestPartition:
     def test_rejects_negative_parts(self):
         with pytest.raises(ValueError, match="non-negative"):
             Partition((1, -1))
+
+    def test_rejects_bool_parts(self):
+        with pytest.raises(ValueError, match="non-negative integers"):
+            Partition((True,))
+        with pytest.raises(ValueError, match="non-negative integers"):
+            Bipartition.from_json({"mu": [True], "nu": []})
 
     def test_padded_part_reads(self):
         p = Partition((3, 1))
@@ -144,19 +149,16 @@ class TestBipartition:
 
 
 class TestIndexSets:
+    """max_gamma / max_delta: the last row of the index set of rows i with
+    mu_i = mu_m (gamma_m), respectively nu_i = nu_m (delta_m)."""
+
     def test_deep_shape_left_row_four(self):
         bp = Bipartition(Partition((5, 4, 3, 2, 1, 1)), Partition((3, 2, 2, 2, 2, 1)))
-        s = index_sets(bp, 4)
-        assert s.lam_m == frozenset({4})
-        assert s.gamma_m == frozenset({4})
-        assert s.delta_m == frozenset({2, 3, 4, 5})
-        assert s.delta_leq_m == frozenset({2, 3, 4, 5, 6})
-        assert s.delta_lt_m == frozenset({6})
+        assert max_gamma(bp, 4) == 4
         assert max_delta(bp, 4) == 5
 
     def test_two_column_shape_row_one(self):
         bp = Bipartition(Partition((2, 2)), Partition((3, 2, 1)))
-        assert index_sets(bp, 1).gamma_m == frozenset({1, 2})
         assert max_gamma(bp, 1) == 2
 
     def test_rows_beyond_the_shape_read_as_zero(self):
@@ -167,28 +169,15 @@ class TestIndexSets:
         # row 2 of mu is an implicit zero shared with every later row
         assert max_gamma(bp2, 2) == 2
 
-    @pytest.mark.parametrize("m", [0, 7])
-    def test_index_sets_rejects_rows_outside_lam(self, m):
-        bp = Bipartition(Partition((5, 4, 3, 2, 1, 1)), Partition((3, 2, 2, 2, 2, 1)))
-        with pytest.raises(IndexError):
-            index_sets(bp, m)
-
-    @given(bipartitions(), st.integers(1, 12))
-    def test_each_index_set_is_a_contiguous_interval(self, bp, m):
-        if m > bp.lam.length:
-            return
-        s = index_sets(bp, m)
-        for group in (s.lam_m, s.gamma_m, s.delta_m, s.delta_leq_m, s.delta_lt_m):
-            if group:
-                assert group == frozenset(range(min(group), max(group) + 1))
-
     @given(bipartitions(), st.integers(1, 12))
     def test_max_helpers_agree_with_index_sets(self, bp, m):
         if m > bp.lam.length:
             return
-        s = index_sets(bp, m)
-        assert max_gamma(bp, m) == (max(s.gamma_m) if s.gamma_m else None)
-        assert max_delta(bp, m) == (max(s.delta_m) if s.delta_m else None)
+        rows = range(1, bp.length + 1)
+        gamma_m = [i for i in rows if bp.mu.part(i) == bp.mu.part(m)]
+        delta_m = [i for i in rows if bp.nu.part(i) == bp.nu.part(m)]
+        assert max_gamma(bp, m) == max(gamma_m)
+        assert max_delta(bp, m) == max(delta_m)
 
 
 class TestDimension:

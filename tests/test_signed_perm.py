@@ -21,7 +21,7 @@ from exotic_rs import (
 
 
 class TestConstruction:
-    @pytest.mark.parametrize("letters", [(1, 1), (1, -1), (2, 3), (1, 2, 4), (0,)])
+    @pytest.mark.parametrize("letters", [(1, 1), (1, -1), (2, 3), (1, 2, 4), (0,), (True,)])
     def test_rejects_non_permutations(self, letters):
         with pytest.raises(ValueError):
             SignedPermutation(letters)

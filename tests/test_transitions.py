@@ -120,8 +120,8 @@ class TestAgreementWithCascades:
                     removal = FirstRemoval(step.source.side, step.source.row)
                     assert second_decrement(step.shape, removal) == outcome_of_step(step)
 
-    @given(signed_words(max_n=7, min_n=1))
-    @settings(max_examples=60)
+    @given(signed_words(max_n=100, min_n=1))
+    @settings(max_examples=60, deadline=None)
     def test_random_cascades_are_predicted_exactly(self, w):
         _, records = reverse_bumping_with_trace(insertion(w))
         for record in records:
