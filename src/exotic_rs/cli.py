@@ -23,16 +23,19 @@ import argparse
 import json
 import math
 import sys
+from pathlib import Path
 
 from .bitableaux import Bitableau
 from .correspondence import (
     CorrespondencePair,
+    insertion,
     insertion_with_trace,
+    reverse_bumping,
     reverse_bumping_with_trace,
 )
 from .partitions import count_bitableaux, enumerate_bipartitions
 from .signed_perm import SignedPermutation
-from .verify import BudgetExceededError, cells, run_verifier, verify_counting
+from .verify import BudgetExceededError, _group_by_shape, cells, run_verifier, verify_counting
 
 
 def parse_ascii_bitableau(text: str) -> Bitableau:
@@ -66,7 +69,7 @@ def parse_ascii_bitableau(text: str) -> Bitableau:
 
 
 def _read_pair(path: str) -> CorrespondencePair:
-    raw = sys.stdin.read() if path == "-" else open(path, encoding="utf-8").read()
+    raw = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
     try:
         obj = json.loads(raw)
     except json.JSONDecodeError as err:
@@ -86,7 +89,7 @@ def _render_pair(pair: CorrespondencePair) -> str:
 
 def cmd_insert(args: argparse.Namespace) -> int:
     word = SignedPermutation.from_text(args.word)
-    pair, records = insertion_with_trace(word)
+    pair, records = insertion_with_trace(word) if args.trace else (insertion(word), ())
     if args.json:
         obj = pair.to_json()
         if args.trace:
@@ -107,31 +110,24 @@ def cmd_insert(args: argparse.Namespace) -> int:
 
 def cmd_bump(args: argparse.Namespace) -> int:
     pair = _read_pair(args.pair)
-    word, records = reverse_bumping_with_trace(pair)
     if args.trace:
+        word, records = reverse_bumping_with_trace(pair)
         print(json.dumps({"word": word.to_text(), "trace": [r.to_json() for r in records]}))
     else:
-        print(word.to_text())
+        print(reverse_bumping(pair).to_text())
     return 0
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    by_shape = cells(args.n)
     if args.json:
-        blocks = []
-        for shape, words in by_shape.items():
-            rows = []
-            for w in words:
-                pair, _ = insertion_with_trace(w)
-                rows.append({"word": w.to_text(), "T": pair.T.to_json(), "R": pair.R.to_json()})
-            blocks.append({"shape": shape.to_json(), "words": rows})
-        print(json.dumps(blocks))
+        row = lambda w, pair: {"word": w.to_text(), "T": pair.T.to_json(), "R": pair.R.to_json()}
+        blocks = _group_by_shape(args.n, row).items()
+        print(json.dumps([{"shape": shape.to_json(), "words": words} for shape, words in blocks]))
         return 0
-    for shape, words in by_shape.items():
+    line = lambda w, pair: f"{w.to_text()}\t{json.dumps(pair.T.to_json())}\t{json.dumps(pair.R.to_json())}"
+    for shape, lines in _group_by_shape(args.n, line).items():
         print(f"# {shape.to_text()}")
-        for w in words:
-            pair, _ = insertion_with_trace(w)
-            print(f"{w.to_text()}\t{json.dumps(pair.T.to_json())}\t{json.dumps(pair.R.to_json())}")
+        print(*lines, sep="\n")
     return 0
 
 

@@ -31,10 +31,11 @@ displacing the smaller entry found there; when the walk reaches combined
 row 1 the letter is emitted unbarred, and when no box is available it is
 emitted barred.
 
-Both directions run on plain mutable rows; the validated types
-(:class:`~exotic_rs.bitableaux.Bitableau`, :class:`CorrespondencePair`,
+Each direction is one kernel loop on plain mutable rows; the validated
+types (:class:`~exotic_rs.bitableaux.Bitableau`, :class:`CorrespondencePair`,
 :class:`~exotic_rs.signed_perm.SignedPermutation`) are built only on entry
-and exit.
+and exit.  Only the ``_with_trace`` variants have the loop build step
+records, positions and truncation shapes.
 """
 
 from __future__ import annotations
@@ -225,13 +226,18 @@ def _pop_box(rows: list[list[int]], i: int) -> int:
 
 def insertion(w: SignedPermutation) -> CorrespondencePair:
     """The exotic Robinson-Schensted insertion of a signed permutation."""
-    return insertion_with_trace(w)[0]
+    return _insert(w, None)
 
 
 def insertion_with_trace(w: SignedPermutation) -> tuple[CorrespondencePair, tuple[InsertionRecord, ...]]:
+    records: list[InsertionRecord] = []
+    return _insert(w, records), tuple(records)
+
+
+def _insert(w: SignedPermutation, records: list[InsertionRecord] | None) -> CorrespondencePair:
+    """The insertion kernel; with a list for ``records``, one record per letter."""
     t: _Rows = ([], [])
     r: _Rows = ([], [])
-    records = []
     for k, letter in enumerate(w.letters, start=1):
         s = abs(letter)
         if letter > 0:
@@ -239,10 +245,11 @@ def insertion_with_trace(w: SignedPermutation) -> tuple[CorrespondencePair, tupl
         else:
             left, right = (bisect_left(rows, s, key=itemgetter(0)) for rows in t)
             c, i, j = (1, right, 0) if right >= left else (0, left, 0)
-        steps = []
+        steps = None if records is None else []
         while i < len(t[c]) and j < len(t[c][i]):
             displaced, t[c][i][j] = t[c][i][j], s
-            steps.append(InsertionStep(s, Position(_SIDES[c], i + 1, j + 1), displaced))
+            if steps is not None:
+                steps.append(InsertionStep(s, Position(_SIDES[c], i + 1, j + 1), displaced))
             # Never None: left row 1, the last row tried, always has a slot.
             c, i, j = _first_slot(t, displaced, range(2 * i + c + 2, 0, -1), _insert_column)
             s = displaced
@@ -251,9 +258,10 @@ def insertion_with_trace(w: SignedPermutation) -> tuple[CorrespondencePair, tupl
             r[c].append([])
         t[c][i].append(s)
         r[c][i].append(k)
-        steps.append(InsertionStep(s, Position(_SIDES[c], i + 1, j + 1), None))
-        records.append(InsertionRecord(k, letter, tuple(steps)))
-    return CorrespondencePair(Bitableau(*t), Bitableau(*r)), tuple(records)
+        if steps is not None:
+            steps.append(InsertionStep(s, Position(_SIDES[c], i + 1, j + 1), None))
+            records.append(InsertionRecord(k, letter, tuple(steps)))
+    return CorrespondencePair(Bitableau(*t), Bitableau(*r))
 
 
 # -- reverse bumping -----------------------------------------------------------
@@ -261,50 +269,59 @@ def insertion_with_trace(w: SignedPermutation) -> tuple[CorrespondencePair, tupl
 
 def reverse_bumping(pair: CorrespondencePair) -> SignedPermutation:
     """The inverse of :func:`insertion`."""
-    return reverse_bumping_with_trace(pair)[0]
+    return _reverse(pair, None)
 
 
 def reverse_bumping_with_trace(pair: CorrespondencePair) -> tuple[SignedPermutation, tuple[RemovalRecord, ...]]:
+    records: list[RemovalRecord] = []
+    return _reverse(pair, records), tuple(records)
+
+
+def _reverse(pair: CorrespondencePair, records: list[RemovalRecord] | None) -> SignedPermutation:
+    """The reverse-bumping kernel; with a list for ``records``, one record per entry."""
     t = _rows(pair.T)
     boxes = _boxes(pair.R)
     letters_rev: list[int] = []
-    records = []
     for k in range(pair.size, 0, -1):
-        letter, steps = _remove(t, *boxes[k])
-        letters_rev.append(letter)
-        records.append(RemovalRecord(k, letter, steps))
-    return SignedPermutation(tuple(reversed(letters_rev))), tuple(records)
+        steps = None if records is None else []
+        letters_rev.append(_remove(t, *boxes[k], steps))
+        if steps is not None:
+            records.append(RemovalRecord(k, letters_rev[-1], tuple(steps)))
+    return SignedPermutation(tuple(reversed(letters_rev)))
 
 
-def _remove(t: _Rows, c: int, i: int) -> tuple[int, tuple[RemovalStep, ...]]:
+def _remove(t: _Rows, c: int, i: int, steps: list[RemovalStep] | None) -> int:
     """Remove the outermost box of row i of component c and walk its value
-    back up the diagram; returns the emitted letter and the cascade steps."""
+    back up the diagram; returns the emitted letter, and appends one step
+    per hop to ``steps`` unless it is None."""
     j = len(t[c][i]) - 1
     value = _pop_box(t[c], i)
-    steps = []
+    counts = None if steps is None else [list(map(len, rows)) for rows in t]
     while True:
         m = 2 * i + 1 + c
-        source = Position(_SIDES[c], i + 1, j + 1)
-        shape = _truncation_shape(t, value, c, i)
         depth = 2 * max(len(t[0]), len(t[1]))
         slot = None if m == 1 else _first_slot(t, value, range(m - 1, depth + 1), _remove_column)
+        letter = None if slot is not None else (value if m == 1 else -value)
+        if steps is not None:
+            # Entries below the moving value, per row; it only falls, so the last counts
+            # bound them.  Rows left with none are the bottom ones and drop out.
+            counts = [[n for row, b in zip(rows, bounds) if (n := bisect_left(row, value, 0, b))]
+                      for bounds, rows in zip(counts, t)]
+            target = None if slot is None else Position(_SIDES[slot[0]], slot[1] + 1, slot[2] + 1)
+            source = Position(_SIDES[c], i + 1, j + 1)
+            steps.append(RemovalStep(value, source, _truncation_shape(counts, c, i, j), target, letter))
         if slot is None:
-            letter = value if m == 1 else -value
-            steps.append(RemovalStep(value, source, shape, None, letter))
-            return letter, tuple(steps)
+            return letter
         c, i, j = slot
-        displaced, t[c][i][j] = t[c][i][j], value
-        steps.append(RemovalStep(value, source, shape, Position(_SIDES[c], i + 1, j + 1), None))
-        value = displaced
+        value, t[c][i][j] = t[c][i][j], value
 
 
-def _truncation_shape(t: _Rows, value: int, c: int, i: int) -> Bipartition:
-    """Shape of the entries smaller than ``value`` together with the box of
-    row i of component c that ``value`` is leaving (``value`` is not in t)."""
-    counts = [[bisect_left(row, value) for row in rows] for rows in t]
-    counts[c] += [0] * (i + 1 - len(counts[c]))
-    counts[c][i] += 1
-    return Bipartition(Partition(tuple(counts[0])), Partition(tuple(counts[1])))
+def _truncation_shape(counts: list[list[int]], c: int, i: int, j: int) -> Bipartition:
+    """Shape of the entries smaller than the moving value (``counts``, per
+    row) together with the box it leaves, column j of row i of component c."""
+    own = counts[c][:i] + [j + 1] + counts[c][i + 1:]
+    mu, nu = (own, counts[1]) if c == 0 else (counts[0], own)
+    return Bipartition(Partition(tuple(mu)), Partition(tuple(nu)))
 
 
 # -- single-step reduction -------------------------------------------------------
@@ -323,7 +340,7 @@ def bump_once(pair: CorrespondencePair) -> tuple[CorrespondencePair, int, int]:
         raise ValueError("the empty pair has no largest entry to remove")
     c, i = _boxes(pair.R)[pair.size]
     t, rec = _rows(pair.T), _rows(pair.R)
-    letter, _ = _remove(t, c, i)
+    letter = _remove(t, c, i, None)
     _pop_box(rec[c], i)
     r = abs(letter)
     relabel = lambda rows: [[x - 1 if x > r else x for x in row] for row in rows]

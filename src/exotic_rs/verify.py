@@ -271,10 +271,17 @@ def cells(n: int) -> dict[Bipartition, list[SignedPermutation]]:
     Keys follow the canonical shape order, members the canonical word order;
     each cell has count_bitableaux(shape)^2 members.
     """
+    return _group_by_shape(n, lambda w, pair: w)
+
+
+def _group_by_shape(n: int, item: Callable[[SignedPermutation, CorrespondencePair], object]) -> dict[Bipartition, list]:
+    """Insert each word of size n once and file ``item(word, pair)`` under
+    the pair's shape, in the order of :func:`cells`."""
     _check_budget(n, WORD_BUDGET, "cell decomposition")
-    out: dict[Bipartition, list[SignedPermutation]] = {bp: [] for bp in enumerate_bipartitions(n)}
+    out: dict[Bipartition, list] = {bp: [] for bp in enumerate_bipartitions(n)}
     for w in enumerate_signed_permutations(n):
-        out[insertion(w).shape].append(w)
+        pair = insertion(w)
+        out[pair.shape].append(item(w, pair))
     return out
 
 

@@ -103,6 +103,19 @@ class TestBump:
         step = obj["trace"][0]["steps"][0]
         assert set(step) == {"value", "side", "row", "col", "shape", "to", "emit"}
 
+    def test_pair_file_is_closed(self, tmp_path):
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(insertion_pair_json(MIXED_WORD)))
+        src = str(Path(exotic_rs.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "exotic_rs.cli",
+             "bump", "--pair", str(path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (done.returncode, done.stdout) == (0, MIXED_WORD + "\n")
+        assert "ResourceWarning" not in done.stderr
+
     def test_missing_pair_argument_exits_2(self, capsys):
         code, _, err = invoke(capsys, ["bump"])
         assert code == 2

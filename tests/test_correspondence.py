@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 
 from conftest import signed_words
+from exotic_rs import correspondence
 from exotic_rs import (
     Bitableau,
     CorrespondencePair,
@@ -240,3 +243,38 @@ class TestBumpOnce:
         wt, r2 = derive_w_tilde(w)
         assert (letter, r) == (w.letters[-1], r2)
         assert reduced == insertion(wt)
+
+
+def _random_word(n: int, seed: int) -> SignedPermutation:
+    rng = random.Random(seed)
+    mags = rng.sample(range(1, n + 1), n)
+    return SignedPermutation(tuple(m * rng.choice((1, -1)) for m in mags))
+
+
+class TestTracedAndPlainPathsAgree:
+    @pytest.mark.parametrize("n", range(6))
+    def test_exhaustively_through_size_five(self, n):
+        for w in enumerate_signed_permutations(n):
+            assert insertion(w) == insertion_with_trace(w)[0]
+        for pair in iter_pairs(n):
+            assert reverse_bumping(pair) == reverse_bumping_with_trace(pair)[0]
+
+    @given(signed_words(max_n=200))
+    @settings(max_examples=40, deadline=None)
+    def test_on_random_words(self, w):
+        pair = insertion(w)
+        assert pair == insertion_with_trace(w)[0]
+        assert reverse_bumping(pair) == reverse_bumping_with_trace(pair)[0]
+
+    @pytest.mark.parametrize("w", [COLUMN_WORD, _random_word(50, seed=3)], ids=["n7", "n50"])
+    def test_plain_calls_build_no_trace(self, w, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a plain call built a trace")
+
+        for name in ("Position", "InsertionStep", "RemovalStep", "_truncation_shape"):
+            monkeypatch.setattr(correspondence, name, refuse)
+        pair = insertion(w)
+        assert reverse_bumping(pair) == w
+        reduced, letter, _ = bump_once(pair)
+        assert letter == w.letters[-1]
+        assert reverse_bumping(reduced) == derive_w_tilde(w)[0]
