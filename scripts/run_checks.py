@@ -3,19 +3,24 @@
 
 This is the long-form version of ``exotic-rs verify``: one line per
 (property, size) combination, a final tally, and a non-zero exit code if
-anything failed.  Sizes beyond the built-in budgets can be unlocked with
---max-n (which sets EXOTIC_RS_MAX_N for the run).
+anything failed.  With --json each line is instead a JSON object: one per
+(property, size) with its property, n, checked, failures (a count) and
+elapsed_s, then the totals (properties, checked, failures, elapsed_s).
+Sizes beyond the built-in budgets can be unlocked with --max-n (which sets
+EXOTIC_RS_MAX_N for the run).
 
 Usage::
 
     python scripts/run_checks.py                 # everything, default budgets
     python scripts/run_checks.py -p roundtrip -p transition
     python scripts/run_checks.py --max-n 6       # spend more time, check more
+    python scripts/run_checks.py --json          # machine-readable, one object a line
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 import time
@@ -61,6 +66,7 @@ def main() -> int:
         default=None,
         help="raise every budget-limited sweep to this size",
     )
+    parser.add_argument("--json", action="store_true", help="print one JSON object per line")
     args = parser.parse_args()
 
     if args.max_n is not None:
@@ -78,13 +84,20 @@ def main() -> int:
             t0 = time.perf_counter()
             report = run_verifier(prop, n)
             dt = time.perf_counter() - t0
-            print(f"{report.summary()}  [{dt:.2f}s]")
+            if args.json:
+                print(json.dumps({"property": prop, "n": n, "checked": report.checked,
+                                  "failures": len(report.failures), "elapsed_s": dt}))
+            else:
+                print(f"{report.summary()}  [{dt:.2f}s]")
             checks += report.checked
             if not report.ok:
                 failures += len(report.failures)
     total = time.perf_counter() - started
-    status = "all OK" if failures == 0 else f"{failures} FAILURES"
-    print(f"-- {checks} checks across {len(properties)} properties in {total:.1f}s: {status}")
+    if args.json:
+        print(json.dumps({"properties": len(properties), "checked": checks, "failures": failures, "elapsed_s": total}))
+    else:
+        status = "all OK" if failures == 0 else f"{failures} FAILURES"
+        print(f"-- {checks} checks across {len(properties)} properties in {total:.1f}s: {status}")
     return 0 if failures == 0 else 1
 
 

@@ -111,8 +111,10 @@ class Bitableau:
 
     @property
     def is_standard(self) -> bool:
-        """True when the entries are exactly 1..size."""
-        return self.entries() == frozenset(range(1, self.size + 1))
+        """True when the entries are exactly 1..size.  The constructor makes
+        them distinct, positive and increasing along rows, so it is enough
+        that the largest row end is the size."""
+        return max((row[-1] for rows in (self.left, self.right) for row in rows), default=0) == self.size
 
     def component(self, side: Side) -> tuple[tuple[int, ...], ...]:
         return self.left if side is Side.LEFT else self.right

@@ -120,9 +120,13 @@ def cmd_bump(args: argparse.Namespace) -> int:
 
 def cmd_table(args: argparse.Namespace) -> int:
     if args.json:
-        row = lambda w, pair: {"word": w.to_text(), "T": pair.T.to_json(), "R": pair.R.to_json()}
+        # Rows are kept as JSON text and written block by block, laid out as json.dumps would.
+        row = lambda w, pair: json.dumps({"word": w.to_text(), "T": pair.T.to_json(), "R": pair.R.to_json()})
         blocks = _group_by_shape(args.n, row).items()
-        print(json.dumps([{"shape": shape.to_json(), "words": words} for shape, words in blocks]))
+        sys.stdout.write("[")
+        for i, (shape, rows) in enumerate(blocks):
+            sys.stdout.write(f'{", " if i else ""}{{"shape": {json.dumps(shape.to_json())}, "words": [{", ".join(rows)}]}}')
+        print("]")
         return 0
     line = lambda w, pair: f"{w.to_text()}\t{json.dumps(pair.T.to_json())}\t{json.dumps(pair.R.to_json())}"
     for shape, lines in _group_by_shape(args.n, line).items():

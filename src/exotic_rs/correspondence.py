@@ -58,7 +58,8 @@ class CorrespondencePair:
     R: Bitableau = Bitableau()
 
     def __post_init__(self) -> None:
-        if self.T.shape != self.R.shape:
+        row_lengths = lambda t: (list(map(len, t.left)), list(map(len, t.right)))
+        if row_lengths(self.T) != row_lengths(self.R):
             raise ValueError(f"pair components must share one shape: {self.T.shape} vs {self.R.shape}")
         for name, t in (("T", self.T), ("R", self.R)):
             if not t.is_standard:

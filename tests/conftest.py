@@ -8,7 +8,15 @@ from __future__ import annotations
 
 import hypothesis.strategies as st
 
-from exotic_rs import Bipartition, Bitableau, Partition, Position, Side, SignedPermutation
+from exotic_rs import (
+    Bipartition,
+    Bitableau,
+    Partition,
+    Position,
+    Side,
+    SignedPermutation,
+    enumerate_standard_bitableaux,
+)
 
 
 @st.composite
@@ -60,3 +68,18 @@ def standard_bitableaux(draw, max_n: int = 6, min_n: int = 0) -> Bitableau:
         t = t.with_box(pos, entry)
     return t
 
+
+@st.composite
+def bitableaux(draw, max_n: int = 6, shape: Bipartition | None = None) -> Bitableau:
+    """A valid bitableau: a standard one (of ``shape``, when given), half the
+    time relabelled by an increasing map into 1..3n+1, which keeps every row
+    and column increasing and usually leaves gaps."""
+    if shape is None:
+        t = draw(standard_bitableaux(max_n))
+    else:
+        t = draw(st.sampled_from(enumerate_standard_bitableaux(shape)))
+    if draw(st.booleans()):
+        return t
+    values = sorted(draw(st.sets(st.integers(1, 3 * t.size + 1), min_size=t.size, max_size=t.size)))
+    relabel = lambda rows: [[values[x - 1] for x in row] for row in rows]
+    return Bitableau(relabel(t.left), relabel(t.right))

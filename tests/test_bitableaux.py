@@ -7,7 +7,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from conftest import standard_bitableaux
+from conftest import bitableaux, standard_bitableaux
 from exotic_rs import (
     Bipartition,
     Bitableau,
@@ -84,6 +84,10 @@ class TestBasicViews:
         assert NINE.shape == Bipartition(Partition((3, 1)), Partition((2, 2, 1)))
         assert NINE.size == 9
         assert NINE.is_standard
+
+    @given(bitableaux())
+    def test_is_standard_means_the_entries_are_one_to_size(self, t):
+        assert t.is_standard == (t.entries() == frozenset(range(1, t.size + 1)))
 
     def test_render_mirrors_the_left_component(self):
         assert NINE.render() == "6 3 1 | 4 7\n2 | 5 8\n| 9"

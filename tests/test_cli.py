@@ -13,6 +13,7 @@ import pytest
 
 import exotic_rs
 from exotic_rs import (
+    COUNT_BUDGET,
     Report,
     SignedPermutation,
     enumerate_bipartitions,
@@ -238,6 +239,12 @@ class TestTable:
         assert len(blocks) == 5
         assert sum(len(b["words"]) for b in blocks) == 8
 
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_json_table_is_laid_out_as_json_dumps(self, capsys, n):
+        code, out, _ = invoke(capsys, ["table", str(n), "--json"])
+        assert code == 0
+        assert out == json.dumps(json.loads(out)) + "\n"
+
     def test_beyond_budget_exits_2(self, capsys, monkeypatch):
         monkeypatch.delenv("EXOTIC_RS_MAX_N", raising=False)
         code, _, err = invoke(capsys, ["table", "7"])
@@ -332,6 +339,32 @@ class TestVerify:
             )
             assert done.returncode == 0, done.stderr
             assert done.stdout.startswith(f"{prop} n=4: OK")
+
+
+class TestRunChecks:
+    def test_json_lines(self):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "run_checks.py"
+        src = str(Path(exotic_rs.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env.pop("EXOTIC_RS_MAX_N", None)
+        done = subprocess.run(
+            [sys.executable, str(script), "-p", "golden", "-p", "counting", "--json"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        *rows, totals = map(json.loads, done.stdout.splitlines())
+        assert [(row["property"], row["n"], row["checked"], row["failures"]) for row in rows] == [
+            ("golden", 3, 96, 0),
+            *(("counting", n, len(enumerate_bipartitions(n)), 0) for n in range(COUNT_BUDGET + 1)),
+        ]
+        assert all(set(row) == {"property", "n", "checked", "failures", "elapsed_s"} for row in rows)
+        assert totals == {
+            "properties": 2,
+            "checked": sum(row["checked"] for row in rows),
+            "failures": 0,
+            "elapsed_s": totals["elapsed_s"],
+        }
+        assert totals["elapsed_s"] >= sum(row["elapsed_s"] for row in rows) >= 0
 
 
 class TestUsage:

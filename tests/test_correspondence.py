@@ -5,9 +5,10 @@ from __future__ import annotations
 import random
 
 import pytest
+import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from conftest import signed_words
+from conftest import bitableaux, signed_words
 from exotic_rs import correspondence
 from exotic_rs import (
     Bitableau,
@@ -47,6 +48,23 @@ class TestPairValidation:
     def test_components_must_be_standard(self):
         with pytest.raises(ValueError, match="standard"):
             CorrespondencePair(Bitableau([[2]], []), Bitableau([[1]], []))
+
+    @given(bitableaux(max_n=5), st.data())
+    def test_rejects_exactly_mismatched_shapes_and_non_standard_components(self, t, data):
+        same_shape = data.draw(st.booleans())
+        r = data.draw(bitableaux(shape=t.shape) if same_shape else bitableaux(max_n=5))
+        if t.shape != r.shape:
+            expected = f"pair components must share one shape: {t.shape} vs {r.shape}"
+        elif t.entries() != frozenset(range(1, t.size + 1)):
+            expected = f"T must be standard (entries exactly 1..{t.size})"
+        elif r.entries() != frozenset(range(1, r.size + 1)):
+            expected = f"R must be standard (entries exactly 1..{r.size})"
+        else:
+            assert CorrespondencePair(t, r).shape == t.shape
+            return
+        with pytest.raises(ValueError) as info:
+            CorrespondencePair(t, r)
+        assert str(info.value) == expected
 
     def test_swapped_exchanges_the_components(self):
         assert COLUMN_PAIR.swapped() == CorrespondencePair(COLUMN_PAIR.R, COLUMN_PAIR.T)

@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 
+from exotic_rs import verify
 from exotic_rs import (
     COUNT_BUDGET,
     PAIR_BUDGET,
@@ -21,7 +22,9 @@ from exotic_rs import (
     enumerate_bipartitions,
     enumerate_signed_permutations,
     insertion,
+    iter_pairs,
     load_golden_table,
+    reverse_bumping_with_trace,
     run_verifier,
     verify_counting,
     verify_embedding,
@@ -30,6 +33,13 @@ from exotic_rs import (
     verify_roundtrip,
     verify_transition,
     verify_wtilde,
+)
+from exotic_rs.correspondence import (
+    ClassificationError,
+    FirstRemoval,
+    TerminateBarred,
+    TerminateUnbarred,
+    outcome_of_step,
 )
 
 
@@ -155,3 +165,148 @@ class TestCells:
         for bp, cell in cells(n).items():
             assert len(cell) == count_bitableaux(bp) ** 2
             assert all(insertion(w).shape == bp for w in cell)
+
+
+# -- memos hide no failure ---------------------------------------------------------
+#
+# Direct, unmemoized evaluations of the pair verifiers: every check computes
+# its bumps and classifications afresh, through the names the verify module
+# calls, so a function patched there is seen here too.
+
+
+def direct_roundtrip(n):
+    failures, checked = [], 0
+    for w in enumerate_signed_permutations(n):
+        back = verify.reverse_bumping(verify.insertion(w))
+        checked += 1
+        if back != w:
+            failures.append({"word": w.to_text(), "came_back_as": back.to_text()})
+    for pair in iter_pairs(n):
+        again = verify.insertion(verify.reverse_bumping(pair))
+        checked += 1
+        if again != pair:
+            failures.append({"pair": pair.to_json(), "came_back_as": again.to_json()})
+    return checked, failures
+
+
+def direct_inverse(n):
+    failures, checked = [], 0
+    for pair in iter_pairs(n):
+        straight = verify.reverse_bumping(pair)
+        swapped = verify.reverse_bumping(pair.swapped())
+        checked += 1
+        if swapped != straight.inverse():
+            failures.append({"pair": pair.to_json(), "word": straight.to_text(), "swapped_word": swapped.to_text()})
+    return checked, failures
+
+
+def direct_transition(n):
+    failures, checked = [], 0
+    for pair in iter_pairs(n):
+        for record in verify.reverse_bumping_with_trace(pair)[1]:
+            for step in record.steps:
+                checked += 1
+                where = {"pair": pair.to_json(), "k": record.k, "step": step.to_json()}
+                try:
+                    predicted = verify.second_decrement(step.shape, FirstRemoval(step.source.side, step.source.row))
+                except ClassificationError as err:
+                    failures.append({**where, "error": str(err)})
+                    continue
+                if predicted != outcome_of_step(step):
+                    failures.append({**where, "predicted": repr(predicted)})
+    return checked, failures
+
+
+def direct_wtilde(n):
+    failures, checked = [], 0
+    for pair in iter_pairs(n):
+        if pair.size == 0:
+            continue
+        word = verify.reverse_bumping(pair)
+        reduced, letter, r = verify.bump_once(pair)
+        wt, r2 = verify.derive_w_tilde(word)
+        checked += 1
+        if letter != word.letters[-1] or r != r2 or verify.reverse_bumping(reduced) != wt:
+            failures.append(
+                {
+                    "pair": pair.to_json(),
+                    "word": word.to_text(),
+                    "letter": letter,
+                    "reduced_word": verify.reverse_bumping(reduced).to_text(),
+                    "expected_reduced": wt.to_text(),
+                }
+            )
+    return checked, failures
+
+
+MEMOIZED_AND_DIRECT = [
+    (verify_roundtrip, direct_roundtrip),
+    (verify_inverse, direct_inverse),
+    (verify_transition, direct_transition),
+    (verify_wtilde, direct_wtilde),
+]
+
+
+def failures_against_direct(sizes=(3, 4)) -> dict:
+    """Run every pair verifier at each size, require the same check count
+    and the same failures in the same order as the direct evaluation, and
+    return the number of failures by (verifier, n)."""
+    seen = {}
+    for memoized, direct in MEMOIZED_AND_DIRECT:
+        for n in sizes:
+            report = memoized(n)
+            assert (report.checked, list(report.failures)) == direct(n), (memoized.__name__, n)
+            seen[memoized.__name__, n] = len(report.failures)
+    return seen
+
+
+def flip_first_letter(w: SignedPermutation) -> SignedPermutation:
+    return SignedPermutation((-w.letters[0],) + w.letters[1:])
+
+
+class TestMemosHideNoFailure:
+    def test_unpatched_runs_agree_and_pass(self):
+        assert set(failures_against_direct().values()) == {0}
+
+    @pytest.mark.parametrize("word", ["2 -1 4 3", "-2 3 1"])
+    def test_one_corrupt_insertion(self, monkeypatch, word):
+        target = SignedPermutation.from_text(word)
+        real = verify.insertion
+        monkeypatch.setattr(verify, "insertion", lambda w: real(flip_first_letter(w) if w == target else w))
+        seen = failures_against_direct()
+        # The corrupt word fails, and so does the pair nothing inserts to any more.
+        assert seen["verify_roundtrip", target.n] == 2
+
+    @pytest.mark.parametrize("word", ["2 -1 4 3", "-2 3 1"])
+    def test_one_corrupt_reverse_bump(self, monkeypatch, word):
+        target = insertion(SignedPermutation.from_text(word))
+        real = verify.reverse_bumping
+        monkeypatch.setattr(verify, "reverse_bumping", lambda p: flip_first_letter(real(p)) if p == target else real(p))
+        seen = failures_against_direct()
+        assert seen["verify_roundtrip", target.size] == 2
+        assert seen["verify_inverse", target.size] >= 1
+        # At n = 4 a pair of size 3 is a reduced pair, which several pairs share.
+        assert seen["verify_wtilde", 4] >= 1
+
+    def test_one_wrong_and_one_unclassifiable_key(self, monkeypatch):
+        steps = Counter(
+            (step.shape, FirstRemoval(step.source.side, step.source.row))
+            for pair in iter_pairs(4)
+            for record in reverse_bumping_with_trace(pair)[1]
+            for step in record.steps
+        )
+        wrong, unclassifiable = [key for key, count in steps.most_common() if count > 1][1:3]
+        real = verify.second_decrement
+
+        def patched(bp, removal):
+            if (bp, removal) == unclassifiable:
+                raise ClassificationError(bp, removal, [])
+            predicted = real(bp, removal)
+            if (bp, removal) == wrong:
+                return TerminateUnbarred() if predicted == TerminateBarred() else TerminateBarred()
+            return predicted
+
+        monkeypatch.setattr(verify, "second_decrement", patched)
+        seen = failures_against_direct()
+        # One failure per affected step, not one per key.
+        assert seen["verify_transition", 4] == steps[wrong] + steps[unclassifiable] > 2
