@@ -13,7 +13,7 @@ Usage::
 
     python scripts/run_checks.py                 # everything, default budgets
     python scripts/run_checks.py -p roundtrip -p transition
-    python scripts/run_checks.py --max-n 6       # spend more time, check more
+    python scripts/run_checks.py --max-n 7       # spend more time, check more
     python scripts/run_checks.py --json          # machine-readable, one object a line
 """
 

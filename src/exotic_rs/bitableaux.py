@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from operator import ge
 
 from .partitions import Bipartition, Partition, Side
 
@@ -81,7 +82,7 @@ class Bitableau:
                     if x in seen:
                         raise ValueError(f"entries must be distinct, {x} appears twice")
                     seen.add(x)
-                if any(row[j] >= row[j + 1] for j in range(len(row) - 1)):
+                if any(map(ge, row, row[1:])):
                     raise ValueError(f"entries must increase away from the wall in {side.value} row {i}: {row}")
             for i in range(len(rows) - 1):
                 if len(rows[i]) < len(rows[i + 1]):
@@ -104,7 +105,7 @@ class Bitableau:
 
     @property
     def size(self) -> int:
-        return sum(len(r) for r in self.left) + sum(len(r) for r in self.right)
+        return sum(map(len, self.left)) + sum(map(len, self.right))
 
     def entries(self) -> frozenset[int]:
         return frozenset(x for rows in (self.left, self.right) for row in rows for x in row)
@@ -114,7 +115,7 @@ class Bitableau:
         """True when the entries are exactly 1..size.  The constructor makes
         them distinct, positive and increasing along rows, so it is enough
         that the largest row end is the size."""
-        return max((row[-1] for rows in (self.left, self.right) for row in rows), default=0) == self.size
+        return max([row[-1] for row in self.left + self.right], default=0) == self.size
 
     def component(self, side: Side) -> tuple[tuple[int, ...], ...]:
         return self.left if side is Side.LEFT else self.right

@@ -34,8 +34,8 @@ emitted barred.
 Each direction is one kernel loop on plain mutable rows; the validated
 types (:class:`~exotic_rs.bitableaux.Bitableau`, :class:`CorrespondencePair`,
 :class:`~exotic_rs.signed_perm.SignedPermutation`) are built only on entry
-and exit.  Only the ``_with_trace`` variants have the loop build step
-records, positions and truncation shapes.
+and exit.  Only the ``_with_trace`` variants have the loop record steps; the
+reverse loop records plain tuples, which become step records there.
 """
 
 from __future__ import annotations
@@ -274,55 +274,59 @@ def reverse_bumping(pair: CorrespondencePair) -> SignedPermutation:
 
 
 def reverse_bumping_with_trace(pair: CorrespondencePair) -> tuple[SignedPermutation, tuple[RemovalRecord, ...]]:
-    records: list[RemovalRecord] = []
-    return _reverse(pair, records), tuple(records)
+    cascades: list[tuple[int, int, list[tuple]]] = []
+    word = _reverse(pair, cascades)
+    return word, tuple(RemovalRecord(k, letter, tuple(_removal_step(*h) for h in hops)) for k, letter, hops in cascades)
 
 
-def _reverse(pair: CorrespondencePair, records: list[RemovalRecord] | None) -> SignedPermutation:
-    """The reverse-bumping kernel; with a list for ``records``, one record per entry."""
+def _reverse(pair: CorrespondencePair, cascades: list[tuple[int, int, list[tuple]]] | None) -> SignedPermutation:
+    """The reverse-bumping kernel; with a list for ``cascades``, one (k, letter, hops) per entry."""
     t = _rows(pair.T)
     boxes = _boxes(pair.R)
     letters_rev: list[int] = []
     for k in range(pair.size, 0, -1):
-        steps = None if records is None else []
-        letters_rev.append(_remove(t, *boxes[k], steps))
-        if steps is not None:
-            records.append(RemovalRecord(k, letters_rev[-1], tuple(steps)))
+        hops = None if cascades is None else []
+        letters_rev.append(_remove(t, *boxes[k], hops))
+        if hops is not None:
+            cascades.append((k, letters_rev[-1], hops))
     return SignedPermutation(tuple(reversed(letters_rev)))
 
 
-def _remove(t: _Rows, c: int, i: int, steps: list[RemovalStep] | None) -> int:
-    """Remove the outermost box of row i of component c and walk its value
-    back up the diagram; returns the emitted letter, and appends one step
-    per hop to ``steps`` unless it is None."""
+def _remove(t: _Rows, c: int, i: int, hops: list[tuple] | None) -> int:
+    """Remove the outermost box of row i of component c and walk its value back up the diagram;
+    returns the emitted letter.  Unless ``hops`` is None, each hop appends (value, c, i, j, mu, nu,
+    slot, letter): the box left, the truncation's row counts, and the box entered or the letter."""
     j = len(t[c][i]) - 1
     value = _pop_box(t[c], i)
-    counts = None if steps is None else [list(map(len, rows)) for rows in t]
+    counts = None if hops is None else [list(map(len, rows)) for rows in t]
     while True:
         m = 2 * i + 1 + c
         depth = 2 * max(len(t[0]), len(t[1]))
         slot = None if m == 1 else _first_slot(t, value, range(m - 1, depth + 1), _remove_column)
         letter = None if slot is not None else (value if m == 1 else -value)
-        if steps is not None:
-            # Entries below the moving value, per row; it only falls, so the last counts
-            # bound them.  Rows left with none are the bottom ones and drop out.
+        if hops is not None:
+            # Entries below the moving value, per row; it only falls, so the last counts bound
+            # them.  Rows left with none (the bottom ones) drop out.  With the box left: the truncation.
             counts = [[n for row, b in zip(rows, bounds) if (n := bisect_left(row, value, 0, b))]
                       for bounds, rows in zip(counts, t)]
-            target = None if slot is None else Position(_SIDES[slot[0]], slot[1] + 1, slot[2] + 1)
-            source = Position(_SIDES[c], i + 1, j + 1)
-            steps.append(RemovalStep(value, source, _truncation_shape(counts, c, i, j), target, letter))
+            own = (*counts[c][:i], j + 1, *counts[c][i + 1:])
+            mu, nu = (own, tuple(counts[1])) if c == 0 else (tuple(counts[0]), own)
+            hops.append((value, c, i, j, mu, nu, slot, letter))
         if slot is None:
             return letter
         c, i, j = slot
         value, t[c][i][j] = t[c][i][j], value
 
 
-def _truncation_shape(counts: list[list[int]], c: int, i: int, j: int) -> Bipartition:
-    """Shape of the entries smaller than the moving value (``counts``, per
-    row) together with the box it leaves, column j of row i of component c."""
-    own = counts[c][:i] + [j + 1] + counts[c][i + 1:]
-    mu, nu = (own, counts[1]) if c == 0 else (counts[0], own)
-    return Bipartition(Partition(tuple(mu)), Partition(tuple(nu)))
+def _removal_step(value, c, i, j, mu, nu, slot, letter) -> RemovalStep:
+    """The :class:`RemovalStep` of one hop recorded by :func:`_remove`."""
+    target = None if slot is None else Position(_SIDES[slot[0]], slot[1] + 1, slot[2] + 1)
+    return RemovalStep(value, Position(_SIDES[c], i + 1, j + 1), _truncation_shape(mu, nu), target, letter)
+
+
+def _truncation_shape(mu: tuple[int, ...], nu: tuple[int, ...]) -> Bipartition:
+    """The validated shape of a hop's truncation, from its row counts."""
+    return Bipartition(Partition(mu), Partition(nu))
 
 
 # -- single-step reduction -------------------------------------------------------

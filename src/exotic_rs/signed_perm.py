@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
 
 @dataclass(frozen=True)
@@ -23,9 +24,9 @@ class SignedPermutation:
         object.__setattr__(self, "letters", letters)
         if not set(map(type, letters)) <= {int}:  # exact: bool is rejected
             raise ValueError(f"letters must be integers: {letters!r}")
-        if any(x == 0 for x in letters):
+        if 0 in letters:
             raise ValueError("letter 0 is not allowed; magnitudes run 1..n")
-        mags = sorted(abs(x) for x in letters)
+        mags = sorted(map(abs, letters))
         if mags != list(range(1, len(letters) + 1)):
             raise ValueError(f"letter magnitudes must be a permutation of 1..{len(letters)}: {letters!r}")
 
@@ -85,14 +86,17 @@ def sort_key(w: SignedPermutation) -> tuple[tuple[int, bool], ...]:
 
 def enumerate_signed_permutations(n: int) -> list[SignedPermutation]:
     """All 2^n * n! signed permutations on n letters, in canonical order."""
+    return list(_signed_permutations(n))
+
+
+def _signed_permutations(n: int) -> Iterator[SignedPermutation]:
+    """The words of :func:`enumerate_signed_permutations`, one at a time.  Code 2r + b at a position picks
+    the r-th smallest unused magnitude, barred if b = 1, so the codes' lexicographic order is sort_key's."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    words = [
-        SignedPermutation(tuple(m * s for m, s in zip(mags, signs)))
-        for mags in itertools.permutations(range(1, n + 1))
-        for signs in itertools.product((1, -1), repeat=n)
-    ]
-    return sorted(words, key=sort_key)
+    for codes in itertools.product(*(range(2 * k) for k in range(n, 0, -1))):
+        unused = list(range(1, n + 1))
+        yield SignedPermutation(tuple(-unused.pop(q // 2) if q % 2 else unused.pop(q // 2) for q in codes))
 
 
 def iota_embed(w: SignedPermutation) -> tuple[int, ...]:

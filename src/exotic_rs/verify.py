@@ -21,26 +21,31 @@ from typing import Callable, Iterator
 from .bitableaux import Bitableau, enumerate_standard_bitableaux
 from .correspondence import (
     ClassificationError,
+    Continue,
     CorrespondencePair,
     FirstRemoval,
+    TerminateBarred,
+    TerminateUnbarred,
+    _SIDES,
+    _removal_step,
+    _reverse,
     bump_once,
     insertion,
-    outcome_of_step,
     reverse_bumping,
-    reverse_bumping_with_trace,
+    reverse_bumping_with_trace,  # re-exported: the traced form of the hops verify_transition checks
     second_decrement,
 )
-from .partitions import Bipartition, count_bitableaux, enumerate_bipartitions
+from .partitions import Bipartition, Partition, count_bitableaux, enumerate_bipartitions
 from .signed_perm import (
     SignedPermutation,
+    _signed_permutations,
     derive_w_tilde,
-    enumerate_signed_permutations,
     iota_embed,
     is_mirror_symmetric,
     permutation_inverse,
 )
 
-PAIR_BUDGET = 5   # verifiers that enumerate all pairs of size n
+PAIR_BUDGET = 6   # verifiers that enumerate all pairs of size n
 WORD_BUDGET = 6   # verifiers that enumerate all words of size n
 COUNT_BUDGET = 8  # pure shape-counting verifiers
 
@@ -166,7 +171,7 @@ def verify_roundtrip(n: int) -> Report:
     # check already: insertion(reverse_bumping(p)) = insertion(w) = p.
     index, count = _pair_index(n)
     covered = bytearray(count)
-    for w in enumerate_signed_permutations(n):
+    for w in _signed_permutations(n):
         pair = insertion(w)
         back = reverse_bumping(pair)
         checked += 1
@@ -220,28 +225,34 @@ def verify_transition(n: int) -> Report:
     _check_budget(n, PAIR_BUDGET, "transition verification")
     failures = []
     checked = 0
-    # The prediction, or the ClassificationError, of each (shape, removal).
-    predictions: dict[tuple[Bipartition, FirstRemoval], object] = {}
+    predictions: dict[tuple, tuple[object, dict]] = {}  # by (mu, nu, side, row), see _predict
     for pair in iter_pairs(n):
-        _, records = reverse_bumping_with_trace(pair)
-        for record in records:
-            for step in record.steps:
+        _reverse(pair, cascades := [])
+        for k, _, hops in cascades:
+            for hop in hops:
+                _, c, i, _, mu, nu, slot, letter = hop
                 checked += 1
-                key = (step.shape, FirstRemoval(step.source.side, step.source.row))
-                if key not in predictions:
-                    try:
-                        predictions[key] = second_decrement(*key)
-                    except ClassificationError as err:
-                        predictions[key] = err
-                predicted = predictions[key]
-                if isinstance(predicted, ClassificationError):
-                    why = {"error": str(predicted)}
-                elif predicted != outcome_of_step(step):
-                    why = {"predicted": repr(predicted)}
-                else:
-                    continue
-                failures.append({"pair": pair.to_json(), "k": record.k, "step": step.to_json(), **why})
+                if (key := (mu, nu, c, i)) not in predictions:
+                    predictions[key] = _predict(*key)
+                expected, why = predictions[key]
+                if expected != (letter > 0 if slot is None else slot[:2]):
+                    failures.append({"pair": pair.to_json(), "k": k, "step": _removal_step(*hop).to_json(), **why})
     return Report("transition", n, checked, tuple(failures))
+
+
+def _predict(mu: tuple[int, ...], nu: tuple[int, ...], c: int, i: int) -> tuple[object, dict]:
+    """What second_decrement predicts for a hop leaving row i of component c of (mu, nu), as the
+    kernel records hops: the (c, i) entered, or whether the letter is unbarred (None when it
+    raises ClassificationError, so that every such hop fails); and why a hop that differs fails."""
+    try:
+        predicted = second_decrement(Bipartition(Partition(mu), Partition(nu)), FirstRemoval(_SIDES[c], i + 1))
+    except ClassificationError as err:
+        return None, {"error": str(err)}
+    if isinstance(predicted, Continue):
+        expected = (_SIDES.index(predicted.side), predicted.row - 1)
+    else:
+        expected = {TerminateUnbarred(): True, TerminateBarred(): False}.get(predicted)
+    return expected, {"predicted": repr(predicted)}
 
 
 def verify_wtilde(n: int) -> Report:
@@ -284,7 +295,7 @@ def verify_embedding(n: int) -> Report:
     failures = []
     checked = 0
     seen: dict[tuple[int, ...], SignedPermutation] = {}
-    for w in enumerate_signed_permutations(n):
+    for w in _signed_permutations(n):
         sigma = iota_embed(w)
         checked += 1
         if not is_mirror_symmetric(sigma):
@@ -311,7 +322,7 @@ def _group_by_shape(n: int, item: Callable[[SignedPermutation, CorrespondencePai
     the pair's shape, in the order of :func:`cells`."""
     _check_budget(n, WORD_BUDGET, "cell decomposition")
     out: dict[Bipartition, list] = {bp: [] for bp in enumerate_bipartitions(n)}
-    for w in enumerate_signed_permutations(n):
+    for w in _signed_permutations(n):
         pair = insertion(w)
         out[pair.shape].append(item(w, pair))
     return out

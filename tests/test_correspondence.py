@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -209,6 +211,18 @@ class TestReverseBumping:
     @settings(max_examples=40, deadline=None)
     def test_inverse_word_swaps_the_pair_on_random_words(self, w):
         assert insertion(w.inverse()) == insertion(w).swapped()
+
+    def test_traces_through_size_four_are_pinned(self):
+        # One JSON line per pair of size 0..4, in iter_pairs order; the digest
+        # was taken from the trace records before the kernel recorded plain hops.
+        lines = []
+        for n in range(5):
+            for pair in iter_pairs(n):
+                word, records = reverse_bumping_with_trace(pair)
+                lines.append(json.dumps({"word": word.to_text(), "trace": [r.to_json() for r in records]}) + "\n")
+        assert len(lines) == 443
+        digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+        assert digest == "05372f9fab91f549fce1a7218010a397141f770b26819b31fca2d32a66fd4e71"
 
 
 def _peel_letters(w: SignedPermutation) -> list[int]:

@@ -18,6 +18,7 @@ from exotic_rs import (
     permutation_inverse,
     sort_key,
 )
+from exotic_rs.signed_perm import _signed_permutations
 
 
 class TestConstruction:
@@ -98,6 +99,17 @@ class TestEnumeration:
     def test_negative_n_is_rejected(self):
         with pytest.raises(ValueError):
             enumerate_signed_permutations(-1)
+        with pytest.raises(ValueError):
+            list(_signed_permutations(-1))
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_stream_is_every_word_in_canonical_order(self, n):
+        every_word = (
+            SignedPermutation(tuple(m * s for m, s in zip(mags, signs)))
+            for mags in itertools.permutations(range(1, n + 1))
+            for signs in itertools.product((1, -1), repeat=n)
+        )
+        assert list(_signed_permutations(n)) == sorted(every_word, key=sort_key)
 
 
 class TestEmbedding:

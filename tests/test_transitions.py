@@ -98,7 +98,7 @@ class TestValidation:
 
 
 class TestClassifierTotality:
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_every_corner_of_every_shape_classifies_uniquely(self, n):
         for bp in enumerate_bipartitions(n):
             for side, row in bp.removable_rows():

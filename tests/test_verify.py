@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from exotic_rs import verify
+from exotic_rs import correspondence, verify
 from exotic_rs import (
     COUNT_BUDGET,
     PAIR_BUDGET,
@@ -110,6 +110,16 @@ class TestVerifiers:
     @pytest.mark.parametrize("verifier", [verify_roundtrip, verify_inverse, verify_wtilde])
     def test_degenerate_size_zero(self, verifier):
         assert verifier(0).ok
+
+    def test_transition_builds_no_step_objects_on_passing_steps(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a passing step built a trace object")
+
+        for name in ("RemovalStep", "Position", "_truncation_shape"):
+            monkeypatch.setattr(correspondence, name, refuse)
+        report = verify_transition(4)
+        assert report.ok
+        assert report.checked == 2004
 
     def test_run_verifier_by_name(self):
         assert run_verifier("golden", 3).ok
@@ -310,3 +320,12 @@ class TestMemosHideNoFailure:
         seen = failures_against_direct()
         # One failure per affected step, not one per key.
         assert seen["verify_transition", 4] == steps[wrong] + steps[unclassifiable] > 2
+
+    def test_every_step_fails_when_nothing_classifies(self, monkeypatch):
+        def unclassifiable(bp, removal):
+            raise ClassificationError(bp, removal, [])
+
+        monkeypatch.setattr(verify, "second_decrement", unclassifiable)
+        seen = failures_against_direct()
+        # Unbarred emissions included: an error matches no hop.
+        assert seen["verify_transition", 3] == verify_transition(3).checked == 176
