@@ -35,12 +35,15 @@ Each direction is one kernel loop on plain mutable rows; the validated
 types (:class:`~exotic_rs.bitableaux.Bitableau`, :class:`CorrespondencePair`,
 :class:`~exotic_rs.signed_perm.SignedPermutation`) are built only on entry
 and exit.  Only the ``_with_trace`` variants have the loop record steps; the
-reverse loop records plain tuples, which become step records there.
+reverse loop records plain tuples, which become step records there and which
+the transition check (:func:`_check_cascades`) reads directly.  The layout of
+those tuples is private to this module.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -383,9 +386,6 @@ class TerminateBarred:
     """The cascade ends by emitting the moving value as a barred letter."""
 
 
-TransitionOutcome = Continue | TerminateUnbarred | TerminateBarred
-
-
 class ClassificationError(ValueError):
     """No rule, or several rules with different outcomes, matched."""
 
@@ -468,9 +468,41 @@ def second_decrement(bp: Bipartition, removal: FirstRemoval):
     return next(iter(outcomes))
 
 
-def outcome_of_step(step: RemovalStep):
-    """The TransitionOutcome a cascade step actually took (for comparing the
-    algorithm against :func:`second_decrement`)."""
-    if step.emitted is not None:
-        return TerminateUnbarred() if step.emitted > 0 else TerminateBarred()
-    return Continue(step.target.side, step.target.row)
+# -- cascades against the classifier ---------------------------------------------
+
+
+def _check_cascades(pairs: Iterable[CorrespondencePair], classify: Callable) -> tuple[int, list[dict]]:
+    """Replay the removal cascades of ``pairs`` and check every hop against ``classify``, a
+    :func:`second_decrement`: the number of hops checked, and one failure record per hop that
+    goes elsewhere than predicted.  Each distinct (shape, row) is classified once; step objects
+    are built only for failures."""
+    failures = []
+    checked = 0
+    predictions: dict[tuple, tuple[object, dict]] = {}  # by (mu, nu, c, i), see _predict
+    for pair in pairs:
+        _reverse(pair, cascades := [])
+        for k, _, hops in cascades:
+            for hop in hops:
+                _, c, i, _, mu, nu, slot, letter = hop
+                checked += 1
+                if (key := (mu, nu, c, i)) not in predictions:
+                    predictions[key] = _predict(classify, *key)
+                expected, why = predictions[key]
+                if expected != (letter > 0 if slot is None else slot[:2]):
+                    failures.append({"pair": pair.to_json(), "k": k, "step": _removal_step(*hop).to_json(), **why})
+    return checked, failures
+
+
+def _predict(classify: Callable, mu: tuple[int, ...], nu: tuple[int, ...], c: int, i: int) -> tuple[object, dict]:
+    """What ``classify`` predicts for a hop leaving row i of component c of (mu, nu), as the
+    kernel records hops: the (c, i) entered, or whether the letter is unbarred (None when it
+    raises ClassificationError, so that every such hop fails); and why a hop that differs fails."""
+    try:
+        predicted = classify(Bipartition(Partition(mu), Partition(nu)), FirstRemoval(_SIDES[c], i + 1))
+    except ClassificationError as err:
+        return None, {"error": str(err)}
+    if isinstance(predicted, Continue):
+        expected = (_SIDES.index(predicted.side), predicted.row - 1)
+    else:
+        expected = {TerminateUnbarred(): True, TerminateBarred(): False}.get(predicted)
+    return expected, {"predicted": repr(predicted)}

@@ -11,6 +11,7 @@ signed permutation for n = 0.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -34,12 +35,6 @@ class SignedPermutation:
     def n(self) -> int:
         return len(self.letters)
 
-    def letter(self, k: int) -> int:
-        """The k-th letter, 1-indexed."""
-        if not 1 <= k <= self.n:
-            raise IndexError(f"letter index {k} out of range 1..{self.n}")
-        return self.letters[k - 1]
-
     def inverse(self) -> "SignedPermutation":
         """If the word sends k to +-a, the inverse sends a to +-k (same bar)."""
         out = [0] * self.n
@@ -52,14 +47,15 @@ class SignedPermutation:
 
     @classmethod
     def from_text(cls, text: str) -> "SignedPermutation":
-        """Parse the space-separated form; errors name the bad token position."""
+        """Parse the space-separated form; errors name the bad token position.
+        A token is an optional sign and ASCII digits; the other forms ``int``
+        reads (underscores, non-ASCII digits) are rejected."""
         tokens = text.split()
         letters = []
         for pos, tok in enumerate(tokens, start=1):
-            try:
-                x = int(tok)
-            except ValueError:
-                raise ValueError(f"token {pos}: {tok!r} is not a signed integer") from None
+            if re.fullmatch(r"[+-]?[0-9]+", tok) is None:
+                raise ValueError(f"token {pos}: {tok!r} is not a signed integer")
+            x = int(tok)
             if x == 0:
                 raise ValueError(f"token {pos}: 0 is not a valid letter")
             letters.append(x)

@@ -20,22 +20,14 @@ from typing import Callable, Iterator
 
 from .bitableaux import Bitableau, enumerate_standard_bitableaux
 from .correspondence import (
-    ClassificationError,
-    Continue,
     CorrespondencePair,
-    FirstRemoval,
-    TerminateBarred,
-    TerminateUnbarred,
-    _SIDES,
-    _removal_step,
-    _reverse,
+    _check_cascades,
     bump_once,
     insertion,
     reverse_bumping,
-    reverse_bumping_with_trace,  # re-exported: the traced form of the hops verify_transition checks
     second_decrement,
 )
-from .partitions import Bipartition, Partition, count_bitableaux, enumerate_bipartitions
+from .partitions import Bipartition, count_bitableaux, enumerate_bipartitions
 from .signed_perm import (
     SignedPermutation,
     _signed_permutations,
@@ -223,36 +215,9 @@ def verify_counting(n: int) -> Report:
 def verify_transition(n: int) -> Report:
     """Every cascade step of every removal agrees with second_decrement."""
     _check_budget(n, PAIR_BUDGET, "transition verification")
-    failures = []
-    checked = 0
-    predictions: dict[tuple, tuple[object, dict]] = {}  # by (mu, nu, side, row), see _predict
-    for pair in iter_pairs(n):
-        _reverse(pair, cascades := [])
-        for k, _, hops in cascades:
-            for hop in hops:
-                _, c, i, _, mu, nu, slot, letter = hop
-                checked += 1
-                if (key := (mu, nu, c, i)) not in predictions:
-                    predictions[key] = _predict(*key)
-                expected, why = predictions[key]
-                if expected != (letter > 0 if slot is None else slot[:2]):
-                    failures.append({"pair": pair.to_json(), "k": k, "step": _removal_step(*hop).to_json(), **why})
+    # second_decrement is passed by this module's name, so that a patched one is what runs.
+    checked, failures = _check_cascades(iter_pairs(n), second_decrement)
     return Report("transition", n, checked, tuple(failures))
-
-
-def _predict(mu: tuple[int, ...], nu: tuple[int, ...], c: int, i: int) -> tuple[object, dict]:
-    """What second_decrement predicts for a hop leaving row i of component c of (mu, nu), as the
-    kernel records hops: the (c, i) entered, or whether the letter is unbarred (None when it
-    raises ClassificationError, so that every such hop fails); and why a hop that differs fails."""
-    try:
-        predicted = second_decrement(Bipartition(Partition(mu), Partition(nu)), FirstRemoval(_SIDES[c], i + 1))
-    except ClassificationError as err:
-        return None, {"error": str(err)}
-    if isinstance(predicted, Continue):
-        expected = (_SIDES.index(predicted.side), predicted.row - 1)
-    else:
-        expected = {TerminateUnbarred(): True, TerminateBarred(): False}.get(predicted)
-    return expected, {"predicted": repr(predicted)}
 
 
 def verify_wtilde(n: int) -> Report:

@@ -1,4 +1,4 @@
-"""Shared hypothesis strategies.
+"""Shared hypothesis strategies, and an oracle for the transition classifier.
 
 Standard bitableaux are generated by growing a shape one corner at a time,
 independently of the insertion algorithm under test.
@@ -11,10 +11,12 @@ import hypothesis.strategies as st
 from exotic_rs import (
     Bipartition,
     Bitableau,
+    Continue,
     Partition,
-    Position,
-    Side,
+    RemovalStep,
     SignedPermutation,
+    TerminateBarred,
+    TerminateUnbarred,
     enumerate_standard_bitableaux,
 )
 
@@ -48,25 +50,27 @@ def signed_words(draw, max_n: int = 6, min_n: int = 0) -> SignedPermutation:
     return SignedPermutation(tuple(m * s for m, s in zip(mags, signs)))
 
 
-def _addable_positions(t: Bitableau) -> list[Position]:
-    out = []
-    for side in (Side.LEFT, Side.RIGHT):
-        rows = t.component(side)
-        for i in range(1, len(rows) + 2):
-            length = len(rows[i - 1]) if i <= len(rows) else 0
-            if i == 1 or len(rows[i - 2]) > length:
-                out.append(Position(side, i, length + 1))
-    return out
+def _addable_rows(t: tuple[list[list[int]], list[list[int]]]) -> list[tuple[int, int]]:
+    """(component, 0-based row) of every row, existing or new, that can take
+    one more box: the top row, or a row shorter than the one above it."""
+    return [
+        (c, i)
+        for c, rows in enumerate(t)
+        for i in range(len(rows) + 1)
+        if i == 0 or len(rows[i - 1]) > (len(rows[i]) if i < len(rows) else 0)
+    ]
 
 
 @st.composite
 def standard_bitableaux(draw, max_n: int = 6, min_n: int = 0) -> Bitableau:
     n = draw(st.integers(min_n, max_n))
-    t = Bitableau()
+    t: tuple[list[list[int]], list[list[int]]] = ([], [])
     for entry in range(1, n + 1):
-        pos = draw(st.sampled_from(_addable_positions(t)))
-        t = t.with_box(pos, entry)
-    return t
+        c, i = draw(st.sampled_from(_addable_rows(t)))
+        if i == len(t[c]):
+            t[c].append([])
+        t[c][i].append(entry)
+    return Bitableau(*t)
 
 
 @st.composite
@@ -83,3 +87,11 @@ def bitableaux(draw, max_n: int = 6, shape: Bipartition | None = None) -> Bitabl
     values = sorted(draw(st.sets(st.integers(1, 3 * t.size + 1), min_size=t.size, max_size=t.size)))
     relabel = lambda rows: [[values[x - 1] for x in row] for row in rows]
     return Bitableau(relabel(t.left), relabel(t.right))
+
+
+def outcome_of_step(step: RemovalStep):
+    """The transition a cascade step actually took, read off its target box or
+    the sign of its emitted letter: what second_decrement must predict."""
+    if step.emitted is not None:
+        return TerminateUnbarred() if step.emitted > 0 else TerminateBarred()
+    return Continue(step.target.side, step.target.row)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
-from conftest import signed_words
+from conftest import outcome_of_step, signed_words
 from exotic_rs import (
     Bipartition,
     Continue,
@@ -22,7 +22,6 @@ from exotic_rs import (
     enumerate_bipartitions,
     insertion,
     iter_pairs,
-    outcome_of_step,
     reverse_bumping_with_trace,
     second_decrement,
 )

@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 
+from conftest import outcome_of_step
 from exotic_rs import correspondence, verify
 from exotic_rs import (
     COUNT_BUDGET,
@@ -39,7 +40,6 @@ from exotic_rs.correspondence import (
     FirstRemoval,
     TerminateBarred,
     TerminateUnbarred,
-    outcome_of_step,
 )
 
 
@@ -213,7 +213,7 @@ def direct_inverse(n):
 def direct_transition(n):
     failures, checked = [], 0
     for pair in iter_pairs(n):
-        for record in verify.reverse_bumping_with_trace(pair)[1]:
+        for record in correspondence.reverse_bumping_with_trace(pair)[1]:
             for step in record.steps:
                 checked += 1
                 where = {"pair": pair.to_json(), "k": record.k, "step": step.to_json()}
