@@ -30,6 +30,13 @@ from operator import ge
 from .partitions import Bipartition, Partition, Side
 
 
+def row_number(side: Side, row: int) -> int:
+    """Combined row numbering: left rows map to odd, right rows to even."""
+    if row < 1:
+        raise IndexError(f"row must be >= 1, got {row}")
+    return 2 * row - 1 if side is Side.LEFT else 2 * row
+
+
 @dataclass(frozen=True)
 class Position:
     """A box slot: which component, which row, and the distance from the wall
@@ -42,6 +49,10 @@ class Position:
     def __post_init__(self) -> None:
         if self.row < 1 or self.col < 1:
             raise ValueError(f"position row/col must be >= 1: {self!r}")
+
+    @property
+    def row_number(self) -> int:
+        return row_number(self.side, self.row)
 
     def __repr__(self) -> str:
         return f"({self.side.value} r{self.row} c{self.col})"
@@ -109,7 +120,12 @@ class Bitableau:
     def component(self, side: Side) -> tuple[tuple[int, ...], ...]:
         return self.left if side is Side.LEFT else self.right
 
-    # -- serialization ---------------------------------------------------------
+    # -- truncation and serialization -----------------------------------------
+
+    def truncate(self, s: int) -> "Bitableau":
+        """The sub-bitableau of entries <= s (a prefix of every row)."""
+        keep = lambda rows: tuple(t for t in (tuple(x for x in row if x <= s) for row in rows) if t)
+        return Bitableau(keep(self.left), keep(self.right))
 
     def render(self) -> str:
         """Human-readable picture, left component mirrored toward the wall."""
@@ -134,6 +150,46 @@ class Bitableau:
             if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
                 raise ValueError(f"bad bitableau object: {key!r} must be a list of rows")
         return cls(tuple(tuple(r) for r in obj["left"]), tuple(tuple(r) for r in obj["right"]))
+
+
+# -- nested shape sequences ----------------------------------------------------
+
+
+def to_nested_sequence(t: Bitableau) -> tuple[Bipartition, ...]:
+    """The chain of truncation shapes (empty, <=1, <=2, ..., <=n) of a
+    standard bitableau; consecutive shapes differ by one box."""
+    if not t.is_standard:
+        raise ValueError("nested sequences are defined for standard bitableaux (entries exactly 1..n)")
+    return tuple(t.truncate(s).shape for s in range(t.size + 1))
+
+
+def from_nested_sequence(seq: tuple[Bipartition, ...]) -> Bitableau:
+    """Rebuild the standard bitableau from its chain of truncation shapes.
+
+    Rejects chains that are not nested one box at a time, naming the first
+    offending step.
+    """
+    seq = tuple(seq)
+    if not seq or seq[0].size != 0:
+        raise ValueError("a nested sequence must start with the empty shape")
+    left: list[list[int]] = []
+    right: list[list[int]] = []
+    for s in range(1, len(seq)):
+        prev, cur = seq[s - 1], seq[s]
+        grown = []
+        for side in (Side.LEFT, Side.RIGHT):
+            a, b = prev.component(side), cur.component(side)
+            for i in range(1, max(a.length, b.length) + 1):
+                if b.part(i) != a.part(i):
+                    grown.append((side, i, b.part(i) - a.part(i)))
+        if len(grown) != 1 or grown[0][2] != 1:
+            raise ValueError(f"step {s}: shape {cur} does not extend {prev} by exactly one box")
+        side, i, _ = grown[0]
+        rows = left if side is Side.LEFT else right
+        while len(rows) < i:
+            rows.append([])
+        rows[i - 1].append(s)
+    return Bitableau(tuple(tuple(r) for r in left), tuple(tuple(r) for r in right))
 
 
 # -- enumeration ---------------------------------------------------------------

@@ -75,6 +75,14 @@ class Partition:
     def can_decrement(self, i: int) -> bool:
         return 1 <= i <= len(self.parts) and self.part(i) > self.part(i + 1)
 
+    def incremented(self, i: int) -> "Partition":
+        """Add one box to row i (possibly a new bottom row), keeping a partition."""
+        if i < 1 or i > len(self.parts) + 1 or (i > 1 and self.part(i - 1) < self.part(i) + 1):
+            raise ValueError(f"cannot add a box to row {i} of {self.parts}")
+        parts = list(self.parts) + [0] * (i - len(self.parts))
+        parts[i - 1] += 1
+        return Partition(tuple(parts))
+
     def __iter__(self) -> Iterator[int]:
         return iter(self.parts)
 
