@@ -11,7 +11,8 @@ Subcommands::
     render --pair <file|->                     pretty-print a pair
 
 Exit codes: 0 success, 1 a verified property failed, 2 usage or parse errors
-(including budget refusals).  Data goes to stdout, diagnostics to stderr.
+(including budget refusals); a closed output pipe ends ``main`` on SIGPIPE.
+Data goes to stdout, diagnostics to stderr.
 Words are space-separated signed integers ("-3 6 4 -7 2 -5 1", minus = bar);
 pairs are JSON objects {"T": {"left": [...], "right": [...]}, "R": ...} with
 rows stored wall-outward.
@@ -22,10 +23,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import signal
 import sys
 from pathlib import Path
 
-from .bitableaux import Bitableau
 from .correspondence import (
     CorrespondencePair,
     insertion,
@@ -38,41 +39,11 @@ from .signed_perm import SignedPermutation
 from .verify import BudgetExceededError, _group_by_shape, cells, run_verifier, verify_counting
 
 
-def parse_ascii_bitableau(text: str) -> Bitableau:
-    """Parse the rendering produced by :meth:`Bitableau.render`.
-
-    Each line shows one row as ``<left outward..wall> | <right wall..outward>``;
-    the left half is mirrored back into wall-outward storage order.
-    """
-    left_rows = []
-    right_rows = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        if line.count("|") != 1:
-            raise ValueError(f"line {lineno}: expected exactly one '|' wall marker")
-        left_txt, right_txt = line.split("|")
-
-        def parse_tokens(chunk: str) -> list[int]:
-            out = []
-            for tok in chunk.split():
-                try:
-                    out.append(int(tok))
-                except ValueError:
-                    raise ValueError(f"line {lineno}: token {tok!r} is not an integer") from None
-            return out
-
-        left_rows.append(tuple(reversed(parse_tokens(left_txt))))
-        right_rows.append(tuple(parse_tokens(right_txt)))
-    strip = lambda rows: tuple(r for r in rows if r)
-    return Bitableau(strip(left_rows), strip(right_rows))
-
-
 def _read_pair(path: str) -> CorrespondencePair:
     raw = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
     try:
         obj = json.loads(raw)
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, RecursionError) as err:  # RecursionError: nested too deep
         raise ValueError(f"pair input is not valid JSON: {err}") from None
     return CorrespondencePair.from_json(obj)
 
@@ -230,6 +201,8 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> int:
+    if hasattr(signal, "SIGPIPE"):  # a closed pipe (`| head`) ends the process quietly
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     return run(sys.argv[1:])
 
 

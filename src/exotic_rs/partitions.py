@@ -16,7 +16,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
@@ -75,17 +74,6 @@ class Partition:
     def can_decrement(self, i: int) -> bool:
         return 1 <= i <= len(self.parts) and self.part(i) > self.part(i + 1)
 
-    def incremented(self, i: int) -> "Partition":
-        """Add one box to row i (possibly a new bottom row), keeping a partition."""
-        if i < 1 or i > len(self.parts) + 1 or (i > 1 and self.part(i - 1) < self.part(i) + 1):
-            raise ValueError(f"cannot add a box to row {i} of {self.parts}")
-        parts = list(self.parts) + [0] * (i - len(self.parts))
-        parts[i - 1] += 1
-        return Partition(tuple(parts))
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
-
     def __str__(self) -> str:
         return "[" + ",".join(str(p) for p in self.parts) + "]"
 
@@ -131,22 +119,8 @@ class Bipartition:
     def to_text(self) -> str:
         return f"mu={self.mu};nu={self.nu}"
 
-    @classmethod
-    def from_text(cls, text: str) -> "Bipartition":
-        m = re.fullmatch(r"mu=\[([\d,]*)\];nu=\[([\d,]*)\]", text.strip())
-        if m is None:
-            raise ValueError(f"bad bipartition text {text!r}; expected 'mu=[..];nu=[..]'")
-        parse = lambda s: Partition(tuple(int(p) for p in s.split(",") if p))
-        return cls(parse(m.group(1)), parse(m.group(2)))
-
     def to_json(self) -> dict:
         return {"mu": list(self.mu.parts), "nu": list(self.nu.parts)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Bipartition":
-        if not isinstance(obj, dict) or set(obj) != {"mu", "nu"}:
-            raise ValueError(f"bad bipartition object: expected keys mu, nu, got {obj!r}")
-        return cls(Partition(tuple(obj["mu"])), Partition(tuple(obj["nu"])))
 
     def __str__(self) -> str:
         return self.to_text()
@@ -174,7 +148,7 @@ def max_delta(bp: Bipartition, m: int) -> int | None:
 
 def dimension_b(bp: Bipartition) -> int:
     """The dimension statistic |nu| + sum_i (i-1) * (mu_i + nu_i)."""
-    return bp.nu.size + sum((i - 1) * bp.lam.part(i) for i in range(1, bp.length + 1))
+    return bp.nu.size + sum(i * part for i, part in enumerate(bp.lam.parts))
 
 
 def partitions_of(total: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:

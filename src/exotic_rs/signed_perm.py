@@ -15,6 +15,9 @@ import re
 from dataclasses import dataclass
 from typing import Iterator
 
+# An optional sign and ASCII digits: the integer forms the package reads from text.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
 
 @dataclass(frozen=True)
 class SignedPermutation:
@@ -53,22 +56,13 @@ class SignedPermutation:
         tokens = text.split()
         letters = []
         for pos, tok in enumerate(tokens, start=1):
-            if re.fullmatch(r"[+-]?[0-9]+", tok) is None:
+            if _INTEGER.fullmatch(tok) is None:
                 raise ValueError(f"token {pos}: {tok!r} is not a signed integer")
             x = int(tok)
             if x == 0:
                 raise ValueError(f"token {pos}: 0 is not a valid letter")
             letters.append(x)
         return cls(tuple(letters))
-
-    def to_json(self) -> list[int]:
-        return list(self.letters)
-
-    @classmethod
-    def from_json(cls, obj: object) -> "SignedPermutation":
-        if not isinstance(obj, list):
-            raise ValueError(f"bad signed permutation: expected a list of integers, got {obj!r}")
-        return cls(tuple(obj))
 
     def __str__(self) -> str:
         return self.to_text()

@@ -30,6 +30,7 @@ from .correspondence import (
 from .partitions import Bipartition, count_bitableaux, enumerate_bipartitions
 from .signed_perm import (
     SignedPermutation,
+    _INTEGER,
     _signed_permutations,
     derive_w_tilde,
     iota_embed,
@@ -50,10 +51,9 @@ def _limit(default: int) -> int:
     env = os.environ.get("EXOTIC_RS_MAX_N")
     if env is None:
         return default
-    try:
-        return max(default, int(env))
-    except ValueError:
-        raise ValueError(f"EXOTIC_RS_MAX_N must be an integer, got {env!r}") from None
+    if _INTEGER.fullmatch(env) is None:
+        raise ValueError(f"EXOTIC_RS_MAX_N must be an integer, got {env!r}")
+    return max(default, int(env))
 
 
 def _check_budget(n: int, default: int, what: str) -> None:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -18,11 +19,10 @@ from exotic_rs import (
     SignedPermutation,
     enumerate_bipartitions,
     enumerate_signed_permutations,
-    enumerate_standard_bitableaux,
     insertion,
     load_golden_table,
 )
-from exotic_rs.cli import parse_ascii_bitableau, run
+from exotic_rs.cli import run
 
 MIXED_WORD = "2 7 5 -6 4 -3 1"
 MIXED_ASCII = "T:\n4 1 | 2 7\n5 3 | 6\nR:\n2 1 | 3 7\n5 4 | 6\n"
@@ -138,6 +138,14 @@ class TestBump:
         assert code == 2
         assert "not valid JSON" in err
 
+    @pytest.mark.parametrize("command", ["bump", "render"])
+    def test_deeply_nested_json_exits_2(self, capsys, tmp_path, command):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000)
+        code, out, err = invoke(capsys, [command, "--pair", str(path)])
+        assert (code, out) == (2, "")
+        assert "not valid JSON" in err
+
     def test_mismatched_shapes_exit_2(self, capsys, monkeypatch):
         bad = '{"T": {"left": [[1]], "right": []}, "R": {"left": [], "right": [[1]]}}'
         code, _, err = invoke(
@@ -193,30 +201,6 @@ class TestRender:
         assert (code, out) == (0, "T:\nR:\n")
 
 
-class TestParseAscii:
-    @pytest.mark.parametrize("n", range(6))
-    def test_parse_inverts_render_for_every_standard_bitableau(self, n):
-        for bp in enumerate_bipartitions(n):
-            for t in enumerate_standard_bitableaux(bp):
-                assert parse_ascii_bitableau(t.render()) == t
-
-    def test_blank_lines_are_skipped(self):
-        t = parse_ascii_bitableau("\n1 | 2\n\n")
-        assert t.to_json() == {"left": [[1]], "right": [[2]]}
-
-    @pytest.mark.parametrize(
-        "text, message",
-        [
-            ("1 2 3", "line 1: expected exactly one"),
-            ("1 | 2\n3 | 4 | 5", "line 2: expected exactly one"),
-            ("x | 1", "token 'x' is not an integer"),
-        ],
-    )
-    def test_parse_errors_name_the_line(self, text, message):
-        with pytest.raises(ValueError, match=message):
-            parse_ascii_bitableau(text)
-
-
 class TestTable:
     def test_size_three_table_matches_the_frozen_rows(self, capsys):
         code, out, _ = invoke(capsys, ["table", "3"])
@@ -254,6 +238,22 @@ class TestTable:
         code, _, err = invoke(capsys, ["table", "7"])
         assert code == 2
         assert "EXOTIC_RS_MAX_N" in err
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+    def test_a_closed_pipe_is_not_a_usage_error(self):
+        # As in `exotic-rs table 5 | head -1`: the reader leaves after one line.
+        src = str(Path(exotic_rs.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "exotic_rs.cli", "table", "5"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline().startswith(b"# ")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) != 2
+        assert err == b""
 
 
 class TestCells:

@@ -143,7 +143,8 @@ class TestInsertion:
         pair, records = insertion_with_trace(w)
         for rec in records:
             target = rec.steps[-1].target
-            assert pair.R.component(target.side)[target.row - 1][target.col - 1] == rec.k
+            rows = pair.R.left if target.side is Side.LEFT else pair.R.right
+            assert rows[target.row - 1][target.col - 1] == rec.k
 
 
 class TestReverseBumping:

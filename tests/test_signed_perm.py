@@ -47,10 +47,6 @@ class TestConstruction:
         with pytest.raises(ValueError, match=message):
             SignedPermutation.from_text(text)
 
-    @given(signed_words())
-    def test_json_round_trip(self, w):
-        assert SignedPermutation.from_json(w.to_json()) == w
-
 
 class TestInverse:
     def test_worked_example(self):

@@ -156,6 +156,17 @@ class TestBudgets:
         with pytest.raises(ValueError, match="EXOTIC_RS_MAX_N"):
             verify_counting(COUNT_BUDGET + 1)
 
+    @pytest.mark.parametrize("value", ["1_0", "\u0669", " 9"])
+    def test_only_ascii_integers_are_read_from_the_environment(self, monkeypatch, value):
+        # The rule of the word parser: an optional sign and ASCII digits.
+        monkeypatch.setenv("EXOTIC_RS_MAX_N", value)
+        with pytest.raises(ValueError, match="EXOTIC_RS_MAX_N must be an integer"):
+            verify_counting(COUNT_BUDGET + 1)
+
+    def test_signed_environment_variable_is_accepted(self, monkeypatch):
+        monkeypatch.setenv("EXOTIC_RS_MAX_N", f"+{COUNT_BUDGET + 1}")
+        assert verify_counting(COUNT_BUDGET + 1).ok
+
     def test_negative_sizes_are_rejected(self):
         with pytest.raises(ValueError):
             verify_roundtrip(-1)
