@@ -10,17 +10,15 @@ a shared wall::
       2   | 5 8
           | 9      <- printed as "2 | 5 8" and "| 9" (no column padding)
 
-Rows of each component are numbered 1, 2, ... downward.  The bumping
-algorithms in :mod:`exotic_rs.correspondence` interleave the two components
-by depth (*combined row numbering*): left row i is combined row 2i-1, right
-row i is 2i, so rows at equal depth put the right component below the left.
+Rows of each component are numbered 1, 2, ... downward.  Interleaving the
+two components by depth gives the *combined row numbering* used by the
+bumping algorithms: left row i is combined row 2i-1, right row i is 2i, so
+rows at equal depth put the right component below the left.
 
 A :class:`Bitableau` is any filling by distinct positive integers that
 increases along rows (away from the wall) and down columns; entries need not
 be 1..n (intermediate states of the algorithms have gaps).  ``is_standard``
-identifies the fillings whose entries are exactly 1..n, and
-:func:`enumerate_standard_bitableaux` lists them per shape in the canonical
-report order.
+identifies the fillings whose entries are exactly 1..n.
 """
 
 from __future__ import annotations
@@ -30,6 +28,13 @@ from functools import cache
 from operator import ge
 
 from .partitions import Bipartition, Partition, Side
+
+
+def row_number(side: Side, row: int) -> int:
+    """Combined row numbering: left rows map to odd, right rows to even."""
+    if row < 1:
+        raise IndexError(f"row must be >= 1, got {row}")
+    return 2 * row - 1 if side is Side.LEFT else 2 * row
 
 
 @dataclass(frozen=True)
@@ -44,6 +49,10 @@ class Position:
     def __post_init__(self) -> None:
         if self.row < 1 or self.col < 1:
             raise ValueError(f"position row/col must be >= 1: {self!r}")
+
+    @property
+    def row_number(self) -> int:
+        return row_number(self.side, self.row)
 
     def __repr__(self) -> str:
         return f"({self.side.value} r{self.row} c{self.col})"
@@ -108,7 +117,12 @@ class Bitableau:
         that the largest row end is the size."""
         return max([row[-1] for row in self.left + self.right], default=0) == self.size
 
-    # -- rendering and serialization -----------------------------------------
+    # -- truncation and serialization -----------------------------------------
+
+    def truncate(self, s: int) -> "Bitableau":
+        """The sub-bitableau of entries <= s (a prefix of every row)."""
+        keep = lambda rows: tuple(t for t in (tuple(x for x in row if x <= s) for row in rows) if t)
+        return Bitableau(keep(self.left), keep(self.right))
 
     def render(self) -> str:
         """Human-readable picture, left component mirrored toward the wall."""
@@ -133,6 +147,46 @@ class Bitableau:
             if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
                 raise ValueError(f"bad bitableau object: {key!r} must be a list of rows")
         return cls(tuple(tuple(r) for r in obj["left"]), tuple(tuple(r) for r in obj["right"]))
+
+
+# -- nested shape sequences ----------------------------------------------------
+
+
+def to_nested_sequence(t: Bitableau) -> tuple[Bipartition, ...]:
+    """The chain of truncation shapes (empty, <=1, <=2, ..., <=n) of a
+    standard bitableau; consecutive shapes differ by one box."""
+    if not t.is_standard:
+        raise ValueError("nested sequences are defined for standard bitableaux (entries exactly 1..n)")
+    return tuple(t.truncate(s).shape for s in range(t.size + 1))
+
+
+def from_nested_sequence(seq: tuple[Bipartition, ...]) -> Bitableau:
+    """Rebuild the standard bitableau from its chain of truncation shapes.
+
+    Rejects chains that are not nested one box at a time, naming the first
+    offending step.
+    """
+    seq = tuple(seq)
+    if not seq or seq[0].size != 0:
+        raise ValueError("a nested sequence must start with the empty shape")
+    left: list[list[int]] = []
+    right: list[list[int]] = []
+    for s in range(1, len(seq)):
+        prev, cur = seq[s - 1], seq[s]
+        grown = []
+        for side in (Side.LEFT, Side.RIGHT):
+            a, b = prev.component(side), cur.component(side)
+            for i in range(1, max(a.length, b.length) + 1):
+                if b.part(i) != a.part(i):
+                    grown.append((side, i, b.part(i) - a.part(i)))
+        if len(grown) != 1 or grown[0][2] != 1:
+            raise ValueError(f"step {s}: shape {cur} does not extend {prev} by exactly one box")
+        side, i, _ = grown[0]
+        rows = left if side is Side.LEFT else right
+        while len(rows) < i:
+            rows.append([])
+        rows[i - 1].append(s)
+    return Bitableau(tuple(tuple(r) for r in left), tuple(tuple(r) for r in right))
 
 
 # -- enumeration ---------------------------------------------------------------

@@ -16,6 +16,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
@@ -74,6 +75,14 @@ class Partition:
     def can_decrement(self, i: int) -> bool:
         return 1 <= i <= len(self.parts) and self.part(i) > self.part(i + 1)
 
+    def incremented(self, i: int) -> "Partition":
+        """Add one box to row i (possibly a new bottom row), keeping a partition."""
+        if i < 1 or i > len(self.parts) + 1 or (i > 1 and self.part(i - 1) < self.part(i) + 1):
+            raise ValueError(f"cannot add a box to row {i} of {self.parts}")
+        parts = list(self.parts) + [0] * (i - len(self.parts))
+        parts[i - 1] += 1
+        return Partition(tuple(parts))
+
     def __str__(self) -> str:
         return "[" + ",".join(str(p) for p in self.parts) + "]"
 
@@ -118,6 +127,14 @@ class Bipartition:
 
     def to_text(self) -> str:
         return f"mu={self.mu};nu={self.nu}"
+
+    @classmethod
+    def from_text(cls, text: str) -> "Bipartition":
+        m = re.fullmatch(r"mu=\[([\d,]*)\];nu=\[([\d,]*)\]", text.strip())
+        if m is None:
+            raise ValueError(f"bad bipartition text {text!r}; expected 'mu=[..];nu=[..]'")
+        parse = lambda s: Partition(tuple(int(p) for p in s.split(",") if p))
+        return cls(parse(m.group(1)), parse(m.group(2)))
 
     def to_json(self) -> dict:
         return {"mu": list(self.mu.parts), "nu": list(self.nu.parts)}

@@ -1,11 +1,12 @@
-"""Bitableau storage, validation, positions, rendering, serialization, and
-enumeration."""
+"""Bitableau storage, validation, truncation, nested sequences, serialization,
+and enumeration."""
 
 from __future__ import annotations
 
 import hashlib
 import json
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
@@ -19,6 +20,9 @@ from exotic_rs import (
     count_bitableaux,
     enumerate_bipartitions,
     enumerate_standard_bitableaux,
+    from_nested_sequence,
+    row_number,
+    to_nested_sequence,
 )
 
 # A nine-box worked example used throughout this file.
@@ -26,11 +30,19 @@ NINE = Bitableau([[1, 3, 6], [2]], [[4, 7], [5, 8], [9]])
 
 
 class TestRowNumbering:
+    @pytest.mark.parametrize(
+        "side, row, expected",
+        [(Side.LEFT, 1, 1), (Side.RIGHT, 1, 2), (Side.LEFT, 2, 3), (Side.RIGHT, 2, 4), (Side.LEFT, 3, 5)],
+    )
+    def test_left_rows_are_odd_right_rows_even(self, side, row, expected):
+        assert row_number(side, row) == expected
+        assert Position(side, row, 1).row_number == expected
+
     def test_rejects_nonpositive_rows(self):
+        with pytest.raises(IndexError):
+            row_number(Side.LEFT, 0)
         with pytest.raises(ValueError):
             Position(Side.LEFT, 1, 0)
-        with pytest.raises(ValueError):
-            Position(Side.RIGHT, 0, 1)
 
     def test_position_repr_is_compact(self):
         assert repr(Position(Side.LEFT, 2, 1)) == "(left r2 c1)"
@@ -85,6 +97,55 @@ class TestBasicViews:
 
     def test_render_of_the_empty_bitableau_is_empty(self):
         assert Bitableau().render() == ""
+
+    @pytest.mark.parametrize(
+        "s, left, right",
+        [
+            (5, ((1, 3), (2,)), ((4,), (5,))),
+            (0, (), ()),
+            (9, NINE.left, NINE.right),
+        ],
+    )
+    def test_truncate_keeps_row_prefixes(self, s, left, right):
+        assert NINE.truncate(s) == Bitableau(left, right)
+
+    @given(standard_bitableaux(), st.integers(0, 8))
+    def test_truncation_entries_are_exactly_the_small_ones(self, t, s):
+        trunc = t.truncate(s)
+        assert trunc.entries() == frozenset(x for x in t.entries() if x <= s)
+
+
+class TestNestedSequences:
+    def test_worked_chain(self):
+        t = Bitableau([[2, 3], [5]], [[1], [4]])
+        P, B = Partition, Bipartition
+        assert to_nested_sequence(t) == (
+            B(P(()), P(())),
+            B(P(()), P((1,))),
+            B(P((1,)), P((1,))),
+            B(P((2,)), P((1,))),
+            B(P((2,)), P((1, 1))),
+            B(P((2, 1)), P((1, 1))),
+        )
+
+    def test_non_standard_fillings_are_rejected(self):
+        with pytest.raises(ValueError, match="standard"):
+            to_nested_sequence(Bitableau([[2, 9]], [[5]]))
+
+    def test_rebuild_rejects_skipped_steps(self):
+        t = Bitableau([[2, 3], [5]], [[1], [4]])
+        seq = list(to_nested_sequence(t))
+        del seq[2]
+        with pytest.raises(ValueError, match="step 2"):
+            from_nested_sequence(tuple(seq))
+
+    def test_rebuild_rejects_a_nonempty_start(self):
+        with pytest.raises(ValueError, match="empty shape"):
+            from_nested_sequence((Bipartition(Partition((1,)), Partition(())),))
+
+    @given(standard_bitableaux())
+    def test_round_trip(self, t):
+        assert from_nested_sequence(to_nested_sequence(t)) == t
 
 
 class TestSerialization:

@@ -64,6 +64,8 @@ class TestPartition:
     def test_decrement_and_increment(self):
         p = Partition((3, 1))
         assert p.decremented(2) == Partition((3,))
+        assert p.incremented(2) == Partition((3, 2))
+        assert p.incremented(3) == Partition((3, 1, 1))
         assert not p.can_decrement(1) or p.decremented(1) == Partition((2, 1))
 
     def test_decrement_requires_a_corner(self):
@@ -72,6 +74,14 @@ class TestPartition:
         with pytest.raises(ValueError):
             p.decremented(1)
 
+    def test_increment_requires_valid_row(self):
+        with pytest.raises(ValueError):
+            Partition((3, 1)).incremented(4)  # would skip row 3
+        with pytest.raises(ValueError):
+            Partition((3, 3)).incremented(2)  # row 2 would outgrow row 1
+        assert Partition((3, 3)).incremented(1) == Partition((4, 3))
+        assert Partition((3, 3)).incremented(3) == Partition((3, 3, 1))
+
     def test_str_form(self):
         assert str(Partition((3, 1))) == "[3,1]"
         assert str(Partition(())) == "[]"
@@ -79,6 +89,14 @@ class TestPartition:
     @given(partitions())
     def test_size_is_sum_of_parts(self, p):
         assert p.size == sum(p.parts)
+
+    @given(partitions(), st.integers(1, 12))
+    def test_increment_then_decrement_round_trips(self, p, i):
+        try:
+            q = p.incremented(i)
+        except ValueError:
+            return
+        assert q.decremented(i) == p
 
 
 class TestBipartition:
@@ -103,6 +121,12 @@ class TestBipartition:
     )
     def test_text_round_trip(self, bp, text):
         assert bp.to_text() == text
+        assert Bipartition.from_text(text) == bp
+
+    @pytest.mark.parametrize("bad", ["mu=[3,1]", "nu=[];mu=[]", "mu=[a];nu=[]", ""])
+    def test_from_text_rejects_malformed(self, bad):
+        with pytest.raises(ValueError):
+            Bipartition.from_text(bad)
 
     def test_removable_rows_lists_left_before_right(self):
         bp = Bipartition(Partition((2, 1)), Partition((1, 1)))
