@@ -36,7 +36,7 @@ from .correspondence import (
     reverse_bumping_with_trace,
 )
 from .partitions import count_bitableaux, enumerate_bipartitions
-from .signed_perm import SignedPermutation
+from .signed_perm import _INTEGER, SignedPermutation
 from .verify import BudgetExceededError, _group_by_shape, cells, run_verifier, verify_counting
 
 
@@ -68,6 +68,13 @@ def parse_ascii_bitableau(text: str) -> Bitableau:
         right_rows.append(tuple(parse_tokens(right_txt)))
     strip = lambda rows: tuple(r for r in rows if r)
     return Bitableau(strip(left_rows), strip(right_rows))
+
+
+def _size(text: str) -> int:
+    """The argparse type of a size: an optional sign and ASCII digits, as in words."""
+    if _INTEGER.fullmatch(text) is None:
+        raise argparse.ArgumentTypeError(f"invalid integer: {text!r}")
+    return int(text)
 
 
 def _read_pair(path: str) -> CorrespondencePair:
@@ -189,21 +196,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bump)
 
     p = sub.add_parser("table", help="print the whole correspondence for size n")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_size)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("cells", help="group the words of size n by shape")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_size)
     p.set_defaults(func=cmd_cells)
 
     p = sub.add_parser("count", help="standard-bitableau counts per shape of size n")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_size)
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("verify", help="run one verifier")
     p.add_argument("property", help="golden | roundtrip | inverse | counting | transition | wtilde | embedding")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_size)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 
@@ -223,10 +230,7 @@ def run(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except BudgetExceededError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as err:
+    except (BudgetExceededError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

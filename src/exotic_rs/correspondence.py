@@ -4,8 +4,9 @@
 standard bitableaux; ``reverse_bumping`` is its inverse.  ``bump_once``
 peels off just the largest entry, producing the pair of the reduced word.
 ``second_decrement`` classifies, from shape data alone, where the next box
-leaves the diagram during a removal cascade; the bumping algorithms are the
-ground truth it is checked against.
+leaves the diagram during a removal cascade: the first rule of its table to
+apply answers.  The bumping algorithms are the ground truth it is checked
+against.
 
 Insertion, letter by letter (k = 1..n, s = |w_k|):
 
@@ -301,17 +302,15 @@ def _remove(t: _Rows, c: int, i: int, hops: list[tuple] | None) -> int:
     slot, letter): the box left, the truncation's row counts, and the box entered or the letter."""
     j = len(t[c][i]) - 1
     value = _pop_box(t[c], i)
-    counts = None if hops is None else [list(map(len, rows)) for rows in t]
     while True:
         m = 2 * i + 1 + c
         depth = 2 * max(len(t[0]), len(t[1]))
         slot = None if m == 1 else _first_slot(t, value, range(m - 1, depth + 1), _remove_column)
         letter = None if slot is not None else (value if m == 1 else -value)
         if hops is not None:
-            # Entries below the moving value, per row; it only falls, so the last counts bound
-            # them.  Rows left with none (the bottom ones) drop out.  With the box left: the truncation.
-            counts = [[n for row, b in zip(rows, bounds) if (n := bisect_left(row, value, 0, b))]
-                      for bounds, rows in zip(counts, t)]
+            # Entries below the moving value, per row; rows left with none (the bottom ones) drop
+            # out.  With the box left: the truncation.
+            counts = [[n for row in rows if (n := bisect_left(row, value))] for rows in t]
             own = (*counts[c][:i], j + 1, *counts[c][i + 1:])
             mu, nu = (own, tuple(counts[1])) if c == 0 else (tuple(counts[0]), own)
             hops.append((value, c, i, j, mu, nu, slot, letter))
@@ -387,14 +386,12 @@ class TerminateBarred:
 
 
 class ClassificationError(ValueError):
-    """No rule, or several rules with different outcomes, matched."""
+    """No rule of the transition table matched."""
 
-    def __init__(self, bp: Bipartition, removal: FirstRemoval, matches: list):
+    def __init__(self, bp: Bipartition, removal: FirstRemoval):
         self.bp = bp
         self.removal = removal
-        self.matches = matches
-        what = "no transition rule matches" if not matches else f"rules disagree: {matches}"
-        super().__init__(f"{what} for shape {bp}, first removal ({removal.side.value}, row {removal.row})")
+        super().__init__(f"no transition rule matches for shape {bp}, first removal ({removal.side.value}, row {removal.row})")
 
 
 def _gt(a: int | None, b: int | None) -> bool:
@@ -414,58 +411,48 @@ def second_decrement(bp: Bipartition, removal: FirstRemoval):
     a letter, or Continue(side, row): the next box to empty out, as a row of
     the shape obtained from ``bp`` by the first removal.
 
-    Each case of the rule table is evaluated literally and must designate a
-    decrement that is actually possible on the decremented shape; if no case
-    (or several cases with different targets) survives, a
+    The rules of the table are tried in order and the first to apply
+    answers; each comment names its rule.  When none applies, a
     :class:`ClassificationError` carrying (bp, removal) is raised.
     """
-    mu, nu, lam = bp.mu, bp.nu, bp.lam
+    mu, nu = bp.mu, bp.nu
     m = removal.row
     if not bp.can_decrement(removal.side, m):
         raise ValueError(f"({removal.side.value}, row {m}) is not a removable corner of {bp}")
 
-    cases: list[tuple[str, Continue]] = []
+    mu_m, nu_m = mu.part(m), nu.part(m)
     if removal.side is Side.LEFT:
         if m == 1:
             return TerminateUnbarred()
-        if lam.part(m) == 1 and nu.part(m - 1) == 0:
+        mu_next, nu_prev = mu.part(m + 1), nu.part(m - 1)
+        if mu_m + nu_m == 1 and nu_prev == 0:
             return TerminateBarred()
         mg_next, md_m = max_gamma(bp, m + 1), max_delta(bp, m)
-        nu_prev, nu_m = nu.part(m - 1), nu.part(m)
-        if mu.part(m) - 1 > mu.part(m + 1) and (nu_prev == nu_m != 0 or nu_prev == 0):
-            cases.append(("left-row-shrinks-again", Continue(Side.LEFT, m)))
-        if (
-            mu.part(m) - 1 == mu.part(m + 1)
-            and nu_prev == nu_m != 0
-            and (_gt(mg_next, md_m) or mu.part(m) == 1)
-        ):
-            cases.append(("hop-to-matching-right-rows", Continue(Side.RIGHT, md_m)))
-        if mu.part(m) - 1 == mu.part(m + 1) != 0 and (
-            (nu_prev == nu_m != 0 and _leq(mg_next, md_m)) or nu_prev == 0
-        ):
-            cases.append(("slide-down-equal-left-rows", Continue(Side.LEFT, mg_next)))
+        if mu_m - 1 > mu_next and (nu_prev == nu_m != 0 or nu_prev == 0):
+            return Continue(Side.LEFT, m)  # left-row-shrinks-again
+        if mu_m - 1 == mu_next and nu_prev == nu_m != 0 and (_gt(mg_next, md_m) or mu_m == 1):
+            return Continue(Side.RIGHT, md_m)  # hop-to-matching-right-rows
+        if mu_m - 1 == mu_next != 0 and ((nu_prev == nu_m != 0 and _leq(mg_next, md_m)) or nu_prev == 0):
+            return Continue(Side.LEFT, mg_next)  # slide-down-equal-left-rows
         if nu_prev > nu_m:
-            cases.append(("climb-to-previous-right-row", Continue(Side.RIGHT, m - 1)))
+            return Continue(Side.RIGHT, m - 1)  # climb-to-previous-right-row
     else:
-        if lam.part(m) == 1:
+        if mu_m + nu_m == 1:
             return TerminateBarred()
         mg_m, md_m, md_next = max_gamma(bp, m), max_delta(bp, m), max_delta(bp, m + 1)
-        nu_m, nu_next = nu.part(m), nu.part(m + 1)
-        if mg_m == md_m:
-            cases.append(("cross-to-left-row", Continue(Side.LEFT, m)))
-        if nu_m - 1 > nu_next and (_gt(mg_m, md_m) or mu.part(m) == 0):
-            cases.append(("right-row-shrinks-again", Continue(Side.RIGHT, m)))
-        if nu_m - 1 == nu_next != 0 and (_gt(mg_m, md_next) or mu.part(m) == 0):
-            cases.append(("slide-down-equal-right-rows", Continue(Side.RIGHT, md_next)))
+        nu_next = nu.part(m + 1)
+        # Crossing into a left row needs mu_m != 0.  The later cross rule needs no guard: when
+        # mu_m = 0 and nu_m - 1 = nu_next, slide-down-equal-right-rows answers first, or nu_m = 1
+        # and the barred termination above has answered.
+        if mg_m == md_m and mu_m != 0:
+            return Continue(Side.LEFT, m)  # cross-to-left-row
+        if nu_m - 1 > nu_next and (_gt(mg_m, md_m) or mu_m == 0):
+            return Continue(Side.RIGHT, m)  # right-row-shrinks-again
+        if nu_m - 1 == nu_next != 0 and (_gt(mg_m, md_next) or mu_m == 0):
+            return Continue(Side.RIGHT, md_next)  # slide-down-equal-right-rows
         if nu_m - 1 == nu_next and (_leq(mg_m, md_next) or nu_m == 1):
-            cases.append(("cross-to-matching-left-rows", Continue(Side.LEFT, mg_m)))
-
-    after = bp.decremented(removal.side, m)
-    feasible = [(label, out) for label, out in cases if after.can_decrement(out.side, out.row)]
-    outcomes = {out for _, out in feasible}
-    if len(outcomes) != 1:
-        raise ClassificationError(bp, removal, feasible)
-    return next(iter(outcomes))
+            return Continue(Side.LEFT, mg_m)  # cross-to-matching-left-rows
+    raise ClassificationError(bp, removal)
 
 
 # -- cascades against the classifier ---------------------------------------------

@@ -134,10 +134,9 @@ def verify_golden_n3(n: int = 3) -> Report:
     return Report("golden", 3, 2 * len(rows), tuple(failures))
 
 
-def _pair_index(n: int) -> tuple[Callable[[CorrespondencePair], int | None], int]:
-    """The position of a pair of size n in :func:`iter_pairs` (None for other
-    sizes), read off the places of T and R among the cached tableaux; and
-    the number of pairs."""
+def _pair_index(n: int) -> tuple[Callable[[CorrespondencePair], int], int]:
+    """The position of a pair of size n in :func:`iter_pairs`, read off the
+    places of T and R among the cached tableaux; and the number of pairs."""
     place: dict[Bitableau, tuple[int, int]] = {}
     count = 0
     for shape in enumerate_bipartitions(n):
@@ -146,9 +145,8 @@ def _pair_index(n: int) -> tuple[Callable[[CorrespondencePair], int | None], int
             place[t] = (count + i * len(tableaux), i)
         count += len(tableaux) ** 2
 
-    def index(pair: CorrespondencePair) -> int | None:
-        t, r = place.get(pair.T), place.get(pair.R)
-        return None if t is None or r is None else t[0] + r[1]
+    def index(pair: CorrespondencePair) -> int:
+        return place[pair.T][0] + place[pair.R][1]
 
     return index, count
 
@@ -169,8 +167,8 @@ def verify_roundtrip(n: int) -> Report:
         checked += 1
         if back != w:
             failures.append({"word": w.to_text(), "came_back_as": back.to_text()})
-        elif (k := index(pair)) is not None:
-            covered[k] = 1
+        else:
+            covered[index(pair)] = 1
     for k, pair in enumerate(iter_pairs(n)):
         checked += 1
         if covered[k]:
@@ -227,8 +225,7 @@ def verify_wtilde(n: int) -> Report:
     failures = []
     checked = 0
     index, _ = _pair_index(max(n - 1, 0))
-    # Words of the reduced pairs by index; one without an index is bumped every time.
-    reduced_words: dict[int | None, SignedPermutation] = {}
+    reduced_words: dict[int, SignedPermutation] = {}  # words of the reduced pairs, by index
     for pair in iter_pairs(n):
         if pair.size == 0:
             continue
@@ -236,8 +233,7 @@ def verify_wtilde(n: int) -> Report:
         reduced, letter, r = bump_once(pair)
         wt, r2 = derive_w_tilde(word)
         checked += 1
-        k = index(reduced)
-        if k is None or k not in reduced_words:
+        if (k := index(reduced)) not in reduced_words:
             reduced_words[k] = reverse_bumping(reduced)
         reduced_word = reduced_words[k]
         if letter != word.letters[-1] or r != r2 or reduced_word != wt:

@@ -395,6 +395,17 @@ class TestRunChecks:
         }
         assert totals["elapsed_s"] >= sum(row["elapsed_s"] for row in rows) >= 0
 
+    def test_max_n_reads_only_sign_and_ascii_digits(self):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "run_checks.py"
+        src = str(Path(exotic_rs.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, str(script), "-p", "counting", "--max-n", "\u0663"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        assert "'\u0663'" in done.stderr
+
 
 class TestUsage:
     def test_unknown_subcommand_exits_2(self, capsys):
@@ -402,6 +413,19 @@ class TestUsage:
 
     def test_no_arguments_exits_2(self, capsys):
         assert invoke(capsys, [])[0] == 2
+
+    # int() also reads non-ASCII digits, underscores and surrounding blanks; sizes do not.
+    @pytest.mark.parametrize("argv", [["count", "\u0663"], ["table", "1_0"], ["verify", "golden", " 3"]])
+    def test_sizes_read_only_sign_and_ascii_digits(self, capsys, argv):
+        code, out, err = invoke(capsys, argv)
+        assert (code, out) == (2, "")
+        assert f"argument n: invalid integer: {argv[-1]!r}" in err
+
+    def test_a_plus_sign_is_read_and_a_negative_size_refused(self, capsys):
+        assert invoke(capsys, ["count", "+3"])[:2] == invoke(capsys, ["count", "3"])[:2]
+        code, out, err = invoke(capsys, ["count", "-1"])
+        assert (code, out) == (2, "")
+        assert "n must be >= 0" in err
 
     def test_help_exits_0(self, capsys):
         code, out, _ = invoke(capsys, ["--help"])

@@ -64,23 +64,14 @@ class TestPartition:
     def test_decrement_and_increment(self):
         p = Partition((3, 1))
         assert p.decremented(2) == Partition((3,))
-        assert p.incremented(2) == Partition((3, 2))
-        assert p.incremented(3) == Partition((3, 1, 1))
-        assert not p.can_decrement(1) or p.decremented(1) == Partition((2, 1))
+        assert p.can_decrement(1) and p.decremented(1) == Partition((2, 1))
+        assert not p.can_decrement(3)
 
     def test_decrement_requires_a_corner(self):
         p = Partition((2, 2))
         assert not p.can_decrement(1)
         with pytest.raises(ValueError):
             p.decremented(1)
-
-    def test_increment_requires_valid_row(self):
-        with pytest.raises(ValueError):
-            Partition((3, 1)).incremented(4)  # would skip row 3
-        with pytest.raises(ValueError):
-            Partition((3, 3)).incremented(2)  # row 2 would outgrow row 1
-        assert Partition((3, 3)).incremented(1) == Partition((4, 3))
-        assert Partition((3, 3)).incremented(3) == Partition((3, 3, 1))
 
     def test_str_form(self):
         assert str(Partition((3, 1))) == "[3,1]"
@@ -89,14 +80,6 @@ class TestPartition:
     @given(partitions())
     def test_size_is_sum_of_parts(self, p):
         assert p.size == sum(p.parts)
-
-    @given(partitions(), st.integers(1, 12))
-    def test_increment_then_decrement_round_trips(self, p, i):
-        try:
-            q = p.incremented(i)
-        except ValueError:
-            return
-        assert q.decremented(i) == p
 
 
 class TestBipartition:

@@ -7,6 +7,8 @@ classifier predict each hop exactly.
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 
@@ -70,15 +72,14 @@ class TestTerminations:
         assert second_decrement(_bp((1, 1), ()), FirstRemoval(Side.LEFT, 2)) == TerminateBarred()
 
     def test_wide_lone_right_row_continues_within_itself(self):
-        # two candidate rules fire here; only one names a removable row of
-        # the decremented shape, so the answer is still unique
+        # there is no left row to cross into, so the right row shrinks again
         assert second_decrement(_bp((), (2,)), FirstRemoval(Side.RIGHT, 1)) == Continue(Side.RIGHT, 1)
 
     def test_two_right_rows_continue_downward(self):
         assert second_decrement(_bp((), (2, 1)), FirstRemoval(Side.RIGHT, 1)) == Continue(Side.RIGHT, 2)
 
     def test_matching_unit_columns_agree_across_rules(self):
-        # two rules fire with the *same* outcome; agreement is not an error
+        # both cross rules apply and name the same left row; the first answers
         assert second_decrement(_bp((1, 1), (1, 1)), FirstRemoval(Side.RIGHT, 2)) == Continue(Side.LEFT, 2)
 
 
@@ -97,7 +98,7 @@ class TestValidation:
 
 
 class TestClassifierTotality:
-    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("n", range(1, 11))
     def test_every_corner_of_every_shape_classifies_uniquely(self, n):
         for bp in enumerate_bipartitions(n):
             for side, row in bp.removable_rows():
@@ -107,6 +108,18 @@ class TestClassifierTotality:
                     assert after.can_decrement(out.side, out.row)
                 else:
                     assert isinstance(out, (TerminateUnbarred, TerminateBarred))
+
+    def test_every_answer_through_size_ten_is_pinned(self):
+        # A change to the order or guards of the rules that moves any answer moves the digest.
+        lines = [
+            f"{bp.to_text()} {side.value} {row} {second_decrement(bp, FirstRemoval(side, row))!r}\n"
+            for n in range(1, 11)
+            for bp in enumerate_bipartitions(n)
+            for side, row in bp.removable_rows()
+        ]
+        assert len(lines) == 3396
+        digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+        assert digest == "fe0a8437215f2387a5c4f2023dbac7b555f48e6d5cfa11da44c0f1a7f7449650"
 
 
 class TestAgreementWithCascades:

@@ -321,7 +321,7 @@ class TestMemosHideNoFailure:
 
         def patched(bp, removal):
             if (bp, removal) == unclassifiable:
-                raise ClassificationError(bp, removal, [])
+                raise ClassificationError(bp, removal)
             predicted = real(bp, removal)
             if (bp, removal) == wrong:
                 return TerminateUnbarred() if predicted == TerminateBarred() else TerminateBarred()
@@ -334,7 +334,7 @@ class TestMemosHideNoFailure:
 
     def test_every_step_fails_when_nothing_classifies(self, monkeypatch):
         def unclassifiable(bp, removal):
-            raise ClassificationError(bp, removal, [])
+            raise ClassificationError(bp, removal)
 
         monkeypatch.setattr(verify, "second_decrement", unclassifiable)
         seen = failures_against_direct()
