@@ -2,13 +2,13 @@
 """Sweep every verifier across its full default budget and print a report.
 
 This is the long-form version of ``exotic-rs verify``: one line per
-(property, size) combination, a final tally, and a non-zero exit code if
-anything failed.  Each property is checked at n = 0, 1, 2, ... up to the
-largest size its verifier accepts (golden only at n = 3).  With --json each
-line is instead a JSON object: one per (property, size) with its property,
-n, checked, failures (a count) and elapsed_s, then the totals (properties,
-checked, failures, elapsed_s).  Sizes beyond the built-in budgets can be
-unlocked with --max-n (which sets EXOTIC_RS_MAX_N for the run).
+(property, size) combination, a final tally, and exit code 1 if anything
+failed (2 for a malformed EXOTIC_RS_MAX_N).  Each property is checked at
+n = 0, 1, 2, ... up to the largest size its verifier accepts (golden only at
+n = 3).  With --json each line is instead a JSON object: one per (property,
+size) with its property, n, checked, failures (a count) and elapsed_s, then
+the totals (properties, checked, failures, elapsed_s).  Sizes beyond the
+built-in budgets can be unlocked with --max-n (which sets EXOTIC_RS_MAX_N).
 
 Usage::
 
@@ -59,6 +59,9 @@ def main() -> int:
                 report = run_verifier(prop, n)
             except BudgetExceededError:
                 break
+            except ValueError as err:  # a malformed EXOTIC_RS_MAX_N, not a failed property
+                print(f"error: {err}", file=sys.stderr)
+                return 2
             dt = time.perf_counter() - t0
             if args.json:
                 print(json.dumps({"property": prop, "n": n, "checked": report.checked,

@@ -54,6 +54,9 @@ class Position:
     def row_number(self) -> int:
         return row_number(self.side, self.row)
 
+    def to_json(self) -> dict:
+        return {"side": self.side.value, "row": self.row, "col": self.col}
+
     def __repr__(self) -> str:
         return f"({self.side.value} r{self.row} c{self.col})"
 

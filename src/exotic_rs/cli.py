@@ -108,7 +108,7 @@ def cmd_insert(args: argparse.Namespace) -> int:
         if args.trace:
             for rec in records:
                 hops = ", ".join(
-                    f"{s.value}->({s.target.side.value} r{s.target.row} c{s.target.col})"
+                    f"{s.value}->{s.target!r}"
                     + (f" displacing {s.displaced}" if s.displaced is not None else "")
                     for s in rec.steps
                 )

@@ -4,9 +4,9 @@
 standard bitableaux; ``reverse_bumping`` is its inverse.  ``bump_once``
 peels off just the largest entry, producing the pair of the reduced word.
 ``second_decrement`` classifies, from shape data alone, where the next box
-leaves the diagram during a removal cascade: the first rule of its table to
-apply answers.  The bumping algorithms are the ground truth it is checked
-against.
+leaves the diagram during a removal cascade; its rule table, ``_classify``,
+reads row tuples, and the first rule to apply answers.  The bumping
+algorithms are the ground truth it is checked against.
 
 Insertion, letter by letter (k = 1..n, s = |w_k|):
 
@@ -37,19 +37,19 @@ types (:class:`~exotic_rs.bitableaux.Bitableau`, :class:`CorrespondencePair`,
 :class:`~exotic_rs.signed_perm.SignedPermutation`) are built only on entry
 and exit.  Only the ``_with_trace`` variants have the loop record steps; the
 reverse loop records plain tuples, which become step records there and which
-the transition check (:func:`_check_cascades`) reads directly.  The layout of
-those tuples is private to this module.
+the transition check (:func:`_check_cascades`) hands to ``_classify`` directly.
+The layout of those tuples is private to this module.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from dataclasses import dataclass
 from operator import itemgetter
 
 from .bitableaux import Bitableau, Position
-from .partitions import Bipartition, Partition, Side, max_delta, max_gamma
+from .partitions import Bipartition, Partition, Side, _last_equal_row
 from .signed_perm import SignedPermutation
 
 
@@ -103,13 +103,7 @@ class InsertionStep:
     displaced: int | None
 
     def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "side": self.target.side.value,
-            "row": self.target.row,
-            "col": self.target.col,
-            "displaced": self.displaced,
-        }
+        return {"value": self.value, **self.target.to_json(), "displaced": self.displaced}
 
 
 @dataclass(frozen=True)
@@ -141,13 +135,9 @@ class RemovalStep:
     def to_json(self) -> dict:
         return {
             "value": self.value,
-            "side": self.source.side.value,
-            "row": self.source.row,
-            "col": self.source.col,
+            **self.source.to_json(),
             "shape": self.shape.to_json(),
-            "to": None
-            if self.target is None
-            else {"side": self.target.side.value, "row": self.target.row, "col": self.target.col},
+            "to": None if self.target is None else self.target.to_json(),
             "emit": self.emitted,
         }
 
@@ -394,14 +384,6 @@ class ClassificationError(ValueError):
         super().__init__(f"no transition rule matches for shape {bp}, first removal ({removal.side.value}, row {removal.row})")
 
 
-def _gt(a: int | None, b: int | None) -> bool:
-    return a is not None and b is not None and a > b
-
-
-def _leq(a: int | None, b: int | None) -> bool:
-    return a is not None and b is not None and a <= b
-
-
 def second_decrement(bp: Bipartition, removal: FirstRemoval):
     """Where a removal cascade goes next, from shape data alone.
 
@@ -409,87 +391,89 @@ def second_decrement(bp: Bipartition, removal: FirstRemoval):
     box included) and ``removal`` names that box's row.  The answer is
     TerminateUnbarred / TerminateBarred when the cascade emits the value as
     a letter, or Continue(side, row): the next box to empty out, as a row of
-    the shape obtained from ``bp`` by the first removal.
-
-    The rules of the table are tried in order and the first to apply
-    answers; each comment names its rule.  When none applies, a
+    the shape obtained from ``bp`` by the first removal.  The rule table is
+    :func:`_classify`; when none of its rules applies, a
     :class:`ClassificationError` carrying (bp, removal) is raised.
     """
-    mu, nu = bp.mu, bp.nu
-    m = removal.row
-    if not bp.can_decrement(removal.side, m):
-        raise ValueError(f"({removal.side.value}, row {m}) is not a removable corner of {bp}")
+    if not bp.can_decrement(removal.side, removal.row):
+        raise ValueError(f"({removal.side.value}, row {removal.row}) is not a removable corner of {bp}")
+    answer = _classify(bp.mu.parts, bp.nu.parts, _SIDES.index(removal.side), removal.row - 1)
+    if answer is None:
+        raise ClassificationError(bp, removal)
+    if isinstance(answer, tuple):
+        return Continue(_SIDES[answer[0]], answer[1] + 1)
+    return TerminateUnbarred() if answer else TerminateBarred()
 
-    mu_m, nu_m = mu.part(m), nu.part(m)
-    if removal.side is Side.LEFT:
+
+def _classify(mu: tuple[int, ...], nu: tuple[int, ...], c: int, i: int) -> bool | tuple[int, int] | None:
+    """The transition rule table, in the kernel's terms: the hop leaves the outermost box of row i
+    of component c of the truncation (mu, nu), whose row counts include that box.  The answer is
+    True / False when the value leaves as an unbarred / barred letter, the (c, i) of the row that
+    loses the next box, or None when no rule applies.  The rules are tried in order and the first
+    to apply answers; each comment names its rule.  They number rows from 1, as m = i + 1."""
+    part = lambda p, k: p[k - 1] if k <= len(p) else 0
+    length = max(len(mu), len(nu))
+    m = i + 1
+    mu_m, nu_m = part(mu, m), part(nu, m)
+    if c == 0:
         if m == 1:
-            return TerminateUnbarred()
-        mu_next, nu_prev = mu.part(m + 1), nu.part(m - 1)
+            return True
+        mu_next, nu_prev = part(mu, m + 1), part(nu, m - 1)
         if mu_m + nu_m == 1 and nu_prev == 0:
-            return TerminateBarred()
-        mg_next, md_m = max_gamma(bp, m + 1), max_delta(bp, m)
+            return False
+        mg_next, md_m = _last_equal_row(mu, m + 1, length), _last_equal_row(nu, m, length)
         if mu_m - 1 > mu_next and (nu_prev == nu_m != 0 or nu_prev == 0):
-            return Continue(Side.LEFT, m)  # left-row-shrinks-again
-        if mu_m - 1 == mu_next and nu_prev == nu_m != 0 and (_gt(mg_next, md_m) or mu_m == 1):
-            return Continue(Side.RIGHT, md_m)  # hop-to-matching-right-rows
-        if mu_m - 1 == mu_next != 0 and ((nu_prev == nu_m != 0 and _leq(mg_next, md_m)) or nu_prev == 0):
-            return Continue(Side.LEFT, mg_next)  # slide-down-equal-left-rows
+            return 0, i  # left-row-shrinks-again
+        if mu_m - 1 == mu_next and nu_prev == nu_m != 0 and (mg_next > md_m or mu_m == 1):
+            return 1, md_m - 1  # hop-to-matching-right-rows
+        if mu_m - 1 == mu_next != 0 and ((nu_prev == nu_m != 0 and mg_next <= md_m) or nu_prev == 0):
+            return 0, mg_next - 1  # slide-down-equal-left-rows
         if nu_prev > nu_m:
-            return Continue(Side.RIGHT, m - 1)  # climb-to-previous-right-row
+            return 1, i - 1  # climb-to-previous-right-row
     else:
         if mu_m + nu_m == 1:
-            return TerminateBarred()
-        mg_m, md_m, md_next = max_gamma(bp, m), max_delta(bp, m), max_delta(bp, m + 1)
-        nu_next = nu.part(m + 1)
+            return False
+        mg_m, md_m = _last_equal_row(mu, m, length), _last_equal_row(nu, m, length)
+        md_next, nu_next = _last_equal_row(nu, m + 1, length), part(nu, m + 1)
         # Crossing into a left row needs mu_m != 0.  The later cross rule needs no guard: when
         # mu_m = 0 and nu_m - 1 = nu_next, slide-down-equal-right-rows answers first, or nu_m = 1
         # and the barred termination above has answered.
         if mg_m == md_m and mu_m != 0:
-            return Continue(Side.LEFT, m)  # cross-to-left-row
-        if nu_m - 1 > nu_next and (_gt(mg_m, md_m) or mu_m == 0):
-            return Continue(Side.RIGHT, m)  # right-row-shrinks-again
-        if nu_m - 1 == nu_next != 0 and (_gt(mg_m, md_next) or mu_m == 0):
-            return Continue(Side.RIGHT, md_next)  # slide-down-equal-right-rows
-        if nu_m - 1 == nu_next and (_leq(mg_m, md_next) or nu_m == 1):
-            return Continue(Side.LEFT, mg_m)  # cross-to-matching-left-rows
-    raise ClassificationError(bp, removal)
+            return 0, i  # cross-to-left-row
+        if nu_m - 1 > nu_next and (mg_m > md_m or mu_m == 0):
+            return 1, i  # right-row-shrinks-again
+        if nu_m - 1 == nu_next != 0 and (mg_m > md_next or mu_m == 0):
+            return 1, md_next - 1  # slide-down-equal-right-rows
+        if nu_m - 1 == nu_next and (mg_m <= md_next or nu_m == 1):
+            return 0, mg_m - 1  # cross-to-matching-left-rows
+    return None
 
 
 # -- cascades against the classifier ---------------------------------------------
 
 
-def _check_cascades(pairs: Iterable[CorrespondencePair], classify: Callable) -> tuple[int, list[dict]]:
-    """Replay the removal cascades of ``pairs`` and check every hop against ``classify``, a
-    :func:`second_decrement`: the number of hops checked, and one failure record per hop that
-    goes elsewhere than predicted.  Each distinct (shape, row) is classified once; step objects
-    are built only for failures."""
+def _check_cascades(pairs: Iterable[CorrespondencePair]) -> tuple[int, list[dict]]:
+    """Replay the removal cascades of ``pairs`` and check every hop against :func:`_classify`:
+    the number of hops checked, and one failure record per hop that goes elsewhere than
+    predicted.  Each distinct (mu, nu, c, i) is classified once; step objects, and the
+    :func:`second_decrement` answer a failure record quotes, are built only for failures."""
     failures = []
     checked = 0
-    predictions: dict[tuple, tuple[object, dict]] = {}  # by (mu, nu, c, i), see _predict
+    answers: dict[tuple, bool | tuple[int, int] | None] = {}  # by (mu, nu, c, i)
     for pair in pairs:
         _reverse(pair, cascades := [])
         for k, _, hops in cascades:
             for hop in hops:
                 _, c, i, _, mu, nu, slot, letter = hop
                 checked += 1
-                if (key := (mu, nu, c, i)) not in predictions:
-                    predictions[key] = _predict(classify, *key)
-                expected, why = predictions[key]
-                if expected != (letter > 0 if slot is None else slot[:2]):
-                    failures.append({"pair": pair.to_json(), "k": k, "step": _removal_step(*hop).to_json(), **why})
+                if (key := (mu, nu, c, i)) not in answers:
+                    answers[key] = _classify(*key)
+                if answers[key] != (letter > 0 if slot is None else slot[:2]):
+                    step = _removal_step(*hop)
+                    removal = FirstRemoval(step.source.side, step.source.row)
+                    try:
+                        why = {"predicted": repr(second_decrement(step.shape, removal))}
+                    except ClassificationError as err:
+                        why = {"error": str(err)}
+                    failures.append({"pair": pair.to_json(), "k": k, "step": step.to_json(), **why})
     return checked, failures
-
-
-def _predict(classify: Callable, mu: tuple[int, ...], nu: tuple[int, ...], c: int, i: int) -> tuple[object, dict]:
-    """What ``classify`` predicts for a hop leaving row i of component c of (mu, nu), as the
-    kernel records hops: the (c, i) entered, or whether the letter is unbarred (None when it
-    raises ClassificationError, so that every such hop fails); and why a hop that differs fails."""
-    try:
-        predicted = classify(Bipartition(Partition(mu), Partition(nu)), FirstRemoval(_SIDES[c], i + 1))
-    except ClassificationError as err:
-        return None, {"error": str(err)}
-    if isinstance(predicted, Continue):
-        expected = (_SIDES.index(predicted.side), predicted.row - 1)
-    else:
-        expected = {TerminateUnbarred(): True, TerminateBarred(): False}.get(predicted)
-    return expected, {"predicted": repr(predicted)}

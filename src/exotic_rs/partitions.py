@@ -1,5 +1,5 @@
-"""Integer partitions, bipartitions, and the row-index helpers used by the
-box-removal transition rules.
+"""Integer partitions, bipartitions, the row-index scan of the box-removal
+transition rules, and the number of standard bitableaux of a shape.
 
 Conventions used throughout the package:
 
@@ -10,8 +10,8 @@ Conventions used throughout the package:
   row lengths of the left component, nu of the right component.  Row i of
   the combined shape has lam_i = mu_i + nu_i boxes.
 * Rows are indexed from 1 to match the usual mathematical conventions;
-  :func:`max_gamma` and :func:`max_delta` answer with rows in
-  ``{1, ..., len(lam)}``.
+  :func:`max_gamma` and :func:`max_delta` answer with a row in
+  ``{1, ..., len(lam)}`` or None, and the scan behind both with 0 for none.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
+from math import comb, factorial
 from typing import Iterator
 
 
@@ -139,20 +139,22 @@ def max_gamma(bp: Bipartition, m: int) -> int | None:
     """Largest row index i <= len(lam) with mu_i = mu_m, reading mu_m as 0
     beyond the shape.  None when no row qualifies.  Any m >= 1 is accepted,
     which the transition rules need for m+1."""
-    if m < 1:
-        raise IndexError(f"row index must be >= 1, got {m}")
-    target = bp.mu.part(m)
-    hits = [i for i in range(1, bp.length + 1) if bp.mu.part(i) == target]
-    return max(hits) if hits else None
+    return _last_equal_row(bp.mu.parts, m, bp.length) or None
 
 
 def max_delta(bp: Bipartition, m: int) -> int | None:
     """Largest row index i <= len(lam) with nu_i = nu_m; see :func:`max_gamma`."""
+    return _last_equal_row(bp.nu.parts, m, bp.length) or None
+
+
+def _last_equal_row(parts: tuple[int, ...], m: int, length: int) -> int:
+    """Largest row index i <= length with parts_i = parts_m, parts beyond the
+    tuple reading as 0; 0 when no row qualifies."""
     if m < 1:
         raise IndexError(f"row index must be >= 1, got {m}")
-    target = bp.nu.part(m)
-    hits = [i for i in range(1, bp.length + 1) if bp.nu.part(i) == target]
-    return max(hits) if hits else None
+    part = lambda i: parts[i - 1] if i <= len(parts) else 0
+    target = part(m)
+    return next((i for i in range(length, 0, -1) if part(i) == target), 0)
 
 
 def dimension_b(bp: Bipartition) -> int:
@@ -193,23 +195,17 @@ def enumerate_bipartitions(n: int) -> list[Bipartition]:
 def count_bitableaux(bp: Bipartition) -> int:
     """Number of standard bitableaux of shape bp.
 
-    Computed by the corner recursion: the largest entry sits in a removable
-    corner, so the count is the sum of the counts of all one-box-smaller
-    shapes.  Memoized; cheap for every size this package enumerates.
+    The two components fill independently: choose which |mu| of the n
+    entries go left, then a standard Young tableau of each component, counted
+    by the hook length formula.
     """
-    return _count(bp.mu.parts, bp.nu.parts)
+    return comb(bp.size, bp.mu.size) * _hook_count(bp.mu.parts) * _hook_count(bp.nu.parts)
 
 
-@cache
-def _count(mu: tuple[int, ...], nu: tuple[int, ...]) -> int:
-    bp = Bipartition(Partition(mu), Partition(nu))
-    if bp.size == 0:
-        return 1
-    return sum(
-        _count(*_decremented_parts(bp, side, row)) for side, row in bp.removable_rows()
-    )
-
-
-def _decremented_parts(bp: Bipartition, side: Side, row: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    smaller = bp.decremented(side, row)
-    return smaller.mu.parts, smaller.nu.parts
+def _hook_count(parts: tuple[int, ...]) -> int:
+    """Number of standard Young tableaux of one shape: n! over the product of its hook lengths."""
+    hooks = 1
+    for i, row in enumerate(parts):
+        for j in range(row):
+            hooks *= row - j + sum(1 for below in parts[i + 1:] if below > j)
+    return factorial(sum(parts)) // hooks

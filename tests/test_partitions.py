@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import hypothesis.strategies as st
@@ -221,3 +222,10 @@ class TestCounting:
         for bp in enumerate_bipartitions(n):
             listed = enumerate_standard_bitableaux(bp)
             assert len(listed) == count_bitableaux(bp)
+
+    def test_counts_through_size_ten_are_pinned(self):
+        # The digest of counts taken by the corner recursion over removable boxes, an independent method.
+        lines = [f"{bp.to_text()} {count_bitableaux(bp)}\n" for n in range(11) for bp in enumerate_bipartitions(n)]
+        assert len(lines) == 1215
+        digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+        assert digest == "b7ab883423378995a81d2bf9f7d9e3557ad6e756cac15fa2eead7d8b2745c8d3"

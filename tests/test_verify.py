@@ -35,12 +35,7 @@ from exotic_rs import (
     verify_transition,
     verify_wtilde,
 )
-from exotic_rs.correspondence import (
-    ClassificationError,
-    FirstRemoval,
-    TerminateBarred,
-    TerminateUnbarred,
-)
+from exotic_rs.correspondence import ClassificationError, FirstRemoval
 
 
 class TestReport:
@@ -115,11 +110,17 @@ class TestVerifiers:
         def refuse(*args, **kwargs):
             raise AssertionError("a passing step built a trace object")
 
-        for name in ("RemovalStep", "Position", "_truncation_shape"):
+        for name in ("RemovalStep", "Position", "_truncation_shape", "Partition", "Bipartition", "FirstRemoval",
+                     "Continue", "TerminateUnbarred", "TerminateBarred"):
             monkeypatch.setattr(correspondence, name, refuse)
+        keys = []
+        real = correspondence._classify
+        monkeypatch.setattr(correspondence, "_classify", lambda *key: keys.append(key) or real(*key))
         report = verify_transition(4)
         assert report.ok
         assert report.checked == 2004
+        # The rule table runs once per distinct (mu, nu, c, i).
+        assert len(keys) == len(set(keys)) == 60
 
     def test_run_verifier_by_name(self):
         assert run_verifier("golden", 3).ok
@@ -192,7 +193,9 @@ class TestCells:
 #
 # Direct, unmemoized evaluations of the pair verifiers: every check computes
 # its bumps and classifications afresh, through the names the verify module
-# calls, so a function patched there is seen here too.
+# calls (and the classifier through correspondence._classify, which both
+# second_decrement and the transition check call), so a function patched
+# there is seen here too.
 
 
 def direct_roundtrip(n):
@@ -229,7 +232,7 @@ def direct_transition(n):
                 checked += 1
                 where = {"pair": pair.to_json(), "k": record.k, "step": step.to_json()}
                 try:
-                    predicted = verify.second_decrement(step.shape, FirstRemoval(step.source.side, step.source.row))
+                    predicted = correspondence.second_decrement(step.shape, FirstRemoval(step.source.side, step.source.row))
                 except ClassificationError as err:
                     failures.append({**where, "error": str(err)})
                     continue
@@ -310,33 +313,31 @@ class TestMemosHideNoFailure:
         assert seen["verify_wtilde", 4] >= 1
 
     def test_one_wrong_and_one_unclassifiable_key(self, monkeypatch):
+        # Keys in _classify's terms: (mu, nu, component, 0-based row) of the box a step leaves.
         steps = Counter(
-            (step.shape, FirstRemoval(step.source.side, step.source.row))
+            (step.shape.mu.parts, step.shape.nu.parts, correspondence._SIDES.index(step.source.side), step.source.row - 1)
             for pair in iter_pairs(4)
             for record in reverse_bumping_with_trace(pair)[1]
             for step in record.steps
         )
         wrong, unclassifiable = [key for key, count in steps.most_common() if count > 1][1:3]
-        real = verify.second_decrement
+        real = correspondence._classify
 
-        def patched(bp, removal):
-            if (bp, removal) == unclassifiable:
-                raise ClassificationError(bp, removal)
-            predicted = real(bp, removal)
-            if (bp, removal) == wrong:
-                return TerminateUnbarred() if predicted == TerminateBarred() else TerminateBarred()
-            return predicted
+        def patched(*key):
+            if key == unclassifiable:
+                return None
+            answer = real(*key)
+            if key == wrong:
+                return answer is False  # barred becomes unbarred, anything else barred
+            return answer
 
-        monkeypatch.setattr(verify, "second_decrement", patched)
+        monkeypatch.setattr(correspondence, "_classify", patched)
         seen = failures_against_direct()
         # One failure per affected step, not one per key.
         assert seen["verify_transition", 4] == steps[wrong] + steps[unclassifiable] > 2
 
     def test_every_step_fails_when_nothing_classifies(self, monkeypatch):
-        def unclassifiable(bp, removal):
-            raise ClassificationError(bp, removal)
-
-        monkeypatch.setattr(verify, "second_decrement", unclassifiable)
+        monkeypatch.setattr(correspondence, "_classify", lambda *key: None)
         seen = failures_against_direct()
         # Unbarred emissions included: an error matches no hop.
         assert seen["verify_transition", 3] == verify_transition(3).checked == 176
