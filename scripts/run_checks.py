@@ -29,6 +29,7 @@ import time
 
 from exotic_rs import VERIFIERS, BudgetExceededError, run_verifier
 from exotic_rs.cli import _size
+from exotic_rs.verify import _limit
 
 
 def main() -> int:
@@ -46,6 +47,11 @@ def main() -> int:
 
     if args.max_n is not None:
         os.environ["EXOTIC_RS_MAX_N"] = str(args.max_n)
+    try:
+        _limit(0)  # a malformed EXOTIC_RS_MAX_N stops the run before any property prints
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
 
     properties = args.properties or sorted(VERIFIERS)
     failures = 0
@@ -59,9 +65,6 @@ def main() -> int:
                 report = run_verifier(prop, n)
             except BudgetExceededError:
                 break
-            except ValueError as err:  # a malformed EXOTIC_RS_MAX_N, not a failed property
-                print(f"error: {err}", file=sys.stderr)
-                return 2
             dt = time.perf_counter() - t0
             if args.json:
                 print(json.dumps({"property": prop, "n": n, "checked": report.checked,

@@ -130,14 +130,14 @@ def cmd_bump(args: argparse.Namespace) -> int:
 def cmd_table(args: argparse.Namespace) -> int:
     if args.json:
         # Rows are kept as JSON text and written block by block, laid out as json.dumps would.
-        row = lambda w, pair: json.dumps({"word": w.to_text(), "T": pair.T.to_json(), "R": pair.R.to_json()})
+        row = lambda w, T, R: json.dumps({"word": w.to_text(), "T": T.to_json(), "R": R.to_json()})
         blocks = _group_by_shape(args.n, row).items()
         sys.stdout.write("[")
         for i, (shape, rows) in enumerate(blocks):
             sys.stdout.write(f'{", " if i else ""}{{"shape": {json.dumps(shape.to_json())}, "words": [{", ".join(rows)}]}}')
         print("]")
         return 0
-    line = lambda w, pair: f"{w.to_text()}\t{json.dumps(pair.T.to_json())}\t{json.dumps(pair.R.to_json())}"
+    line = lambda w, T, R: f"{w.to_text()}\t{json.dumps(T.to_json())}\t{json.dumps(R.to_json())}"
     for shape, lines in _group_by_shape(args.n, line).items():
         print(f"# {shape.to_text()}")
         print(*lines, sep="\n")

@@ -32,10 +32,13 @@ displacing the smaller entry found there; when the walk reaches combined
 row 1 the letter is emitted unbarred, and when no box is available it is
 emitted barred.
 
-Each direction is one kernel loop on plain mutable rows; the validated
-types (:class:`~exotic_rs.bitableaux.Bitableau`, :class:`CorrespondencePair`,
-:class:`~exotic_rs.signed_perm.SignedPermutation`) are built only on entry
-and exit.  Only the ``_with_trace`` variants have the loop record steps; the
+Each direction is one row-level core on plain mutable rows: ``_insert`` maps
+letters to the rows (T, R) of their pair, ``_reverse`` maps rows back to
+letters, and ``_reduce`` is the step of ``bump_once``.  The public functions
+are thin wrappers that build the validated types around them
+(:class:`~exotic_rs.bitableaux.Bitableau`, :class:`CorrespondencePair`,
+:class:`~exotic_rs.signed_perm.SignedPermutation`); the verifiers call the
+cores.  Only the ``_with_trace`` variants have the loops record steps; the
 reverse loop records plain tuples, which become step records there and which
 the transition check (:func:`_check_cascades`) hands to ``_classify`` directly.
 The layout of those tuples is private to this module.
@@ -164,10 +167,16 @@ class RemovalRecord:
 _SIDES = (Side.LEFT, Side.RIGHT)
 
 _Rows = tuple[list[list[int]], list[list[int]]]
+_Tableau = tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]  # the kernels' in and out: rows as stored
 
 
-def _rows(t: Bitableau) -> _Rows:
-    return [list(r) for r in t.left], [list(r) for r in t.right]
+def _rows(t: _Tableau) -> _Rows:
+    return [list(r) for r in t[0]], [list(r) for r in t[1]]
+
+
+def _pair(T: _Tableau, R: _Tableau) -> CorrespondencePair:
+    """The validated pair with these rows."""
+    return CorrespondencePair(Bitableau(*T), Bitableau(*R))
 
 
 def _insert_column(rows: list[list[int]], i: int, s: int) -> int | None:
@@ -203,17 +212,9 @@ def _first_slot(t: _Rows, s: int, combined: range, column) -> tuple[int, int, in
     return None
 
 
-def _boxes(t: Bitableau) -> dict[int, tuple[int, int]]:
+def _boxes(t: _Tableau) -> dict[int, tuple[int, int]]:
     """The (component, row) holding each entry."""
-    return {x: (c, i) for c, rows in enumerate((t.left, t.right)) for i, row in enumerate(rows) for x in row}
-
-
-def _pop_box(rows: list[list[int]], i: int) -> int:
-    """Remove the outermost box of row i, a corner; an emptied row is the last."""
-    x = rows[i].pop()
-    if not rows[i]:
-        rows.pop()
-    return x
+    return {x: (c, i) for c, rows in enumerate(t) for i, row in enumerate(rows) for x in row}
 
 
 # -- insertion -----------------------------------------------------------------
@@ -221,19 +222,19 @@ def _pop_box(rows: list[list[int]], i: int) -> int:
 
 def insertion(w: SignedPermutation) -> CorrespondencePair:
     """The exotic Robinson-Schensted insertion of a signed permutation."""
-    return _insert(w, None)
+    return _pair(*_insert(w.letters))
 
 
 def insertion_with_trace(w: SignedPermutation) -> tuple[CorrespondencePair, tuple[InsertionRecord, ...]]:
     records: list[InsertionRecord] = []
-    return _insert(w, records), tuple(records)
+    return _pair(*_insert(w.letters, records)), tuple(records)
 
 
-def _insert(w: SignedPermutation, records: list[InsertionRecord] | None) -> CorrespondencePair:
-    """The insertion kernel; with a list for ``records``, one record per letter."""
+def _insert(letters: tuple[int, ...], records: list[InsertionRecord] | None = None) -> tuple[_Tableau, _Tableau]:
+    """The insertion kernel: the rows (T, R) the letters insert to; with a list for ``records``, one record per letter."""
     t: _Rows = ([], [])
     r: _Rows = ([], [])
-    for k, letter in enumerate(w.letters, start=1):
+    for k, letter in enumerate(letters, start=1):
         s = abs(letter)
         if letter > 0:
             c, i, j = 0, 0, _insert_column(t[0], 0, s)
@@ -256,7 +257,8 @@ def _insert(w: SignedPermutation, records: list[InsertionRecord] | None) -> Corr
         if steps is not None:
             steps.append(InsertionStep(s, Position(_SIDES[c], i + 1, j + 1), None))
             records.append(InsertionRecord(k, letter, tuple(steps)))
-    return CorrespondencePair(Bitableau(*t), Bitableau(*r))
+    frozen = lambda rows: (tuple(map(tuple, rows[0])), tuple(map(tuple, rows[1])))
+    return frozen(t), frozen(r)
 
 
 # -- reverse bumping -----------------------------------------------------------
@@ -264,26 +266,31 @@ def _insert(w: SignedPermutation, records: list[InsertionRecord] | None) -> Corr
 
 def reverse_bumping(pair: CorrespondencePair) -> SignedPermutation:
     """The inverse of :func:`insertion`."""
-    return _reverse(pair, None)
+    return SignedPermutation(_reverse((pair.T.left, pair.T.right), (pair.R.left, pair.R.right)))
 
 
 def reverse_bumping_with_trace(pair: CorrespondencePair) -> tuple[SignedPermutation, tuple[RemovalRecord, ...]]:
     cascades: list[tuple[int, int, list[tuple]]] = []
-    word = _reverse(pair, cascades)
+    word = SignedPermutation(_reverse((pair.T.left, pair.T.right), (pair.R.left, pair.R.right), cascades))
     return word, tuple(RemovalRecord(k, letter, tuple(_removal_step(*h) for h in hops)) for k, letter, hops in cascades)
 
 
-def _reverse(pair: CorrespondencePair, cascades: list[tuple[int, int, list[tuple]]] | None) -> SignedPermutation:
-    """The reverse-bumping kernel; with a list for ``cascades``, one (k, letter, hops) per entry."""
-    t = _rows(pair.T)
-    boxes = _boxes(pair.R)
+def _reverse(T: _Tableau, R: _Tableau, cascades: list | None = None, reduced: list | None = None) -> tuple[int, ...]:
+    """The reverse-bumping kernel: the letters of the word of the pair with rows (T, R).  With a
+    list for ``cascades``, one (k, letter, hops) per entry.  With a list for ``reduced`` instead,
+    :func:`_reduce` runs the k = n cascade and the reduced pair's (T, R, letter) is appended to it."""
+    t = _rows(T)
+    boxes = _boxes(R)
     letters_rev: list[int] = []
-    for k in range(pair.size, 0, -1):
+    if reduced is not None and boxes:
+        reduced.extend(_reduce(t, R, *boxes[len(boxes)]))
+        letters_rev.append(reduced[-1])
+    for k in range(len(boxes) - len(letters_rev), 0, -1):
         hops = None if cascades is None else []
         letters_rev.append(_remove(t, *boxes[k], hops))
         if hops is not None:
             cascades.append((k, letters_rev[-1], hops))
-    return SignedPermutation(tuple(reversed(letters_rev)))
+    return tuple(reversed(letters_rev))
 
 
 def _remove(t: _Rows, c: int, i: int, hops: list[tuple] | None) -> int:
@@ -291,7 +298,9 @@ def _remove(t: _Rows, c: int, i: int, hops: list[tuple] | None) -> int:
     returns the emitted letter.  Unless ``hops`` is None, each hop appends (value, c, i, j, mu, nu,
     slot, letter): the box left, the truncation's row counts, and the box entered or the letter."""
     j = len(t[c][i]) - 1
-    value = _pop_box(t[c], i)
+    value = t[c][i].pop()
+    if not t[c][i]:  # an emptied row is the last
+        t[c].pop()
     while True:
         m = 2 * i + 1 + c
         depth = 2 * max(len(t[0]), len(t[1]))
@@ -335,14 +344,20 @@ def bump_once(pair: CorrespondencePair) -> tuple[CorrespondencePair, int, int]:
     """
     if pair.size == 0:
         raise ValueError("the empty pair has no largest entry to remove")
-    c, i = _boxes(pair.R)[pair.size]
-    t, rec = _rows(pair.T), _rows(pair.R)
+    rec = pair.R.left, pair.R.right
+    T, R, letter = _reduce(_rows((pair.T.left, pair.T.right)), rec, *_boxes(rec)[pair.size])
+    return _pair(T, R), letter, abs(letter)
+
+
+def _reduce(t: _Rows, R: _Tableau, c: int, i: int) -> tuple[_Tableau, _Tableau, int]:
+    """:func:`bump_once` on rows: the cascade of R's largest entry n, in row i of component c, runs on the
+    mutable rows t and leaves them as it ends.  Returns the reduced pair's rows and the letter."""
+    n = R[c][i][-1]
     letter = _remove(t, c, i, None)
-    _pop_box(rec[c], i)
     r = abs(letter)
-    relabel = lambda rows: [[x - 1 if x > r else x for x in row] for row in rows]
-    reduced = CorrespondencePair(Bitableau(relabel(t[0]), relabel(t[1])), Bitableau(*rec))
-    return reduced, letter, r
+    relabel = lambda rows: tuple(tuple(x - 1 if x > r else x for x in row) for row in rows)
+    drop = lambda rows: tuple(row for row in (row[:-1] if row[-1] == n else row for row in rows) if row)
+    return (relabel(t[0]), relabel(t[1])), (drop(R[0]), drop(R[1])), letter
 
 
 # -- transition classification ---------------------------------------------------
@@ -452,16 +467,16 @@ def _classify(mu: tuple[int, ...], nu: tuple[int, ...], c: int, i: int) -> bool 
 # -- cascades against the classifier ---------------------------------------------
 
 
-def _check_cascades(pairs: Iterable[CorrespondencePair]) -> tuple[int, list[dict]]:
-    """Replay the removal cascades of ``pairs`` and check every hop against :func:`_classify`:
-    the number of hops checked, and one failure record per hop that goes elsewhere than
-    predicted.  Each distinct (mu, nu, c, i) is classified once; step objects, and the
-    :func:`second_decrement` answer a failure record quotes, are built only for failures."""
+def _check_cascades(pairs: Iterable[tuple[_Tableau, _Tableau]]) -> tuple[int, list[dict]]:
+    """Replay the removal cascades of the pairs (T, R), given by rows, and check every hop against
+    :func:`_classify`: the number of hops checked, and one failure record per hop that goes elsewhere
+    than predicted.  Each distinct (mu, nu, c, i) is classified once; the validated pair, the step
+    objects and the :func:`second_decrement` answer a failure record quotes are built only for failures."""
     failures = []
     checked = 0
     answers: dict[tuple, bool | tuple[int, int] | None] = {}  # by (mu, nu, c, i)
-    for pair in pairs:
-        _reverse(pair, cascades := [])
+    for T, R in pairs:
+        _reverse(T, R, cascades := [])
         for k, _, hops in cascades:
             for hop in hops:
                 _, c, i, _, mu, nu, slot, letter = hop
@@ -475,5 +490,5 @@ def _check_cascades(pairs: Iterable[CorrespondencePair]) -> tuple[int, list[dict
                         why = {"predicted": repr(second_decrement(step.shape, removal))}
                     except ClassificationError as err:
                         why = {"error": str(err)}
-                    failures.append({"pair": pair.to_json(), "k": k, "step": step.to_json(), **why})
+                    failures.append({"pair": _pair(T, R).to_json(), "k": k, "step": step.to_json(), **why})
     return checked, failures

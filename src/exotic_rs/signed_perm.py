@@ -40,10 +40,7 @@ class SignedPermutation:
 
     def inverse(self) -> "SignedPermutation":
         """If the word sends k to +-a, the inverse sends a to +-k (same bar)."""
-        out = [0] * self.n
-        for k, x in enumerate(self.letters, start=1):
-            out[abs(x) - 1] = k if x > 0 else -k
-        return SignedPermutation(tuple(out))
+        return SignedPermutation(_inverse(self.letters))
 
     def to_text(self) -> str:
         return " ".join(str(x) for x in self.letters)
@@ -66,6 +63,14 @@ class SignedPermutation:
 
     def __str__(self) -> str:
         return self.to_text()
+
+
+def _inverse(letters: tuple[int, ...]) -> tuple[int, ...]:
+    """:meth:`SignedPermutation.inverse` on letter tuples."""
+    out = [0] * len(letters)
+    for k, x in enumerate(letters, start=1):
+        out[abs(x) - 1] = k if x > 0 else -k
+    return tuple(out)
 
 
 def sort_key(w: SignedPermutation) -> tuple[tuple[int, bool], ...]:
@@ -135,11 +140,17 @@ def derive_w_tilde(w: SignedPermutation) -> tuple[SignedPermutation, int]:
     """
     if w.n == 0:
         raise ValueError("the empty word has no last letter to remove")
-    r = abs(w.letters[-1])
+    letters, r = _w_tilde(w.letters)
+    return SignedPermutation(letters), r
+
+
+def _w_tilde(letters: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """:func:`derive_w_tilde` on nonempty letter tuples."""
+    r = abs(letters[-1])
 
     def shift(x: int) -> int:
         a = abs(x)
         b = a if a < r else a - 1
         return b if x > 0 else -b
 
-    return SignedPermutation(tuple(shift(x) for x in w.letters[:-1])), r
+    return tuple(shift(x) for x in letters[:-1]), r

@@ -5,8 +5,11 @@ given size), checks one property case by case, and returns a :class:`Report`
 with a deterministic list of failures (canonical word order).  Verifiers
 refuse sizes beyond their budget by raising :class:`BudgetExceededError` --
 never by silently checking less.  The env variable ``EXOTIC_RS_MAX_N``
-(an integer) raises all budgets.  Each verifier computes each insertion,
-reverse bump and classification once per call; its memos die with the call.
+(an integer) raises all budgets.  The pair verifiers and :func:`cells` run
+the row-level kernels on the cached tableaux' rows and build validated pairs
+and words only for failure records.  Each verifier computes each insertion,
+reverse bump, removal cascade and classification once per call; its memos
+die with the call.
 """
 
 from __future__ import annotations
@@ -18,20 +21,16 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Callable, Iterator
 
+from . import correspondence
 from .bitableaux import Bitableau, enumerate_standard_bitableaux
-from .correspondence import (
-    CorrespondencePair,
-    _check_cascades,
-    bump_once,
-    insertion,
-    reverse_bumping,
-)
+from .correspondence import CorrespondencePair, _Tableau, _check_cascades, _pair, bump_once, insertion, reverse_bumping
 from .partitions import Bipartition, count_bitableaux, enumerate_bipartitions
 from .signed_perm import (
     SignedPermutation,
     _INTEGER,
+    _inverse,
     _signed_permutations,
-    derive_w_tilde,
+    _w_tilde,
     iota_embed,
     is_mirror_symmetric,
     permutation_inverse,
@@ -99,11 +98,17 @@ class Report:
 def iter_pairs(n: int) -> Iterator[CorrespondencePair]:
     """All same-shape pairs of standard bitableaux with n boxes, shape by
     shape in canonical order."""
-    for shape in enumerate_bipartitions(n):
-        tableaux = enumerate_standard_bitableaux(shape)
-        for t in tableaux:
-            for r in tableaux:
-                yield CorrespondencePair(t, r)
+    return (CorrespondencePair(t, r) for cell in _cells(n) for t in cell for r in cell)
+
+
+def _cells(n: int) -> Iterator[tuple[Bitableau, ...]]:
+    """The cached standard tableaux with n boxes, shape by shape in canonical order."""
+    return map(enumerate_standard_bitableaux, enumerate_bipartitions(n))
+
+
+def _pair_rows(n: int) -> Iterator[tuple[_Tableau, _Tableau]]:
+    """The rows (T, R) of the pairs of :func:`iter_pairs`, in its order."""
+    return (((t.left, t.right), (r.left, r.right)) for cell in _cells(n) for t in cell for r in cell)
 
 
 # -- verifiers -------------------------------------------------------------------
@@ -133,19 +138,19 @@ def verify_golden_n3(n: int = 3) -> Report:
     return Report("golden", 3, 2 * len(rows), tuple(failures))
 
 
-def _pair_index(n: int) -> tuple[Callable[[CorrespondencePair], int], int]:
-    """The position of a pair of size n in :func:`iter_pairs`, read off the
-    places of T and R among the cached tableaux; and the number of pairs."""
-    place: dict[Bitableau, tuple[int, int]] = {}
+def _pair_index(n: int) -> tuple[Callable[[_Tableau, _Tableau], int | None], int]:
+    """The position in :func:`iter_pairs` of the pair of size n with rows (T, R), or None when the
+    rows are no standard pair of size n; and the number of pairs."""
+    place: dict[_Tableau, tuple[int, int, int]] = {}  # (first place of its shape's pairs, i, tableaux of that shape)
     count = 0
-    for shape in enumerate_bipartitions(n):
-        tableaux = enumerate_standard_bitableaux(shape)
-        for i, t in enumerate(tableaux):
-            place[t] = (count + i * len(tableaux), i)
-        count += len(tableaux) ** 2
+    for cell in _cells(n):
+        for i, t in enumerate(cell):
+            place[t.left, t.right] = (count, i, len(cell))
+        count += len(cell) ** 2
 
-    def index(pair: CorrespondencePair) -> int:
-        return place[pair.T][0] + place[pair.R][1]
+    def index(T: _Tableau, R: _Tableau) -> int | None:
+        a, b = place.get(T), place.get(R)
+        return a[0] + a[1] * a[2] + b[1] if a and b and a[0] == b[0] else None
 
     return index, count
 
@@ -156,25 +161,23 @@ def verify_roundtrip(n: int) -> Report:
     _check_budget(n, PAIR_BUDGET, "round-trip verification")
     failures = []
     checked = 0
+    insert, reverse = correspondence._insert, correspondence._reverse
     # A pair p = insertion(w) with reverse_bumping(p) = w passes the second
     # check already: insertion(reverse_bumping(p)) = insertion(w) = p.
     index, count = _pair_index(n)
     covered = bytearray(count)
     for w in _signed_permutations(n):
-        pair = insertion(w)
-        back = reverse_bumping(pair)
+        rows = insert(w.letters)
         checked += 1
-        if back != w:
-            failures.append({"word": w.to_text(), "came_back_as": back.to_text()})
-        else:
-            covered[index(pair)] = 1
-    for k, pair in enumerate(iter_pairs(n)):
+        if reverse(*rows) == w.letters and (k := index(*rows)) is not None:
+            covered[k] = 1
+        else:  # rows that are no standard pair raise here, in the validated pair
+            failures.append({"word": w.to_text(), "came_back_as": reverse_bumping(insertion(w)).to_text()})
+    for k, (T, R) in enumerate(_pair_rows(n)):
         checked += 1
-        if covered[k]:
-            continue
-        again = insertion(reverse_bumping(pair))
-        if again != pair:
-            failures.append({"pair": pair.to_json(), "came_back_as": again.to_json()})
+        if not covered[k] and insert(reverse(T, R)) != (T, R):
+            pair = _pair(T, R)
+            failures.append({"pair": pair.to_json(), "came_back_as": insertion(reverse_bumping(pair)).to_json()})
     return Report("roundtrip", n, checked, tuple(failures))
 
 
@@ -183,17 +186,17 @@ def verify_inverse(n: int) -> Report:
     _check_budget(n, PAIR_BUDGET, "inverse-symmetry verification")
     failures = []
     checked = 0
-    for shape in enumerate_bipartitions(n):
+    for tableaux in _cells(n):
         # Within one shape cell, the swap of the pair (T, R) = (t_i, t_j) is (t_j, t_i).
-        tableaux = enumerate_standard_bitableaux(shape)
-        words = [[reverse_bumping(CorrespondencePair(t, r)) for r in tableaux] for t in tableaux]
-        for i, t in enumerate(tableaux):
-            for j, r in enumerate(tableaux):
+        cell = [(t.left, t.right) for t in tableaux]
+        words = [[correspondence._reverse(T, R) for R in cell] for T in cell]
+        for i, T in enumerate(cell):
+            for j, R in enumerate(cell):
                 straight, swapped = words[i][j], words[j][i]
                 checked += 1
-                if swapped != straight.inverse():
-                    pair = CorrespondencePair(t, r)
-                    failures.append({"pair": pair.to_json(), "word": straight.to_text(), "swapped_word": swapped.to_text()})
+                if swapped != _inverse(straight):
+                    text = lambda letters: SignedPermutation(letters).to_text()
+                    failures.append({"pair": _pair(T, R).to_json(), "word": text(straight), "swapped_word": text(swapped)})
     return Report("inverse", n, checked, tuple(failures))
 
 
@@ -212,7 +215,7 @@ def verify_counting(n: int) -> Report:
 def verify_transition(n: int) -> Report:
     """Every cascade step of every removal agrees with second_decrement's rule table."""
     _check_budget(n, PAIR_BUDGET, "transition verification")
-    checked, failures = _check_cascades(iter_pairs(n))
+    checked, failures = _check_cascades(_pair_rows(n))
     return Report("transition", n, checked, tuple(failures))
 
 
@@ -222,28 +225,23 @@ def verify_wtilde(n: int) -> Report:
     _check_budget(n, PAIR_BUDGET, "reduction verification")
     failures = []
     checked = 0
+    reverse = correspondence._reverse
     index, _ = _pair_index(max(n - 1, 0))
-    reduced_words: dict[int, SignedPermutation] = {}  # words of the reduced pairs, by index
-    for pair in iter_pairs(n):
-        if pair.size == 0:
-            continue
-        word = reverse_bumping(pair)
-        reduced, letter, r = bump_once(pair)
-        wt, r2 = derive_w_tilde(word)
+    reduced_words: dict[int, tuple[int, ...]] = {}  # words of the reduced pairs, by index
+    for T, R in _pair_rows(n) if n else ():  # the empty pair has no entry to remove
+        # bump_once's step runs the k = n cascade, and the word's cascades continue on its rows.
+        word = reverse(T, R, None, reduced := [])
+        reduced_T, reduced_R, letter = reduced
+        wt, r2 = _w_tilde(word)
         checked += 1
-        if (k := index(reduced)) not in reduced_words:
-            reduced_words[k] = reverse_bumping(reduced)
-        reduced_word = reduced_words[k]
-        if letter != word.letters[-1] or r != r2 or reduced_word != wt:
-            failures.append(
-                {
-                    "pair": pair.to_json(),
-                    "word": word.to_text(),
-                    "letter": letter,
-                    "reduced_word": reduced_word.to_text(),
-                    "expected_reduced": wt.to_text(),
-                }
-            )
+        if (k := index(reduced_T, reduced_R)) is None:
+            bump_once(_pair(T, R))  # rows that are no standard pair raise here, in the validated pair
+        if k not in reduced_words:
+            reduced_words[k] = reverse(reduced_T, reduced_R)
+        if letter != word[-1] or abs(letter) != r2 or reduced_words[k] != wt:
+            text = lambda letters: SignedPermutation(letters).to_text()
+            failures.append({"pair": _pair(T, R).to_json(), "word": text(word), "letter": letter,
+                             "reduced_word": text(reduced_words[k]), "expected_reduced": text(wt)})
     return Report("wtilde", n, checked, tuple(failures))
 
 
@@ -273,17 +271,21 @@ def cells(n: int) -> dict[Bipartition, list[SignedPermutation]]:
     Keys follow the canonical shape order, members the canonical word order;
     each cell has count_bitableaux(shape)^2 members.
     """
-    return _group_by_shape(n, lambda w, pair: w)
+    return _group_by_shape(n, lambda w, T, R: w)
 
 
-def _group_by_shape(n: int, item: Callable[[SignedPermutation, CorrespondencePair], object]) -> dict[Bipartition, list]:
-    """Insert each word of size n once and file ``item(word, pair)`` under
-    the pair's shape, in the order of :func:`cells`."""
+def _group_by_shape(n: int, item: Callable[[SignedPermutation, Bitableau, Bitableau], object]) -> dict[Bipartition, list]:
+    """Insert each word of size n once and file ``item(word, T, R)`` under
+    the shape of its pair (T, R), in the order of :func:`cells`."""
     _check_budget(n, WORD_BUDGET, "cell decomposition")
     out: dict[Bipartition, list] = {bp: [] for bp in enumerate_bipartitions(n)}
+    found = {(t.left, t.right): (shape, t) for shape in out for t in enumerate_standard_bitableaux(shape)}
     for w in _signed_permutations(n):
-        pair = insertion(w)
-        out[pair.shape].append(item(w, pair))
+        T, R = correspondence._insert(w.letters)
+        (shape, t), (shape_r, r) = found.get(T, (None, None)), found.get(R, (None, None))
+        if shape is None or shape_r != shape:
+            insertion(w)  # rows that are no standard pair raise here, in the validated pair
+        out[shape].append(item(w, t, r))
     return out
 
 

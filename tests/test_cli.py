@@ -418,6 +418,19 @@ class TestRunChecks:
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr == "error: EXOTIC_RS_MAX_N must be an integer, got 'abc'\n"
 
+    def test_malformed_environment_stops_before_any_property(self):
+        # golden never reads the variable, so it would print its line first.
+        script = Path(__file__).resolve().parents[1] / "scripts" / "run_checks.py"
+        src = str(Path(exotic_rs.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env["EXOTIC_RS_MAX_N"] = "abc"
+        done = subprocess.run(
+            [sys.executable, str(script), "-p", "golden", "-p", "counting"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == "error: EXOTIC_RS_MAX_N must be an integer, got 'abc'\n"
+
 
 class TestUsage:
     def test_unknown_subcommand_exits_2(self, capsys):

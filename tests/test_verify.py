@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 from conftest import outcome_of_step
-from exotic_rs import correspondence, verify
+from exotic_rs import bitableaux, correspondence
 from exotic_rs import (
     COUNT_BUDGET,
     PAIR_BUDGET,
@@ -20,8 +20,10 @@ from exotic_rs import (
     SignedPermutation,
     cells,
     count_bitableaux,
+    derive_w_tilde,
     enumerate_bipartitions,
     enumerate_signed_permutations,
+    enumerate_standard_bitableaux,
     insertion,
     iter_pairs,
     load_golden_table,
@@ -122,6 +124,29 @@ class TestVerifiers:
         # The rule table runs once per distinct (mu, nu, c, i).
         assert len(keys) == len(set(keys)) == 60
 
+    def test_passing_pair_checks_build_no_validated_objects(self, monkeypatch):
+        for n in range(5):  # warm the tableau cache: its tableaux are validated once, when enumerated
+            for bp in enumerate_bipartitions(n):
+                enumerate_standard_bitableaux(bp)
+
+        def refuse(self):
+            raise AssertionError("a passing check built a validated object")
+
+        monkeypatch.setattr(bitableaux.Bitableau, "__post_init__", refuse)
+        monkeypatch.setattr(correspondence.CorrespondencePair, "__post_init__", refuse)
+        for verifier, checked in [(verify_roundtrip, 768), (verify_inverse, 384), (verify_wtilde, 384), (verify_transition, 2004)]:
+            report = verifier(4)
+            assert report.ok
+            assert report.checked == checked
+
+    def test_wtilde_walks_each_cascade_once(self, monkeypatch):
+        walks = []
+        real = correspondence._remove
+        monkeypatch.setattr(correspondence, "_remove", lambda *args: walks.append(args) or real(*args))
+        assert verify_wtilde(4).ok
+        # One walk per (pair, k), and one per (distinct reduced pair, k) for the reduced pairs' words.
+        assert len(walks) == 384 * 4 + 48 * 3 == 1680
+
     def test_run_verifier_by_name(self):
         assert run_verifier("golden", 3).ok
         assert run_verifier("counting", 4).ok
@@ -192,21 +217,22 @@ class TestCells:
 # -- memos hide no failure ---------------------------------------------------------
 #
 # Direct, unmemoized evaluations of the pair verifiers: every check computes
-# its bumps and classifications afresh, through the names the verify module
-# calls (and the classifier through correspondence._classify, which both
-# second_decrement and the transition check call), so a function patched
-# there is seen here too.
+# its bumps and classifications afresh, through the public wrappers.  These
+# call the row-level kernels correspondence._insert and _reverse, which the
+# verifiers call too (and the classifier through correspondence._classify,
+# which both second_decrement and the transition check call), so a kernel
+# patched there is seen by both.
 
 
 def direct_roundtrip(n):
     failures, checked = [], 0
     for w in enumerate_signed_permutations(n):
-        back = verify.reverse_bumping(verify.insertion(w))
+        back = correspondence.reverse_bumping(correspondence.insertion(w))
         checked += 1
         if back != w:
             failures.append({"word": w.to_text(), "came_back_as": back.to_text()})
     for pair in iter_pairs(n):
-        again = verify.insertion(verify.reverse_bumping(pair))
+        again = correspondence.insertion(correspondence.reverse_bumping(pair))
         checked += 1
         if again != pair:
             failures.append({"pair": pair.to_json(), "came_back_as": again.to_json()})
@@ -216,8 +242,8 @@ def direct_roundtrip(n):
 def direct_inverse(n):
     failures, checked = [], 0
     for pair in iter_pairs(n):
-        straight = verify.reverse_bumping(pair)
-        swapped = verify.reverse_bumping(pair.swapped())
+        straight = correspondence.reverse_bumping(pair)
+        swapped = correspondence.reverse_bumping(pair.swapped())
         checked += 1
         if swapped != straight.inverse():
             failures.append({"pair": pair.to_json(), "word": straight.to_text(), "swapped_word": swapped.to_text()})
@@ -246,17 +272,17 @@ def direct_wtilde(n):
     for pair in iter_pairs(n):
         if pair.size == 0:
             continue
-        word = verify.reverse_bumping(pair)
-        reduced, letter, r = verify.bump_once(pair)
-        wt, r2 = verify.derive_w_tilde(word)
+        word = correspondence.reverse_bumping(pair)
+        reduced, letter, r = correspondence.bump_once(pair)
+        wt, r2 = derive_w_tilde(word)
         checked += 1
-        if letter != word.letters[-1] or r != r2 or verify.reverse_bumping(reduced) != wt:
+        if letter != word.letters[-1] or r != r2 or correspondence.reverse_bumping(reduced) != wt:
             failures.append(
                 {
                     "pair": pair.to_json(),
                     "word": word.to_text(),
                     "letter": letter,
-                    "reduced_word": verify.reverse_bumping(reduced).to_text(),
+                    "reduced_word": correspondence.reverse_bumping(reduced).to_text(),
                     "expected_reduced": wt.to_text(),
                 }
             )
@@ -284,8 +310,8 @@ def failures_against_direct(sizes=(3, 4)) -> dict:
     return seen
 
 
-def flip_first_letter(w: SignedPermutation) -> SignedPermutation:
-    return SignedPermutation((-w.letters[0],) + w.letters[1:])
+def flip_first_letter(letters: tuple[int, ...]) -> tuple[int, ...]:
+    return (-letters[0],) + letters[1:]
 
 
 class TestMemosHideNoFailure:
@@ -295,8 +321,9 @@ class TestMemosHideNoFailure:
     @pytest.mark.parametrize("word", ["2 -1 4 3", "-2 3 1"])
     def test_one_corrupt_insertion(self, monkeypatch, word):
         target = SignedPermutation.from_text(word)
-        real = verify.insertion
-        monkeypatch.setattr(verify, "insertion", lambda w: real(flip_first_letter(w) if w == target else w))
+        real = correspondence._insert
+        corrupt = lambda letters, *rest: real(flip_first_letter(letters) if letters == target.letters else letters, *rest)
+        monkeypatch.setattr(correspondence, "_insert", corrupt)
         seen = failures_against_direct()
         # The corrupt word fails, and so does the pair nothing inserts to any more.
         assert seen["verify_roundtrip", target.n] == 2
@@ -304,8 +331,10 @@ class TestMemosHideNoFailure:
     @pytest.mark.parametrize("word", ["2 -1 4 3", "-2 3 1"])
     def test_one_corrupt_reverse_bump(self, monkeypatch, word):
         target = insertion(SignedPermutation.from_text(word))
-        real = verify.reverse_bumping
-        monkeypatch.setattr(verify, "reverse_bumping", lambda p: flip_first_letter(real(p)) if p == target else real(p))
+        rows = (target.T.left, target.T.right), (target.R.left, target.R.right)
+        real = correspondence._reverse
+        corrupt = lambda T, R, *rest: flip_first_letter(real(T, R, *rest)) if (T, R) == rows else real(T, R, *rest)
+        monkeypatch.setattr(correspondence, "_reverse", corrupt)
         seen = failures_against_direct()
         assert seen["verify_roundtrip", target.size] == 2
         assert seen["verify_inverse", target.size] >= 1
