@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -258,6 +259,11 @@ class TestTable:
         assert code == 0
         assert out == json.dumps(json.loads(out)) + "\n"
 
+    def test_size_five_json_table_is_pinned(self, capsys):
+        code, out, _ = invoke(capsys, ["table", "5", "--json"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == "5d980690b72d9a2a754308e8e2901aefdf2ef25f8a61f5612bf9df717a4bc362"
+
     def test_beyond_budget_exits_2(self, capsys, monkeypatch):
         monkeypatch.delenv("EXOTIC_RS_MAX_N", raising=False)
         code, _, err = invoke(capsys, ["table", "7"])
@@ -297,6 +303,11 @@ class TestCells:
         ]
         assert len(members) == 8
         assert set(members) == {w.to_text() for w in enumerate_signed_permutations(2)}
+
+    def test_size_five_output_is_pinned(self, capsys):
+        code, out, _ = invoke(capsys, ["cells", "5"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == "adcc351b809532538875d26f4e183323fd63f05a5236d981ce01c835b9355bd6"
 
 
 class TestCount:
