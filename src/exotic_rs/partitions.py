@@ -16,7 +16,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from enum import Enum
 from math import comb, factorial
@@ -119,14 +118,6 @@ class Bipartition:
 
     def to_text(self) -> str:
         return f"mu={self.mu};nu={self.nu}"
-
-    @classmethod
-    def from_text(cls, text: str) -> "Bipartition":
-        m = re.fullmatch(r"mu=\[([\d,]*)\];nu=\[([\d,]*)\]", text.strip())
-        if m is None:
-            raise ValueError(f"bad bipartition text {text!r}; expected 'mu=[..];nu=[..]'")
-        parse = lambda s: Partition(tuple(int(p) for p in s.split(",") if p))
-        return cls(parse(m.group(1)), parse(m.group(2)))
 
     def to_json(self) -> dict:
         return {"mu": list(self.mu.parts), "nu": list(self.nu.parts)}

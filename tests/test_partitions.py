@@ -105,12 +105,6 @@ class TestBipartition:
     )
     def test_text_round_trip(self, bp, text):
         assert bp.to_text() == text
-        assert Bipartition.from_text(text) == bp
-
-    @pytest.mark.parametrize("bad", ["mu=[3,1]", "nu=[];mu=[]", "mu=[a];nu=[]", ""])
-    def test_from_text_rejects_malformed(self, bad):
-        with pytest.raises(ValueError):
-            Bipartition.from_text(bad)
 
     def test_removable_rows_lists_left_before_right(self):
         bp = Bipartition(Partition((2, 1)), Partition((1, 1)))
