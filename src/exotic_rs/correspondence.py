@@ -32,22 +32,25 @@ displacing the smaller entry found there; when the walk reaches combined
 row 1 the letter is emitted unbarred, and when no box is available it is
 emitted barred.
 
-Each direction is one row-level core on plain mutable rows: ``_insert`` maps
-letters to the rows (T, R) of their pair, ``_reverse`` maps rows back to
+Each direction is one step on plain mutable rows: ``_place`` inserts one
+letter and ``_remove`` runs one removal cascade.  ``_insert`` places letters
+to get the rows (T, R) of their pair, ``_reverse`` runs the cascades back to
 letters, and ``_reduce`` is the step of ``bump_once``.  The public functions
 are thin wrappers that build the validated types around them
 (:class:`~exotic_rs.bitableaux.Bitableau`, :class:`CorrespondencePair`,
-:class:`~exotic_rs.signed_perm.SignedPermutation`); the verifiers call the
-cores.  Only the ``_with_trace`` variants have the loops record steps; the
-reverse loop records plain tuples, which become step records there and which
-the transition check (:func:`_check_cascades`) hands to ``_classify`` directly.
-The layout of those tuples is private to this module.
+:class:`~exotic_rs.signed_perm.SignedPermutation`).  The verifiers' sweeps
+share the steps of common prefixes: ``_insertion_tree`` places each prefix of
+a word once, and ``_walk`` runs a cascade once for all the R of a
+``_removal_trie`` that share it.  Only the ``_with_trace`` variants and the
+transition check record steps; the reverse loop records plain tuples, which
+become step records there and which the transition check hands to
+``_classify`` directly.  The layout of those tuples is private to this module.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -170,46 +173,17 @@ _Rows = tuple[list[list[int]], list[list[int]]]
 _Tableau = tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]  # the kernels' in and out: rows as stored
 
 
-def _rows(t: _Tableau) -> _Rows:
+def _rows(t: _Tableau | _Rows) -> _Rows:
     return [list(r) for r in t[0]], [list(r) for r in t[1]]
+
+
+def _frozen(t: _Rows) -> _Tableau:
+    return tuple(map(tuple, t[0])), tuple(map(tuple, t[1]))
 
 
 def _pair(T: _Tableau, R: _Tableau) -> CorrespondencePair:
     """The validated pair with these rows."""
     return CorrespondencePair(Bitableau(*T), Bitableau(*R))
-
-
-def _insert_column(rows: list[list[int]], i: int, s: int) -> int | None:
-    """Column where s enters row i (displacing the first larger entry, or
-    appending), or None; the row just past the bottom counts as empty."""
-    if i > len(rows):
-        return None
-    j = bisect_left(rows[i], s) if i < len(rows) else 0
-    if i == 0 or (len(rows[i - 1]) > j and rows[i - 1][j] < s):
-        return j
-    return None
-
-
-def _remove_column(rows: list[list[int]], i: int, s: int) -> int | None:
-    """Column of row i whose entry s displaces on its way up (the last entry
-    smaller than s, with nothing or a larger entry below it), or None."""
-    if i >= len(rows):
-        return None
-    j = bisect_left(rows[i], s) - 1
-    if j >= 0 and (i + 1 == len(rows) or len(rows[i + 1]) <= j or rows[i + 1][j] > s):
-        return j
-    return None
-
-
-def _first_slot(t: _Rows, s: int, combined: range, column) -> tuple[int, int, int] | None:
-    """The first slot for s that ``column`` finds, trying the combined rows in
-    the order given; None when no row has one."""
-    for m in combined:
-        c, i = (m - 1) % 2, (m - 1) // 2
-        j = column(t[c], i, s)
-        if j is not None:
-            return c, i, j
-    return None
 
 
 def _boxes(t: _Tableau) -> dict[int, tuple[int, int]]:
@@ -235,30 +209,58 @@ def _insert(letters: tuple[int, ...], records: list[InsertionRecord] | None = No
     t: _Rows = ([], [])
     r: _Rows = ([], [])
     for k, letter in enumerate(letters, start=1):
-        s = abs(letter)
-        if letter > 0:
-            c, i, j = 0, 0, _insert_column(t[0], 0, s)
-        else:
-            left, right = (bisect_left(rows, s, key=itemgetter(0)) for rows in t)
-            c, i, j = (1, right, 0) if right >= left else (0, left, 0)
         steps = None if records is None else []
-        while i < len(t[c]) and j < len(t[c][i]):
-            displaced, t[c][i][j] = t[c][i][j], s
-            if steps is not None:
-                steps.append(InsertionStep(s, Position(_SIDES[c], i + 1, j + 1), displaced))
-            # Never None: left row 1, the last row tried, always has a slot.
-            c, i, j = _first_slot(t, displaced, range(2 * i + c + 2, 0, -1), _insert_column)
-            s = displaced
-        if i == len(t[c]):
-            t[c].append([])
-            r[c].append([])
-        t[c][i].append(s)
-        r[c][i].append(k)
+        _place(t, r, k, letter, steps)
         if steps is not None:
-            steps.append(InsertionStep(s, Position(_SIDES[c], i + 1, j + 1), None))
             records.append(InsertionRecord(k, letter, tuple(steps)))
-    frozen = lambda rows: (tuple(map(tuple, rows[0])), tuple(map(tuple, rows[1])))
-    return frozen(t), frozen(r)
+    return _frozen(t), _frozen(r)
+
+
+def _place(t: _Rows, r: _Rows, k: int, letter: int, steps: list[InsertionStep] | None) -> None:
+    """Insert the k-th letter into the rows t, and record k in r at the box this creates.  Unless ``steps``
+    is None, each placement appends its :class:`InsertionStep`."""
+    s = abs(letter)
+    if letter > 0:
+        c, i, j = 0, 0, bisect_left(t[0][0], s) if t[0] else 0
+    else:
+        left, right = (bisect_left(rows, s, key=itemgetter(0)) for rows in t)
+        c, i, j = (1, right, 0) if right >= left else (0, left, 0)
+    while i < len(t[c]) and j < len(t[c][i]):
+        displaced, t[c][i][j] = t[c][i][j], s
+        if steps is not None:
+            steps.append(InsertionStep(s, Position(_SIDES[c], i + 1, j + 1), displaced))
+        s = displaced
+        # Its slot in the lowest of combined rows m+1, m, ..., 1 (0-based here) that has one; left row 1 has.
+        for m in range(2 * i + c + 1, -1, -1):
+            c, i = m & 1, m >> 1
+            rows = t[c]
+            if i <= len(rows):
+                j = bisect_left(rows[i], s) if i < len(rows) else 0
+                if i == 0 or (len(rows[i - 1]) > j and rows[i - 1][j] < s):
+                    break
+    if i == len(t[c]):
+        t[c].append([])
+        r[c].append([])
+    t[c][i].append(s)
+    r[c][i].append(k)
+    if steps is not None:
+        steps.append(InsertionStep(s, Position(_SIDES[c], i + 1, j + 1), None))
+
+
+def _insertion_tree(n: int) -> Iterator[tuple[tuple[int, ...], _Tableau, _Tableau]]:
+    """(letters, T, R) of every word of size n in canonical order, from a depth-first walk of the prefixes:
+    each places its last letter on a copy of its parent's rows (the first child, placed last, on the rows)."""
+    stack = [((), tuple(range(1, n + 1)), ([], []), ([], []))]
+    while stack:
+        letters, unused, t, r = stack.pop()
+        if not unused:
+            yield letters, _frozen(t), _frozen(r)
+            continue
+        for q in range(2 * len(unused) - 1, -1, -1):  # code q = 2a + b: the a-th unused magnitude, barred if b
+            child = (t, r) if q == 0 else (_rows(t), _rows(r))
+            letter = -unused[q >> 1] if q & 1 else unused[q >> 1]
+            _place(*child, len(letters) + 1, letter, None)
+            stack.append((letters + (letter,), unused[: q >> 1] + unused[(q >> 1) + 1:], *child))
 
 
 # -- reverse bumping -----------------------------------------------------------
@@ -275,17 +277,13 @@ def reverse_bumping_with_trace(pair: CorrespondencePair) -> tuple[SignedPermutat
     return word, tuple(RemovalRecord(k, letter, tuple(_removal_step(*h) for h in hops)) for k, letter, hops in cascades)
 
 
-def _reverse(T: _Tableau, R: _Tableau, cascades: list | None = None, reduced: list | None = None) -> tuple[int, ...]:
+def _reverse(T: _Tableau, R: _Tableau, cascades: list | None = None) -> tuple[int, ...]:
     """The reverse-bumping kernel: the letters of the word of the pair with rows (T, R).  With a
-    list for ``cascades``, one (k, letter, hops) per entry.  With a list for ``reduced`` instead,
-    :func:`_reduce` runs the k = n cascade and the reduced pair's (T, R, letter) is appended to it."""
+    list for ``cascades``, one (k, letter, hops) per entry."""
     t = _rows(T)
     boxes = _boxes(R)
     letters_rev: list[int] = []
-    if reduced is not None and boxes:
-        reduced.extend(_reduce(t, R, *boxes[len(boxes)]))
-        letters_rev.append(reduced[-1])
-    for k in range(len(boxes) - len(letters_rev), 0, -1):
+    for k in range(len(boxes), 0, -1):
         hops = None if cascades is None else []
         letters_rev.append(_remove(t, *boxes[k], hops))
         if hops is not None:
@@ -302,10 +300,19 @@ def _remove(t: _Rows, c: int, i: int, hops: list[tuple] | None) -> int:
     if not t[c][i]:  # an emptied row is the last
         t[c].pop()
     while True:
-        m = 2 * i + 1 + c
-        depth = 2 * max(len(t[0]), len(t[1]))
-        slot = None if m == 1 else _first_slot(t, value, range(m - 1, depth + 1), _remove_column)
-        letter = None if slot is not None else (value if m == 1 else -value)
+        # The available box in the highest of combined rows m-1, m, ... (0-based here) that has one.
+        if i == c == 0:
+            slot, letter = None, value
+        else:
+            for m in range(2 * i + c - 1, 2 * max(len(t[0]), len(t[1]))):
+                rows, row = t[m & 1], m >> 1
+                if row < len(rows):
+                    col = bisect_left(rows[row], value) - 1
+                    if col >= 0 and (row + 1 == len(rows) or len(rows[row + 1]) <= col or rows[row + 1][col] > value):
+                        slot, letter = (m & 1, row, col), None
+                        break
+            else:
+                slot, letter = None, -value
         if hops is not None:
             # Entries below the moving value, per row; rows left with none (the bottom ones) drop
             # out.  With the box left: the truncation.
@@ -317,6 +324,48 @@ def _remove(t: _Rows, c: int, i: int, hops: list[tuple] | None) -> int:
             return letter
         c, i, j = slot
         value, t[c][i][j] = t[c][i][j], value
+
+
+def _removal_trie(rs: list[_Tableau]) -> list[tuple[int, int, int, int, bool, _Tableau]]:
+    """The same-shape tableaux rs, given by rows in canonical order, as a trie in preorder: a node
+    (d, c, i, run, copy, first) for each sequence of the boxes (c, i) of n, n-1, ..., n-d+1 that the ``run``
+    tableaux from ``first`` on share (they are contiguous).  ``copy`` is False for a parent's last child."""
+    orders = [[b[k] for k in range(len(b), 0, -1)] for b in map(_boxes, rs)]
+    nodes = []
+    for j, order in enumerate(orders):
+        for d in range(next((d for d, (a, b) in enumerate(zip(orders[j - 1], order)) if a != b), 0) if j else 0, len(order)):
+            end = next((e for e in range(j + 1, len(rs)) if orders[e][:d + 1] != order[:d + 1]), len(rs))
+            nodes.append((d + 1, *order[d], end - j, end < len(rs) and orders[end][:d] == order[:d], rs[j]))
+    return nodes
+
+
+def _walk(T: _Tableau, trie: list, hops: list | None = None, reduced: list | None = None) -> list[tuple[int, ...]]:
+    """The words of the pairs (T, R) of the trie's tableaux R, in its order: one :func:`_remove` per node, on
+    a copy of its parent's rows unless it is the last child.  Unless ``hops`` is None, each node appends (run,
+    its hops).  With a list for ``reduced``, depth 1 runs :func:`_reduce` and appends its (T, R, letter)."""
+    n = sum(map(len, T[0])) + sum(map(len, T[1]))
+    states, letters, words = [_rows(T)], [0] * n, [] if trie else [()]  # the empty pair's word
+    for d, c, i, run, copy, first in trie:
+        t = _rows(states[d - 1]) if copy else states[d - 1]
+        states[d:] = [t]
+        if reduced is not None and d == 1:
+            reduced.append(_reduce(t, first, c, i))
+            letters[-1] = reduced[-1][2]
+        else:
+            if hops is not None:
+                hops.append((run, []))
+            letters[n - d] = _remove(t, c, i, None if hops is None else hops[-1][1])
+        if d == n:
+            words.append(tuple(letters))
+    return words
+
+
+def _hop_agrees(hop: tuple, answers: dict) -> bool:
+    """Whether :func:`_classify`, memoized in ``answers``, predicts where a hop recorded by :func:`_remove` went."""
+    _, c, i, _, mu, nu, slot, letter = hop
+    if (key := (mu, nu, c, i)) not in answers:
+        answers[key] = _classify(*key)
+    return answers[key] == (letter > 0 if slot is None else slot[:2])
 
 
 def _removal_step(value, c, i, j, mu, nu, slot, letter) -> RemovalStep:
@@ -479,11 +528,8 @@ def _check_cascades(pairs: Iterable[tuple[_Tableau, _Tableau]]) -> tuple[int, li
         _reverse(T, R, cascades := [])
         for k, _, hops in cascades:
             for hop in hops:
-                _, c, i, _, mu, nu, slot, letter = hop
                 checked += 1
-                if (key := (mu, nu, c, i)) not in answers:
-                    answers[key] = _classify(*key)
-                if answers[key] != (letter > 0 if slot is None else slot[:2]):
+                if not _hop_agrees(hop, answers):
                     step = _removal_step(*hop)
                     removal = FirstRemoval(step.source.side, step.source.row)
                     try:

@@ -81,17 +81,18 @@ def sort_key(w: SignedPermutation) -> tuple[tuple[int, bool], ...]:
 
 def enumerate_signed_permutations(n: int) -> list[SignedPermutation]:
     """All 2^n * n! signed permutations on n letters, in canonical order."""
-    return list(_signed_permutations(n))
+    return list(map(SignedPermutation, _signed_permutations(n)))
 
 
-def _signed_permutations(n: int) -> Iterator[SignedPermutation]:
-    """The words of :func:`enumerate_signed_permutations`, one at a time.  Code 2r + b at a position picks
-    the r-th smallest unused magnitude, barred if b = 1, so the codes' lexicographic order is sort_key's."""
+def _signed_permutations(n: int) -> Iterator[tuple[int, ...]]:
+    """The letters of the words of :func:`enumerate_signed_permutations`, one word at a time.  Code 2r + b at
+    a position picks the r-th smallest unused magnitude, barred if b = 1, so the codes' lexicographic order
+    is sort_key's."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     for codes in itertools.product(*(range(2 * k) for k in range(n, 0, -1))):
         unused = list(range(1, n + 1))
-        yield SignedPermutation(tuple(-unused.pop(q // 2) if q % 2 else unused.pop(q // 2) for q in codes))
+        yield tuple(-unused.pop(q // 2) if q % 2 else unused.pop(q // 2) for q in codes)
 
 
 def iota_embed(w: SignedPermutation) -> tuple[int, ...]:
@@ -104,10 +105,15 @@ def iota_embed(w: SignedPermutation) -> tuple[int, ...]:
     The identity word maps to the identity, and the map turns inverses into
     inverses.  Returned as the tuple (sigma(1), ..., sigma(2n)).
     """
-    n = w.n
+    return _iota_embed(w.letters)
+
+
+def _iota_embed(letters: tuple[int, ...]) -> tuple[int, ...]:
+    """:func:`iota_embed` on letter tuples."""
+    n = len(letters)
     images = [0] * (2 * n)
     for i in range(1, n + 1):
-        x = w.letters[n - i]
+        x = letters[n - i]
         a = abs(x)
         sigma_i = n + 1 - a if x > 0 else n + a
         images[i - 1] = sigma_i

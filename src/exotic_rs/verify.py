@@ -7,9 +7,10 @@ refuse sizes beyond their budget by raising :class:`BudgetExceededError` --
 never by silently checking less.  The env variable ``EXOTIC_RS_MAX_N``
 (an integer) raises all budgets.  The pair verifiers and :func:`cells` run
 the row-level kernels on the cached tableaux' rows and build validated pairs
-and words only for failure records.  Each verifier computes each insertion,
-reverse bump, removal cascade and classification once per call; its memos
-die with the call.
+and words only for failure records.  The sweeps walk prefix trees: each
+one-letter insertion and each removal cascade is computed once per tree node,
+for all the words or pairs beneath it, and each classification once per call;
+the memos die with the call.
 """
 
 from __future__ import annotations
@@ -23,15 +24,15 @@ from typing import Callable, Iterator
 
 from . import correspondence
 from .bitableaux import Bitableau, enumerate_standard_bitableaux
-from .correspondence import CorrespondencePair, _Tableau, _check_cascades, _pair, bump_once, insertion, reverse_bumping
+from .correspondence import CorrespondencePair, _Tableau, _check_cascades, _hop_agrees, _pair, bump_once, insertion, reverse_bumping
 from .partitions import Bipartition, count_bitableaux, enumerate_bipartitions
 from .signed_perm import (
     SignedPermutation,
     _INTEGER,
     _inverse,
+    _iota_embed,
     _signed_permutations,
     _w_tilde,
-    iota_embed,
     is_mirror_symmetric,
     permutation_inverse,
 )
@@ -111,6 +112,13 @@ def _pair_rows(n: int) -> Iterator[tuple[_Tableau, _Tableau]]:
     return (((t.left, t.right), (r.left, r.right)) for cell in _cells(n) for t in cell for r in cell)
 
 
+def _cell_tries(n: int) -> Iterator[tuple[list[_Tableau], list]]:
+    """The rows of each shape cell's tableaux, with their removal trie, shape by shape in canonical order."""
+    for cell in _cells(n):
+        rows = [(t.left, t.right) for t in cell]
+        yield rows, correspondence._removal_trie(rows)
+
+
 # -- verifiers -------------------------------------------------------------------
 
 
@@ -166,12 +174,12 @@ def verify_roundtrip(n: int) -> Report:
     # check already: insertion(reverse_bumping(p)) = insertion(w) = p.
     index, count = _pair_index(n)
     covered = bytearray(count)
-    for w in _signed_permutations(n):
-        rows = insert(w.letters)
+    for letters, T, R in correspondence._insertion_tree(n):
         checked += 1
-        if reverse(*rows) == w.letters and (k := index(*rows)) is not None:
+        if reverse(T, R) == letters and (k := index(T, R)) is not None:
             covered[k] = 1
         else:  # rows that are no standard pair raise here, in the validated pair
+            w = SignedPermutation(letters)
             failures.append({"word": w.to_text(), "came_back_as": reverse_bumping(insertion(w)).to_text()})
     for k, (T, R) in enumerate(_pair_rows(n)):
         checked += 1
@@ -186,10 +194,9 @@ def verify_inverse(n: int) -> Report:
     _check_budget(n, PAIR_BUDGET, "inverse-symmetry verification")
     failures = []
     checked = 0
-    for tableaux in _cells(n):
+    for cell, trie in _cell_tries(n):
         # Within one shape cell, the swap of the pair (T, R) = (t_i, t_j) is (t_j, t_i).
-        cell = [(t.left, t.right) for t in tableaux]
-        words = [[correspondence._reverse(T, R) for R in cell] for T in cell]
+        words = [correspondence._walk(T, trie) for T in cell]
         for i, T in enumerate(cell):
             for j, R in enumerate(cell):
                 straight, swapped = words[i][j], words[j][i]
@@ -215,7 +222,15 @@ def verify_counting(n: int) -> Report:
 def verify_transition(n: int) -> Report:
     """Every cascade step of every removal agrees with second_decrement's rule table."""
     _check_budget(n, PAIR_BUDGET, "transition verification")
-    checked, failures = _check_cascades(_pair_rows(n))
+    failures, checked, answers = [], 0, {}
+    for cell, trie in _cell_tries(n):
+        agree = True
+        for T in cell:
+            correspondence._walk(T, trie, hops := [])
+            checked += sum(run * len(node_hops) for run, node_hops in hops)  # once for each pair beneath the node
+            agree = all(_hop_agrees(hop, answers) for _, node_hops in hops for hop in node_hops) and agree
+        if not agree:  # replay the cell pair by pair, for failure records in (pair, k, hop) order
+            failures += _check_cascades((T, R) for T in cell for R in cell)[1]
     return Report("transition", n, checked, tuple(failures))
 
 
@@ -223,25 +238,28 @@ def verify_wtilde(n: int) -> Report:
     """bump_once agrees with dropping the word's last letter: the emitted
     letter is w_n and the reduced pair's word is the shifted remainder."""
     _check_budget(n, PAIR_BUDGET, "reduction verification")
-    failures = []
-    checked = 0
-    reverse = correspondence._reverse
-    index, _ = _pair_index(max(n - 1, 0))
-    reduced_words: dict[int, tuple[int, ...]] = {}  # words of the reduced pairs, by index
-    for T, R in _pair_rows(n) if n else ():  # the empty pair has no entry to remove
-        # bump_once's step runs the k = n cascade, and the word's cascades continue on its rows.
-        word = reverse(T, R, None, reduced := [])
-        reduced_T, reduced_R, letter = reduced
-        wt, r2 = _w_tilde(word)
-        checked += 1
-        if (k := index(reduced_T, reduced_R)) is None:
-            bump_once(_pair(T, R))  # rows that are no standard pair raise here, in the validated pair
-        if k not in reduced_words:
-            reduced_words[k] = reverse(reduced_T, reduced_R)
-        if letter != word[-1] or abs(letter) != r2 or reduced_words[k] != wt:
-            text = lambda letters: SignedPermutation(letters).to_text()
-            failures.append({"pair": _pair(T, R).to_json(), "word": text(word), "letter": letter,
-                             "reduced_word": text(reduced_words[k]), "expected_reduced": text(wt)})
+    failures, checked, walk = [], 0, correspondence._walk
+    smaller = {T: trie for cell, trie in _cell_tries(n - 1) for T in cell} if n else {}  # each tableau's cell
+    reduced_words: dict[_Tableau, list[tuple[int, ...]]] = {}  # for each reduced T, the words with each R of its cell
+    for cell, trie in _cell_tries(n) if n else ():  # the empty pair has no entry to remove
+        runs = [run for d, _, _, run, _, _ in trie if d == 1]
+        for T in cell:
+            # bump_once's step runs the k = n cascades, and the words' cascades continue on its rows.
+            words, start = walk(T, trie, None, reduced := []), 0
+            for (reduced_T, reduced_R, letter), run in zip(reduced, runs):
+                if (reduced_trie := smaller.get(reduced_T)) is None or reduced_trie is not smaller.get(reduced_R):
+                    bump_once(_pair(T, cell[start]))  # rows that are no standard pair raise here, in the validated pair
+                if reduced_T not in reduced_words:
+                    reduced_words[reduced_T] = walk(reduced_T, reduced_trie)
+                # Without its n, the run's j-th R is the j-th of the reduced cell (canonical order).
+                for R, word, reduced_word in zip(cell[start:start + run], words[start:], reduced_words[reduced_T]):
+                    wt, r2 = _w_tilde(word)
+                    checked += 1
+                    if letter != word[-1] or abs(letter) != r2 or reduced_word != wt:
+                        text = lambda letters: SignedPermutation(letters).to_text()
+                        failures.append({"pair": _pair(T, R).to_json(), "word": text(word), "letter": letter,
+                                         "reduced_word": text(reduced_word), "expected_reduced": text(wt)})
+                start += run
     return Report("wtilde", n, checked, tuple(failures))
 
 
@@ -251,17 +269,18 @@ def verify_embedding(n: int) -> Report:
     _check_budget(n, WORD_BUDGET, "embedding verification")
     failures = []
     checked = 0
-    seen: dict[tuple[int, ...], SignedPermutation] = {}
+    seen: dict[tuple[int, ...], tuple[int, ...]] = {}
+    text = lambda letters: SignedPermutation(letters).to_text()
     for w in _signed_permutations(n):
-        sigma = iota_embed(w)
+        sigma = _iota_embed(w)
         checked += 1
         if not is_mirror_symmetric(sigma):
-            failures.append({"word": w.to_text(), "image": list(sigma), "reason": "mirror condition"})
+            failures.append({"word": text(w), "image": list(sigma), "reason": "mirror condition"})
         if sigma in seen:
-            failures.append({"word": w.to_text(), "collides_with": seen[sigma].to_text()})
+            failures.append({"word": text(w), "collides_with": text(seen[sigma])})
         seen[sigma] = w
-        if iota_embed(w.inverse()) != permutation_inverse(sigma):
-            failures.append({"word": w.to_text(), "reason": "inverse not respected"})
+        if _iota_embed(_inverse(w)) != permutation_inverse(sigma):
+            failures.append({"word": text(w), "reason": "inverse not respected"})
     return Report("embedding", n, checked, tuple(failures))
 
 
@@ -271,21 +290,20 @@ def cells(n: int) -> dict[Bipartition, list[SignedPermutation]]:
     Keys follow the canonical shape order, members the canonical word order;
     each cell has count_bitableaux(shape)^2 members.
     """
-    return _group_by_shape(n, lambda w, T, R: w)
+    return _group_by_shape(n, lambda letters, T, R: SignedPermutation(letters))
 
 
-def _group_by_shape(n: int, item: Callable[[SignedPermutation, Bitableau, Bitableau], object]) -> dict[Bipartition, list]:
-    """Insert each word of size n once and file ``item(word, T, R)`` under
+def _group_by_shape(n: int, item: Callable[[tuple[int, ...], Bitableau, Bitableau], object]) -> dict[Bipartition, list]:
+    """Insert each word of size n once and file ``item(letters, T, R)`` under
     the shape of its pair (T, R), in the order of :func:`cells`."""
     _check_budget(n, WORD_BUDGET, "cell decomposition")
     out: dict[Bipartition, list] = {bp: [] for bp in enumerate_bipartitions(n)}
     found = {(t.left, t.right): (shape, t) for shape in out for t in enumerate_standard_bitableaux(shape)}
-    for w in _signed_permutations(n):
-        T, R = correspondence._insert(w.letters)
+    for letters, T, R in correspondence._insertion_tree(n):
         (shape, t), (shape_r, r) = found.get(T, (None, None)), found.get(R, (None, None))
         if shape is None or shape_r != shape:
-            insertion(w)  # rows that are no standard pair raise here, in the validated pair
-        out[shape].append(item(w, t, r))
+            insertion(SignedPermutation(letters))  # rows that are no standard pair raise here, in the validated pair
+        out[shape].append(item(letters, t, r))
     return out
 
 

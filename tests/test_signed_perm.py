@@ -96,7 +96,7 @@ class TestEnumeration:
             for mags in itertools.permutations(range(1, n + 1))
             for signs in itertools.product((1, -1), repeat=n)
         )
-        assert list(_signed_permutations(n)) == sorted(every_word, key=sort_key)
+        assert list(_signed_permutations(n)) == [w.letters for w in sorted(every_word, key=sort_key)]
 
 
 class TestEmbedding:

@@ -144,8 +144,26 @@ class TestVerifiers:
         real = correspondence._remove
         monkeypatch.setattr(correspondence, "_remove", lambda *args: walks.append(args) or real(*args))
         assert verify_wtilde(4).ok
-        # One walk per (pair, k), and one per (distinct reduced pair, k) for the reduced pairs' words.
-        assert len(walks) == 384 * 4 + 48 * 3 == 1680
+        # One walk per node of each T's trie (the first level by _reduce), and one per node of each
+        # reduced T's trie for the reduced pairs' words: flat, that was one per (pair, k) and one per
+        # (distinct reduced pair, k), 384 * 4 + 48 * 3 = 1680.
+        assert len(walks) == 1216 + 132 == 1348
+
+    def test_word_sweep_places_each_prefix_once(self, monkeypatch):
+        places = []
+        real = correspondence._place
+        monkeypatch.setattr(correspondence, "_place", lambda *args: places.append(args[2]) or real(*args))
+        assert verify_roundtrip(4).ok
+        # One placement per nonempty prefix: 8 + 8 * 6 + 8 * 6 * 4 + 8 * 6 * 4 * 2; flat, 384 * 4 = 1536.
+        assert len(places) == 8 + 48 + 192 + 384 == 632
+
+    def test_pair_sweep_walks_each_trie_node_once(self, monkeypatch):
+        walks = []
+        real = correspondence._remove
+        monkeypatch.setattr(correspondence, "_remove", lambda *args: walks.append(args) or real(*args))
+        assert verify_inverse(4).ok
+        # One walk per node of each T's trie; flat, one per (pair, k): 384 * 4 = 1536.
+        assert len(walks) == 1216
 
     def test_run_verifier_by_name(self):
         assert run_verifier("golden", 3).ok
@@ -218,10 +236,10 @@ class TestCells:
 #
 # Direct, unmemoized evaluations of the pair verifiers: every check computes
 # its bumps and classifications afresh, through the public wrappers.  These
-# call the row-level kernels correspondence._insert and _reverse, which the
-# verifiers call too (and the classifier through correspondence._classify,
-# which both second_decrement and the transition check call), so a kernel
-# patched there is seen by both.
+# reach the one-letter step correspondence._place and the one-cascade step
+# _remove, which the verifiers' prefix trees call too (and the classifier
+# through correspondence._classify, which both second_decrement and the
+# transition check call), so a step patched there is seen by both.
 
 
 def direct_roundtrip(n):
@@ -310,36 +328,64 @@ def failures_against_direct(sizes=(3, 4)) -> dict:
     return seen
 
 
-def flip_first_letter(letters: tuple[int, ...]) -> tuple[int, ...]:
-    return (-letters[0],) + letters[1:]
-
-
 class TestMemosHideNoFailure:
     def test_unpatched_runs_agree_and_pass(self):
         assert set(failures_against_direct().values()) == {0}
 
-    @pytest.mark.parametrize("word", ["2 -1 4 3", "-2 3 1"])
-    def test_one_corrupt_insertion(self, monkeypatch, word):
-        target = SignedPermutation.from_text(word)
-        real = correspondence._insert
-        corrupt = lambda letters, *rest: real(flip_first_letter(letters) if letters == target.letters else letters, *rest)
-        monkeypatch.setattr(correspondence, "_insert", corrupt)
-        seen = failures_against_direct()
-        # The corrupt word fails, and so does the pair nothing inserts to any more.
-        assert seen["verify_roundtrip", target.n] == 2
+    @pytest.mark.parametrize(
+        "word, failing",
+        [
+            ("2 -1 4 3", {4: 2}),
+            # The size-4 words that extend "-2 3 1" place their 1 at the same state.
+            ("-2 3 1", {3: 2, 4: 2 * 2}),
+        ],
+    )
+    def test_one_corrupt_insertion(self, monkeypatch, word, failing):
+        # The last letter is placed with the other bar at the state the first n - 1 letters reach.  That
+        # state is the pair of those letters, so at size n only the target word is corrupted.
+        target = SignedPermutation.from_text(word).letters
+        state = correspondence._insert(target[:-1])
+        real = correspondence._place
 
-    @pytest.mark.parametrize("word", ["2 -1 4 3", "-2 3 1"])
-    def test_one_corrupt_reverse_bump(self, monkeypatch, word):
-        target = insertion(SignedPermutation.from_text(word))
-        rows = (target.T.left, target.T.right), (target.R.left, target.R.right)
-        real = correspondence._reverse
-        corrupt = lambda T, R, *rest: flip_first_letter(real(T, R, *rest)) if (T, R) == rows else real(T, R, *rest)
-        monkeypatch.setattr(correspondence, "_reverse", corrupt)
+        def corrupt(t, r, k, letter, steps):
+            if letter == target[-1] and (correspondence._frozen(t), correspondence._frozen(r)) == state:
+                letter = -letter
+            real(t, r, k, letter, steps)
+
+        monkeypatch.setattr(correspondence, "_place", corrupt)
         seen = failures_against_direct()
-        assert seen["verify_roundtrip", target.size] == 2
-        assert seen["verify_inverse", target.size] >= 1
-        # At n = 4 a pair of size 3 is a reduced pair, which several pairs share.
-        assert seen["verify_wtilde", 4] >= 1
+        # Each corrupt word fails, and so does the pair nothing inserts to any more.
+        assert {key: count for key, count in seen.items() if count} == {("verify_roundtrip", n): count for n, count in failing.items()}
+
+    @pytest.mark.parametrize(
+        "word, corrupt_pairs, failing",
+        [
+            # 3 pairs; their swaps fail too, one of them (T, T).  wtilde compares the letter with itself.
+            ("2 -1 4 3", 3, {("verify_roundtrip", 4): 2 * 3, ("verify_inverse", 4): 5}),
+            # 2 pairs at size 3.  At size 4, the 2 * 2 pairs that emit 4 or -4 first pass through the same
+            # state, and 6 * 2 pairs reduce to a corrupt pair without passing through it.
+            ("-2 3 1", 2, {("verify_roundtrip", 3): 2 * 2, ("verify_inverse", 3): 3, ("verify_roundtrip", 4): 2 * 4,
+                           ("verify_inverse", 4): 6, ("verify_wtilde", 4): 6 * 2}),
+        ],
+    )
+    def test_one_corrupt_reverse_bump(self, monkeypatch, word, corrupt_pairs, failing):
+        # The letter of the k = n cascade of the target pair comes out with the other bar: one node of its
+        # cell's trie, the T and the box of n that the corrupt pairs share.
+        target = insertion(SignedPermutation.from_text(word))
+        node = ((target.T.left, target.T.right), *correspondence._boxes((target.R.left, target.R.right))[target.size])
+        assert sum(
+            correspondence._boxes((R.left, R.right))[target.size] == node[1:] for R in enumerate_standard_bitableaux(target.shape)
+        ) == corrupt_pairs
+        real = correspondence._remove
+
+        def corrupt(t, c, i, hops):
+            hit = (correspondence._frozen(t), c, i) == node
+            letter = real(t, c, i, hops)
+            return -letter if hit else letter
+
+        monkeypatch.setattr(correspondence, "_remove", corrupt)
+        seen = failures_against_direct()
+        assert {key: count for key, count in seen.items() if count} == failing
 
     def test_one_wrong_and_one_unclassifiable_key(self, monkeypatch):
         # Keys in _classify's terms: (mu, nu, component, 0-based row) of the box a step leaves.
