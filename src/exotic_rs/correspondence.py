@@ -32,19 +32,17 @@ displacing the smaller entry found there; when the walk reaches combined
 row 1 the letter is emitted unbarred, and when no box is available it is
 emitted barred.
 
-Each direction is one step on plain mutable rows: ``_place`` inserts one
-letter and ``_remove`` runs one removal cascade.  ``_insert`` places letters
-to get the rows (T, R) of their pair, ``_reverse`` runs the cascades back to
-letters, and ``_reduce`` is the step of ``bump_once``.  The public functions
-are thin wrappers that build the validated types around them
-(:class:`~exotic_rs.bitableaux.Bitableau`, :class:`CorrespondencePair`,
-:class:`~exotic_rs.signed_perm.SignedPermutation`).  The verifiers' sweeps
-share the steps of common prefixes: ``_insertion_tree`` places each prefix of
-a word once, and ``_walk`` runs a cascade once for all the R of a
+Each direction is one step on plain mutable rows, ``_place`` (one letter in)
+and ``_remove`` (one cascade out): ``_insert`` maps letters to the rows (T, R)
+of their pair, ``_reverse`` maps rows back to letters, and ``_reduce`` is the
+step of ``bump_once``.  The public functions are thin wrappers that build the
+validated types (:class:`~exotic_rs.bitableaux.Bitableau`,
+:class:`CorrespondencePair`, :class:`~exotic_rs.signed_perm.SignedPermutation`).
+The sweeps share the steps of common prefixes: ``_insertion_tree`` places each
+prefix of a word once, and ``_walk`` runs each cascade once for all the R of a
 ``_removal_trie`` that share it.  Only the ``_with_trace`` variants and the
-transition check record steps; the reverse loop records plain tuples, which
-become step records there and which the transition check hands to
-``_classify`` directly.  The layout of those tuples is private to this module.
+transition check record steps, as plain tuples whose layout is private to
+this module; they become step records there, or go to ``_classify`` directly.
 """
 
 from __future__ import annotations
@@ -230,7 +228,7 @@ def _place(t: _Rows, r: _Rows, k: int, letter: int, steps: list[InsertionStep] |
         if steps is not None:
             steps.append(InsertionStep(s, Position(_SIDES[c], i + 1, j + 1), displaced))
         s = displaced
-        # Its slot in the lowest of combined rows m+1, m, ..., 1 (0-based here) that has one; left row 1 has.
+        # Its slot in the lowest of combined rows m+1, m, ..., 1 that has one (0-based here; left row 1 has one).
         for m in range(2 * i + c + 1, -1, -1):
             c, i = m & 1, m >> 1
             rows = t[c]
