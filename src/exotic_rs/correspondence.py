@@ -331,7 +331,9 @@ def _removal_trie(rs: list[_Tableau]) -> list[tuple[int, int, int, int, bool, _T
     orders = [[b[k] for k in range(len(b), 0, -1)] for b in map(_boxes, rs)]
     nodes = []
     for j, order in enumerate(orders):
-        for d in range(next((d for d, (a, b) in enumerate(zip(orders[j - 1], order)) if a != b), 0) if j else 0, len(order)):
+        # Below the depth where order leaves the previous tableau's path, its nodes are new.
+        shared = next((d for d, (a, b) in enumerate(zip(orders[j - 1], order)) if a != b), 0) if j else 0
+        for d in range(shared, len(order)):
             end = next((e for e in range(j + 1, len(rs)) if orders[e][:d + 1] != order[:d + 1]), len(rs))
             nodes.append((d + 1, *order[d], end - j, end < len(rs) and orders[end][:d] == order[:d], rs[j]))
     return nodes

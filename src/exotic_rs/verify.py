@@ -239,7 +239,7 @@ def verify_wtilde(n: int) -> Report:
     letter is w_n and the reduced pair's word is the shifted remainder."""
     _check_budget(n, PAIR_BUDGET, "reduction verification")
     failures, checked, walk = [], 0, correspondence._walk
-    smaller = {T: trie for cell, trie in _cell_tries(n - 1) for T in cell} if n else {}  # each tableau's cell
+    smaller = {T: trie for cell, trie in _cell_tries(n - 1) for T in cell} if n else {}  # the trie of each one's cell
     reduced_words: dict[_Tableau, list[tuple[int, ...]]] = {}  # for each reduced T, the words with each R of its cell
     for cell, trie in _cell_tries(n) if n else ():  # the empty pair has no entry to remove
         runs = [run for d, _, _, run, _, _ in trie if d == 1]

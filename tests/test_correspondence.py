@@ -146,6 +146,13 @@ class TestInsertion:
             rows = pair.R.left if target.side is Side.LEFT else pair.R.right
             assert rows[target.row - 1][target.col - 1] == rec.k
 
+    def test_insertion_of_every_word_of_size_six_is_pinned(self):
+        # One repr line of the kernel's rows (T, R) per word, in canonical word order.
+        digest = hashlib.sha256()
+        for w in enumerate_signed_permutations(6):
+            digest.update(repr(correspondence._insert(w.letters)).encode() + b"\n")
+        assert digest.hexdigest() == "7dd98aba0914759214c1cd830c1d948d0c6c243c37ff7d0abfadc0f85947ea9a"
+
 
 class TestReverseBumping:
     def test_worked_example_with_column_tableaux(self):
@@ -224,13 +231,6 @@ class TestReverseBumping:
         assert len(lines) == 443
         digest = hashlib.sha256("".join(lines).encode()).hexdigest()
         assert digest == "05372f9fab91f549fce1a7218010a397141f770b26819b31fca2d32a66fd4e71"
-
-    def test_insertion_of_every_word_of_size_six_is_pinned(self):
-        # One repr line of the kernel's rows (T, R) per word, in canonical word order.
-        digest = hashlib.sha256()
-        for w in enumerate_signed_permutations(6):
-            digest.update(repr(correspondence._insert(w.letters)).encode() + b"\n")
-        assert digest.hexdigest() == "7dd98aba0914759214c1cd830c1d948d0c6c243c37ff7d0abfadc0f85947ea9a"
 
     def test_reverse_bumping_of_every_pair_of_size_five_is_pinned(self):
         # One repr line of the kernel's letters per pair, in iter_pairs order.
