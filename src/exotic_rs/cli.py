@@ -36,7 +36,7 @@ from .correspondence import (
     reverse_bumping_with_trace,
 )
 from .partitions import count_bitableaux, enumerate_bipartitions
-from .signed_perm import _INTEGER, SignedPermutation
+from .signed_perm import _INTEGER, SignedPermutation, _text
 from .verify import BudgetExceededError, _group_by_shape, cells, run_verifier, verify_counting
 
 
@@ -130,14 +130,14 @@ def cmd_bump(args: argparse.Namespace) -> int:
 def cmd_table(args: argparse.Namespace) -> int:
     if args.json:
         # Rows are kept as JSON text and written block by block, laid out as json.dumps would.
-        row = lambda w, T, R: json.dumps({"word": " ".join(map(str, w)), "T": T.to_json(), "R": R.to_json()})
+        row = lambda w, T, R: json.dumps({"word": _text(w), "T": T.to_json(), "R": R.to_json()})
         blocks = _group_by_shape(args.n, row).items()
         sys.stdout.write("[")
         for i, (shape, rows) in enumerate(blocks):
             sys.stdout.write(f'{", " if i else ""}{{"shape": {json.dumps(shape.to_json())}, "words": [{", ".join(rows)}]}}')
         print("]")
         return 0
-    line = lambda w, T, R: f"{' '.join(map(str, w))}\t{json.dumps(T.to_json())}\t{json.dumps(R.to_json())}"
+    line = lambda w, T, R: f"{_text(w)}\t{json.dumps(T.to_json())}\t{json.dumps(R.to_json())}"
     for shape, lines in _group_by_shape(args.n, line).items():
         print(f"# {shape.to_text()}")
         print(*lines, sep="\n")

@@ -43,7 +43,7 @@ class SignedPermutation:
         return SignedPermutation(_inverse(self.letters))
 
     def to_text(self) -> str:
-        return " ".join(str(x) for x in self.letters)
+        return _text(self.letters)
 
     @classmethod
     def from_text(cls, text: str) -> "SignedPermutation":
@@ -63,6 +63,11 @@ class SignedPermutation:
 
     def __str__(self) -> str:
         return self.to_text()
+
+
+def _text(letters: tuple[int, ...]) -> str:
+    """:meth:`SignedPermutation.to_text` on letter tuples."""
+    return " ".join(map(str, letters))
 
 
 def _inverse(letters: tuple[int, ...]) -> tuple[int, ...]:
@@ -85,9 +90,8 @@ def enumerate_signed_permutations(n: int) -> list[SignedPermutation]:
 
 
 def _signed_permutations(n: int) -> Iterator[tuple[int, ...]]:
-    """The letters of the words of :func:`enumerate_signed_permutations`, one word at a time.  Code 2r + b at
-    a position picks the r-th smallest unused magnitude, barred if b = 1, so the codes' lexicographic order
-    is sort_key's."""
+    """The letters of the words of :func:`enumerate_signed_permutations`, one at a time.  Code 2r + b at a
+    position picks the r-th smallest unused magnitude, barred if b = 1, so the codes' lexicographic order is sort_key's."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     for codes in itertools.product(*(range(2 * k) for k in range(n, 0, -1))):

@@ -32,6 +32,7 @@ from .signed_perm import (
     _inverse,
     _iota_embed,
     _signed_permutations,
+    _text,
     _w_tilde,
     is_mirror_symmetric,
     permutation_inverse,
@@ -202,8 +203,7 @@ def verify_inverse(n: int) -> Report:
                 straight, swapped = words[i][j], words[j][i]
                 checked += 1
                 if swapped != _inverse(straight):
-                    text = lambda letters: SignedPermutation(letters).to_text()
-                    failures.append({"pair": _pair(T, R).to_json(), "word": text(straight), "swapped_word": text(swapped)})
+                    failures.append({"pair": _pair(T, R).to_json(), "word": _text(straight), "swapped_word": _text(swapped)})
     return Report("inverse", n, checked, tuple(failures))
 
 
@@ -256,9 +256,8 @@ def verify_wtilde(n: int) -> Report:
                     wt, r2 = _w_tilde(word)
                     checked += 1
                     if letter != word[-1] or abs(letter) != r2 or reduced_word != wt:
-                        text = lambda letters: SignedPermutation(letters).to_text()
-                        failures.append({"pair": _pair(T, R).to_json(), "word": text(word), "letter": letter,
-                                         "reduced_word": text(reduced_word), "expected_reduced": text(wt)})
+                        failures.append({"pair": _pair(T, R).to_json(), "word": _text(word), "letter": letter,
+                                         "reduced_word": _text(reduced_word), "expected_reduced": _text(wt)})
                 start += run
     return Report("wtilde", n, checked, tuple(failures))
 
@@ -270,17 +269,16 @@ def verify_embedding(n: int) -> Report:
     failures = []
     checked = 0
     seen: dict[tuple[int, ...], tuple[int, ...]] = {}
-    text = lambda letters: SignedPermutation(letters).to_text()
     for w in _signed_permutations(n):
         sigma = _iota_embed(w)
         checked += 1
         if not is_mirror_symmetric(sigma):
-            failures.append({"word": text(w), "image": list(sigma), "reason": "mirror condition"})
+            failures.append({"word": _text(w), "image": list(sigma), "reason": "mirror condition"})
         if sigma in seen:
-            failures.append({"word": text(w), "collides_with": text(seen[sigma])})
+            failures.append({"word": _text(w), "collides_with": _text(seen[sigma])})
         seen[sigma] = w
         if _iota_embed(_inverse(w)) != permutation_inverse(sigma):
-            failures.append({"word": text(w), "reason": "inverse not respected"})
+            failures.append({"word": _text(w), "reason": "inverse not respected"})
     return Report("embedding", n, checked, tuple(failures))
 
 
