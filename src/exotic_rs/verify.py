@@ -239,7 +239,7 @@ def verify_wtilde(n: int) -> Report:
     letter is w_n and the reduced pair's word is the shifted remainder."""
     _check_budget(n, PAIR_BUDGET, "reduction verification")
     failures, checked, walk = [], 0, correspondence._walk
-    smaller = {T: trie for cell, trie in _cell_tries(n - 1) for T in cell} if n else {}  # the trie of each one's cell
+    smaller = {T: (cell, trie) for cell, trie in _cell_tries(n - 1) for T in cell} if n else {}  # each one's cell
     reduced_words: dict[_Tableau, list[tuple[int, ...]]] = {}  # for each reduced T, the words with each R of its cell
     for cell, trie in _cell_tries(n) if n else ():  # the empty pair has no entry to remove
         runs = [run for d, _, _, run, _, _ in trie if d == 1]
@@ -247,12 +247,16 @@ def verify_wtilde(n: int) -> Report:
             # bump_once's step runs the k = n cascades, and the words' cascades continue on its rows.
             words, start = walk(T, trie, None, reduced := []), 0
             for (reduced_T, reduced_R, letter), run in zip(reduced, runs):
-                if (reduced_trie := smaller.get(reduced_T)) is None or reduced_trie is not smaller.get(reduced_R):
-                    bump_once(_pair(T, cell[start]))  # rows that are no standard pair raise here, in the validated pair
-                if reduced_T not in reduced_words:
-                    reduced_words[reduced_T] = walk(reduced_T, reduced_trie)
-                # Without its n, the run's j-th R is the j-th of the reduced cell (canonical order).
-                for R, word, reduced_word in zip(cell[start:start + run], words[start:], reduced_words[reduced_T]):
+                reduced_cell, reduced_trie = smaller.get(reduced_T, ((), None))
+                # Without its n, the run's j-th R is the j-th of the reduced cell (canonical order), so the
+                # first must come out of bump_once's step as the first.
+                if run == len(reduced_cell) and reduced_cell[0] == reduced_R:
+                    if reduced_T not in reduced_words:
+                        reduced_words[reduced_T] = walk(reduced_T, reduced_trie)
+                    reduced_run = reduced_words[reduced_T]
+                else:  # each pair of the run by itself; rows that are no standard pair raise in the validated pair
+                    reduced_run = [reverse_bumping(bump_once(_pair(T, R))[0]).letters for R in cell[start:start + run]]
+                for R, word, reduced_word in zip(cell[start:start + run], words[start:], reduced_run):
                     wt, r2 = _w_tilde(word)
                     checked += 1
                     if letter != word[-1] or abs(letter) != r2 or reduced_word != wt:

@@ -387,6 +387,26 @@ class TestMemosHideNoFailure:
         seen = failures_against_direct()
         assert {key: count for key, count in seen.items() if count} == failing
 
+    def test_wrong_reduced_tableau_of_the_right_shape(self, monkeypatch):
+        # bump_once's step hands back each reduced R mirrored in its shape's canonical order.
+        cells = {}
+        for shape in (*enumerate_bipartitions(2), *enumerate_bipartitions(3)):
+            cell = [(t.left, t.right) for t in enumerate_standard_bitableaux(shape)]
+            cells.update(zip(cell, reversed(cell)))
+        real = correspondence._reduce
+
+        def mirrored(t, R, c, i):
+            T, reduced_R, letter = real(t, R, c, i)
+            return T, cells.get(reduced_R, reduced_R), letter
+
+        monkeypatch.setattr(correspondence, "_reduce", mirrored)
+        seen = failures_against_direct()
+        # A pair fails when its reduced R moves: then its reduced word is another pair's.  R stays put only
+        # as the middle one of an odd cell, in 4 of the 8 pairs of size 2 and 16 of the 48 of size 3, and
+        # each pair of size n - 1 is the reduction of 2n pairs of size n.
+        assert {key: count for key, count in seen.items() if count} == {("verify_wtilde", 3): 2 * 3 * (8 - 4),
+                                                                        ("verify_wtilde", 4): 2 * 4 * (48 - 16)}
+
     def test_one_wrong_and_one_unclassifiable_key(self, monkeypatch):
         # Keys in _classify's terms: (mu, nu, component, 0-based row) of the box a step leaves.
         steps = Counter(
