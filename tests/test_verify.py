@@ -358,24 +358,35 @@ class TestMemosHideNoFailure:
         assert {key: count for key, count in seen.items() if count} == {("verify_roundtrip", n): count for n, count in failing.items()}
 
     @pytest.mark.parametrize(
-        "word, corrupt_pairs, failing",
+        "word, depth, corrupt_pairs, failing",
         [
-            # 3 pairs; their swaps fail too, one of them (T, T).  wtilde compares the letter with itself.
-            ("2 -1 4 3", 3, {("verify_roundtrip", 4): 2 * 3, ("verify_inverse", 4): 5}),
+            # The k = n cascade: 3 pairs; their swaps fail too, one of them (T, T).  wtilde compares the letter with itself.
+            ("2 -1 4 3", 1, 3, {("verify_roundtrip", 4): 2 * 3, ("verify_inverse", 4): 5}),
+            # The k = n - 1 cascade: 2 pairs, and 2 more whose k = n cascade leaves another T in the same rows;
+            # one of the 4 is (T, T).  bump_once emits 3 and relabels the rows, so the reduced pairs are sound.
+            ("2 -1 4 3", 2, 2, {("verify_roundtrip", 4): 2 * 4, ("verify_inverse", 4): 2 * 4 - 1, ("verify_wtilde", 4): 4}),
             # 2 pairs at size 3.  At size 4, the 2 * 2 pairs that emit 4 or -4 first pass through the same
             # state, and 6 * 2 pairs reduce to a corrupt pair without passing through it.
-            ("-2 3 1", 2, {("verify_roundtrip", 3): 2 * 2, ("verify_inverse", 3): 3, ("verify_roundtrip", 4): 2 * 4,
-                           ("verify_inverse", 4): 6, ("verify_wtilde", 4): 6 * 2}),
+            ("-2 3 1", 1, 2, {("verify_roundtrip", 3): 2 * 2, ("verify_inverse", 3): 3, ("verify_roundtrip", 4): 2 * 4,
+                              ("verify_inverse", 4): 6, ("verify_wtilde", 4): 6 * 2}),
+            # The k = n - 1 cascade: 1 pair, and 1 more from another T, at size 3; 8 pairs of size 4 pass through
+            # it at their third cascade.  wtilde fails where just one of a pair's word and its reduced pair's
+            # word is corrupt: of the 8 and of the 8 * 2 pairs that reduce to a corrupt pair, 2 * 2 are both.
+            ("-2 3 1", 2, 1, {("verify_roundtrip", 3): 2 * 2, ("verify_inverse", 3): 2 * 2, ("verify_wtilde", 3): 2,
+                              ("verify_roundtrip", 4): 2 * 8, ("verify_inverse", 4): 2 * 8, ("verify_wtilde", 4): 8 + 8 * 2 - 2 * 2 * 2}),
         ],
     )
-    def test_one_corrupt_reverse_bump(self, monkeypatch, word, corrupt_pairs, failing):
-        # The letter of the k = n cascade of the target pair comes out with the other bar: one node of its
-        # cell's trie, the T and the box of n that the corrupt pairs share.
+    def test_one_corrupt_reverse_bump(self, monkeypatch, word, depth, corrupt_pairs, failing):
+        # The letter of the target pair's cascade at this depth, k = n + 1 - depth, comes out with the other bar:
+        # one node of its cell's trie, the rows that the cascades before it leave and the box of k, which the
+        # corrupt pairs share.
         target = insertion(SignedPermutation.from_text(word))
-        node = ((target.T.left, target.T.right), *correspondence._boxes((target.R.left, target.R.right))[target.size])
-        assert sum(
-            correspondence._boxes((R.left, R.right))[target.size] == node[1:] for R in enumerate_standard_bitableaux(target.shape)
-        ) == corrupt_pairs
+        path = lambda R: [correspondence._boxes((R.left, R.right))[target.size - d] for d in range(depth)]
+        t = correspondence._rows((target.T.left, target.T.right))
+        for box in path(target.R)[:-1]:
+            correspondence._remove(t, *box, None)
+        node = (correspondence._frozen(t), *path(target.R)[-1])
+        assert sum(path(R) == path(target.R) for R in enumerate_standard_bitableaux(target.shape)) == corrupt_pairs
         real = correspondence._remove
 
         def corrupt(t, c, i, hops):
