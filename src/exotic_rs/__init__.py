@@ -3,7 +3,7 @@ pairs of same-shape standard bitableaux.
 
 Public API re-exports; see the individual modules for details:
 
-* :mod:`exotic_rs.partitions` -- partitions, bipartitions, row-index helpers, counting
+* :mod:`exotic_rs.partitions` -- partitions, bipartitions, counting
 * :mod:`exotic_rs.bitableaux` -- bitableaux, positions, nested sequences, enumeration
 * :mod:`exotic_rs.signed_perm` -- signed permutations and the S_2n embedding
 * :mod:`exotic_rs.correspondence` -- insertion, reverse bumping, transitions
@@ -18,8 +18,6 @@ from .partitions import (
     count_bitableaux,
     dimension_b,
     enumerate_bipartitions,
-    max_delta,
-    max_gamma,
     partitions_of,
 )
 from .bitableaux import (
@@ -27,7 +25,6 @@ from .bitableaux import (
     Position,
     enumerate_standard_bitableaux,
     from_nested_sequence,
-    row_number,
     to_nested_sequence,
 )
 from .signed_perm import (

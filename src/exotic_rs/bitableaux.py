@@ -30,13 +30,6 @@ from operator import ge
 from .partitions import Bipartition, Partition, Side
 
 
-def row_number(side: Side, row: int) -> int:
-    """Combined row numbering: left rows map to odd, right rows to even."""
-    if row < 1:
-        raise IndexError(f"row must be >= 1, got {row}")
-    return 2 * row - 1 if side is Side.LEFT else 2 * row
-
-
 @dataclass(frozen=True)
 class Position:
     """A box slot: which component, which row, and the distance from the wall
@@ -49,10 +42,6 @@ class Position:
     def __post_init__(self) -> None:
         if self.row < 1 or self.col < 1:
             raise ValueError(f"position row/col must be >= 1: {self!r}")
-
-    @property
-    def row_number(self) -> int:
-        return row_number(self.side, self.row)
 
     def to_json(self) -> dict:
         return {"side": self.side.value, "row": self.row, "col": self.col}

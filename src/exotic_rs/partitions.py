@@ -10,8 +10,8 @@ Conventions used throughout the package:
   row lengths of the left component, nu of the right component.  Row i of
   the combined shape has lam_i = mu_i + nu_i boxes.
 * Rows are indexed from 1 to match the usual mathematical conventions;
-  :func:`max_gamma` and :func:`max_delta` answer with a row in
-  ``{1, ..., len(lam)}`` or None, and the scan behind both with 0 for none.
+  the row-index scan of the transition rules answers with a row in
+  ``{1, ..., len(lam)}``, or 0 for none.
 """
 
 from __future__ import annotations
@@ -124,18 +124,6 @@ class Bipartition:
 
     def __str__(self) -> str:
         return self.to_text()
-
-
-def max_gamma(bp: Bipartition, m: int) -> int | None:
-    """Largest row index i <= len(lam) with mu_i = mu_m, reading mu_m as 0
-    beyond the shape.  None when no row qualifies.  Any m >= 1 is accepted,
-    which the transition rules need for m+1."""
-    return _last_equal_row(bp.mu.parts, m, bp.length) or None
-
-
-def max_delta(bp: Bipartition, m: int) -> int | None:
-    """Largest row index i <= len(lam) with nu_i = nu_m; see :func:`max_gamma`."""
-    return _last_equal_row(bp.nu.parts, m, bp.length) or None
 
 
 def _last_equal_row(parts: tuple[int, ...], m: int, length: int) -> int:

@@ -21,7 +21,6 @@ from exotic_rs import (
     enumerate_bipartitions,
     enumerate_standard_bitableaux,
     from_nested_sequence,
-    row_number,
     to_nested_sequence,
 )
 
@@ -30,17 +29,7 @@ NINE = Bitableau([[1, 3, 6], [2]], [[4, 7], [5, 8], [9]])
 
 
 class TestRowNumbering:
-    @pytest.mark.parametrize(
-        "side, row, expected",
-        [(Side.LEFT, 1, 1), (Side.RIGHT, 1, 2), (Side.LEFT, 2, 3), (Side.RIGHT, 2, 4), (Side.LEFT, 3, 5)],
-    )
-    def test_left_rows_are_odd_right_rows_even(self, side, row, expected):
-        assert row_number(side, row) == expected
-        assert Position(side, row, 1).row_number == expected
-
     def test_rejects_nonpositive_rows(self):
-        with pytest.raises(IndexError):
-            row_number(Side.LEFT, 0)
         with pytest.raises(ValueError):
             Position(Side.LEFT, 1, 0)
 

@@ -273,7 +273,7 @@ class TestBumpOnce:
         assert r == r2
         assert reverse_bumping(reduced) == wt
 
-    @pytest.mark.parametrize("n", range(4))
+    @pytest.mark.parametrize("n", range(5))
     def test_iterated_reduction_peels_words_letter_by_letter(self, n):
         for w in enumerate_signed_permutations(n):
             pair = insertion(w)

@@ -18,10 +18,9 @@ from exotic_rs import (
     dimension_b,
     enumerate_bipartitions,
     enumerate_standard_bitableaux,
-    max_delta,
-    max_gamma,
     partitions_of,
 )
+from exotic_rs.partitions import _last_equal_row
 
 
 class TestPartition:
@@ -123,25 +122,25 @@ class TestBipartition:
 
 
 class TestIndexSets:
-    """max_gamma / max_delta: the last row of the index set of rows i with
-    mu_i = mu_m (gamma_m), respectively nu_i = nu_m (delta_m)."""
+    """_last_equal_row: the last row of the index set of rows i with
+    mu_i = mu_m (gamma_m), respectively nu_i = nu_m (delta_m); 0 for none."""
 
     def test_deep_shape_left_row_four(self):
         bp = Bipartition(Partition((5, 4, 3, 2, 1, 1)), Partition((3, 2, 2, 2, 2, 1)))
-        assert max_gamma(bp, 4) == 4
-        assert max_delta(bp, 4) == 5
+        assert _last_equal_row(bp.mu.parts, 4, bp.length) == 4
+        assert _last_equal_row(bp.nu.parts, 4, bp.length) == 5
 
     def test_two_column_shape_row_one(self):
         bp = Bipartition(Partition((2, 2)), Partition((3, 2, 1)))
-        assert max_gamma(bp, 1) == 2
+        assert _last_equal_row(bp.mu.parts, 1, bp.length) == 2
 
     def test_rows_beyond_the_shape_read_as_zero(self):
         bp = Bipartition(Partition((2, 1)), Partition((1, 1)))
-        assert max_gamma(bp, 3) is None
-        assert max_delta(bp, 3) is None
+        assert _last_equal_row(bp.mu.parts, 3, bp.length) == 0
+        assert _last_equal_row(bp.nu.parts, 3, bp.length) == 0
         bp2 = Bipartition(Partition((2,)), Partition((1, 1)))
         # row 2 of mu is an implicit zero shared with every later row
-        assert max_gamma(bp2, 2) == 2
+        assert _last_equal_row(bp2.mu.parts, 2, bp2.length) == 2
 
     @given(bipartitions(), st.integers(1, 12))
     def test_max_helpers_agree_with_index_sets(self, bp, m):
@@ -150,8 +149,8 @@ class TestIndexSets:
         rows = range(1, bp.length + 1)
         gamma_m = [i for i in rows if bp.mu.part(i) == bp.mu.part(m)]
         delta_m = [i for i in rows if bp.nu.part(i) == bp.nu.part(m)]
-        assert max_gamma(bp, m) == max(gamma_m)
-        assert max_delta(bp, m) == max(delta_m)
+        assert _last_equal_row(bp.mu.parts, m, bp.length) == max(gamma_m)
+        assert _last_equal_row(bp.nu.parts, m, bp.length) == max(delta_m)
 
 
 class TestDimension:

@@ -8,12 +8,13 @@ from collections import Counter
 import pytest
 
 from conftest import outcome_of_step
-from exotic_rs import bitableaux, correspondence
+from exotic_rs import bitableaux, correspondence, partitions, verify
 from exotic_rs import (
     COUNT_BUDGET,
     PAIR_BUDGET,
     WORD_BUDGET,
     Bipartition,
+    Bitableau,
     BudgetExceededError,
     CorrespondencePair,
     Report,
@@ -172,6 +173,74 @@ class TestVerifiers:
     def test_run_verifier_rejects_unknown_names(self):
         with pytest.raises(ValueError, match="unknown property"):
             run_verifier("nope", 3)
+
+
+class TestRoundtripByCounting:
+    def test_pair_half_runs_nothing_when_every_word_passes(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the pair half ran although every word passed")
+
+        for module in (correspondence, verify):
+            for name in ("_insert", "insertion", "reverse_bumping"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        report = verify_roundtrip(4)
+        assert report.ok
+        assert report.checked == 768
+
+    def test_a_pair_no_word_reaches_is_not_passed(self, monkeypatch):
+        # The last cell of size 3 lists one more tableau: its first one with 4 in place of 3.
+        real = verify._cells
+
+        def padded(n):
+            *cells, last = real(n)
+            t = last[0]
+            moved = lambda rows: tuple(tuple(x + (x == n) for x in row) for row in rows)
+            return [*cells, (*last, Bitableau(moved(t.left), moved(t.right)))]
+
+        monkeypatch.setattr(verify, "_cells", padded)
+        # Every word still passes, but there are more pairs than words: the pair half checks each pair,
+        # and the validated pair refuses the extra one.
+        with pytest.raises(ValueError, match="must be standard"):
+            verify_roundtrip(3)
+
+    def test_words_that_land_outside_the_enumeration_fail(self, monkeypatch):
+        # The last cell of size 3, one tableau, lists the first cell's one tableau instead.  There are as many
+        # pairs as words and each pair comes back, but the word of the pair that is missing lands outside.
+        real = verify._cells
+        monkeypatch.setattr(verify, "_cells", lambda n: [*(cells := list(real(n)))[:-1], cells[0]])
+        assert verify_roundtrip(3).failures == ({"word": "-3 -2 -1", "came_back_as": "-3 -2 -1"},)
+
+
+class TestMutationMatrix:
+    """One-point corruptions at n = 3 of the private functions that the verifiers claim to check: each
+    verifier that claims a function fails, naming the corrupted case, and no other verifier fails."""
+
+    @pytest.mark.parametrize(
+        "module, name, point, value, failing",
+        [
+            (verify, "_w_tilde", (2, -1, 3), ((-2, -1), 3),
+             {"wtilde": [{"word": "2 -1 3", "reduced_word": "2 -1", "expected_reduced": "-2 -1"}]}),
+            (verify, "_inverse", (2, -1, 3), (2, 1, 3),
+             {"inverse": [{"word": "2 -1 3", "swapped_word": "-2 1 3"}],
+              "embedding": [{"word": "2 -1 3", "reason": "inverse not respected"}]}),
+            # The image of 1 2 3, which comes first; and 2 -1 3 is the inverse of -2 1 3.
+            (verify, "_iota_embed", (2, -1, 3), (1, 2, 3, 4, 5, 6),
+             {"embedding": [{"word": "2 -1 3", "collides_with": "1 2 3"},
+                            {"word": "2 -1 3", "reason": "inverse not respected"},
+                            {"word": "-2 1 3", "reason": "inverse not respected"}]}),
+            (partitions, "_hook_count", (2, 1), 3,
+             {"counting": [{"sum_of_squares": 48 + 2 * (3 * 3 - 2 * 2), "group_order": 48}]}),
+        ],
+    )
+    def test_each_claimed_function_is_caught(self, monkeypatch, module, name, point, value, failing):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda arg: value if arg == point else real(arg))
+        for prop in ("roundtrip", "inverse", "counting", "transition", "wtilde", "embedding"):
+            failures = run_verifier(prop, 3).failures
+            expected = failing.get(prop, [])
+            assert len(failures) == len(expected), prop
+            for got, want in zip(failures, expected):
+                assert want.items() <= got.items(), prop
 
 
 class TestBudgets:
