@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 from collections import Counter
 
@@ -487,7 +489,10 @@ class TestMemosHideNoFailure:
         assert {key: count for key, count in seen.items() if count} == {("verify_wtilde", 3): 2 * 3 * (8 - 4),
                                                                         ("verify_wtilde", 4): 2 * 4 * (48 - 16)}
 
-    def test_one_wrong_and_one_unclassifiable_key(self, monkeypatch):
+    @staticmethod
+    def corrupt_two_keys(monkeypatch) -> tuple[Counter, tuple, tuple]:
+        """Patch _classify to answer one key wrongly and another not at all; returns the keys' step counts
+        at size 4 and the two keys."""
         # Keys in _classify's terms: (mu, nu, component, 0-based row) of the box a step leaves.
         steps = Counter(
             (step.shape.mu.parts, step.shape.nu.parts, correspondence._SIDES.index(step.source.side), step.source.row - 1)
@@ -507,9 +512,19 @@ class TestMemosHideNoFailure:
             return answer
 
         monkeypatch.setattr(correspondence, "_classify", patched)
+        return steps, wrong, unclassifiable
+
+    def test_one_wrong_and_one_unclassifiable_key(self, monkeypatch):
+        steps, wrong, unclassifiable = self.corrupt_two_keys(monkeypatch)
         seen = failures_against_direct()
         # One failure per affected step, not one per key.
         assert seen["verify_transition", 4] == steps[wrong] + steps[unclassifiable] > 2
+
+    def test_transition_failure_json_is_pinned(self, monkeypatch):
+        # The bytes that `verify transition 4 --json` prints: records, their keys and their order.
+        self.corrupt_two_keys(monkeypatch)
+        text = json.dumps(verify_transition(4).to_json())
+        assert hashlib.sha256(text.encode()).hexdigest() == "fb29a7c95ea7d8605eceafee3c58c4f535c050e3150473e3cdd2ebc0e9c70f88"
 
     def test_every_step_fails_when_nothing_classifies(self, monkeypatch):
         monkeypatch.setattr(correspondence, "_classify", lambda *key: None)
