@@ -27,7 +27,6 @@ import signal
 import sys
 from pathlib import Path
 
-from .bitableaux import Bitableau
 from .correspondence import (
     CorrespondencePair,
     insertion,
@@ -38,36 +37,6 @@ from .correspondence import (
 from .partitions import count_bitableaux, enumerate_bipartitions
 from .signed_perm import _INTEGER, SignedPermutation, _text
 from .verify import BudgetExceededError, _group_by_shape, cells, run_verifier, verify_counting
-
-
-def parse_ascii_bitableau(text: str) -> Bitableau:
-    """Parse the rendering produced by :meth:`Bitableau.render`.
-
-    Each line shows one row as ``<left outward..wall> | <right wall..outward>``;
-    the left half is mirrored back into wall-outward storage order.
-    """
-    left_rows = []
-    right_rows = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        if line.count("|") != 1:
-            raise ValueError(f"line {lineno}: expected exactly one '|' wall marker")
-        left_txt, right_txt = line.split("|")
-
-        def parse_tokens(chunk: str) -> list[int]:
-            out = []
-            for tok in chunk.split():
-                try:
-                    out.append(int(tok))
-                except ValueError:
-                    raise ValueError(f"line {lineno}: token {tok!r} is not an integer") from None
-            return out
-
-        left_rows.append(tuple(reversed(parse_tokens(left_txt))))
-        right_rows.append(tuple(parse_tokens(right_txt)))
-    strip = lambda rows: tuple(r for r in rows if r)
-    return Bitableau(strip(left_rows), strip(right_rows))
 
 
 def _size(text: str) -> int:

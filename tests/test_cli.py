@@ -20,11 +20,10 @@ from exotic_rs import (
     SignedPermutation,
     enumerate_bipartitions,
     enumerate_signed_permutations,
-    enumerate_standard_bitableaux,
     insertion,
     load_golden_table,
 )
-from exotic_rs.cli import parse_ascii_bitableau, run
+from exotic_rs.cli import run
 
 MIXED_WORD = "2 7 5 -6 4 -3 1"
 MIXED_ASCII = "T:\n4 1 | 2 7\n5 3 | 6\nR:\n2 1 | 3 7\n5 4 | 6\n"
@@ -201,30 +200,6 @@ class TestRender:
             capsys, ["render", "--pair", "-"], stdin_text=EMPTY_PAIR_JSON, monkeypatch=monkeypatch
         )
         assert (code, out) == (0, "T:\nR:\n")
-
-
-class TestParseAscii:
-    @pytest.mark.parametrize("n", range(6))
-    def test_parse_inverts_render_for_every_standard_bitableau(self, n):
-        for bp in enumerate_bipartitions(n):
-            for t in enumerate_standard_bitableaux(bp):
-                assert parse_ascii_bitableau(t.render()) == t
-
-    def test_blank_lines_are_skipped(self):
-        t = parse_ascii_bitableau("\n1 | 2\n\n")
-        assert t.to_json() == {"left": [[1]], "right": [[2]]}
-
-    @pytest.mark.parametrize(
-        "text, message",
-        [
-            ("1 2 3", "line 1: expected exactly one"),
-            ("1 | 2\n3 | 4 | 5", "line 2: expected exactly one"),
-            ("x | 1", "token 'x' is not an integer"),
-        ],
-    )
-    def test_parse_errors_name_the_line(self, text, message):
-        with pytest.raises(ValueError, match=message):
-            parse_ascii_bitableau(text)
 
 
 class TestTable:
