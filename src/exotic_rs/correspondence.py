@@ -48,7 +48,7 @@ this module; they become step records there, or go to ``_classify`` directly.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -339,22 +339,18 @@ def _removal_trie(rs: list[_Tableau]) -> list[tuple[int, int, int, int, bool, _T
     return nodes
 
 
-def _walk(T: _Tableau, trie: list, hops: list | None = None, reduced: list | None = None) -> list[tuple[int, ...]]:
+def _walk(T: _Tableau, trie: list, hops: list | None = None) -> list[tuple[int, ...]]:
     """The words of the pairs (T, R) of the trie's tableaux R, in its order: one :func:`_remove` per node, on
-    a copy of its parent's rows unless it is the last child.  Unless ``hops`` is None, each node appends (run,
-    its hops).  With a list for ``reduced``, depth 1 runs :func:`_reduce` and appends its (T, R, letter)."""
+    a copy of its parent's rows unless it is the last child.  Unless ``hops`` is None, each node appends the
+    list of its hops."""
     n = sum(map(len, T[0])) + sum(map(len, T[1]))
     states, letters, words = [_rows(T)], [0] * n, [] if trie else [()]  # the empty pair's word
-    for d, c, i, run, copy, first in trie:
+    for d, c, i, _, copy, _ in trie:
         t = _rows(states[d - 1]) if copy else states[d - 1]
         states[d:] = [t]
-        if reduced is not None and d == 1:
-            reduced.append(_reduce(t, first, c, i))
-            letters[-1] = reduced[-1][2]
-        else:
-            if hops is not None:
-                hops.append((run, []))
-            letters[n - d] = _remove(t, c, i, None if hops is None else hops[-1][1])
+        if hops is not None:
+            hops.append([])
+        letters[n - d] = _remove(t, c, i, None if hops is None else hops[-1])
         if d == n:
             words.append(tuple(letters))
     return words
@@ -372,6 +368,17 @@ def _removal_step(value, c, i, j, mu, nu, slot, letter) -> RemovalStep:
     """The :class:`RemovalStep` of one hop recorded by :func:`_remove`."""
     target = None if slot is None else Position(_SIDES[slot[0]], slot[1] + 1, slot[2] + 1)
     return RemovalStep(value, Position(_SIDES[c], i + 1, j + 1), _truncation_shape(mu, nu), target, letter)
+
+
+def _hop_failure(T: _Tableau, R: _Tableau, k: int, hop: tuple) -> dict:
+    """The failure record of a hop of the k-th cascade of the pair (T, R) that :func:`_hop_agrees` rejects:
+    the validated pair, the step and the :func:`second_decrement` answer it quotes."""
+    step = _removal_step(*hop)
+    try:
+        why = {"predicted": repr(second_decrement(step.shape, FirstRemoval(step.source.side, step.source.row)))}
+    except ClassificationError as err:
+        why = {"error": str(err)}
+    return {"pair": _pair(T, R).to_json(), "k": k, "step": step.to_json(), **why}
 
 
 def _truncation_shape(mu: tuple[int, ...], nu: tuple[int, ...]) -> Bipartition:
@@ -511,30 +518,3 @@ def _classify(mu: tuple[int, ...], nu: tuple[int, ...], c: int, i: int) -> bool 
         if nu_m - 1 == nu_next and (mg_m <= md_next or nu_m == 1):
             return 0, mg_m - 1  # cross-to-matching-left-rows
     return None
-
-
-# -- cascades against the classifier ---------------------------------------------
-
-
-def _check_cascades(pairs: Iterable[tuple[_Tableau, _Tableau]]) -> tuple[int, list[dict]]:
-    """Replay the removal cascades of the pairs (T, R), given by rows, and check every hop against
-    :func:`_classify`: the number of hops checked, and one failure record per hop that goes elsewhere
-    than predicted.  Each distinct (mu, nu, c, i) is classified once; the validated pair, the step
-    objects and the :func:`second_decrement` answer a failure record quotes are built only for failures."""
-    failures = []
-    checked = 0
-    answers: dict[tuple, bool | tuple[int, int] | None] = {}  # by (mu, nu, c, i)
-    for T, R in pairs:
-        _reverse(T, R, cascades := [])
-        for k, _, hops in cascades:
-            for hop in hops:
-                checked += 1
-                if not _hop_agrees(hop, answers):
-                    step = _removal_step(*hop)
-                    removal = FirstRemoval(step.source.side, step.source.row)
-                    try:
-                        why = {"predicted": repr(second_decrement(step.shape, removal))}
-                    except ClassificationError as err:
-                        why = {"error": str(err)}
-                    failures.append({"pair": _pair(T, R).to_json(), "k": k, "step": step.to_json(), **why})
-    return checked, failures

@@ -10,7 +10,9 @@ the row-level kernels on the cached tableaux' rows and build validated pairs
 and words only for failure records.  The sweeps walk prefix trees: each
 one-letter insertion and each removal cascade is computed once per tree node,
 for all the words or pairs beneath it, and each classification once per call;
-the memos die with the call.  Roundtrip checks its pairs by counting: once every
+the memos die with the call.  Wtilde also runs bump_once's step once per
+first-level node, apart from the walk, so that its letter is checked against
+the walk's own k = n cascade.  Roundtrip checks its pairs by counting: once every
 word comes back, insertion maps the words one-to-one onto the equally many pairs.
 """
 
@@ -25,7 +27,7 @@ from typing import Callable, Iterator
 
 from . import correspondence
 from .bitableaux import Bitableau, enumerate_standard_bitableaux
-from .correspondence import CorrespondencePair, _Tableau, _check_cascades, _hop_agrees, _pair, bump_once, insertion, reverse_bumping
+from .correspondence import CorrespondencePair, _Tableau, _hop_agrees, _hop_failure, _pair, _rows, bump_once, insertion, reverse_bumping
 from .partitions import Bipartition, count_bitableaux, enumerate_bipartitions
 from .signed_perm import (
     SignedPermutation,
@@ -204,13 +206,17 @@ def verify_transition(n: int) -> Report:
     _check_budget(n, PAIR_BUDGET, "transition verification")
     failures, checked, answers = [], 0, {}
     for cell, trie in _cell_tries(n):
-        agree = True
         for T in cell:
             correspondence._walk(T, trie, hops := [])
-            checked += sum(run * len(node_hops) for run, node_hops in hops)  # once for each pair beneath the node
-            agree = all(_hop_agrees(hop, answers) for _, node_hops in hops for hop in node_hops) and agree
-        if not agree:  # replay the cell pair by pair, for failure records in (pair, k, hop) order
-            failures += _check_cascades((T, R) for T in cell for R in cell)[1]
+            checked += sum(run * len(node_hops) for (_, _, _, run, _, _), node_hops in zip(trie, hops))  # once for each pair beneath the node
+            if all(_hop_agrees(hop, answers) for node_hops in hops for hop in node_hops):
+                continue
+            bad, start = [], 0  # (j, d, h, hop) for the h-th hop of the depth-d cascade of (T, cell[j]) that disagrees
+            for (d, _, _, run, _, _), node_hops in zip(trie, hops):
+                bad += ((j, d, h, hop) for h, hop in enumerate(node_hops) if not _hop_agrees(hop, answers)
+                        for j in range(start, start + run))
+                start += d == n  # the leaves come one per R, in the cell's order
+            failures += (_hop_failure(T, cell[j], n + 1 - d, hop) for j, d, _, hop in sorted(bad))  # (R, k, hop) order
     return Report("transition", n, checked, tuple(failures))
 
 
@@ -222,11 +228,12 @@ def verify_wtilde(n: int) -> Report:
     smaller = {T: (cell, trie) for cell, trie in _cell_tries(n - 1) for T in cell} if n else {}  # each one's cell
     reduced_words: dict[_Tableau, list[tuple[int, ...]]] = {}  # for each reduced T, the words with each R of its cell
     for cell, trie in _cell_tries(n) if n else ():  # the empty pair has no entry to remove
-        runs = [run for d, _, _, run, _, _ in trie if d == 1]
+        tops = [(c, i, run, first) for d, c, i, run, _, first in trie if d == 1]  # the k = n cascades
         for T in cell:
-            # bump_once's step runs the k = n cascades, and the words' cascades continue on its rows.
-            words, start = walk(T, trie, None, reduced := []), 0
-            for (reduced_T, reduced_R, letter), run in zip(reduced, runs):
+            words, start = walk(T, trie), 0
+            for c, i, run, first in tops:
+                # bump_once's step, apart from the walk's own k = n cascade that emits the words' last letter.
+                reduced_T, reduced_R, letter = correspondence._reduce(_rows(T), first, c, i)
                 reduced_cell, reduced_trie = smaller.get(reduced_T, ((), None))
                 # Without its n, the run's j-th R is the j-th of the reduced cell (canonical order), so the
                 # first must come out of bump_once's step as the first.

@@ -142,15 +142,16 @@ class TestVerifiers:
             assert report.ok
             assert report.checked == checked
 
-    def test_wtilde_walks_each_cascade_once(self, monkeypatch):
+    def test_wtilde_walks_each_trie_node_and_reduces_each_run_once(self, monkeypatch):
         walks = []
         real = correspondence._remove
         monkeypatch.setattr(correspondence, "_remove", lambda *args: walks.append(args) or real(*args))
         assert verify_wtilde(4).ok
-        # One walk per node of each T's trie (the first level by _reduce), and one per node of each
-        # reduced T's trie for the reduced pairs' words: flat, that was one per (pair, k) and one per
-        # (distinct reduced pair, k), 384 * 4 + 48 * 3 = 1680.
-        assert len(walks) == 1216 + 132 == 1348
+        # One walk per node of each T's trie, one _reduce per depth-1 node of it (bump_once's step, apart
+        # from the walk's k = n cascade), and one walk per node of each reduced T's trie for the reduced
+        # pairs' words: flat, that was one per (pair, k) and one per (distinct reduced pair, k),
+        # 384 * 4 + 48 * 3 = 1680.
+        assert len(walks) == 1216 + 160 + 132 == 1508
 
     def test_word_sweep_places_each_prefix_once(self, monkeypatch):
         places = []
@@ -513,6 +514,23 @@ class TestMemosHideNoFailure:
 
         monkeypatch.setattr(correspondence, "_classify", patched)
         return steps, wrong, unclassifiable
+
+    def test_one_wrong_reduced_letter(self, monkeypatch):
+        # bump_once's step emits the other bar at one node: the rows of T and the box of n for 2 -1 3.
+        target = insertion(SignedPermutation.from_text("2 -1 3"))
+        node = ((target.T.left, target.T.right), *correspondence._boxes((target.R.left, target.R.right))[3])
+        real = correspondence._reduce
+
+        def corrupt(t, R, c, i):
+            hit = (correspondence._frozen(t), c, i) == node
+            T, reduced_R, letter = real(t, R, c, i)
+            return T, reduced_R, -letter if hit else letter
+
+        monkeypatch.setattr(correspondence, "_reduce", corrupt)
+        seen = failures_against_direct()
+        # The pairs of T whose R holds n in that box; their words and reduced pairs are sound.
+        assert {key: count for key, count in seen.items() if count} == {("verify_wtilde", 3): 2}
+        assert [f["word"] for f in verify_wtilde(3).failures] == ["-1 2 3", "2 -1 3"]
 
     def test_one_wrong_and_one_unclassifiable_key(self, monkeypatch):
         steps, wrong, unclassifiable = self.corrupt_two_keys(monkeypatch)
