@@ -87,6 +87,11 @@ class TestBasicViews:
     def test_render_of_the_empty_bitableau_is_empty(self):
         assert Bitableau().render() == ""
 
+    @pytest.mark.parametrize("n", range(6))
+    def test_render_tells_every_standard_bitableau_apart(self, n):
+        pictures = [t.render() for bp in enumerate_bipartitions(n) for t in enumerate_standard_bitableaux(bp)]
+        assert len(set(pictures)) == len(pictures) == sum(map(count_bitableaux, enumerate_bipartitions(n)))
+
     @pytest.mark.parametrize(
         "s, left, right",
         [

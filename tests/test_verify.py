@@ -515,10 +515,14 @@ class TestMemosHideNoFailure:
         monkeypatch.setattr(correspondence, "_classify", patched)
         return steps, wrong, unclassifiable
 
-    def test_one_wrong_reduced_letter(self, monkeypatch):
-        # bump_once's step emits the other bar at one node: the rows of T and the box of n for 2 -1 3.
-        target = insertion(SignedPermutation.from_text("2 -1 3"))
-        node = ((target.T.left, target.T.right), *correspondence._boxes((target.R.left, target.R.right))[3])
+    @staticmethod
+    def box_of_n(pair: CorrespondencePair) -> tuple:
+        """The rows of T and the (component, 0-based row) of n in R: the node bump_once's step starts from."""
+        return ((pair.T.left, pair.T.right), *correspondence._boxes((pair.R.left, pair.R.right))[pair.size])
+
+    def corrupt_reduced_letter(self, monkeypatch, word: str) -> tuple:
+        """Patch _reduce to emit the other bar at the node of the word's pair; returns that node."""
+        node = self.box_of_n(insertion(SignedPermutation.from_text(word)))
         real = correspondence._reduce
 
         def corrupt(t, R, c, i):
@@ -527,10 +531,25 @@ class TestMemosHideNoFailure:
             return T, reduced_R, -letter if hit else letter
 
         monkeypatch.setattr(correspondence, "_reduce", corrupt)
+        return node
+
+    def test_one_wrong_reduced_letter(self, monkeypatch):
+        # bump_once's step emits the other bar at one node: the rows of T and the box of n for 2 -1 3.
+        self.corrupt_reduced_letter(monkeypatch, "2 -1 3")
         seen = failures_against_direct()
         # The pairs of T whose R holds n in that box; their words and reduced pairs are sound.
         assert {key: count for key, count in seen.items() if count} == {("verify_wtilde", 3): 2}
         assert [f["word"] for f in verify_wtilde(3).failures] == ["-1 2 3", "2 -1 3"]
+
+    @pytest.mark.parametrize("word", ["3 1 2", "-3 -2 -1", "1 -4 2 3", "-2 4 -1 3"])
+    def test_a_wrong_reduced_letter_fails_every_pair_of_its_node(self, monkeypatch, word):
+        n = len(word.split())
+        node = self.corrupt_reduced_letter(monkeypatch, word)
+        # Found by inserting every word, apart from the trie walk: the pairs that share T and the box of n.
+        beneath = {w.to_text() for w in enumerate_signed_permutations(n) if self.box_of_n(insertion(w)) == node}
+        seen = failures_against_direct()
+        assert {key: count for key, count in seen.items() if count} == {("verify_wtilde", n): len(beneath)}
+        assert {f["word"] for f in verify_wtilde(n).failures} == beneath
 
     def test_one_wrong_and_one_unclassifiable_key(self, monkeypatch):
         steps, wrong, unclassifiable = self.corrupt_two_keys(monkeypatch)
@@ -549,3 +568,10 @@ class TestMemosHideNoFailure:
         seen = failures_against_direct()
         # Unbarred emissions included: an error matches no hop.
         assert seen["verify_transition", 3] == verify_transition(3).checked == 176
+
+    @pytest.mark.parametrize("n, steps", [(1, 2), (2, 18)])
+    def test_every_step_fails_at_the_smallest_sizes(self, monkeypatch, n, steps):
+        # At n = 1 every node is a leaf, so each failing hop fans out to its own pair at k = 1.
+        monkeypatch.setattr(correspondence, "_classify", lambda *key: None)
+        seen = failures_against_direct(sizes=(n,))
+        assert seen["verify_transition", n] == verify_transition(n).checked == steps
