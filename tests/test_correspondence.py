@@ -239,6 +239,23 @@ class TestReverseBumping:
             digest.update(repr(correspondence._reverse((pair.T.left, pair.T.right), (pair.R.left, pair.R.right))).encode() + b"\n")
         assert digest.hexdigest() == "b1915a9b5935c7df234cdd4ed1c37aa145a58b9d88397e64133aeb9427ca0a7c"
 
+    def test_both_kernels_and_their_traces_on_long_words_are_pinned(self):
+        # Random words of size 400 build 21-27 rows per component, so the slot scans run long.  Per word: one
+        # repr line of the rows (T, R) and the letters they reverse-bump to, one JSON line of the insertion
+        # records, and one repr line of the hops that _reverse records.  reverse_bumping_with_trace's records
+        # are those hops, one RemovalStep each (pinned above through size 4); building and serializing them
+        # here would take about a second more.
+        digest = hashlib.sha256()
+        for letters in _random_words(1, 400, 8):
+            T, R = correspondence._insert(letters)
+            _, records = insertion_with_trace(SignedPermutation(letters))
+            cascades = []
+            digest.update(repr((T, R, correspondence._reverse(T, R))).encode() + b"\n")
+            digest.update(json.dumps([r.to_json() for r in records]).encode() + b"\n")
+            correspondence._reverse(T, R, cascades)
+            digest.update(repr(cascades).encode() + b"\n")
+        assert digest.hexdigest() == "b9162e896a75b434768df4c8c6178c46653ee7306dad47939aaea0973f818cd5"
+
 
 def _peel_letters(w: SignedPermutation) -> list[int]:
     out = []
@@ -296,6 +313,17 @@ def _random_word(n: int, seed: int) -> SignedPermutation:
     rng = random.Random(seed)
     mags = rng.sample(range(1, n + 1), n)
     return SignedPermutation(tuple(m * rng.choice((1, -1)) for m in mags))
+
+
+def _random_words(seed: int, n: int, count: int) -> list[tuple[int, ...]]:
+    """``count`` uniformly random signed permutations of size n, drawn as the benchmark's long words are."""
+    rng = random.Random(seed)
+    words = []
+    for _ in range(count):
+        mags = list(range(1, n + 1))
+        rng.shuffle(mags)
+        words.append(tuple(m if rng.random() < 0.5 else -m for m in mags))
+    return words
 
 
 class TestTracedAndPlainPathsAgree:
