@@ -59,8 +59,7 @@ class Bitableau:
     right: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self) -> None:
-        left = tuple(tuple(row) for row in self.left)
-        right = tuple(tuple(row) for row in self.right)
+        left, right = tuple(map(tuple, self.left)), tuple(map(tuple, self.right))
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
         seen: set[int] = set()

@@ -217,29 +217,32 @@ def _insert(letters: tuple[int, ...], records: list[InsertionRecord] | None = No
 def _place(t: _Rows, r: _Rows, k: int, letter: int, steps: list[InsertionStep] | None) -> None:
     """Insert the k-th letter into the rows t, and record k in r at the box this creates.  Unless ``steps``
     is None, each placement appends its :class:`InsertionStep`."""
-    s = abs(letter)
+    (left, right), s = t, abs(letter)
     if letter > 0:
-        c, i, j = 0, 0, bisect_left(t[0][0], s) if t[0] else 0
+        c, i, j = 0, 0, bisect_left(left[0], s) if left else 0
     else:
-        left, right = (bisect_left(rows, s, key=itemgetter(0)) for rows in t)
-        c, i, j = (1, right, 0) if right >= left else (0, left, 0)
-    while i < len(t[c]) and j < len(t[c][i]):
-        displaced, t[c][i][j] = t[c][i][j], s
+        a, b = bisect_left(left, s, key=itemgetter(0)), bisect_left(right, s, key=itemgetter(0))
+        c, i, j = (1, b, 0) if b >= a else (0, a, 0)
+    rows = right if c else left
+    while i < len(rows) and j < len(row := rows[i]):
+        displaced, row[j] = row[j], s
         if steps is not None:
             steps.append(InsertionStep(s, Position(_SIDES[c], i + 1, j + 1), displaced))
         s = displaced
         # Its slot in the lowest of combined rows m+1, m, ..., 1 that has one (0-based here; left row 1 has one).
-        for m in range(2 * i + c + 1, -1, -1):
+        m = 2 * i + c + 1
+        while True:
             c, i = m & 1, m >> 1
-            rows = t[c]
+            rows = right if c else left
             if i <= len(rows):
                 j = bisect_left(rows[i], s) if i < len(rows) else 0
-                if i == 0 or (len(rows[i - 1]) > j and rows[i - 1][j] < s):
+                if i == 0 or (len(above := rows[i - 1]) > j and above[j] < s):
                     break
-    if i == len(t[c]):
-        t[c].append([])
+            m -= 1
+    if i == len(rows):
+        rows.append([])
         r[c].append([])
-    t[c][i].append(s)
+    rows[i].append(s)
     r[c][i].append(k)
     if steps is not None:
         steps.append(InsertionStep(s, Position(_SIDES[c], i + 1, j + 1), None))
@@ -293,24 +296,23 @@ def _remove(t: _Rows, c: int, i: int, hops: list[tuple] | None) -> int:
     """Remove the outermost box of row i of component c and walk its value back up the diagram;
     returns the emitted letter.  Unless ``hops`` is None, each hop appends (value, c, i, j, mu, nu,
     slot, letter): the box left, the truncation's row counts, and the box entered or the letter."""
+    left, right = t
     j = len(t[c][i]) - 1
     value = t[c][i].pop()
     if not t[c][i]:  # an emptied row is the last
         t[c].pop()
     while True:
-        # The available box in the highest of combined rows m-1, m, ... (0-based here) that has one.
-        if i == c == 0:
-            slot, letter = None, value
-        else:
-            for m in range(2 * i + c - 1, 2 * max(len(t[0]), len(t[1]))):
-                rows, row = t[m & 1], m >> 1
-                if row < len(rows):
-                    col = bisect_left(rows[row], value) - 1
-                    if col >= 0 and (row + 1 == len(rows) or len(rows[row + 1]) <= col or rows[row + 1][col] > value):
-                        slot, letter = (m & 1, row, col), None
-                        break
-            else:
-                slot, letter = None, -value
+        # The available box in the highest of combined rows m-1, m, ... (0-based here) that has one.  Rows that
+        # start above the value (or are missing) have none, nor do the rows below them: two misses in a row end it.
+        slot, m, misses = None, 2 * i + c - 1, 0 if c or i else 2  # left row 1 has no row above: no scan
+        while misses < 2:
+            rows, x = (right if m & 1 else left), m >> 1
+            col = bisect_left(row := rows[x], value) - 1 if x < len(rows) else -1
+            if col >= 0 and (x + 1 == len(rows) or len(below := rows[x + 1]) <= col or below[col] > value):
+                slot = m & 1, x, col
+                break
+            m, misses = m + 1, misses + 1 if col < 0 else 0
+        letter = None if slot else -value if c or i else value
         if hops is not None:
             # Entries below the moving value, per row; rows left with none (the bottom ones) drop
             # out.  With the box left: the truncation.
@@ -321,7 +323,7 @@ def _remove(t: _Rows, c: int, i: int, hops: list[tuple] | None) -> int:
         if slot is None:
             return letter
         c, i, j = slot
-        value, t[c][i][j] = t[c][i][j], value
+        value, row[j] = row[j], value
 
 
 def _removal_trie(rs: list[_Tableau]) -> list[tuple[int, int, int, int, bool, _Tableau]]:
