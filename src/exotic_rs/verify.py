@@ -150,14 +150,23 @@ def verify_roundtrip(n: int) -> Report:
     insertion(reverse_bumping(pair)) = pair for every pair, which follows from
     the first half by counting: there are as many pairs as words."""
     _check_budget(n, PAIR_BUDGET, "round-trip verification")
-    failures, words, pairs = [], 0, 0
-    shape_of: dict[_Tableau, int] = {}  # the rows of each enumerated tableau, to its shape's place in the order
+    failures, words, pairs, nowhere = [], 0, 0, (None, None, 0)
+    place: dict[_Tableau, tuple[int, list, int]] = {}  # each tableau's rows: its shape's place, the words of its pairs as T, its index as R
     for s, cell in enumerate(_cells(n)):
-        shape_of.update(((t.left, t.right), s) for t in cell)
+        place.update(((t.left, t.right), (s, [None] * len(cell), b)) for b, t in enumerate(cell))
         pairs += len(cell) ** 2
     for letters, T, R in correspondence._insertion_tree(n):
+        (s, filed, _), (s_r, _, b) = place.get(T, nowhere), place.get(R, nowhere)
+        if s is None or s_r != s or filed[b] is not None:
+            break  # a word outside the enumeration or on a pair filed before: check every word flat
+        filed[b] = letters
+    else:  # each word at a pair of its own, so each T's trie walk must give the words filed for it
+        if pairs == 2**n * math.factorial(n) and all(
+                correspondence._walk(T, trie) == place[T][1] for cell, trie in _cell_tries(n) for T in cell):
+            return Report("roundtrip", n, 2 * pairs)
+    for letters, T, R in correspondence._insertion_tree(n):
         words += 1
-        if (s := shape_of.get(T)) is None or shape_of.get(R) != s or correspondence._reverse(T, R) != letters:
+        if (s := place.get(T, nowhere)[0]) is None or place.get(R, nowhere)[0] != s or correspondence._reverse(T, R) != letters:
             w = SignedPermutation(letters)  # rows that are no standard pair raise here, in the validated pair
             failures.append({"word": w.to_text(), "came_back_as": reverse_bumping(insertion(w)).to_text()})
     # Premise: the tree yields each word once (the pinned `cells 5` and `table 5 --json` output hold it

@@ -161,12 +161,13 @@ class TestVerifiers:
         # One placement per nonempty prefix: 8 + 8 * 6 + 8 * 6 * 4 + 8 * 6 * 4 * 2; flat, 384 * 4 = 1536.
         assert len(places) == 8 + 48 + 192 + 384 == 632
 
-    def test_pair_sweep_walks_each_trie_node_once(self, monkeypatch):
+    @pytest.mark.parametrize("verifier", [verify_inverse, verify_roundtrip])
+    def test_pair_sweep_walks_each_trie_node_once(self, monkeypatch, verifier):
         walks = []
         real = correspondence._remove
         monkeypatch.setattr(correspondence, "_remove", lambda *args: walks.append(args) or real(*args))
-        assert verify_inverse(4).ok
-        # One walk per node of each T's trie; flat, one per (pair, k): 384 * 4 = 1536.
+        assert verifier(4).ok
+        # One walk per node of each T's trie; flat, one per (pair, k) or per word: 384 * 4 = 1536.
         assert len(walks) == 1216
 
     def test_run_verifier_by_name(self):
@@ -244,6 +245,24 @@ class TestMutationMatrix:
             assert len(failures) == len(expected), prop
             for got, want in zip(failures, expected):
                 assert want.items() <= got.items(), prop
+
+    def test_enumerate_is_caught(self, monkeypatch):
+        # One size-3 shape lists its first tableau in place of its second.  The patch builds a new tuple and leaves
+        # the cached one alone; the n = 3 verifiers enumerate no size-4 shape, so no cache entry is built through it.
+        shape = ((1, 1), (1,))
+        real = bitableaux._enumerate
+        first, dropped, *rest = real(*shape)
+        monkeypatch.setattr(bitableaux, "_enumerate", lambda mu, nu: (first, first, *rest) if (mu, nu) == shape else real(mu, nu))
+        failing = {prop: failures for prop in ("roundtrip", "inverse", "counting", "transition", "wtilde", "embedding")
+                   if (failures := run_verifier(prop, 3).failures)}
+        assert set(failing) == {"roundtrip", "wtilde"}
+        # Roundtrip names each word whose T or R was dropped: its pair lies outside the enumeration.
+        reached = [w.to_text() for w in enumerate_signed_permutations(3) if dropped in (insertion(w).T, insertion(w).R)]
+        assert [f["word"] for f in failing["roundtrip"]] == reached and len(reached) == 2 * 3 - 1
+        # The cell's trie gives the listed-twice tableau two overlapping runs, so wtilde pairs bump_once's step with
+        # the wrong R; inverse and transition walk the same trie, but a repeated pair still passes their checks.
+        twice = first.to_json()
+        assert len(failing["wtilde"]) == 3 and all(twice in f["pair"].values() for f in failing["wtilde"])
 
 
 class TestBudgets:
