@@ -249,10 +249,9 @@ class TestReverseBumping:
         for letters in _random_words(1, 400, 8):
             T, R = correspondence._insert(letters)
             _, records = insertion_with_trace(SignedPermutation(letters))
-            cascades = []
+            correspondence._reverse(T, R, cascades := [])
             digest.update(repr((T, R, correspondence._reverse(T, R))).encode() + b"\n")
             digest.update(json.dumps([r.to_json() for r in records]).encode() + b"\n")
-            correspondence._reverse(T, R, cascades)
             digest.update(repr(cascades).encode() + b"\n")
         assert digest.hexdigest() == "b9162e896a75b434768df4c8c6178c46653ee7306dad47939aaea0973f818cd5"
 
