@@ -23,21 +23,23 @@ identifies the fillings whose entries are exactly 1..n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from operator import ge
 
-from .partitions import Bipartition, Partition, Side
+from .partitions import Bipartition, Partition, Side, _Frozen
 
 
-@dataclass(frozen=True)
-class Position:
+class Position(_Frozen):
     """A box slot: which component, which row, and the distance from the wall
     (col = 1 is the box touching the wall)."""
 
-    side: Side
-    row: int
-    col: int
+    __slots__ = ("side", "row", "col")
+
+    def __init__(self, side: Side, row: int, col: int) -> None:
+        object.__setattr__(self, "side", side)
+        object.__setattr__(self, "row", row)
+        object.__setattr__(self, "col", col)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.row < 1 or self.col < 1:
@@ -50,13 +52,16 @@ class Position:
         return f"({self.side.value} r{self.row} c{self.col})"
 
 
-@dataclass(frozen=True)
-class Bitableau:
+class Bitableau(_Frozen):
     """An increasing filling of a bipartition shape by distinct positive
     integers, stored wall-outward (see module docstring)."""
 
-    left: tuple[tuple[int, ...], ...] = ()
-    right: tuple[tuple[int, ...], ...] = ()
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: tuple[tuple[int, ...], ...] = (), right: tuple[tuple[int, ...], ...] = ()) -> None:
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         left, right = tuple(map(tuple, self.left)), tuple(map(tuple, self.right))

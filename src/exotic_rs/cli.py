@@ -25,7 +25,6 @@ import json
 import math
 import signal
 import sys
-from pathlib import Path
 
 from .correspondence import (
     CorrespondencePair,
@@ -47,7 +46,11 @@ def _size(text: str) -> int:
 
 
 def _read_pair(path: str) -> CorrespondencePair:
-    raw = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+    if path == "-":
+        raw = sys.stdin.read()
+    else:
+        with open(path, encoding="utf-8") as f:
+            raw = f.read()
     try:
         obj = json.loads(raw)
     except (json.JSONDecodeError, RecursionError) as err:  # RecursionError: nested too deep

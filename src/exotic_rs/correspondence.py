@@ -49,21 +49,23 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Iterator
-from dataclasses import dataclass
 from operator import itemgetter
 
 from .bitableaux import Bitableau, Position
-from .partitions import Bipartition, Partition, Side, _last_equal_row
+from .partitions import Bipartition, Partition, Side, _Frozen, _last_equal_row
 from .signed_perm import SignedPermutation
 
 
-@dataclass(frozen=True)
-class CorrespondencePair:
+class CorrespondencePair(_Frozen):
     """A pair of same-shape standard bitableaux: T carries the inserted
     values, R records the order in which boxes were created."""
 
-    T: Bitableau = Bitableau()
-    R: Bitableau = Bitableau()
+    __slots__ = ("T", "R")
+
+    def __init__(self, T: Bitableau = Bitableau(), R: Bitableau = Bitableau()) -> None:
+        object.__setattr__(self, "T", T)
+        object.__setattr__(self, "R", R)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         row_lengths = lambda t: (list(map(len, t.left)), list(map(len, t.right)))
@@ -97,31 +99,34 @@ class CorrespondencePair:
 # -- traces --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InsertionStep:
+class InsertionStep(_Frozen):
     """One placement during insertion: ``value`` lands at ``target``,
     displacing ``displaced`` (None when the slot was free)."""
 
-    value: int
-    target: Position
-    displaced: int | None
+    __slots__ = ("value", "target", "displaced")
+
+    def __init__(self, value: int, target: Position, displaced: int | None) -> None:
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "displaced", displaced)
 
     def to_json(self) -> dict:
         return {"value": self.value, **self.target.to_json(), "displaced": self.displaced}
 
 
-@dataclass(frozen=True)
-class InsertionRecord:
-    k: int
-    letter: int
-    steps: tuple[InsertionStep, ...]
+class InsertionRecord(_Frozen):
+    __slots__ = ("k", "letter", "steps")
+
+    def __init__(self, k: int, letter: int, steps: tuple[InsertionStep, ...]) -> None:
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "letter", letter)
+        object.__setattr__(self, "steps", steps)
 
     def to_json(self) -> dict:
         return {"k": self.k, "letter": self.letter, "steps": [s.to_json() for s in self.steps]}
 
 
-@dataclass(frozen=True)
-class RemovalStep:
+class RemovalStep(_Frozen):
     """One hop of a removal cascade.
 
     ``value`` leaves the box ``source``; ``shape`` is the shape of the
@@ -130,11 +135,14 @@ class RemovalStep:
     ``emitted`` is the signed letter that leaves the diagram.
     """
 
-    value: int
-    source: Position
-    shape: Bipartition
-    target: Position | None
-    emitted: int | None
+    __slots__ = ("value", "source", "shape", "target", "emitted")
+
+    def __init__(self, value: int, source: Position, shape: Bipartition, target: Position | None, emitted: int | None) -> None:
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "emitted", emitted)
 
     def to_json(self) -> dict:
         return {
@@ -146,11 +154,13 @@ class RemovalStep:
         }
 
 
-@dataclass(frozen=True)
-class RemovalRecord:
-    k: int
-    letter: int
-    steps: tuple[RemovalStep, ...]
+class RemovalRecord(_Frozen):
+    __slots__ = ("k", "letter", "steps")
+
+    def __init__(self, k: int, letter: int, steps: tuple[RemovalStep, ...]) -> None:
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "letter", letter)
+        object.__setattr__(self, "steps", steps)
 
     def to_json(self) -> dict:
         return {"k": self.k, "letter": self.letter, "steps": [s.to_json() for s in self.steps]}
@@ -329,14 +339,16 @@ def _remove(t: _Rows, c: int, i: int, hops: list[tuple] | None) -> int:
 def _removal_trie(rs: list[_Tableau]) -> list[tuple[int, int, int, int, bool, _Tableau]]:
     """The same-shape tableaux rs, given by rows in canonical order, as a trie in preorder: a node
     (d, c, i, run, copy, first) for each sequence of the boxes (c, i) of n, n-1, ..., n-d+1 that the ``run``
-    tableaux from ``first`` on share (they are contiguous).  ``copy`` is False for a parent's last child."""
+    tableaux from ``first`` on share (they are contiguous).  ``copy`` is False for a parent's last child.
+    Each tableau has a leaf of its own, also when rs lists it twice."""
     orders = [[b[k] for k in range(len(b), 0, -1)] for b in map(_boxes, rs)]
     nodes = []
     for j, order in enumerate(orders):
-        # Below the depth where order leaves the previous tableau's path, its nodes are new.
-        shared = next((d for d, (a, b) in enumerate(zip(orders[j - 1], order)) if a != b), 0) if j else 0
+        # Below the depth where order leaves the previous tableau's path, its nodes are new; a repeat, just its leaf.
+        shared = next((d for d, (a, b) in enumerate(zip(orders[j - 1], order)) if a != b), len(order) - 1) if j else 0
         for d in range(shared, len(order)):
-            end = next((e for e in range(j + 1, len(rs)) if orders[e][:d + 1] != order[:d + 1]), len(rs))
+            end = j + 1 if d + 1 == len(order) else next(
+                (e for e in range(j + 1, len(rs)) if orders[e][:d + 1] != order[:d + 1]), len(rs))
             nodes.append((d + 1, *order[d], end - j, end < len(rs) and orders[end][:d] == order[:d], rs[j]))
     return nodes
 
@@ -421,31 +433,37 @@ def _reduce(t: _Rows, R: _Tableau, c: int, i: int) -> tuple[_Tableau, _Tableau, 
 # -- transition classification ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FirstRemoval:
+class FirstRemoval(_Frozen):
     """Which box starts a cascade: the outermost box of ``row`` on ``side``."""
 
-    side: Side
-    row: int
+    __slots__ = ("side", "row")
+
+    def __init__(self, side: Side, row: int) -> None:
+        object.__setattr__(self, "side", side)
+        object.__setattr__(self, "row", row)
 
 
-@dataclass(frozen=True)
-class Continue:
+class Continue(_Frozen):
     """The cascade's next box leaves ``row`` of ``side`` (of the shape left
     after the first removal)."""
 
-    side: Side
-    row: int
+    __slots__ = ("side", "row")
+
+    def __init__(self, side: Side, row: int) -> None:
+        object.__setattr__(self, "side", side)
+        object.__setattr__(self, "row", row)
 
 
-@dataclass(frozen=True)
-class TerminateUnbarred:
+class TerminateUnbarred(_Frozen):
     """The cascade ends by emitting the moving value as an unbarred letter."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class TerminateBarred:
+
+class TerminateBarred(_Frozen):
     """The cascade ends by emitting the moving value as a barred letter."""
+
+    __slots__ = ()
 
 
 class ClassificationError(ValueError):

@@ -16,10 +16,10 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 from enum import Enum
 from math import comb, factorial
-from typing import Iterator
+from operator import attrgetter, ge, gt, le, lt
 
 
 class Side(Enum):
@@ -32,11 +32,64 @@ class Side(Enum):
         return self.value
 
 
-@dataclass(frozen=True, order=True)
-class Partition:
+class _Frozen:
+    """An immutable value made of the fields that its own class names in ``__slots__``, each set once by
+    its ``__init__``.  Two values are equal when they are of one class and their fields are equal, and hash
+    as their fields do; the repr reads ``Name(field=value, ...)``; assigning or deleting a field raises
+    AttributeError; pickle and copy rebuild a value through its constructor.
+
+    This is what the package used of ``dataclass(frozen=True)``, without its cost at start-up, which every
+    ``exotic-rs`` command pays: importing ``dataclasses`` pulls in ``inspect`` and ``ast`` (about 13 ms), and
+    each frozen dataclass ``exec``s its generated methods (about 1.35 ms a class).  With the 15 classes on
+    this base, ``import exotic_rs.cli`` takes about 14 ms instead of 47 (``-X importtime``, Python 3.11 on a
+    2-CPU x86 host).
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        # The fields read in C as one key: a tuple of two or more, a single field itself (the class for none).
+        cls._key = property(attrgetter(*cls.__slots__ or ("__class__",)))
+
+    def __eq__(self, other: object) -> bool:
+        return self._key == other._key if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self.__slots__)})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+def _by_key(op):
+    """An order method of a frozen value that compares field keys with ``op``, within one class."""
+    return lambda self, other: op(self._key, other._key) if other.__class__ is self.__class__ else NotImplemented
+
+
+class _Ordered(_Frozen):
+    """A frozen value ordered as its field tuple, as ``dataclass(order=True)`` ordered one."""
+
+    __slots__ = ()
+    __lt__, __le__, __gt__, __ge__ = map(_by_key, (lt, le, gt, ge))
+
+
+class Partition(_Ordered):
     """A weakly decreasing tuple of positive integers."""
 
-    parts: tuple[int, ...] = ()
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple[int, ...] = ()) -> None:
+        object.__setattr__(self, "parts", parts)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         parts = tuple(self.parts)
@@ -78,12 +131,14 @@ class Partition:
         return "[" + ",".join(str(p) for p in self.parts) + "]"
 
 
-@dataclass(frozen=True, order=True)
-class Bipartition:
+class Bipartition(_Ordered):
     """A pair of partitions (mu, nu) with total size |mu| + |nu|."""
 
-    mu: Partition = Partition()
-    nu: Partition = Partition()
+    __slots__ = ("mu", "nu")
+
+    def __init__(self, mu: Partition = Partition(), nu: Partition = Partition()) -> None:
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "nu", nu)
 
     @property
     def lam(self) -> Partition:

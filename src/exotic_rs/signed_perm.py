@@ -12,16 +12,20 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
-from typing import Iterator
+from collections.abc import Iterator
+
+from .partitions import _Frozen
 
 # An optional sign and ASCII digits: the integer forms the package reads from text.
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
-@dataclass(frozen=True)
-class SignedPermutation:
-    letters: tuple[int, ...] = ()
+class SignedPermutation(_Frozen):
+    __slots__ = ("letters",)
+
+    def __init__(self, letters: tuple[int, ...] = ()) -> None:
+        object.__setattr__(self, "letters", letters)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         letters = tuple(self.letters)

@@ -21,14 +21,12 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
-from importlib import resources
-from typing import Callable, Iterator
+from collections.abc import Callable, Iterator
 
 from . import correspondence
 from .bitableaux import Bitableau, enumerate_standard_bitableaux
 from .correspondence import CorrespondencePair, _Tableau, _hop_agrees, _hop_failure, _pair, _rows, bump_once, insertion, reverse_bumping
-from .partitions import Bipartition, count_bitableaux, enumerate_bipartitions
+from .partitions import Bipartition, _Frozen, count_bitableaux, enumerate_bipartitions
 from .signed_perm import (
     SignedPermutation,
     _INTEGER,
@@ -69,14 +67,16 @@ def _check_budget(n: int, default: int, what: str) -> None:
         )
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(_Frozen):
     """Outcome of one verifier run."""
 
-    property: str
-    n: int
-    checked: int
-    failures: tuple = ()
+    __slots__ = ("property", "n", "checked", "failures")
+
+    def __init__(self, property: str, n: int, checked: int, failures: tuple = ()) -> None:
+        object.__setattr__(self, "property", property)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "checked", checked)
+        object.__setattr__(self, "failures", failures)
 
     @property
     def ok(self) -> bool:
@@ -168,7 +168,9 @@ def verify_roundtrip(n: int) -> Report:
         words += 1
         if (s := place.get(T, nowhere)[0]) is None or place.get(R, nowhere)[0] != s or correspondence._reverse(T, R) != letters:
             w = SignedPermutation(letters)  # rows that are no standard pair raise here, in the validated pair
-            failures.append({"word": w.to_text(), "came_back_as": reverse_bumping(insertion(w)).to_text()})
+            failures.append(record := {"word": w.to_text(), "came_back_as": reverse_bumping(insertion(w)).to_text()})
+            if record["came_back_as"] == record["word"]:
+                record["reason"] = "pair outside the enumeration"
     # Premise: the tree yields each word once (the pinned `cells 5` and `table 5 --json` output hold it
     # fixed).  When every word comes back from an enumerated pair of one shape, insertion maps the words
     # one-to-one into the pairs; with as many pairs as words it is onto, and each pair p = insertion(w) has
@@ -307,6 +309,8 @@ def _group_by_shape(n: int, item: Callable[[tuple[int, ...], Bitableau, Bitablea
 
 def load_golden_table() -> dict:
     """The frozen n=3 correspondence table shipped with the package."""
+    from importlib import resources  # here, not at import: only the golden check reads it
+
     text = resources.files("exotic_rs").joinpath("data/golden_table_n3.json").read_text()
     return json.loads(text)
 

@@ -443,6 +443,17 @@ class TestUsage:
         assert code == 0
         assert "insert" in out and "verify" in out
 
+    def test_import_leaves_out_the_slow_stdlib_modules(self):
+        # Every command pays for what `import exotic_rs.cli` imports.  Under -S, `site` imports nothing, so
+        # sys.modules holds what the package pulled in.
+        slow = ["dataclasses", "inspect", "typing", "importlib.resources", "pathlib"]
+        src = str(Path(exotic_rs.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", f"import exotic_rs.cli, sys; print(*[m for m in {slow!r} if m in sys.modules])"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "\n", "")
+
 
 def insertion_pair_json(word_text: str) -> dict:
     return insertion(SignedPermutation.from_text(word_text)).to_json()

@@ -19,6 +19,7 @@ from exotic_rs import (
     Bitableau,
     BudgetExceededError,
     CorrespondencePair,
+    Partition,
     Report,
     SignedPermutation,
     cells,
@@ -212,7 +213,7 @@ class TestRoundtripByCounting:
         # pairs as words and each pair comes back, but the word of the pair that is missing lands outside.
         real = verify._cells
         monkeypatch.setattr(verify, "_cells", lambda n: [*(cells := list(real(n)))[:-1], cells[0]])
-        assert verify_roundtrip(3).failures == ({"word": "-3 -2 -1", "came_back_as": "-3 -2 -1"},)
+        assert verify_roundtrip(3).failures == ({"word": "-3 -2 -1", "came_back_as": "-3 -2 -1", "reason": "pair outside the enumeration"},)
 
 
 class TestMutationMatrix:
@@ -246,23 +247,32 @@ class TestMutationMatrix:
             for got, want in zip(failures, expected):
                 assert want.items() <= got.items(), prop
 
-    def test_enumerate_is_caught(self, monkeypatch):
-        # One size-3 shape lists its first tableau in place of its second.  The patch builds a new tuple and leaves
-        # the cached one alone; the n = 3 verifiers enumerate no size-4 shape, so no cache entry is built through it.
-        shape = ((1, 1), (1,))
+    @pytest.mark.parametrize("shape, failing", [(((1, 1), (1,)), {"roundtrip", "wtilde"}), (((2, 1), ()), {"roundtrip"})])
+    def test_enumerate_is_caught(self, monkeypatch, shape, failing):
+        # One size-3 shape lists its first tableau in place of its second: one of three, or both of its two.  The patch
+        # builds a new tuple and leaves the cached one alone; the n = 3 verifiers enumerate no size-4 shape, so no cache
+        # entry is built through it.
         real = bitableaux._enumerate
         first, dropped, *rest = real(*shape)
         monkeypatch.setattr(bitableaux, "_enumerate", lambda mu, nu: (first, first, *rest) if (mu, nu) == shape else real(mu, nu))
-        failing = {prop: failures for prop in ("roundtrip", "inverse", "counting", "transition", "wtilde", "embedding")
-                   if (failures := run_verifier(prop, 3).failures)}
-        assert set(failing) == {"roundtrip", "wtilde"}
-        # Roundtrip names each word whose T or R was dropped: its pair lies outside the enumeration.
+        reports = {prop: run_verifier(prop, 3) for prop in ("roundtrip", "inverse", "counting", "transition", "wtilde", "embedding")}
+        assert {prop for prop, report in reports.items() if report.failures} == failing
+        # Roundtrip names each word whose T or R was dropped: it comes back, but its pair lies outside the enumeration.
         reached = [w.to_text() for w in enumerate_signed_permutations(3) if dropped in (insertion(w).T, insertion(w).R)]
-        assert [f["word"] for f in failing["roundtrip"]] == reached and len(reached) == 2 * 3 - 1
-        # The cell's trie gives the listed-twice tableau two overlapping runs, so wtilde pairs bump_once's step with
-        # the wrong R; inverse and transition walk the same trie, but a repeated pair still passes their checks.
-        twice = first.to_json()
-        assert len(failing["wtilde"]) == 3 and all(twice in f["pair"].values() for f in failing["wtilde"])
+        assert reports["roundtrip"].failures == tuple(
+            {"word": w, "came_back_as": w, "reason": "pair outside the enumeration"} for w in reached)
+        assert len(reached) == 2 * (len(rest) + 2) - 1
+        # The cell's trie gives the listed-twice tableau a leaf of its own, so inverse and transition check each listed
+        # pair, as the direct evaluations do; a repeated pair passes their checks.
+        for prop, direct in (("inverse", direct_inverse), ("transition", direct_transition)):
+            assert (reports[prop].checked, []) == direct(3)
+        if "wtilde" in failing:
+            # The run of the tableaux with 3 in left row 2 is (first, first): as many as the reduced cell lists,
+            # and the first reduces to its first.  So wtilde pairs the second with the reduced cell's second R.
+            twice = first.to_json()
+            assert len(reports["wtilde"].failures) == 3 and all(twice in f["pair"].values() for f in reports["wtilde"].failures)
+        else:
+            assert (reports["wtilde"].checked, []) == direct_wtilde(3)
 
 
 class TestBudgets:
