@@ -38,11 +38,11 @@ class _Frozen:
     as their fields do; the repr reads ``Name(field=value, ...)``; assigning or deleting a field raises
     AttributeError; pickle and copy rebuild a value through its constructor.
 
-    This is what the package used of ``dataclass(frozen=True)``, without its cost at start-up, which every
-    ``exotic-rs`` command pays: importing ``dataclasses`` pulls in ``inspect`` and ``ast`` (about 13 ms), and
-    each frozen dataclass ``exec``s its generated methods (about 1.35 ms a class).  With the 15 classes on
-    this base, ``import exotic_rs.cli`` takes about 14 ms instead of 47 (``-X importtime``, Python 3.11 on a
-    2-CPU x86 host).
+    This is what the package used of the standard library's frozen data classes, without their cost at
+    start-up, which every ``exotic-rs`` command pays: importing their module pulls in ``inspect`` and
+    ``ast`` (about 13 ms), and each frozen data class ``exec``s its generated methods (about 1.35 ms a
+    class).  With the 15 classes on this base, ``import exotic_rs.cli`` takes about 14 ms instead of 47
+    (``-X importtime``, Python 3.11 on a 2-CPU x86 host).
     """
 
     __slots__ = ()
@@ -76,7 +76,7 @@ def _by_key(op):
 
 
 class _Ordered(_Frozen):
-    """A frozen value ordered as its field tuple, as ``dataclass(order=True)`` ordered one."""
+    """A frozen value ordered as its field tuple, within one class."""
 
     __slots__ = ()
     __lt__, __le__, __gt__, __ge__ = map(_by_key, (lt, le, gt, ge))

@@ -19,7 +19,6 @@ from exotic_rs import (
     Bitableau,
     BudgetExceededError,
     CorrespondencePair,
-    Partition,
     Report,
     SignedPermutation,
     cells,
@@ -247,7 +246,8 @@ class TestMutationMatrix:
             for got, want in zip(failures, expected):
                 assert want.items() <= got.items(), prop
 
-    @pytest.mark.parametrize("shape, failing", [(((1, 1), (1,)), {"roundtrip", "wtilde"}), (((2, 1), ()), {"roundtrip"})])
+    @pytest.mark.parametrize("shape, failing", [(((1, 1), (1,)), {"roundtrip", "wtilde"}), (((2, 1), ()), {"roundtrip"})],
+                             ids=["one_of_three", "both_of_two"])
     def test_enumerate_is_caught(self, monkeypatch, shape, failing):
         # One size-3 shape lists its first tableau in place of its second: one of three, or both of its two.  The patch
         # builds a new tuple and leaves the cached one alone; the n = 3 verifiers enumerate no size-4 shape, so no cache
