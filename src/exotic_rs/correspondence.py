@@ -43,6 +43,8 @@ prefix of a word once, and ``_walk`` runs each cascade once for all the R of a
 ``_removal_trie`` that share it.  Only the ``_with_trace`` variants and the
 transition check record steps, as plain tuples whose layout is private to
 this module; they become step records there, or go to ``_classify`` directly.
+A hop's truncation is counted down each component only to the first row
+without an entry below the moving value: columns increase, so none below has one.
 """
 
 from __future__ import annotations
@@ -260,18 +262,25 @@ def _place(t: _Rows, r: _Rows, k: int, letter: int, steps: list[InsertionStep] |
 
 def _insertion_tree(n: int) -> Iterator[tuple[tuple[int, ...], _Tableau, _Tableau]]:
     """(letters, T, R) of every word of size n in canonical order, from a depth-first walk of the prefixes:
-    each places its last letter on a copy of its parent's rows (the first child, placed last, on the rows)."""
+    each places its last letter on a copy of its parent's rows (the first child, placed last, on the rows).
+    The leaves take no stack entries: a prefix with one magnitude u left yields its two words at once."""
     stack = [((), tuple(range(1, n + 1)), ([], []), ([], []))]
     while stack:
         letters, unused, t, r = stack.pop()
-        if not unused:
+        if not unused:  # n = 0: the empty word
             yield letters, _frozen(t), _frozen(r)
-            continue
-        for q in range(2 * len(unused) - 1, -1, -1):  # code q = 2a + b: the a-th unused magnitude, barred if b
-            child = (t, r) if q == 0 else (_rows(t), _rows(r))
-            letter = -unused[q >> 1] if q & 1 else unused[q >> 1]
-            _place(*child, len(letters) + 1, letter, None)
-            stack.append((letters + (letter,), unused[: q >> 1] + unused[(q >> 1) + 1:], *child))
+        elif len(unused) == 1:  # u barred on a copy, then unbarred on the rows
+            barred = _rows(t), _rows(r)
+            _place(*barred, n, -unused[0], None)
+            _place(t, r, n, unused[0], None)
+            yield letters + unused, _frozen(t), _frozen(r)
+            yield letters + (-unused[0],), *map(_frozen, barred)
+        else:
+            for q in range(2 * len(unused) - 1, -1, -1):  # code q = 2a + b: the a-th unused magnitude, barred if b
+                child = (t, r) if q == 0 else (_rows(t), _rows(r))
+                letter = -unused[q >> 1] if q & 1 else unused[q >> 1]
+                _place(*child, len(letters) + 1, letter, None)
+                stack.append((letters + (letter,), unused[: q >> 1] + unused[(q >> 1) + 1:], *child))
 
 
 # -- reverse bumping -----------------------------------------------------------
@@ -303,9 +312,9 @@ def _reverse(T: _Tableau, R: _Tableau, cascades: list | None = None) -> tuple[in
 
 
 def _remove(t: _Rows, c: int, i: int, hops: list[tuple] | None) -> int:
-    """Remove the outermost box of row i of component c and walk its value back up the diagram;
-    returns the emitted letter.  Unless ``hops`` is None, each hop appends (value, c, i, j, mu, nu,
-    slot, letter): the box left, the truncation's row counts, and the box entered or the letter."""
+    """Remove the outermost box of row i of component c and walk its value back up the diagram; returns the
+    emitted letter.  Unless ``hops`` is None, each hop appends (value, c, i, j, mu, nu, slot, letter): the box
+    left, the truncation's row counts, taken row by row until one has none, and the box entered or the letter."""
     left, right = t
     j = len(t[c][i]) - 1
     value = t[c][i].pop()
@@ -324,12 +333,16 @@ def _remove(t: _Rows, c: int, i: int, hops: list[tuple] | None) -> int:
             m, misses = m + 1, misses + 1 if col < 0 else 0
         letter = None if slot else -value if c or i else value
         if hops is not None:
-            # Entries below the moving value, per row; rows left with none (the bottom ones) drop
-            # out.  With the box left: the truncation.
-            counts = [[n for row in rows if (n := bisect_left(row, value))] for rows in t]
-            own = (*counts[c][:i], j + 1, *counts[c][i + 1:])
-            mu, nu = (own, tuple(counts[1])) if c == 0 else (tuple(counts[0]), own)
-            hops.append((value, c, i, j, mu, nu, slot, letter))
+            # Entries below the moving value, per row, down to the first row with none: the counts weakly
+            # decrease down a component, as its columns increase.  With the box left: the truncation.
+            mu, nu = [], []
+            for rows, counts in (left, mu), (right, nu):
+                for r in rows:  # not `row`: that is the slot's row
+                    if not (x := bisect_left(r, value)):
+                        break
+                    counts.append(x)
+            (nu if c else mu)[i:i + 1] = j + 1,  # row i counted j, or none when j = 0, and then it ended the list
+            hops.append((value, c, i, j, tuple(mu), tuple(nu), slot, letter))
         if slot is None:
             return letter
         c, i, j = slot
@@ -358,10 +371,9 @@ def _walk(T: _Tableau, trie: list, hops: list | None = None) -> list[tuple[int, 
     a copy of its parent's rows unless it is the last child.  Unless ``hops`` is None, each node appends the
     list of its hops."""
     n = sum(map(len, T[0])) + sum(map(len, T[1]))
-    states, letters, words = [_rows(T)], [0] * n, [] if trie else [()]  # the empty pair's word
-    for d, c, i, _, copy, _ in trie:
-        t = _rows(states[d - 1]) if copy else states[d - 1]
-        states[d:] = [t]
+    states, letters, words = [_rows(T)] * (n + 1), [0] * n, [] if trie else [()]  # the empty pair's word
+    for d, c, i, _, copy, _ in trie:  # a node's parent comes before it in preorder, so states[d - 1] is the parent's
+        t = states[d] = _rows(states[d - 1]) if copy else states[d - 1]
         if hops is not None:
             hops.append([])
         letters[n - d] = _remove(t, c, i, None if hops is None else hops[-1])

@@ -121,9 +121,7 @@ def _iota_embed(letters: tuple[int, ...]) -> tuple[int, ...]:
     n = len(letters)
     images = [0] * (2 * n)
     for i in range(1, n + 1):
-        x = letters[n - i]
-        a = abs(x)
-        sigma_i = n + 1 - a if x > 0 else n + a
+        sigma_i = n + 1 - x if (x := letters[n - i]) > 0 else n - x
         images[i - 1] = sigma_i
         images[2 * n - i] = 2 * n + 1 - sigma_i
     return tuple(images)
@@ -141,9 +139,7 @@ def is_mirror_symmetric(images: tuple[int, ...]) -> bool:
     """Whether sigma(i) + sigma(2n+1-i) = 2n+1 for all i (the image condition
     cutting the embedded copy of the signed permutations out of S_2n)."""
     size = len(images)
-    if size % 2 != 0:
-        return False
-    return all(images[i] + images[size - 1 - i] == size + 1 for i in range(size))
+    return size % 2 == 0 and all(images[i] + images[size - 1 - i] == size + 1 for i in range(size))
 
 
 def derive_w_tilde(w: SignedPermutation) -> tuple[SignedPermutation, int]:
@@ -160,11 +156,5 @@ def derive_w_tilde(w: SignedPermutation) -> tuple[SignedPermutation, int]:
 
 def _w_tilde(letters: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     """:func:`derive_w_tilde` on nonempty letter tuples."""
-    r = abs(letters[-1])
-
-    def shift(x: int) -> int:
-        a = abs(x)
-        b = a if a < r else a - 1
-        return b if x > 0 else -b
-
-    return tuple(shift(x) for x in letters[:-1]), r
+    r = abs(letters[-1])  # magnitudes above r move one step toward 0
+    return tuple(x - (x > r) if x > 0 else x + (x < -r) for x in letters[:-1]), r

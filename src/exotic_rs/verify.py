@@ -12,8 +12,10 @@ one-letter insertion and each removal cascade is computed once per tree node,
 for all the words or pairs beneath it, and each classification once per call;
 the memos die with the call.  Wtilde also runs bump_once's step once per
 first-level node, apart from the walk, so that its letter is checked against
-the walk's own k = n cascade.  Roundtrip checks its pairs by counting: once every
-word comes back, insertion maps the words one-to-one onto the equally many pairs.
+the walk's own k = n cascade.  It reads a node's reduced words off one walk of
+the reduced T only where every R of the node's run, without n, is the reduced
+cell in order.  Roundtrip checks its pairs by counting: once every word comes
+back, insertion maps the words one-to-one onto the equally many pairs.
 """
 
 from __future__ import annotations
@@ -186,8 +188,7 @@ def verify_roundtrip(n: int) -> Report:
 def verify_inverse(n: int) -> Report:
     """Swapping the pair inverts the word: word(R, T) = word(T, R)^-1."""
     _check_budget(n, PAIR_BUDGET, "inverse-symmetry verification")
-    failures = []
-    checked = 0
+    failures, checked = [], 0
     for cell, trie in _cell_tries(n):
         # Within one shape cell, the swap of the pair (T, R) = (t_i, t_j) is (t_j, t_i).
         words = [correspondence._walk(T, trie) for T in cell]
@@ -238,17 +239,24 @@ def verify_wtilde(n: int) -> Report:
     failures, checked, walk = [], 0, correspondence._walk
     smaller = {T: (cell, trie) for cell, trie in _cell_tries(n - 1) for T in cell} if n else {}  # each one's cell
     reduced_words: dict[_Tableau, list[tuple[int, ...]]] = {}  # for each reduced T, the words with each R of its cell
+    drop = lambda R: tuple(tuple(row[:-1] if row[-1] == n else row for row in rows if row != (n,)) for rows in R)
     for cell, trie in _cell_tries(n) if n else ():  # the empty pair has no entry to remove
-        tops = [(c, i, run, first) for d, c, i, run, _, first in trie if d == 1]  # the k = n cascades
+        # The k = n cascades.  Each carries its run's first R without n when the run's R without n are the
+        # reduced cell in order, so that the run's j-th pair reduces to that cell's j-th R; else None.
+        tops, start = [], 0
+        for d, c, i, run, _, first in trie:
+            if d == 1:
+                reduced = [drop(R) for R in cell[start:start + run]]
+                tops.append((c, i, run, first, reduced[0] if smaller.get(reduced[0], ([],))[0] == reduced else None))
+                start += run
         for T in cell:
             words, start = walk(T, trie), 0
-            for c, i, run, first in tops:
+            for c, i, run, first, reduced_first in tops:
                 # bump_once's step, apart from the walk's own k = n cascade that emits the words' last letter.
                 reduced_T, reduced_R, letter = correspondence._reduce(_rows(T), first, c, i)
-                reduced_cell, reduced_trie = smaller.get(reduced_T, ((), None))
-                # Without its n, the run's j-th R is the j-th of the reduced cell (canonical order), so the
-                # first must come out of bump_once's step as the first.
-                if run == len(reduced_cell) and reduced_cell[0] == reduced_R:
+                reduced_cell, reduced_trie = smaller.get(reduced_T, ((None,), None))
+                # So the step must reduce the run's first pair to that R and a tableau of that same cell.
+                if reduced_R == reduced_first == reduced_cell[0]:
                     if reduced_T not in reduced_words:
                         reduced_words[reduced_T] = walk(reduced_T, reduced_trie)
                     reduced_run = reduced_words[reduced_T]
@@ -268,8 +276,7 @@ def verify_embedding(n: int) -> Report:
     """The embedding into the symmetric group on 2n letters: mirror image
     condition, injectivity, and compatibility with inverses."""
     _check_budget(n, WORD_BUDGET, "embedding verification")
-    failures = []
-    checked = 0
+    failures, checked = [], 0
     seen: dict[tuple[int, ...], tuple[int, ...]] = {}
     for w in _signed_permutations(n):
         sigma = _iota_embed(w)

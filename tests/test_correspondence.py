@@ -11,7 +11,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from conftest import bitableaux, signed_words
-from exotic_rs import correspondence
+from exotic_rs import correspondence, signed_perm, verify
 from exotic_rs import (
     Bitableau,
     CorrespondencePair,
@@ -153,6 +153,12 @@ class TestInsertion:
             digest.update(repr(correspondence._insert(w.letters)).encode() + b"\n")
         assert digest.hexdigest() == "7dd98aba0914759214c1cd830c1d948d0c6c243c37ff7d0abfadc0f85947ea9a"
 
+    @pytest.mark.parametrize("n", range(6))
+    def test_insertion_tree_inserts_every_word_in_canonical_order(self, n):
+        # n = 0 yields the empty word; from n = 1 on, the leaves come two at a time from their parent.
+        expected = [(w, *correspondence._insert(w)) for w in signed_perm._signed_permutations(n)]
+        assert list(correspondence._insertion_tree(n)) == expected
+
 
 class TestReverseBumping:
     def test_worked_example_with_column_tableaux(self):
@@ -238,6 +244,34 @@ class TestReverseBumping:
         for pair in iter_pairs(5):
             digest.update(repr(correspondence._reverse((pair.T.left, pair.T.right), (pair.R.left, pair.R.right))).encode() + b"\n")
         assert digest.hexdigest() == "b1915a9b5935c7df234cdd4ed1c37aa145a58b9d88397e64133aeb9427ca0a7c"
+
+    def test_hops_of_every_trie_walk_of_size_five_are_pinned(self):
+        # One repr line of the hop lists that _walk records per T, cell by cell: the transition check's input.
+        # The digest was taken while _remove still recounted every row at every hop.
+        digest, hops_seen = hashlib.sha256(), 0
+        for cell, trie in verify._cell_tries(5):
+            for T in cell:
+                correspondence._walk(T, trie, hops := [])
+                hops_seen += sum(map(len, hops))
+                digest.update(repr(hops).encode() + b"\n")
+        assert hops_seen == 16324
+        assert digest.hexdigest() == "03f08c1e8a92f3772b8d2dd0b020fa5392c11c781fb4e57f065eece7cfff1a63"
+
+    @given(signed_words(max_n=100))
+    @settings(max_examples=40, deadline=None)
+    def test_hop_truncations_are_bipartitions_of_the_values_left(self, w):
+        # Each hop's row counts are positive and weakly decreasing down a component, which lets _remove stop
+        # counting at the first row without an entry below the moving value.  They hold the moving value and
+        # the entries below it that no earlier cascade has emitted.
+        correspondence._reverse(*correspondence._insert(w.letters), cascades := [])
+        emitted = set()
+        for _, letter, hops in cascades:
+            for value, c, i, j, mu, nu, _, _ in hops:
+                for parts in (mu, nu):
+                    assert all(parts) and list(parts) == sorted(parts, reverse=True)
+                assert (mu, nu)[c][i] == j + 1
+                assert sum(mu) + sum(nu) == value - sum(x < value for x in emitted)
+            emitted.add(abs(letter))
 
     def test_both_kernels_and_their_traces_on_long_words_are_pinned(self):
         # Random words of size 400 build 21-27 rows per component, so the slot scans run long.  Per word: one
