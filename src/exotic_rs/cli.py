@@ -100,16 +100,18 @@ def cmd_bump(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
+    dumped: dict[int, str] = {}  # each tableau's JSON, rendered once; by identity, as the tableaux are the cached ones
+    js = lambda t: dumped.get(id(t)) or dumped.setdefault(id(t), json.dumps(t.to_json()))
     if args.json:
         # Rows are kept as JSON text and written block by block, laid out as json.dumps would.
-        row = lambda w, T, R: json.dumps({"word": _text(w), "T": T.to_json(), "R": R.to_json()})
+        row = lambda w, T, R: f'{{"word": {json.dumps(_text(w))}, "T": {js(T)}, "R": {js(R)}}}'
         blocks = _group_by_shape(args.n, row).items()
         sys.stdout.write("[")
         for i, (shape, rows) in enumerate(blocks):
             sys.stdout.write(f'{", " if i else ""}{{"shape": {json.dumps(shape.to_json())}, "words": [{", ".join(rows)}]}}')
         print("]")
         return 0
-    line = lambda w, T, R: f"{_text(w)}\t{json.dumps(T.to_json())}\t{json.dumps(R.to_json())}"
+    line = lambda w, T, R: f"{_text(w)}\t{js(T)}\t{js(R)}"
     for shape, lines in _group_by_shape(args.n, line).items():
         print(f"# {shape.to_text()}")
         print(*lines, sep="\n")

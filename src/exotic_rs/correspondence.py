@@ -32,19 +32,21 @@ displacing the smaller entry found there; when the walk reaches combined
 row 1 the letter is emitted unbarred, and when no box is available it is
 emitted barred.
 
-Each direction is one step on plain mutable rows, ``_place`` (one letter in)
+Each direction is one step on plain mutable rows, ``_place`` (one letter into
+T; it returns the new box's combined row, where ``_insert`` records k in R)
 and ``_remove`` (one cascade out): ``_insert`` maps letters to the rows (T, R)
 of their pair, ``_reverse`` maps rows back to letters, and ``_reduce`` is the
 step of ``bump_once``.  The public functions are thin wrappers that build the
 validated types (:class:`~exotic_rs.bitableaux.Bitableau`,
 :class:`CorrespondencePair`, :class:`~exotic_rs.signed_perm.SignedPermutation`).
 The sweeps share the steps of common prefixes: ``_insertion_tree`` places each
-prefix of a word once, and ``_walk`` runs each cascade once for all the R of a
-``_removal_trie`` that share it.  Only the ``_with_trace`` variants and the
-transition check record steps, as plain tuples whose layout is private to
-this module; they become step records there, or go to ``_classify`` directly.
-A hop's truncation is counted down each component only to the first row
-without an entry below the moving value: columns increase, so none below has one.
+prefix of a word once and carries R as one integer, its ``_box_code``, and
+``_walk`` runs each cascade once for all the R of a ``_removal_trie`` that
+share it.  Only the ``_with_trace`` variants and the transition check record
+steps, as plain tuples whose layout is private to this module; they become
+step records there, or go to ``_classify`` directly.  A hop's truncation is
+counted down each component only to the first row without an entry below the
+moving value: columns increase, so none below has one.
 """
 
 from __future__ import annotations
@@ -184,7 +186,7 @@ _Tableau = tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]  # th
 
 
 def _rows(t: _Tableau | _Rows) -> _Rows:
-    return [list(r) for r in t[0]], [list(r) for r in t[1]]
+    return list(map(list, t[0])), list(map(list, t[1]))
 
 
 def _frozen(t: _Rows) -> _Tableau:
@@ -220,15 +222,18 @@ def _insert(letters: tuple[int, ...], records: list[InsertionRecord] | None = No
     r: _Rows = ([], [])
     for k, letter in enumerate(letters, start=1):
         steps = None if records is None else []
-        _place(t, r, k, letter, steps)
+        m = _place(t, letter, steps)
+        if (i := m >> 1) == len(rows := r[m & 1]):
+            rows.append([])
+        rows[i].append(k)
         if steps is not None:
             records.append(InsertionRecord(k, letter, tuple(steps)))
     return _frozen(t), _frozen(r)
 
 
-def _place(t: _Rows, r: _Rows, k: int, letter: int, steps: list[InsertionStep] | None) -> None:
-    """Insert the k-th letter into the rows t, and record k in r at the box this creates.  Unless ``steps``
-    is None, each placement appends its :class:`InsertionStep`."""
+def _place(t: _Rows, letter: int, steps: list[InsertionStep] | None) -> int:
+    """Insert a letter into the rows t; returns the 0-based combined row 2i + c of the box this creates.  Unless
+    ``steps`` is None, each placement appends its :class:`InsertionStep`."""
     (left, right), s = t, abs(letter)
     if letter > 0:
         c, i, j = 0, 0, bisect_left(left[0], s) if left else 0
@@ -253,34 +258,38 @@ def _place(t: _Rows, r: _Rows, k: int, letter: int, steps: list[InsertionStep] |
             m -= 1
     if i == len(rows):
         rows.append([])
-        r[c].append([])
     rows[i].append(s)
-    r[c][i].append(k)
     if steps is not None:
         steps.append(InsertionStep(s, Position(_SIDES[c], i + 1, j + 1), None))
+    return 2 * i + c
 
 
-def _insertion_tree(n: int) -> Iterator[tuple[tuple[int, ...], _Tableau, _Tableau]]:
-    """(letters, T, R) of every word of size n in canonical order, from a depth-first walk of the prefixes:
-    each places its last letter on a copy of its parent's rows (the first child, placed last, on the rows).
-    The leaves take no stack entries: a prefix with one magnitude u left yields its two words at once."""
-    stack = [((), tuple(range(1, n + 1)), ([], []), ([], []))]
+def _insertion_tree(n: int) -> Iterator[tuple[tuple[int, ...], _Tableau, int]]:
+    """(letters, T, the :func:`_box_code` of R) of every word of size n in canonical order, from a depth-first walk
+    of the prefixes: each places its last letter on a copy of its parent's rows (the first child, placed last, on
+    the rows), and appends its box's row to the code.  A prefix with one magnitude u left yields its two words."""
+    stack, radix = [((), tuple(range(1, n + 1)), ([], []), 0)], 2 * n
     while stack:
-        letters, unused, t, r = stack.pop()
+        letters, unused, t, code = stack.pop()
         if not unused:  # n = 0: the empty word
-            yield letters, _frozen(t), _frozen(r)
+            yield letters, _frozen(t), code
         elif len(unused) == 1:  # u barred on a copy, then unbarred on the rows
-            barred = _rows(t), _rows(r)
-            _place(*barred, n, -unused[0], None)
-            _place(t, r, n, unused[0], None)
-            yield letters + unused, _frozen(t), _frozen(r)
-            yield letters + (-unused[0],), *map(_frozen, barred)
+            barred = _rows(t)
+            m_barred, m = _place(barred, -unused[0], None), _place(t, unused[0], None)
+            yield letters + unused, _frozen(t), code * radix + m
+            yield letters + (-unused[0],), _frozen(barred), code * radix + m_barred
         else:
-            for q in range(2 * len(unused) - 1, -1, -1):  # code q = 2a + b: the a-th unused magnitude, barred if b
-                child = (t, r) if q == 0 else (_rows(t), _rows(r))
+            for q in range(2 * len(unused) - 1, -1, -1):  # q = 2a + b: the a-th unused magnitude, barred if b
+                child = t if q == 0 else _rows(t)
                 letter = -unused[q >> 1] if q & 1 else unused[q >> 1]
-                _place(*child, len(letters) + 1, letter, None)
-                stack.append((letters + (letter,), unused[: q >> 1] + unused[(q >> 1) + 1:], *child))
+                stack.append((letters + (letter,), unused[: q >> 1] + unused[(q >> 1) + 1:], child, code * radix + _place(child, letter, None)))
+
+
+def _box_code(R: _Tableau, n: int) -> int | None:
+    """The combined rows 2i + c of the boxes of 1, ..., n in R, as the base-2n digits of one number, 1's first;
+    None unless R's entries are exactly 1..n.  Rows increase, so tableaux with different rows differ in code."""
+    boxes = sorted((x, 2 * i + c) for c, rows in enumerate(R) for i, row in enumerate(rows) for x in row)
+    return sum(m * (2 * n) ** (n - x) for x, m in boxes) if [x for x, _ in boxes] == list(range(1, n + 1)) else None
 
 
 # -- reverse bumping -----------------------------------------------------------

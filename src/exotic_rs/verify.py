@@ -15,7 +15,8 @@ first-level node, apart from the walk, so that its letter is checked against
 the walk's own k = n cascade.  It reads a node's reduced words off one walk of
 the reduced T only where every R of the node's run, without n, is the reduced
 cell in order.  Roundtrip checks its pairs by counting: once every word comes
-back, insertion maps the words one-to-one onto the equally many pairs.
+back, insertion maps the words one-to-one onto the equally many pairs.  The
+word sweeps look each word's R up by the box code the insertion tree carries.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from collections.abc import Callable, Iterator
 
 from . import correspondence
 from .bitableaux import Bitableau, enumerate_standard_bitableaux
-from .correspondence import CorrespondencePair, _Tableau, _hop_agrees, _hop_failure, _pair, _rows, bump_once, insertion, reverse_bumping
+from .correspondence import CorrespondencePair, _Tableau, _box_code, _hop_agrees, _hop_failure, _pair, _rows, bump_once, insertion, reverse_bumping
 from .partitions import Bipartition, _Frozen, count_bitableaux, enumerate_bipartitions
 from .signed_perm import (
     SignedPermutation,
@@ -157,8 +158,9 @@ def verify_roundtrip(n: int) -> Report:
     for s, cell in enumerate(_cells(n)):
         place.update(((t.left, t.right), (s, [None] * len(cell), b)) for b, t in enumerate(cell))
         pairs += len(cell) ** 2
-    for letters, T, R in correspondence._insertion_tree(n):
-        (s, filed, _), (s_r, _, b) = place.get(T, nowhere), place.get(R, nowhere)
+    coded = {_box_code(rows, n): entry for rows, entry in place.items()}  # the same by box code; None, which no R has, if not standard
+    for letters, T, code in correspondence._insertion_tree(n):
+        (s, filed, _), (s_r, _, b) = place.get(T, nowhere), coded.get(code, nowhere)
         if s is None or s_r != s or filed[b] is not None:
             break  # a word outside the enumeration or on a pair filed before: check every word flat
         filed[b] = letters
@@ -166,9 +168,9 @@ def verify_roundtrip(n: int) -> Report:
         if pairs == 2**n * math.factorial(n) and all(
                 correspondence._walk(T, trie) == place[T][1] for cell, trie in _cell_tries(n) for T in cell):
             return Report("roundtrip", n, 2 * pairs)
-    for letters, T, R in correspondence._insertion_tree(n):
+    for letters, T, code in correspondence._insertion_tree(n):
         words += 1
-        if (s := place.get(T, nowhere)[0]) is None or place.get(R, nowhere)[0] != s or correspondence._reverse(T, R) != letters:
+        if (s := place.get(T, nowhere)[0]) is None or coded.get(code, nowhere)[0] != s or correspondence._reverse(*correspondence._insert(letters)) != letters:
             w = SignedPermutation(letters)  # rows that are no standard pair raise here, in the validated pair
             failures.append(record := {"word": w.to_text(), "came_back_as": reverse_bumping(insertion(w)).to_text()})
             if record["came_back_as"] == record["word"]:
@@ -305,12 +307,14 @@ def _group_by_shape(n: int, item: Callable[[tuple[int, ...], Bitableau, Bitablea
     the shape of its pair (T, R), in the order of :func:`cells`."""
     _check_budget(n, WORD_BUDGET, "cell decomposition")
     out: dict[Bipartition, list] = {bp: [] for bp in enumerate_bipartitions(n)}
-    found = {(t.left, t.right): (shape, t) for shape in out for t in enumerate_standard_bitableaux(shape)}
-    for letters, T, R in correspondence._insertion_tree(n):
-        (shape, t), (shape_r, r) = found.get(T, (None, None)), found.get(R, (None, None))
-        if shape is None or shape_r != shape:
+    found = {(t.left, t.right): (bucket, t) for shape, bucket in out.items() for t in enumerate_standard_bitableaux(shape)}
+    coded = {_box_code(rows, n): entry for rows, entry in found.items()}  # the same by box code
+    for letters, T, code in correspondence._insertion_tree(n):
+        (bucket, t), (bucket_r, r) = found.get(T, (None, None)), coded.get(code, (None, None))
+        if bucket is None or bucket_r is not bucket:
             insertion(SignedPermutation(letters))  # rows that are no standard pair raise here, in the validated pair
-        out[shape].append(item(letters, t, r))
+            raise ValueError(f"word {_text(letters)!r}: pair outside the enumeration")
+        bucket.append(item(letters, t, r))
     return out
 
 

@@ -239,6 +239,15 @@ class TestTable:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == "5d980690b72d9a2a754308e8e2901aefdf2ef25f8a61f5612bf9df717a4bc362"
 
+    def test_each_tableau_is_rendered_once(self, capsys, monkeypatch):
+        # 76 standard tableaux of size 4; rendered per word, T and R, that was 2 * 384 renderings.
+        rendered = []
+        real = json.dumps
+        monkeypatch.setattr(json, "dumps", lambda obj: rendered.append(obj) or real(obj))
+        code, _, _ = invoke(capsys, ["table", "4"])
+        assert code == 0
+        assert len(rendered) == sum(map(len, map(exotic_rs.enumerate_standard_bitableaux, enumerate_bipartitions(4)))) == 76
+
     def test_beyond_budget_exits_2(self, capsys, monkeypatch):
         monkeypatch.delenv("EXOTIC_RS_MAX_N", raising=False)
         code, _, err = invoke(capsys, ["table", "7"])

@@ -156,8 +156,19 @@ class TestInsertion:
     @pytest.mark.parametrize("n", range(6))
     def test_insertion_tree_inserts_every_word_in_canonical_order(self, n):
         # n = 0 yields the empty word; from n = 1 on, the leaves come two at a time from their parent.
-        expected = [(w, *correspondence._insert(w)) for w in signed_perm._signed_permutations(n)]
+        expected = [(w, T, correspondence._box_code(R, n)) for w in signed_perm._signed_permutations(n) for T, R in [correspondence._insert(w)]]
         assert list(correspondence._insertion_tree(n)) == expected
+
+    def test_box_codes_tell_every_standard_tableau_apart(self):
+        for n in range(7):
+            rows = [(t.left, t.right) for cell in verify._cells(n) for t in cell]
+            codes = {correspondence._box_code(r, n) for r in rows}
+            assert None not in codes and len(codes) == len(rows)
+        # A listed tableau that is not standard has no code, so no word's R matches it: here the last size-3
+        # cell's first tableau with 4 in place of 3, as in TestRoundtripByCounting.
+        moved = lambda rows: tuple(tuple(x + (x == 3) for x in row) for row in rows)
+        t = list(verify._cells(3))[-1][0]
+        assert correspondence._box_code((moved(t.left), moved(t.right)), 3) is None
 
 
 class TestReverseBumping:

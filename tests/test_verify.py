@@ -10,7 +10,7 @@ from collections import Counter
 import pytest
 
 from conftest import outcome_of_step
-from exotic_rs import bitableaux, correspondence, partitions, verify
+from exotic_rs import bitableaux, cli, correspondence, partitions, verify
 from exotic_rs import (
     COUNT_BUDGET,
     PAIR_BUDGET,
@@ -156,7 +156,7 @@ class TestVerifiers:
     def test_word_sweep_places_each_prefix_once(self, monkeypatch):
         places = []
         real = correspondence._place
-        monkeypatch.setattr(correspondence, "_place", lambda *args: places.append(args[2]) or real(*args))
+        monkeypatch.setattr(correspondence, "_place", lambda *args: places.append(args[1]) or real(*args))
         assert verify_roundtrip(4).ok
         # One placement per nonempty prefix: 8 + 8 * 6 + 8 * 6 * 4 + 8 * 6 * 4 * 2; flat, 384 * 4 = 1536.
         assert len(places) == 8 + 48 + 192 + 384 == 632
@@ -245,6 +245,18 @@ class TestMutationMatrix:
             assert len(failures) == len(expected), prop
             for got, want in zip(failures, expected):
                 assert want.items() <= got.items(), prop
+
+    def test_cells_refuses_a_pair_outside_the_enumeration(self, monkeypatch, capsys):
+        # Shape ((1, 1), (1,)) lists its first tableau in place of its second: the words whose T or R is the
+        # dropped tableau insert to a valid pair that no cell lists.
+        real, shape = bitableaux._enumerate, ((1, 1), (1,))
+        first, _, *rest = real(*shape)
+        monkeypatch.setattr(bitableaux, "_enumerate", lambda mu, nu: (first, first, *rest) if (mu, nu) == shape else real(mu, nu))
+        with pytest.raises(ValueError, match=r"^word '[-0-9 ]+': pair outside the enumeration$"):
+            cells(3)
+        assert cli.run(["cells", "3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "pair outside the enumeration" in err
 
     @pytest.mark.parametrize("shape", [((1, 1), (1,)), ((2, 1), ())], ids=["one_of_three", "both_of_two"])
     def test_enumerate_is_caught(self, monkeypatch, shape):
@@ -430,27 +442,31 @@ class TestMemosHideNoFailure:
     @pytest.mark.parametrize(
         "word, failing",
         [
-            ("2 -1 4 3", {4: 2}),
-            # The size-4 words that extend "-2 3 1" place their 1 at the same state.
-            ("-2 3 1", {3: 2, 4: 2 * 2}),
+            # The prefixes -1 2 4 and 2 4 -1 insert to the T of 2 -1 4, with other R.
+            ("2 -1 4 3", {4: ["-1 2 4 3", "2 -1 4 3", "2 4 -1 3"]}),
+            # -2 3 and 3 -2 insert to one T; the size-4 words that extend them place their 1 at that T.
+            ("-2 3 1", {3: ["-2 3 1", "3 -2 1"], 4: ["-2 3 1 4", "-2 3 1 -4", "3 -2 1 4", "3 -2 1 -4"]}),
         ],
     )
     def test_one_corrupt_insertion(self, monkeypatch, word, failing):
-        # The last letter is placed with the other bar at the state the first n - 1 letters reach.  That
-        # state is the pair of those letters, so at size n only the target word is corrupted.
+        # The last letter is placed with the other bar at the T the first n - 1 letters reach.  _place sees
+        # T alone, so every word whose first n - 1 letters reach that T and whose last letter is the target's
+        # is corrupted.
         target = SignedPermutation.from_text(word).letters
-        state = correspondence._insert(target[:-1])
+        state = correspondence._insert(target[:-1])[0]
         real = correspondence._place
 
-        def corrupt(t, r, k, letter, steps):
-            if letter == target[-1] and (correspondence._frozen(t), correspondence._frozen(r)) == state:
+        def corrupt(t, letter, steps):
+            if letter == target[-1] and correspondence._frozen(t) == state:
                 letter = -letter
-            real(t, r, k, letter, steps)
+            return real(t, letter, steps)
 
         monkeypatch.setattr(correspondence, "_place", corrupt)
         seen = failures_against_direct()
-        # Each corrupt word fails, and so does the pair nothing inserts to any more.
-        assert {key: count for key, count in seen.items() if count} == {("verify_roundtrip", n): count for n, count in failing.items()}
+        # Each corrupt word fails, and so does each pair nothing inserts to any more: one per corrupt word.
+        assert {key: count for key, count in seen.items() if count} == {("verify_roundtrip", n): 2 * len(words) for n, words in failing.items()}
+        for n, words in failing.items():
+            assert [f["word"] for f in verify_roundtrip(n).failures if "word" in f] == words
 
     @pytest.mark.parametrize(
         "word, depth, corrupt_pairs, failing",
