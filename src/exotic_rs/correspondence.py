@@ -52,7 +52,7 @@ moving value: columns increase, so none below has one.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from operator import itemgetter
 
 from .bitableaux import Bitableau, Position
@@ -358,7 +358,7 @@ def _remove(t: _Rows, c: int, i: int, hops: list[tuple] | None) -> int:
         value, row[j] = row[j], value
 
 
-def _removal_trie(rs: list[_Tableau]) -> list[tuple[int, int, int, int, bool, _Tableau]]:
+def _removal_trie(rs: Sequence[_Tableau]) -> list[tuple[int, int, int, int, bool, _Tableau]]:
     """The same-shape tableaux rs, given by rows in canonical order, as a trie in preorder: a node
     (d, c, i, run, copy, first) for each sequence of the boxes (c, i) of n, n-1, ..., n-d+1 that the ``run``
     tableaux from ``first`` on share (they are contiguous).  ``copy`` is False for a parent's last child.
@@ -375,7 +375,7 @@ def _removal_trie(rs: list[_Tableau]) -> list[tuple[int, int, int, int, bool, _T
     return nodes
 
 
-def _walk(T: _Tableau, trie: list, hops: list | None = None) -> list[tuple[int, ...]]:
+def _walk(T: _Tableau, trie: Sequence, hops: list | None = None) -> list[tuple[int, ...]]:
     """The words of the pairs (T, R) of the trie's tableaux R, in its order: one :func:`_remove` per node, on
     a copy of its parent's rows unless it is the last child.  Unless ``hops`` is None, each node appends the
     list of its hops."""
@@ -391,12 +391,15 @@ def _walk(T: _Tableau, trie: list, hops: list | None = None) -> list[tuple[int, 
     return words
 
 
-def _hop_agrees(hop: tuple, answers: dict) -> bool:
-    """Whether :func:`_classify`, memoized in ``answers``, predicts where a hop recorded by :func:`_remove` went."""
-    _, c, i, _, mu, nu, slot, letter = hop
-    if (key := (mu, nu, c, i)) not in answers:
-        answers[key] = _classify(*key)
-    return answers[key] == (letter > 0 if slot is None else slot[:2])
+def _disagreements(hops: list[list[tuple]], answers: dict) -> Iterator[tuple[int, tuple]]:
+    """(node, hop), in order, for each hop of :func:`_walk`'s per-node lists that :func:`_classify` (memo: ``answers``) mispredicts."""
+    for node, node_hops in enumerate(hops):
+        for hop in node_hops:
+            _, c, i, _, mu, nu, slot, letter = hop
+            if (key := (mu, nu, c, i)) not in answers:
+                answers[key] = _classify(*key)
+            if answers[key] != (letter > 0 if slot is None else slot[:2]):
+                yield node, hop
 
 
 def _removal_step(value, c, i, j, mu, nu, slot, letter) -> RemovalStep:
@@ -406,7 +409,7 @@ def _removal_step(value, c, i, j, mu, nu, slot, letter) -> RemovalStep:
 
 
 def _hop_failure(T: _Tableau, R: _Tableau, k: int, hop: tuple) -> dict:
-    """The failure record of a hop of the k-th cascade of the pair (T, R) that :func:`_hop_agrees` rejects:
+    """The failure record of a hop of the k-th cascade of the pair (T, R) that :func:`_disagreements` names:
     the validated pair, the step and the :func:`second_decrement` answer it quotes."""
     step = _removal_step(*hop)
     try:
@@ -417,8 +420,8 @@ def _hop_failure(T: _Tableau, R: _Tableau, k: int, hop: tuple) -> dict:
 
 
 def _truncation_shape(mu: tuple[int, ...], nu: tuple[int, ...]) -> Bipartition:
-    """The validated shape of a hop's truncation, from its row counts."""
-    return Bipartition(Partition(mu), Partition(nu))
+    """The shape of a hop's truncation, from its row counts: weakly decreasing by construction, so not checked again."""
+    return Bipartition(Partition._unchecked(mu), Partition._unchecked(nu))
 
 
 # -- single-step reduction -------------------------------------------------------

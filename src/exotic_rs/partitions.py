@@ -69,6 +69,14 @@ class _Frozen:
     def __reduce__(self) -> tuple:
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
+    @classmethod
+    def _unchecked(cls, *fields: object):
+        """The value with these fields, as its constructor would store them, without its checks: for valid fields."""
+        self = object.__new__(cls)
+        for name, value in zip(cls.__slots__, fields):
+            object.__setattr__(self, name, value)
+        return self
+
 
 def _by_key(op):
     """An order method of a frozen value that compares field keys with ``op``, within one class."""

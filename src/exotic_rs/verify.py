@@ -6,17 +6,19 @@ with a deterministic list of failures (canonical word order).  Verifiers
 refuse sizes beyond their budget by raising :class:`BudgetExceededError` --
 never by silently checking less.  The env variable ``EXOTIC_RS_MAX_N``
 (an integer) raises all budgets.  The pair verifiers and :func:`cells` run
-the row-level kernels on the cached tableaux' rows and build validated pairs
-and words only for failure records.  The sweeps walk prefix trees: each
-one-letter insertion and each removal cascade is computed once per tree node,
-for all the words or pairs beneath it, and each classification once per call;
-the memos die with the call.  Wtilde also runs bump_once's step once per
-first-level node, apart from the walk, so that its letter is checked against
-the walk's own k = n cascade.  It reads a node's reduced words off one walk of
-the reduced T only where every R of the node's run, without n, is the reduced
-cell in order.  Roundtrip checks its pairs by counting: once every word comes
-back, insertion maps the words one-to-one onto the equally many pairs.  The
-word sweeps look each word's R up by the box code the insertion tree carries.
+the row-level kernels on the cached tableaux' rows and validate pairs only for
+failure records.  The sweeps walk prefix trees: each one-letter insertion and
+each removal cascade is computed once per tree node, for all the words or pairs
+beneath it, and each classification once per call; those memos die with the
+call.  Each cell's rows, removal trie and box codes persist, built once per
+process: they are tables of the cached enumeration, not kernel results, and
+serve only the cell tuple they were built from.  Wtilde also runs bump_once's
+step once per first-level node, apart from the walk, so that its letter is
+checked against the walk's own k = n cascade.  It reads a node's reduced words
+off one walk of the reduced T only where every R of the node's run, without n,
+is the reduced cell in order.  Roundtrip checks its pairs by counting: once
+every word comes back, insertion maps the words one-to-one onto the equally
+many pairs.  The word sweeps look each word's R up by its insertion-tree box code.
 """
 
 from __future__ import annotations
@@ -25,10 +27,11 @@ import json
 import math
 import os
 from collections.abc import Callable, Iterator
+from itertools import accumulate
 
 from . import correspondence
 from .bitableaux import Bitableau, enumerate_standard_bitableaux
-from .correspondence import CorrespondencePair, _Tableau, _box_code, _hop_agrees, _hop_failure, _pair, _rows, bump_once, insertion, reverse_bumping
+from .correspondence import CorrespondencePair, _Tableau, _box_code, _disagreements, _hop_failure, _pair, _rows, bump_once, insertion, reverse_bumping
 from .partitions import Bipartition, _Frozen, count_bitableaux, enumerate_bipartitions
 from .signed_perm import (
     SignedPermutation,
@@ -45,6 +48,8 @@ from .signed_perm import (
 PAIR_BUDGET = 6   # verifiers that enumerate all pairs of size n
 WORD_BUDGET = 6   # verifiers that enumerate all words of size n
 COUNT_BUDGET = 8  # pure shape-counting verifiers
+_tables: dict[tuple[Callable, int, int], tuple] = {}  # by (table, n, a cell's place in _cells(n)): what _cell_tables yields
+_tries, _codes = lambda rows, n: correspondence._removal_trie(rows), lambda rows, n: [_box_code(R, n) for R in rows]  # its tables
 
 
 class BudgetExceededError(RuntimeError):
@@ -114,11 +119,14 @@ def _cells(n: int) -> Iterator[tuple[Bitableau, ...]]:
     return map(enumerate_standard_bitableaux, enumerate_bipartitions(n))
 
 
-def _cell_tries(n: int) -> Iterator[tuple[list[_Tableau], list]]:
-    """The rows of each shape cell's tableaux, with their removal trie, shape by shape in canonical order."""
-    for cell in _cells(n):
-        rows = [(t.left, t.right) for t in cell]
-        yield rows, correspondence._removal_trie(rows)
+def _cell_tables(n: int, table: Callable) -> Iterator[tuple[tuple[Bitableau, ...], tuple[_Tableau, ...], tuple]]:
+    """Each shape cell of size n in canonical order, with its tableaux' rows and ``table(rows, n)``: built on first use and
+    kept for the process, as they depend on the cell alone, but reused only for the very cell tuple they came from."""
+    for s, cell in enumerate(_cells(n)):
+        if (entry := _tables.get((table, n, s))) is None or entry[0] is not cell:
+            rows = tuple((t.left, t.right) for t in cell)  # tuples: every caller shares them
+            entry = _tables[table, n, s] = cell, rows, tuple(table(rows, n))
+        yield entry
 
 
 # -- verifiers -------------------------------------------------------------------
@@ -155,10 +163,10 @@ def verify_roundtrip(n: int) -> Report:
     _check_budget(n, PAIR_BUDGET, "round-trip verification")
     failures, words, pairs, nowhere = [], 0, 0, (None, None, 0)
     place: dict[_Tableau, tuple[int, list, int]] = {}  # each tableau's rows: its shape's place, the words of its pairs as T, its index as R
-    for s, cell in enumerate(_cells(n)):
-        place.update(((t.left, t.right), (s, [None] * len(cell), b)) for b, t in enumerate(cell))
-        pairs += len(cell) ** 2
-    coded = {_box_code(rows, n): entry for rows, entry in place.items()}  # the same by box code; None, which no R has, if not standard
+    for s, (_, rows, _) in enumerate(tables := list(_cell_tables(n, _codes))):
+        place.update((T, (s, [None] * len(rows), b)) for b, T in enumerate(rows))
+        pairs += len(rows) ** 2
+    coded = {code: place[T] for _, rows, codes in tables for T, code in zip(rows, codes)}  # the same by box code; None, which no R has, if not standard
     for letters, T, code in correspondence._insertion_tree(n):
         (s, filed, _), (s_r, _, b) = place.get(T, nowhere), coded.get(code, nowhere)
         if s is None or s_r != s or filed[b] is not None:
@@ -166,7 +174,7 @@ def verify_roundtrip(n: int) -> Report:
         filed[b] = letters
     else:  # each word at a pair of its own, so each T's trie walk must give the words filed for it
         if pairs == 2**n * math.factorial(n) and all(
-                correspondence._walk(T, trie) == place[T][1] for cell, trie in _cell_tries(n) for T in cell):
+                correspondence._walk(T, trie) == place[T][1] for _, rows, trie in _cell_tables(n, _tries) for T in rows):
             return Report("roundtrip", n, 2 * pairs)
     for letters, T, code in correspondence._insertion_tree(n):
         words += 1
@@ -191,7 +199,7 @@ def verify_inverse(n: int) -> Report:
     """Swapping the pair inverts the word: word(R, T) = word(T, R)^-1."""
     _check_budget(n, PAIR_BUDGET, "inverse-symmetry verification")
     failures, checked = [], 0
-    for cell, trie in _cell_tries(n):
+    for _, cell, trie in _cell_tables(n, _tries):
         # Within one shape cell, the swap of the pair (T, R) = (t_i, t_j) is (t_j, t_i).
         words = [correspondence._walk(T, trie) for T in cell]
         for i, T in enumerate(cell):
@@ -219,18 +227,14 @@ def verify_transition(n: int) -> Report:
     """Every cascade step of every removal agrees with second_decrement's rule table."""
     _check_budget(n, PAIR_BUDGET, "transition verification")
     failures, checked, answers = [], 0, {}
-    for cell, trie in _cell_tries(n):
+    for _, cell, trie in _cell_tables(n, _tries):
         for T in cell:
             correspondence._walk(T, trie, hops := [])
             checked += sum(run * len(node_hops) for (_, _, _, run, _, _), node_hops in zip(trie, hops))  # once for each pair beneath the node
-            if all(_hop_agrees(hop, answers) for node_hops in hops for hop in node_hops):
-                continue
-            bad, start = [], 0  # (j, d, h, hop) for the h-th hop of the depth-d cascade of (T, cell[j]) that disagrees
-            for (d, _, _, run, _, _), node_hops in zip(trie, hops):
-                bad += ((j, d, h, hop) for h, hop in enumerate(node_hops) if not _hop_agrees(hop, answers)
-                        for j in range(start, start + run))
-                start += d == n  # the leaves come one per R, in the cell's order
-            failures += (_hop_failure(T, cell[j], n + 1 - d, hop) for j, d, _, hop in sorted(bad))  # (R, k, hop) order
+            if bad := list(_disagreements(hops, answers)):  # each as (j, d, hop) for each pair (T, cell[j]) beneath, in (R, k, hop) order
+                first = list(accumulate((d == n for d, *_ in trie), initial=0))  # each node's first R: a leaf per R, in order
+                bad = sorted(((j, trie[node][0], hop) for node, hop in bad for j in range(first[node], first[node] + trie[node][3])), key=lambda b: b[:2])
+                failures += (_hop_failure(T, cell[j], n + 1 - d, hop) for j, d, hop in bad)
     return Report("transition", n, checked, tuple(failures))
 
 
@@ -239,17 +243,17 @@ def verify_wtilde(n: int) -> Report:
     letter is w_n and the reduced pair's word is the shifted remainder."""
     _check_budget(n, PAIR_BUDGET, "reduction verification")
     failures, checked, walk = [], 0, correspondence._walk
-    smaller = {T: (cell, trie) for cell, trie in _cell_tries(n - 1) for T in cell} if n else {}  # each one's cell
+    smaller = {T: (cell, trie) for _, cell, trie in _cell_tables(n - 1, _tries) for T in cell} if n else {}  # each one's cell
     reduced_words: dict[_Tableau, list[tuple[int, ...]]] = {}  # for each reduced T, the words with each R of its cell
     drop = lambda R: tuple(tuple(row[:-1] if row[-1] == n else row for row in rows if row != (n,)) for rows in R)
-    for cell, trie in _cell_tries(n) if n else ():  # the empty pair has no entry to remove
+    for _, cell, trie in _cell_tables(n, _tries) if n else ():  # the empty pair has no entry to remove
         # The k = n cascades.  Each carries its run's first R without n when the run's R without n are the
         # reduced cell in order, so that the run's j-th pair reduces to that cell's j-th R; else None.
         tops, start = [], 0
         for d, c, i, run, _, first in trie:
             if d == 1:
-                reduced = [drop(R) for R in cell[start:start + run]]
-                tops.append((c, i, run, first, reduced[0] if smaller.get(reduced[0], ([],))[0] == reduced else None))
+                reduced = tuple(drop(R) for R in cell[start:start + run])
+                tops.append((c, i, run, first, reduced[0] if smaller.get(reduced[0], ((),))[0] == reduced else None))
                 start += run
         for T in cell:
             words, start = walk(T, trie), 0
@@ -299,16 +303,16 @@ def cells(n: int) -> dict[Bipartition, list[SignedPermutation]]:
     Keys follow the canonical shape order, members the canonical word order;
     each cell has count_bitableaux(shape)^2 members.
     """
-    return _group_by_shape(n, lambda letters, T, R: SignedPermutation(letters))
+    return _group_by_shape(n, lambda letters, T, R: SignedPermutation._unchecked(letters))  # valid by construction
 
 
 def _group_by_shape(n: int, item: Callable[[tuple[int, ...], Bitableau, Bitableau], object]) -> dict[Bipartition, list]:
     """Insert each word of size n once and file ``item(letters, T, R)`` under
     the shape of its pair (T, R), in the order of :func:`cells`."""
     _check_budget(n, WORD_BUDGET, "cell decomposition")
-    out: dict[Bipartition, list] = {bp: [] for bp in enumerate_bipartitions(n)}
-    found = {(t.left, t.right): (bucket, t) for shape, bucket in out.items() for t in enumerate_standard_bitableaux(shape)}
-    coded = {_box_code(rows, n): entry for rows, entry in found.items()}  # the same by box code
+    out, tables = {bp: [] for bp in enumerate_bipartitions(n)}, list(_cell_tables(n, _codes))  # a bucket for each cell
+    found = {T: (bucket, t) for bucket, (cell, rows, _) in zip(out.values(), tables) for T, t in zip(rows, cell)}
+    coded = {code: found[T] for _, rows, codes in tables for T, code in zip(rows, codes)}  # the same by box code
     for letters, T, code in correspondence._insertion_tree(n):
         (bucket, t), (bucket_r, r) = found.get(T, (None, None)), coded.get(code, (None, None))
         if bucket is None or bucket_r is not bucket:

@@ -260,7 +260,7 @@ class TestReverseBumping:
         # One repr line of the hop lists that _walk records per T, cell by cell: the transition check's input.
         # The digest was taken while _remove still recounted every row at every hop.
         digest, hops_seen = hashlib.sha256(), 0
-        for cell, trie in verify._cell_tries(5):
+        for _, cell, trie in verify._cell_tables(5, verify._tries):
             for T in cell:
                 correspondence._walk(T, trie, hops := [])
                 hops_seen += sum(map(len, hops))

@@ -5,7 +5,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -337,6 +341,79 @@ class TestCells:
         for bp, cell in cells(n).items():
             assert len(cell) == count_bitableaux(bp) ** 2
             assert all(insertion(w).shape == bp for w in cell)
+
+
+# -- tables kept for the process ---------------------------------------------------
+#
+# verify._cell_tables keeps each cell's rows, removal trie and box codes for the
+# life of the process, and reuses them only for the very cell tuple they were
+# built from.  Nothing a kernel computes is kept: every call runs its own
+# insertions, walks and classifications.
+
+
+def sweep_results(n: int) -> dict:
+    """Every pair verifier's report at size n, as JSON, and the cells of size n as text, or the error they raise."""
+    results = {prop: run_verifier(prop, n).to_json() for prop in ("roundtrip", "inverse", "transition", "wtilde")}
+    try:
+        results["cells"] = {bp.to_text(): [w.to_text() for w in words] for bp, words in cells(n).items()}
+    except ValueError as err:
+        results["cells"] = str(err)
+    return results
+
+
+def patched_enumeration_results(shape=((1, 1), (1,))) -> dict:
+    """:func:`sweep_results` at n = 3 and 4 while the cell of ``shape`` lists its first tableau in place of its
+    second, as in test_enumerate_is_caught.  Every shape of size <= 4 is enumerated first, so that no entry of
+    the enumeration's cache is built through the patch."""
+    for n in range(5):
+        for bp in enumerate_bipartitions(n):
+            enumerate_standard_bitableaux(bp)
+    real = bitableaux._enumerate
+    first, _, *rest = real(*shape)
+    bitableaux._enumerate = lambda mu, nu: (first, first, *rest) if (mu, nu) == shape else real(mu, nu)
+    try:
+        return json.loads(json.dumps({f"{prop} {n}": result for n in (3, 4) for prop, result in sweep_results(n).items()}))
+    finally:
+        bitableaux._enumerate = real
+
+
+class TestTablesHideNoFault:
+    def test_warm_tables_report_a_changed_enumeration_as_a_cold_process_does(self):
+        for n in (3, 4):  # build every table of sizes 2 to 4 from the real enumeration
+            assert all(result["failures"] == [] for prop, result in sweep_results(n).items() if prop != "cells")
+        warm = patched_enumeration_results()
+        src = str(Path(verify.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        script = "import json, sys; sys.path.insert(0, sys.argv[1]); import test_verify; print(json.dumps(test_verify.patched_enumeration_results()))"
+        done = subprocess.run([sys.executable, "-c", script, str(Path(__file__).parent)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert warm == json.loads(done.stdout)
+        # The patch is seen: roundtrip names the words of the dropped tableau, and cells refuses them.
+        assert warm["roundtrip 3"]["failures"] and warm["cells 3"].endswith("pair outside the enumeration")
+        # And with the real enumeration back, the tables built from it serve again.
+        assert all(result["failures"] == [] for prop, result in sweep_results(3).items() if prop != "cells")
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_every_verifier_called_twice_gives_one_report(self, n):
+        for prop in (prop for prop in verify.VERIFIERS if n == 3 or prop != "golden"):  # golden is fixed at n = 3
+            assert run_verifier(prop, n).to_json() == run_verifier(prop, n).to_json(), prop
+        assert cells(n) == cells(n)
+
+    def test_each_cell_is_built_once_and_every_call_walks_its_own_cascades(self, monkeypatch):
+        monkeypatch.setattr(verify, "_tables", {})
+        builds, walks = [], []
+        real_trie, real_remove = correspondence._removal_trie, correspondence._remove
+        monkeypatch.setattr(correspondence, "_removal_trie", lambda rows: builds.append(rows) or real_trie(rows))
+        monkeypatch.setattr(correspondence, "_remove", lambda *args: walks.append(None) or real_remove(*args))
+        per_round = []
+        for _ in range(2):
+            for verifier in (verify_roundtrip, verify_inverse, verify_transition, verify_wtilde):
+                assert verifier(4).ok
+            per_round.append(len(walks) - sum(per_round))
+            # One trie per cell of size 4, and of size 3 for wtilde's reduced pairs, however many calls use it.
+            assert len(builds) == len(enumerate_bipartitions(4)) + len(enumerate_bipartitions(3)) == 30
+        assert per_round[0] == per_round[1] > 0
 
 
 # -- memos hide no failure ---------------------------------------------------------
