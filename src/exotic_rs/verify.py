@@ -10,8 +10,8 @@ the row-level kernels on the cached tableaux' rows and validate pairs only for
 failure records.  The sweeps walk prefix trees: each one-letter insertion and
 each removal cascade is computed once per tree node, for all the words or pairs
 beneath it, and each classification once per call; those memos die with the
-call.  Each cell's rows, removal trie and box codes persist, built once per
-process: they are tables of the cached enumeration, not kernel results, and
+call.  Each cell's rows, removal trie and box codes persist once built, for
+the process: they are tables of the cached enumeration, not kernel results, and
 serve only the cell tuple they were built from.  Wtilde also runs bump_once's
 step once per first-level node, apart from the walk, so that its letter is
 checked against the walk's own k = n cascade.  It reads a node's reduced words
@@ -49,7 +49,7 @@ PAIR_BUDGET = 6   # verifiers that enumerate all pairs of size n
 WORD_BUDGET = 6   # verifiers that enumerate all words of size n
 COUNT_BUDGET = 8  # pure shape-counting verifiers
 _tables: dict[tuple[Callable, int, int], tuple] = {}  # by (table, n, a cell's place in _cells(n)): what _cell_tables yields
-_tries, _codes = lambda rows, n: correspondence._removal_trie(rows), lambda rows, n: [_box_code(R, n) for R in rows]  # its tables
+_tries, _codes = lambda rows, n: correspondence._removal_trie(rows), lambda rows, n: [_box_code(R, n) for R in rows]  # tables to keep
 
 
 class BudgetExceededError(RuntimeError):
@@ -231,7 +231,7 @@ def verify_transition(n: int) -> Report:
         for T in cell:
             correspondence._walk(T, trie, hops := [])
             checked += sum(run * len(node_hops) for (_, _, _, run, _, _), node_hops in zip(trie, hops))  # once for each pair beneath the node
-            if bad := list(_disagreements(hops, answers)):  # each as (j, d, hop) for each pair (T, cell[j]) beneath, in (R, k, hop) order
+            if bad := list(_disagreements(hops, answers)):  # then as (j, d, hop) for each pair (T, cell[j]) beneath, in (R, k, hop) order
                 first = list(accumulate((d == n for d, *_ in trie), initial=0))  # each node's first R: a leaf per R, in order
                 bad = sorted(((j, trie[node][0], hop) for node, hop in bad for j in range(first[node], first[node] + trie[node][3])), key=lambda b: b[:2])
                 failures += (_hop_failure(T, cell[j], n + 1 - d, hop) for j, d, hop in bad)
