@@ -32,28 +32,28 @@ displacing the smaller entry found there; when the walk reaches combined
 row 1 the letter is emitted unbarred, and when no box is available it is
 emitted barred.
 
-Each direction is one step on plain mutable rows, ``_place`` (one letter into
-T; it returns the new box's combined row, where ``_insert`` records k in R)
-and ``_remove`` (one cascade out): ``_insert`` maps letters to the rows (T, R)
-of their pair, ``_reverse`` maps rows back to letters, and ``_reduce`` is the
-step of ``bump_once``.  The public functions are thin wrappers that build the
-validated types (:class:`~exotic_rs.bitableaux.Bitableau`,
-:class:`CorrespondencePair`, :class:`~exotic_rs.signed_perm.SignedPermutation`).
-The sweeps share the steps of common prefixes: ``_insertion_tree`` places each
-prefix of a word once and carries R as one integer, its ``_box_code``, and
-``_walk`` runs each cascade once for all the R of a ``_removal_trie`` that
-share it.  Only the ``_with_trace`` variants and the transition check record
-steps, as plain tuples whose layout is private to this module; they become
-step records there, or go to ``_classify`` directly.  A hop's truncation is
-counted down each component only to the first row without an entry below the
-moving value: columns increase, so none below has one.
+Each direction is one step on T kept as these rules read it, one list of
+combined rows: ``_place`` (one letter into T; it returns the new box's combined
+row, where ``_insert`` records k in R) and ``_remove`` (one cascade out).
+``_insert`` maps letters to the rows (T, R) of their pair, ``_reverse`` maps
+rows back to letters, and ``_reduce`` is the step of ``bump_once``.  The public
+functions are thin wrappers that build the validated types
+(:class:`~exotic_rs.bitableaux.Bitableau`, :class:`CorrespondencePair`,
+:class:`~exotic_rs.signed_perm.SignedPermutation`).  The sweeps share the
+steps of common prefixes: ``_insertion_tree`` places each prefix of a word
+once and carries R as one integer, its ``_box_code``, and ``_walk`` runs each
+cascade once for all the R of a ``_removal_trie`` that share it.  Only the
+``_with_trace`` variants and the transition check record steps, as plain
+tuples whose layout is private to this module.  A hop's truncation is counted
+down each component only to the first row without an entry below the moving
+value: columns increase, so none below has one.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Iterator, Sequence
-from operator import itemgetter
+from itertools import zip_longest
 
 from .bitableaux import Bitableau, Position
 from .partitions import Bipartition, Partition, Side, _Frozen, _last_equal_row
@@ -149,13 +149,8 @@ class RemovalStep(_Frozen):
         object.__setattr__(self, "emitted", emitted)
 
     def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            **self.source.to_json(),
-            "shape": self.shape.to_json(),
-            "to": None if self.target is None else self.target.to_json(),
-            "emit": self.emitted,
-        }
+        to = None if self.target is None else self.target.to_json()
+        return {"value": self.value, **self.source.to_json(), "shape": self.shape.to_json(), "to": to, "emit": self.emitted}
 
 
 class RemovalRecord(_Frozen):
@@ -172,25 +167,34 @@ class RemovalRecord(_Frozen):
 
 # -- the kernel ------------------------------------------------------------------
 #
-# Both directions run on ``t = (left, right)``: the rows of the two components
-# as plain mutable lists, wall-outward.  A box is named by (c, i, j), all
-# 0-based: component c (0 left, 1 right), row i, column j; its combined row
-# number is 2i + 1 + c.  Entries stay distinct and increasing along rows and
-# columns throughout, so a row's slot for a value is found by bisection plus
-# one look at the neighbouring row.
+# Both directions run on one list ``z`` of combined rows, mutable, wall-outward:
+# z[2i + c] is row i of component c (0 left, 1 right); a box is named by its
+# combined row m = 2i + c and column j, all 0-based.  A row that a component
+# lacks is empty, and z ends in exactly two empty rows past the last non-empty
+# one, so the rows m - 2, m and m + 2 that a probe reads are always there.
 
 _SIDES = (Side.LEFT, Side.RIGHT)
 
-_Rows = tuple[list[list[int]], list[list[int]]]
-_Tableau = tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]  # the kernels' in and out: rows as stored
+_Rows = list[list[int]]
+_Tableau = tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]  # the kernels' in and out: (left, right) rows
 
 
-def _rows(t: _Tableau | _Rows) -> _Rows:
-    return list(map(list, t[0])), list(map(list, t[1]))
+def _rows(t: _Tableau) -> _Rows:
+    """The combined rows of the tableau with rows (left, right)."""
+    left, right = t
+    z = []
+    for a, b in zip_longest(left, right, fillvalue=()):
+        z.append(list(a))
+        z.append(list(b))
+    z += ([],) if len(left) > len(right) else ([], [])  # a longer left ends in an empty right row already
+    return z
 
 
-def _frozen(t: _Rows) -> _Tableau:
-    return tuple(map(tuple, t[0])), tuple(map(tuple, t[1]))
+def _frozen(z: _Rows) -> _Tableau:
+    """The rows (left, right) of the combined rows z: each component's rows down to its first empty one."""
+    left, right = z[0::2], z[1::2]
+    del left[left.index([]):], right[right.index([]):]
+    return tuple(map(tuple, left)), tuple(map(tuple, right))
 
 
 def _pair(T: _Tableau, R: _Tableau) -> CorrespondencePair:
@@ -218,69 +222,69 @@ def insertion_with_trace(w: SignedPermutation) -> tuple[CorrespondencePair, tupl
 
 def _insert(letters: tuple[int, ...], records: list[InsertionRecord] | None = None) -> tuple[_Tableau, _Tableau]:
     """The insertion kernel: the rows (T, R) the letters insert to; with a list for ``records``, one record per letter."""
-    t: _Rows = ([], [])
-    r: _Rows = ([], [])
+    z, r = [[], []], [[], []]  # the combined rows of T and of R
     for k, letter in enumerate(letters, start=1):
         steps = None if records is None else []
-        m = _place(t, letter, steps)
-        if (i := m >> 1) == len(rows := r[m & 1]):
-            rows.append([])
-        rows[i].append(k)
+        m = _place(z, letter, steps)
+        while len(r) < len(z):  # R's rows follow T's
+            r.append([])
+        r[m].append(k)
         if steps is not None:
             records.append(InsertionRecord(k, letter, tuple(steps)))
-    return _frozen(t), _frozen(r)
+    return _frozen(z), _frozen(r)
 
 
-def _place(t: _Rows, letter: int, steps: list[InsertionStep] | None) -> int:
-    """Insert a letter into the rows t; returns the 0-based combined row 2i + c of the box this creates.  Unless
+def _place(z: _Rows, letter: int, steps: list[InsertionStep] | None) -> int:
+    """Insert a letter into the combined rows z; returns the combined row m of the box this creates.  Unless
     ``steps`` is None, each placement appends its :class:`InsertionStep`."""
-    (left, right), s = t, abs(letter)
+    s = abs(letter)
     if letter > 0:
-        c, i, j = 0, 0, bisect_left(left[0], s) if left else 0
-    else:
-        a, b = bisect_left(left, s, key=itemgetter(0)), bisect_left(right, s, key=itemgetter(0))
-        c, i, j = (1, b, 0) if b >= a else (0, a, 0)
-    rows = right if c else left
-    while i < len(rows) and j < len(row := rows[i]):
+        m, j = 0, bisect_left(z[0], s)
+    else:  # each component's first row whose wall entry is larger than s, or its first empty row
+        a, m, j = 0, 1, 0
+        while (row := z[a]) and row[0] < s:
+            a += 2
+        while (row := z[m]) and row[0] < s:
+            m += 2
+        m = max(a, m)
+    row = z[m]
+    while j < len(row):
         displaced, row[j] = row[j], s
         if steps is not None:
-            steps.append(InsertionStep(s, Position(_SIDES[c], i + 1, j + 1), displaced))
+            steps.append(InsertionStep(s, Position(_SIDES[m & 1], (m >> 1) + 1, j + 1), displaced))
         s = displaced
-        # Its slot in the lowest of combined rows m+1, m, ..., 1 that has one (0-based here; left row 1 has one).
-        m = 2 * i + c + 1
+        # Its slot in the lowest of combined rows m+1, m, ..., 0 that has one (row 0, the first left row, has one).
+        m += 1
         while True:
-            c, i = m & 1, m >> 1
-            rows = right if c else left
-            if i <= len(rows):
-                j = bisect_left(rows[i], s) if i < len(rows) else 0
-                if i == 0 or (len(above := rows[i - 1]) > j and above[j] < s):
-                    break
+            j = bisect_left(row := z[m], s)
+            if m < 2 or (len(above := z[m - 2]) > j and above[j] < s):
+                break
             m -= 1
-    if i == len(rows):
-        rows.append([])
-    rows[i].append(s)
+    row.append(s)
+    while len(z) < m + 3:  # a new row: pad it
+        z.append([])
     if steps is not None:
-        steps.append(InsertionStep(s, Position(_SIDES[c], i + 1, j + 1), None))
-    return 2 * i + c
+        steps.append(InsertionStep(s, Position(_SIDES[m & 1], (m >> 1) + 1, j + 1), None))
+    return m
 
 
 def _insertion_tree(n: int) -> Iterator[tuple[tuple[int, ...], _Tableau, int]]:
     """(letters, T, the :func:`_box_code` of R) of every word of size n in canonical order, from a depth-first walk
     of the prefixes: each places its last letter on a copy of its parent's rows (the first child, placed last, on
     the rows), and appends its box's row to the code.  A prefix with one magnitude u left yields its two words."""
-    stack, radix = [((), tuple(range(1, n + 1)), ([], []), 0)], 2 * n
+    stack, radix = [((), tuple(range(1, n + 1)), [[], []], 0)], 2 * n
     while stack:
-        letters, unused, t, code = stack.pop()
+        letters, unused, z, code = stack.pop()
         if not unused:  # n = 0: the empty word
-            yield letters, _frozen(t), code
+            yield letters, _frozen(z), code
         elif len(unused) == 1:  # u barred on a copy, then unbarred on the rows
-            barred = _rows(t)
-            m_barred, m = _place(barred, -unused[0], None), _place(t, unused[0], None)
-            yield letters + unused, _frozen(t), code * radix + m
+            barred = list(map(list, z))
+            m_barred, m = _place(barred, -unused[0], None), _place(z, unused[0], None)
+            yield letters + unused, _frozen(z), code * radix + m
             yield letters + (-unused[0],), _frozen(barred), code * radix + m_barred
         else:
             for q in range(2 * len(unused) - 1, -1, -1):  # q = 2a + b: the a-th unused magnitude, barred if b
-                child = t if q == 0 else _rows(t)
+                child = z if q == 0 else list(map(list, z))
                 letter = -unused[q >> 1] if q & 1 else unused[q >> 1]
                 stack.append((letters + (letter,), unused[: q >> 1] + unused[(q >> 1) + 1:], child, code * radix + _place(child, letter, None)))
 
@@ -309,52 +313,55 @@ def reverse_bumping_with_trace(pair: CorrespondencePair) -> tuple[SignedPermutat
 def _reverse(T: _Tableau, R: _Tableau, cascades: list | None = None) -> tuple[int, ...]:
     """The reverse-bumping kernel: the letters of the word of the pair with rows (T, R).  With a
     list for ``cascades``, one (k, letter, hops) per entry."""
-    t = _rows(T)
-    boxes = _boxes(R)
-    letters_rev: list[int] = []
+    z, boxes, letters_rev = _rows(T), _boxes(R), []
     for k in range(len(boxes), 0, -1):
         hops = None if cascades is None else []
-        letters_rev.append(_remove(t, *boxes[k], hops))
+        letters_rev.append(_remove(z, *boxes[k], hops))
         if hops is not None:
             cascades.append((k, letters_rev[-1], hops))
     return tuple(reversed(letters_rev))
 
 
-def _remove(t: _Rows, c: int, i: int, hops: list[tuple] | None) -> int:
-    """Remove the outermost box of row i of component c and walk its value back up the diagram; returns the
-    emitted letter.  Unless ``hops`` is None, each hop appends (value, c, i, j, mu, nu, slot, letter): the box
-    left, the truncation's row counts, taken row by row until one has none, and the box entered or the letter."""
-    left, right = t
-    j = len(t[c][i]) - 1
-    value = t[c][i].pop()
-    if not t[c][i]:  # an emptied row is the last
-        t[c].pop()
+def _remove(z: _Rows, c: int, i: int, hops: list[tuple] | None) -> int:
+    """Remove the outermost box of row i of component c from the combined rows z and walk its value back up the
+    diagram; returns the emitted letter.  Unless ``hops`` is None, each hop appends (value, c, i, j, mu, nu, slot,
+    letter): the box left, the truncation's row counts, taken row by row until one has none, and the box entered
+    or the letter."""
+    row = z[m := 2 * i + c]
+    j = len(row) - 1
+    value = row.pop()
+    if not row and len(z) == m + 3:  # the last non-empty row emptied: now it is row m - 1, or else m - 2 (or none)
+        del z[m + 1 + (m == 0 or bool(z[m - 1])):]
     while True:
-        # The available box in the highest of combined rows m-1, m, ... (0-based here) that has one.  Rows that
-        # start above the value (or are missing) have none, nor do the rows below them: two misses in a row end it.
-        slot, m, misses = None, 2 * i + c - 1, 0 if c or i else 2  # left row 1 has no row above: no scan
-        while misses < 2:
-            rows, x = (right if m & 1 else left), m >> 1
-            col = bisect_left(row := rows[x], value) - 1 if x < len(rows) else -1
-            if col >= 0 and (x + 1 == len(rows) or len(below := rows[x + 1]) <= col or below[col] > value):
-                slot = m & 1, x, col
+        # The available box in the highest of combined rows m-1, m, ... that has one.  Rows that start above the
+        # value (or are empty) have none, nor do the rows below them: two misses in a row, and it leaves barred.
+        # Row 0, the first left row, has no row above: from there it leaves unbarred.
+        k, missed, col = m - 1, False, -1
+        while m:
+            if (col := bisect_left(row := z[k], value) - 1) >= 0:
+                if len(below := z[k + 2]) <= col or below[col] > value:
+                    break
+                missed = False
+            elif missed:
                 break
-            m, misses = m + 1, misses + 1 if col < 0 else 0
-        letter = None if slot else -value if c or i else value
+            else:
+                missed = True
+            k += 1
         if hops is not None:
             # Entries below the moving value, per row, down to the first row with none: the counts weakly
             # decrease down a component, as its columns increase.  With the box left: the truncation.
             mu, nu = [], []
-            for rows, counts in (left, mu), (right, nu):
-                for r in rows:  # not `row`: that is the slot's row
-                    if not (x := bisect_left(r, value)):
-                        break
-                    counts.append(x)
+            for x, counts in (0, mu), (1, nu):  # rows x = c, c + 2, ... of component c, to an empty one at the latest
+                while y := bisect_left(z[x], value):
+                    counts.append(y)
+                    x += 2
+            c, i = m & 1, m >> 1
             (nu if c else mu)[i:i + 1] = j + 1,  # row i counted j, or none when j = 0, and then it ended the list
-            hops.append((value, c, i, j, tuple(mu), tuple(nu), slot, letter))
-        if slot is None:
-            return letter
-        c, i, j = slot
+            letter = None if col >= 0 else -value if m else value
+            hops.append((value, c, i, j, tuple(mu), tuple(nu), None if letter else (k & 1, k >> 1, col), letter))
+        if col < 0:
+            return -value if m else value
+        m, j = k, col
         value, row[j] = row[j], value
 
 
@@ -382,10 +389,10 @@ def _walk(T: _Tableau, trie: Sequence, hops: list | None = None) -> list[tuple[i
     n = sum(map(len, T[0])) + sum(map(len, T[1]))
     states, letters, words = [_rows(T)] * (n + 1), [0] * n, [] if trie else [()]  # the empty pair's word
     for d, c, i, _, copy, _ in trie:  # a node's parent comes before it in preorder, so states[d - 1] is the parent's
-        t = states[d] = _rows(states[d - 1]) if copy else states[d - 1]
+        z = states[d] = list(map(list, states[d - 1])) if copy else states[d - 1]
         if hops is not None:
             hops.append([])
-        letters[n - d] = _remove(t, c, i, None if hops is None else hops[-1])
+        letters[n - d] = _remove(z, c, i, None if hops is None else hops[-1])
         if d == n:
             words.append(tuple(letters))
     return words
@@ -443,15 +450,15 @@ def bump_once(pair: CorrespondencePair) -> tuple[CorrespondencePair, int, int]:
     return _pair(T, R), letter, abs(letter)
 
 
-def _reduce(t: _Rows, R: _Tableau, c: int, i: int) -> tuple[_Tableau, _Tableau, int]:
+def _reduce(z: _Rows, R: _Tableau, c: int, i: int) -> tuple[_Tableau, _Tableau, int]:
     """:func:`bump_once` on rows: the cascade of R's largest entry n, in row i of component c, runs on the
-    mutable rows t and leaves them as it ends.  Returns the reduced pair's rows and the letter."""
+    mutable combined rows z and leaves them as it ends.  Returns the reduced pair's rows and the letter."""
     n = R[c][i][-1]
-    letter = _remove(t, c, i, None)
+    letter = _remove(z, c, i, None)
     r = abs(letter)
     relabel = lambda rows: tuple(tuple(x - 1 if x > r else x for x in row) for row in rows)
     drop = lambda rows: tuple(row for row in (row[:-1] if row[-1] == n else row for row in rows) if row)
-    return (relabel(t[0]), relabel(t[1])), (drop(R[0]), drop(R[1])), letter
+    return tuple(map(relabel, _frozen(z))), (drop(R[0]), drop(R[1])), letter
 
 
 # -- transition classification ---------------------------------------------------

@@ -10,15 +10,16 @@ the row-level kernels on the cached tableaux' rows and validate pairs only for
 failure records.  The sweeps walk prefix trees: each one-letter insertion and
 each removal cascade is computed once per tree node, for all the words or pairs
 beneath it, and each classification once per call; those memos die with the
-call.  Each cell's rows, removal trie and box codes persist once built, for
-the process: they are tables of the cached enumeration, not kernel results, and
-serve only the cell tuple they were built from.  Wtilde also runs bump_once's
-step once per first-level node, apart from the walk, so that its letter is
-checked against the walk's own k = n cascade.  It reads a node's reduced words
-off one walk of the reduced T only where every R of the node's run, without n,
-is the reduced cell in order.  Roundtrip checks its pairs by counting: once
-every word comes back, insertion maps the words one-to-one onto the equally
-many pairs.  The word sweeps look each word's R up by its insertion-tree box code.
+call.  Each size's shapes, and each cell's rows, removal trie and box codes,
+persist once built, for the process: tables of the cached enumeration, not
+kernel results; a cell's serve only the cell tuple they were built from.  Wtilde
+also runs bump_once's step once per first-level node, apart from the walk, so
+that its letter is checked against the walk's own k = n cascade.  It reads a
+node's reduced words off one walk of the reduced T only where every R of the
+node's run, without n, is the reduced cell in order.  Roundtrip checks its pairs
+by counting: once every word comes back, insertion maps the words one-to-one
+onto the equally many pairs.  The word sweeps look each word's R up by its
+insertion-tree box code.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import json
 import math
 import os
 from collections.abc import Callable, Iterator
+from functools import cache
 from itertools import accumulate
 
 from . import correspondence
@@ -49,6 +51,7 @@ PAIR_BUDGET = 6   # verifiers that enumerate all pairs of size n
 WORD_BUDGET = 6   # verifiers that enumerate all words of size n
 COUNT_BUDGET = 8  # pure shape-counting verifiers
 _tables: dict[tuple[Callable, int, int], tuple] = {}  # by (table, n, a cell's place in _cells(n)): what _cell_tables yields
+_shapes = cache(lambda n: tuple(enumerate_bipartitions(n)))  # the shapes of size n in canonical order, once per process
 _tries, _codes = lambda rows, n: correspondence._removal_trie(rows), lambda rows, n: [_box_code(R, n) for R in rows]  # tables to keep
 
 
@@ -91,21 +94,14 @@ class Report(_Frozen):
         return not self.failures
 
     def to_json(self) -> dict:
-        return {
-            "property": self.property,
-            "n": self.n,
-            "checked": self.checked,
-            "failures": list(self.failures),
-        }
+        return {"property": self.property, "n": self.n, "checked": self.checked, "failures": list(self.failures)}
 
     def summary(self) -> str:
         head = f"{self.property} n={self.n}"
         if self.ok:
             return f"{head}: OK ({self.checked} checks)"
-        return (
-            f"{head}: FAILED ({len(self.failures)} of {self.checked} checks); "
-            f"first failure: {json.dumps(self.failures[0], sort_keys=True)}"
-        )
+        first = json.dumps(self.failures[0], sort_keys=True)
+        return f"{head}: FAILED ({len(self.failures)} of {self.checked} checks); first failure: {first}"
 
 
 def iter_pairs(n: int) -> Iterator[CorrespondencePair]:
@@ -116,7 +112,7 @@ def iter_pairs(n: int) -> Iterator[CorrespondencePair]:
 
 def _cells(n: int) -> Iterator[tuple[Bitableau, ...]]:
     """The cached standard tableaux with n boxes, shape by shape in canonical order."""
-    return map(enumerate_standard_bitableaux, enumerate_bipartitions(n))
+    return map(enumerate_standard_bitableaux, _shapes(n))
 
 
 def _cell_tables(n: int, table: Callable) -> Iterator[tuple[tuple[Bitableau, ...], tuple[_Tableau, ...], tuple]]:
@@ -214,12 +210,9 @@ def verify_inverse(n: int) -> Report:
 def verify_counting(n: int) -> Report:
     """The squares of the shape counts add up to the group order 2^n * n!."""
     _check_budget(n, COUNT_BUDGET, "counting verification")
-    shapes = enumerate_bipartitions(n)
-    total = sum(count_bitableaux(bp) ** 2 for bp in shapes)
-    expected = 2**n * math.factorial(n)
-    failures = ()
-    if total != expected:
-        failures = ({"sum_of_squares": total, "group_order": expected},)
+    shapes = _shapes(n)
+    total, expected = sum(count_bitableaux(bp) ** 2 for bp in shapes), 2**n * math.factorial(n)
+    failures = () if total == expected else ({"sum_of_squares": total, "group_order": expected},)
     return Report("counting", n, len(shapes), failures)
 
 
@@ -310,7 +303,7 @@ def _group_by_shape(n: int, item: Callable[[tuple[int, ...], Bitableau, Bitablea
     """Insert each word of size n once and file ``item(letters, T, R)`` under
     the shape of its pair (T, R), in the order of :func:`cells`."""
     _check_budget(n, WORD_BUDGET, "cell decomposition")
-    out, tables = {bp: [] for bp in enumerate_bipartitions(n)}, list(_cell_tables(n, _codes))  # a bucket for each cell
+    out, tables = {bp: [] for bp in _shapes(n)}, list(_cell_tables(n, _codes))  # a bucket for each cell
     found = {T: (bucket, t) for bucket, (cell, rows, _) in zip(out.values(), tables) for T, t in zip(rows, cell)}
     coded = {code: found[T] for _, rows, codes in tables for T, code in zip(rows, codes)}  # the same by box code
     for letters, T, code in correspondence._insertion_tree(n):

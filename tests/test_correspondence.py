@@ -397,3 +397,57 @@ class TestTracedAndPlainPathsAgree:
         reduced, letter, _ = bump_once(pair)
         assert letter == w.letters[-1]
         assert reverse_bumping(reduced) == derive_w_tilde(w)[0]
+
+
+def _assert_padded(z: list[list[int]]) -> None:
+    """z ends in exactly two empty rows, and no component has an empty row above a non-empty one."""
+    assert len(z) >= 2 and z[-2:] == [[], []] and (len(z) == 2 or z[-3])
+    for rows in z[0::2], z[1::2]:
+        assert not any(rows[rows.index([]):])
+
+
+class TestCombinedRows:
+    """The kernels' one list z of combined rows: z[2i + c] is row i of component c, and z ends in exactly two
+    empty rows past the last non-empty one."""
+
+    def test_small_tableaux_and_their_combined_rows(self):
+        assert correspondence._rows(((), ())) == [[], []]
+        assert correspondence._rows((((1,),), ())) == [[1], [], []]
+        assert correspondence._rows(((), ((1,),))) == [[], [1], [], []]
+        assert correspondence._rows((((1, 4), (3,)), ((2,),))) == [[1, 4], [2], [3], [], []]
+        assert correspondence._rows((((1,),), ((2, 3), (4,)))) == [[1], [2, 3], [], [4], [], []]
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_frozen_undoes_rows_on_every_tableau(self, n):
+        for cell in verify._cells(n):
+            for t in cell:
+                z = correspondence._rows((t.left, t.right))
+                _assert_padded(z)
+                assert correspondence._frozen(z) == (t.left, t.right)
+
+    @given(signed_words(max_n=100))
+    @settings(max_examples=60, deadline=None)
+    def test_every_step_of_both_kernels_keeps_the_padding(self, w):
+        real_place, real_remove, steps, last = correspondence._place, correspondence._remove, [], []
+
+        def place(z, letter, trace):
+            m = real_place(z, letter, trace)
+            _assert_padded(z)
+            steps.append(m)
+            last[:] = [z]
+            return m
+
+        def remove(z, c, i, hops):
+            letter = real_remove(z, c, i, hops)
+            _assert_padded(z)
+            steps.append(letter)
+            return letter
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(correspondence, "_place", place)
+            patch.setattr(correspondence, "_remove", remove)
+            T, R = correspondence._insert(w.letters)
+            assert correspondence._reverse(T, R) == w.letters
+        assert len(steps) == 2 * w.n
+        # The rows insertion leaves are the ones reverse bumping starts from.
+        assert not w.n or last[0] == correspondence._rows(T)
