@@ -4,7 +4,7 @@ pairs of same-shape standard bitableaux.
 Public API re-exports; see the individual modules for details:
 
 * :mod:`exotic_rs.partitions` -- partitions, bipartitions, counting
-* :mod:`exotic_rs.bitableaux` -- bitableaux, positions, nested sequences, enumeration
+* :mod:`exotic_rs.bitableaux` -- bitableaux, positions, serialization, enumeration
 * :mod:`exotic_rs.signed_perm` -- signed permutations and the S_2n embedding
 * :mod:`exotic_rs.correspondence` -- insertion, reverse bumping, transitions
 * :mod:`exotic_rs.verify` -- exhaustive verifiers and the golden n=3 table
@@ -24,8 +24,6 @@ from .bitableaux import (
     Bitableau,
     Position,
     enumerate_standard_bitableaux,
-    from_nested_sequence,
-    to_nested_sequence,
 )
 from .signed_perm import (
     SignedPermutation,

@@ -113,12 +113,7 @@ class Bitableau(_Frozen):
         that the largest row end is the size."""
         return max([row[-1] for row in self.left + self.right], default=0) == self.size
 
-    # -- truncation and serialization -----------------------------------------
-
-    def truncate(self, s: int) -> "Bitableau":
-        """The sub-bitableau of entries <= s (a prefix of every row)."""
-        keep = lambda rows: tuple(t for t in (tuple(x for x in row if x <= s) for row in rows) if t)
-        return Bitableau(keep(self.left), keep(self.right))
+    # -- rendering and serialization ------------------------------------------
 
     def render(self) -> str:
         """Human-readable picture, left component mirrored toward the wall."""
@@ -143,46 +138,6 @@ class Bitableau(_Frozen):
             if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
                 raise ValueError(f"bad bitableau object: {key!r} must be a list of rows")
         return cls(tuple(tuple(r) for r in obj["left"]), tuple(tuple(r) for r in obj["right"]))
-
-
-# -- nested shape sequences ----------------------------------------------------
-
-
-def to_nested_sequence(t: Bitableau) -> tuple[Bipartition, ...]:
-    """The chain of truncation shapes (empty, <=1, <=2, ..., <=n) of a
-    standard bitableau; consecutive shapes differ by one box."""
-    if not t.is_standard:
-        raise ValueError("nested sequences are defined for standard bitableaux (entries exactly 1..n)")
-    return tuple(t.truncate(s).shape for s in range(t.size + 1))
-
-
-def from_nested_sequence(seq: tuple[Bipartition, ...]) -> Bitableau:
-    """Rebuild the standard bitableau from its chain of truncation shapes.
-
-    Rejects chains that are not nested one box at a time, naming the first
-    offending step.
-    """
-    seq = tuple(seq)
-    if not seq or seq[0].size != 0:
-        raise ValueError("a nested sequence must start with the empty shape")
-    left: list[list[int]] = []
-    right: list[list[int]] = []
-    for s in range(1, len(seq)):
-        prev, cur = seq[s - 1], seq[s]
-        grown = []
-        for side in (Side.LEFT, Side.RIGHT):
-            a, b = prev.component(side), cur.component(side)
-            for i in range(1, max(a.length, b.length) + 1):
-                if b.part(i) != a.part(i):
-                    grown.append((side, i, b.part(i) - a.part(i)))
-        if len(grown) != 1 or grown[0][2] != 1:
-            raise ValueError(f"step {s}: shape {cur} does not extend {prev} by exactly one box")
-        side, i, _ = grown[0]
-        rows = left if side is Side.LEFT else right
-        while len(rows) < i:
-            rows.append([])
-        rows[i - 1].append(s)
-    return Bitableau(tuple(tuple(r) for r in left), tuple(tuple(r) for r in right))
 
 
 # -- enumeration ---------------------------------------------------------------

@@ -70,11 +70,11 @@ class _Frozen:
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
     @classmethod
-    def _unchecked(cls, *fields: object):
-        """The value with these fields, as its constructor would store them, without its checks: for valid fields."""
+    def _unchecked(cls, value: object):
+        """The value of a one-field class holding ``value`` as its constructor would store it, without its
+        checks: for a valid field."""
         self = object.__new__(cls)
-        for name, value in zip(cls.__slots__, fields):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, cls.__slots__[0], value)
         return self
 
 

@@ -1,6 +1,7 @@
 """Shared hypothesis strategies, and an oracle for the transition classifier.
 
 Standard bitableaux are generated by growing a shape one corner at a time,
+and pairs by filling a second tableau of that shape one corner at a time,
 independently of the insertion algorithm under test.
 """
 
@@ -12,6 +13,7 @@ from exotic_rs import (
     Bipartition,
     Bitableau,
     Continue,
+    CorrespondencePair,
     Partition,
     RemovalStep,
     SignedPermutation,
@@ -61,16 +63,42 @@ def _addable_rows(t: tuple[list[list[int]], list[list[int]]]) -> list[tuple[int,
     ]
 
 
-@st.composite
-def standard_bitableaux(draw, max_n: int = 6, min_n: int = 0) -> Bitableau:
-    n = draw(st.integers(min_n, max_n))
+def _corner_rows(lengths: list[list[int]]) -> list[tuple[int, int]]:
+    """(component, 0-based row) of every row whose outermost box is a corner:
+    a row longer than the one below it."""
+    return [(c, i) for c, ls in enumerate(lengths) for i, k in enumerate(ls) if k > (ls[i + 1] if i + 1 < len(ls) else 0)]
+
+
+def _grown_rows(draw, n: int) -> tuple[list[list[int]], list[list[int]]]:
+    """The rows of a standard bitableau of size n, grown by adding 1, 2, ..., n at random addable rows."""
     t: tuple[list[list[int]], list[list[int]]] = ([], [])
     for entry in range(1, n + 1):
         c, i = draw(st.sampled_from(_addable_rows(t)))
         if i == len(t[c]):
             t[c].append([])
         t[c][i].append(entry)
-    return Bitableau(*t)
+    return t
+
+
+@st.composite
+def standard_bitableaux(draw, max_n: int = 6, min_n: int = 0) -> Bitableau:
+    return Bitableau(*_grown_rows(draw, draw(st.integers(min_n, max_n))))
+
+
+@st.composite
+def standard_pairs(draw, max_n: int = 6, min_n: int = 0) -> CorrespondencePair:
+    """A pair that insertion did not make: T grown by corners, as in
+    ``standard_bitableaux``, and R filled independently in T's shape by
+    removing random corners, labelled n, n - 1, ..., 1."""
+    n = draw(st.integers(min_n, max_n))
+    t = _grown_rows(draw, n)
+    lengths = [[len(row) for row in rows] for rows in t]
+    r = tuple([[0] * len(row) for row in rows] for rows in t)
+    for entry in range(n, 0, -1):
+        c, i = draw(st.sampled_from(_corner_rows(lengths)))
+        lengths[c][i] -= 1
+        r[c][i][lengths[c][i]] = entry
+    return CorrespondencePair(Bitableau(*t), Bitableau(*r))
 
 
 @st.composite

@@ -1,12 +1,10 @@
-"""Bitableau storage, validation, truncation, nested sequences, serialization,
-and enumeration."""
+"""Bitableau storage, validation, rendering, serialization and enumeration."""
 
 from __future__ import annotations
 
 import hashlib
 import json
 
-import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
@@ -20,8 +18,6 @@ from exotic_rs import (
     count_bitableaux,
     enumerate_bipartitions,
     enumerate_standard_bitableaux,
-    from_nested_sequence,
-    to_nested_sequence,
 )
 
 # A nine-box worked example used throughout this file.
@@ -91,55 +87,6 @@ class TestBasicViews:
     def test_render_tells_every_standard_bitableau_apart(self, n):
         pictures = [t.render() for bp in enumerate_bipartitions(n) for t in enumerate_standard_bitableaux(bp)]
         assert len(set(pictures)) == len(pictures) == sum(map(count_bitableaux, enumerate_bipartitions(n)))
-
-    @pytest.mark.parametrize(
-        "s, left, right",
-        [
-            (5, ((1, 3), (2,)), ((4,), (5,))),
-            (0, (), ()),
-            (9, NINE.left, NINE.right),
-        ],
-    )
-    def test_truncate_keeps_row_prefixes(self, s, left, right):
-        assert NINE.truncate(s) == Bitableau(left, right)
-
-    @given(standard_bitableaux(), st.integers(0, 8))
-    def test_truncation_entries_are_exactly_the_small_ones(self, t, s):
-        trunc = t.truncate(s)
-        assert trunc.entries() == frozenset(x for x in t.entries() if x <= s)
-
-
-class TestNestedSequences:
-    def test_worked_chain(self):
-        t = Bitableau([[2, 3], [5]], [[1], [4]])
-        P, B = Partition, Bipartition
-        assert to_nested_sequence(t) == (
-            B(P(()), P(())),
-            B(P(()), P((1,))),
-            B(P((1,)), P((1,))),
-            B(P((2,)), P((1,))),
-            B(P((2,)), P((1, 1))),
-            B(P((2, 1)), P((1, 1))),
-        )
-
-    def test_non_standard_fillings_are_rejected(self):
-        with pytest.raises(ValueError, match="standard"):
-            to_nested_sequence(Bitableau([[2, 9]], [[5]]))
-
-    def test_rebuild_rejects_skipped_steps(self):
-        t = Bitableau([[2, 3], [5]], [[1], [4]])
-        seq = list(to_nested_sequence(t))
-        del seq[2]
-        with pytest.raises(ValueError, match="step 2"):
-            from_nested_sequence(tuple(seq))
-
-    def test_rebuild_rejects_a_nonempty_start(self):
-        with pytest.raises(ValueError, match="empty shape"):
-            from_nested_sequence((Bipartition(Partition((1,)), Partition(())),))
-
-    @given(standard_bitableaux())
-    def test_round_trip(self, t):
-        assert from_nested_sequence(to_nested_sequence(t)) == t
 
 
 class TestSerialization:

@@ -10,7 +10,7 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from conftest import bitableaux, signed_words
+from conftest import bitableaux, signed_words, standard_pairs
 from exotic_rs import correspondence, signed_perm, verify
 from exotic_rs import (
     Bitableau,
@@ -236,6 +236,17 @@ class TestReverseBumping:
     @settings(max_examples=40, deadline=None)
     def test_inverse_word_swaps_the_pair_on_random_words(self, w):
         assert insertion(w.inverse()) == insertion(w).swapped()
+
+    # Pairs that insertion did not make: T and R are drawn independently.
+    @given(standard_pairs(max_n=200))
+    @settings(max_examples=30, deadline=None)
+    def test_round_trip_on_random_pairs(self, pair):
+        assert insertion(reverse_bumping(pair)) == pair
+
+    @given(standard_pairs(max_n=200))
+    @settings(max_examples=20, deadline=None)
+    def test_swapped_random_pair_gives_the_inverse_word(self, pair):
+        assert reverse_bumping(pair.swapped()) == reverse_bumping(pair).inverse()
 
     def test_traces_through_size_four_are_pinned(self):
         # One JSON line per pair of size 0..4, in iter_pairs order; the digest

@@ -4,16 +4,18 @@ from __future__ import annotations
 
 import hashlib
 import math
+import pickle
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
-from conftest import bipartitions, partitions
+from conftest import bipartitions, partitions, signed_words
 from exotic_rs import (
     Bipartition,
     Partition,
     Side,
+    SignedPermutation,
     count_bitableaux,
     dimension_b,
     enumerate_bipartitions,
@@ -80,6 +82,30 @@ class TestPartition:
     @given(partitions())
     def test_size_is_sum_of_parts(self, p):
         assert p.size == sum(p.parts)
+
+
+class TestUnchecked:
+    """``_Frozen._unchecked`` skips the constructor's checks and nothing else:
+    on a valid field its value is the validated constructor's."""
+
+    @staticmethod
+    def assert_same(fast, checked):
+        assert fast == checked and hash(fast) == hash(checked) and repr(fast) == repr(checked)
+        assert pickle.loads(pickle.dumps(fast)) == checked == pickle.loads(pickle.dumps(checked))
+
+    @pytest.mark.parametrize("cls", [Partition, SignedPermutation])
+    def test_empty_values(self, cls):
+        self.assert_same(cls._unchecked(()), cls(()))
+
+    @given(partitions(max_size=30))
+    @settings(max_examples=50)
+    def test_partitions(self, p):
+        self.assert_same(Partition._unchecked(p.parts), Partition(p.parts))
+
+    @given(signed_words(max_n=30))
+    @settings(max_examples=50)
+    def test_signed_permutations(self, w):
+        self.assert_same(SignedPermutation._unchecked(w.letters), SignedPermutation(w.letters))
 
 
 class TestBipartition:
