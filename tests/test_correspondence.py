@@ -363,6 +363,23 @@ class TestBumpOnce:
         assert (letter, r) == (w.letters[-1], r2)
         assert reduced == insertion(wt)
 
+    @given(signed_words(max_n=200, min_n=1))
+    @settings(max_examples=20, deadline=None)
+    def test_single_reduction_commutes_with_insertion_on_random_words(self, w):
+        reduced, letter, r = bump_once(insertion(w))
+        wt, r2 = derive_w_tilde(w)
+        assert (letter, r) == (w.letters[-1], r2)
+        assert reduced == insertion(wt)
+
+    @given(standard_pairs(max_n=200, min_n=1))
+    @settings(max_examples=20, deadline=None)
+    def test_single_reduction_of_random_pairs_matches_the_reduced_word(self, pair):
+        reduced, letter, r = bump_once(pair)
+        w = reverse_bumping(pair)
+        wt, r2 = derive_w_tilde(w)
+        assert (letter, r) == (w.letters[-1], r2)
+        assert reverse_bumping(reduced) == wt
+
 
 def _random_word(n: int, seed: int) -> SignedPermutation:
     rng = random.Random(seed)

@@ -12,7 +12,7 @@ import hashlib
 import pytest
 from hypothesis import given, settings
 
-from conftest import outcome_of_step, signed_words
+from conftest import outcome_of_step, signed_words, standard_pairs
 from exotic_rs import (
     Bipartition,
     Continue,
@@ -136,6 +136,16 @@ class TestAgreementWithCascades:
     @settings(max_examples=60, deadline=None)
     def test_random_cascades_are_predicted_exactly(self, w):
         _, records = reverse_bumping_with_trace(insertion(w))
+        for record in records:
+            for step in record.steps:
+                removal = FirstRemoval(step.source.side, step.source.row)
+                assert second_decrement(step.shape, removal) == outcome_of_step(step)
+
+    # Pairs that insertion did not make: T and R are drawn independently.
+    @given(standard_pairs(max_n=200, min_n=1))
+    @settings(max_examples=20, deadline=None)
+    def test_cascades_of_random_pairs_are_predicted_exactly(self, pair):
+        _, records = reverse_bumping_with_trace(pair)
         for record in records:
             for step in record.steps:
                 removal = FirstRemoval(step.source.side, step.source.row)
