@@ -154,18 +154,12 @@ def enumerate_standard_bitableaux(shape: Bipartition) -> tuple[Bitableau, ...]:
 
 @cache
 def _enumerate(mu: tuple[int, ...], nu: tuple[int, ...]) -> tuple[Bitableau, ...]:
-    bp = Bipartition(Partition(mu), Partition(nu))
-    if bp.size == 0:
+    """The tableaux of the shape with parts ``mu`` and ``nu``, the largest entry n in each removable box in turn."""
+    n = sum(mu) + sum(nu)
+    if n == 0:
         return (Bitableau(),)
-    out = []
-    n = bp.size
-    for side, row in bp.removable_rows():
-        smaller = bp.decremented(side, row)
-        for t in _enumerate(smaller.mu.parts, smaller.nu.parts):
-            left, right = [list(r) for r in t.left], [list(r) for r in t.right]
-            rows = left if side is Side.LEFT else right
-            if row > len(rows):
-                rows.append([])
-            rows[row - 1].append(n)
-            out.append(Bitableau(left, right))
-    return tuple(out)
+    # Each row i (0-indexed) whose last box can go, top to bottom, with the parts left; and rows with n put in row i.
+    removals = lambda p: [(i, p[:i] + (k - 1,) * (k > 1) + p[i + 1:]) for i, (k, below) in enumerate(zip(p, p[1:] + (0,))) if k > below]
+    grown = lambda rows, i: rows[:i] + (rows[i] + (n,) if i < len(rows) else (n,),) + rows[i + 1:]
+    left = [Bitableau(grown(t.left, i), t.right) for i, less in removals(mu) for t in _enumerate(less, nu)]
+    return (*left, *(Bitableau(t.left, grown(t.right, i)) for i, less in removals(nu) for t in _enumerate(mu, less)))

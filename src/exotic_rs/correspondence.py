@@ -54,10 +54,13 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Iterator, Sequence
 from itertools import zip_longest
+from operator import itemgetter
 
 from .bitableaux import Bitableau, Position
 from .partitions import Bipartition, Partition, Side, _Frozen, _last_equal_row
 from .signed_perm import SignedPermutation
+
+_last = itemgetter(-1)  # a row's outermost entry
 
 
 class CorrespondencePair(_Frozen):
@@ -72,12 +75,14 @@ class CorrespondencePair(_Frozen):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        row_lengths = lambda t: (list(map(len, t.left)), list(map(len, t.right)))
-        if row_lengths(self.T) != row_lengths(self.R):
-            raise ValueError(f"pair components must share one shape: {self.T.shape} vs {self.R.shape}")
-        for name, t in (("T", self.T), ("R", self.R)):
-            if not t.is_standard:
-                raise ValueError(f"{name} must be standard (entries exactly 1..{t.size})")
+        T, R = self.T, self.R
+        left, right = [*map(len, T.left)], [*map(len, T.right)]
+        if left != [*map(len, R.left)] or right != [*map(len, R.right)]:
+            raise ValueError(f"pair components must share one shape: {T.shape} vs {R.shape}")
+        size = sum(left) + sum(right)  # of both; standard: the largest row end is the size (see Bitableau.is_standard)
+        for name, t in (("T", T), ("R", R)):
+            if max(map(_last, t.left + t.right), default=0) != size:
+                raise ValueError(f"{name} must be standard (entries exactly 1..{size})")
 
     @property
     def shape(self) -> Bipartition:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from enum import Enum
 from math import comb, factorial
-from operator import attrgetter, ge, gt, le, lt
+from operator import attrgetter
 
 
 class Side(Enum):
@@ -78,19 +78,7 @@ class _Frozen:
         return self
 
 
-def _by_key(op):
-    """An order method of a frozen value that compares field keys with ``op``, within one class."""
-    return lambda self, other: op(self._key, other._key) if other.__class__ is self.__class__ else NotImplemented
-
-
-class _Ordered(_Frozen):
-    """A frozen value ordered as its field tuple, within one class."""
-
-    __slots__ = ()
-    __lt__, __le__, __gt__, __ge__ = map(_by_key, (lt, le, gt, ge))
-
-
-class Partition(_Ordered):
+class Partition(_Frozen):
     """A weakly decreasing tuple of positive integers."""
 
     __slots__ = ("parts",)
@@ -139,7 +127,7 @@ class Partition(_Ordered):
         return "[" + ",".join(str(p) for p in self.parts) + "]"
 
 
-class Bipartition(_Ordered):
+class Bipartition(_Frozen):
     """A pair of partitions (mu, nu) with total size |mu| + |nu|."""
 
     __slots__ = ("mu", "nu")

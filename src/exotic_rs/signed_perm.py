@@ -10,7 +10,6 @@ signed permutation for n = 0.
 
 from __future__ import annotations
 
-import itertools
 import re
 from collections.abc import Iterator
 
@@ -24,18 +23,16 @@ class SignedPermutation(_Frozen):
     __slots__ = ("letters",)
 
     def __init__(self, letters: tuple[int, ...] = ()) -> None:
-        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "letters", tuple(letters))
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        letters = tuple(self.letters)
-        object.__setattr__(self, "letters", letters)
+        letters = self.letters
         if not set(map(type, letters)) <= {int}:  # exact: bool is rejected
             raise ValueError(f"letters must be integers: {letters!r}")
         if 0 in letters:
             raise ValueError("letter 0 is not allowed; magnitudes run 1..n")
-        mags = sorted(map(abs, letters))
-        if mags != list(range(1, len(letters) + 1)):
+        if sorted(map(abs, letters)) != [*range(1, len(letters) + 1)]:
             raise ValueError(f"letter magnitudes must be a permutation of 1..{len(letters)}: {letters!r}")
 
     @property
@@ -94,13 +91,27 @@ def enumerate_signed_permutations(n: int) -> list[SignedPermutation]:
 
 
 def _signed_permutations(n: int) -> Iterator[tuple[int, ...]]:
-    """The letters of the words of :func:`enumerate_signed_permutations`, one at a time.  Code 2r + b at a
-    position picks the r-th smallest unused magnitude, barred if b = 1, so the codes' lexicographic order is sort_key's."""
+    """The letters of the words of :func:`enumerate_signed_permutations`, one at a time."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    for codes in itertools.product(*(range(2 * k) for k in range(n, 0, -1))):
-        unused = list(range(1, n + 1))
-        yield tuple(-unused.pop(q // 2) if q % 2 else unused.pop(q // 2) for q in codes)
+    return _completions([0] * n, list(range(1, n + 1)), 0) if n else iter([()])
+
+
+def _completions(word: list[int], unused: list[int], i: int) -> Iterator[tuple[int, ...]]:
+    """Every word that begins with ``word[:i]``, filled in on the one buffer ``word``, in sort_key's order:
+    position i takes each magnitude of ``unused`` (those the prefix lacks, increasing), unbarred then barred."""
+    if i == len(word) - 1:  # the one magnitude left
+        word[i] = unused[0]
+        yield tuple(word)
+        word[i] = -unused[0]
+        yield tuple(word)
+        return
+    for j in range(len(unused)):
+        m = word[i] = unused.pop(j)
+        yield from _completions(word, unused, i + 1)
+        word[i] = -m
+        yield from _completions(word, unused, i + 1)
+        unused.insert(j, m)
 
 
 def iota_embed(w: SignedPermutation) -> tuple[int, ...]:

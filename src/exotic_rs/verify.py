@@ -51,6 +51,7 @@ PAIR_BUDGET = 6   # verifiers that enumerate all pairs of size n
 WORD_BUDGET = 6   # verifiers that enumerate all words of size n
 COUNT_BUDGET = 8  # pure shape-counting verifiers
 _tables: dict[tuple[Callable, int, int], tuple] = {}  # by (table, n, a cell's place in _cells(n)): what _cell_tables yields
+_letters = cache(lambda n: {s: n + 1 - s if s <= n else n - s for s in range(1, 2 * n + 1)}.get)  # sigma(i) -> letter, for _decode
 _shapes = cache(lambda n: tuple(enumerate_bipartitions(n)))  # the shapes of size n in canonical order, once per process
 _tries, _codes = lambda rows, n: correspondence._removal_trie(rows), lambda rows, n: [_box_code(R, n) for R in rows]  # tables to keep
 
@@ -272,22 +273,33 @@ def verify_wtilde(n: int) -> Report:
 
 
 def verify_embedding(n: int) -> Report:
-    """The embedding into the symmetric group on 2n letters: mirror image
-    condition, injectivity, and compatibility with inverses."""
+    """The embedding into the symmetric group on 2n letters: mirror image condition, injectivity, and
+    compatibility with inverses.  Injectivity holds when :func:`_decode` gives every word back, which keeps no
+    image; from the first word that it does not, the sweep starts over and keeps every image to look up."""
     _check_budget(n, WORD_BUDGET, "embedding verification")
-    failures, checked = [], 0
-    seen: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for w in _signed_permutations(n):
-        sigma = _iota_embed(w)
-        checked += 1
-        if not is_mirror_symmetric(sigma):
-            failures.append({"word": _text(w), "image": list(sigma), "reason": "mirror condition"})
-        if sigma in seen:
-            failures.append({"word": _text(w), "collides_with": _text(seen[sigma])})
-        seen[sigma] = w
-        if _iota_embed(_inverse(w)) != permutation_inverse(sigma):
-            failures.append({"word": _text(w), "reason": "inverse not respected"})
-    return Report("embedding", n, checked, tuple(failures))
+    for seen in (None, {}):
+        failures, checked = [], 0
+        for w in _signed_permutations(n):
+            sigma = _iota_embed(w)
+            checked += 1
+            if not is_mirror_symmetric(sigma):
+                failures.append({"word": _text(w), "image": list(sigma), "reason": "mirror condition"})
+            if seen is None:
+                if _decode(sigma) != w:
+                    break
+            elif (earlier := seen.setdefault(sigma, w)) is not w:
+                failures.append({"word": _text(w), "collides_with": _text(earlier)})
+                seen[sigma] = w
+            if _iota_embed(_inverse(w)) != permutation_inverse(sigma):
+                failures.append({"word": _text(w), "reason": "inverse not respected"})
+        else:
+            return Report("embedding", n, checked, tuple(failures))
+
+
+def _decode(images: tuple[int, ...]) -> tuple[int, ...]:
+    """The word that the embedding sends to ``images``, read off sigma(1..n): position n+1-i holds n+1-sigma(i)
+    when sigma(i) <= n, else the barred sigma(i)-n.  A left inverse: a word it gives back shares its image with none."""
+    return tuple(map(_letters(len(images) // 2), images[len(images) // 2 - 1::-1]))  # sigma(n), ..., sigma(1)
 
 
 def cells(n: int) -> dict[Bipartition, list[SignedPermutation]]:

@@ -134,3 +134,21 @@ class TestEnumeration:
                     count += 1
         assert count == 417
         assert digest.hexdigest() == "6d649881249b0a1f0f6744bf896e7e64df5c8993925108212e51eac58adad417"
+
+    @pytest.mark.parametrize(
+        "n, expected_count, expected_digest",
+        [
+            (6, 1384, "11440ea8533dcc7522bfd0995ac2b928917c056ac25ae2471d9d023faa13ca42"),
+            (7, 6512, "4005c82058cd169c80073ebf5d227dba58ab81004573e6ccd92c41e839e4c770"),
+        ],
+    )
+    def test_canonical_order_is_pinned_past_five(self, n, expected_count, expected_digest):
+        # Every standard bitableau of one size, in the layout of the pin above.
+        digest = hashlib.sha256()
+        count = 0
+        for bp in enumerate_bipartitions(n):
+            for t in enumerate_standard_bitableaux(bp):
+                digest.update((json.dumps(t.to_json()) + "\n").encode())
+                count += 1
+        assert count == expected_count
+        assert digest.hexdigest() == expected_digest

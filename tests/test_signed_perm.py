@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 
 import pytest
 from hypothesis import given
@@ -22,9 +23,20 @@ from exotic_rs.signed_perm import _signed_permutations
 
 
 class TestConstruction:
-    @pytest.mark.parametrize("letters", [(1, 1), (1, -1), (2, 3), (1, 2, 4), (0,), (True,)])
-    def test_rejects_non_permutations(self, letters):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize(
+        "letters, message",
+        [
+            ((True,), "letters must be integers: (True,)"),
+            ((1.0,), "letters must be integers: (1.0,)"),
+            ((0,), "letter 0 is not allowed; magnitudes run 1..n"),
+            ((1, 1), "letter magnitudes must be a permutation of 1..2: (1, 1)"),
+            ((1, -1), "letter magnitudes must be a permutation of 1..2: (1, -1)"),
+            ((2, 3), "letter magnitudes must be a permutation of 1..2: (2, 3)"),
+            ((1, 2, 4), "letter magnitudes must be a permutation of 1..3: (1, 2, 4)"),
+        ],
+    )
+    def test_rejects_non_permutations(self, letters, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             SignedPermutation(letters)
 
     def test_empty_word_is_allowed(self):
@@ -89,7 +101,7 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             list(_signed_permutations(-1))
 
-    @pytest.mark.parametrize("n", range(6))
+    @pytest.mark.parametrize("n", range(7))
     def test_stream_is_every_word_in_canonical_order(self, n):
         every_word = (
             SignedPermutation(tuple(m * s for m, s in zip(mags, signs)))

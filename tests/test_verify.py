@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -32,6 +33,7 @@ from exotic_rs import (
     enumerate_signed_permutations,
     enumerate_standard_bitableaux,
     insertion,
+    iota_embed,
     iter_pairs,
     load_golden_table,
     reverse_bumping_with_trace,
@@ -114,6 +116,32 @@ class TestVerifiers:
     @pytest.mark.parametrize("verifier", [verify_roundtrip, verify_inverse, verify_wtilde])
     def test_degenerate_size_zero(self, verifier):
         assert verifier(0).ok
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_decoding_gives_each_word_back_from_its_image(self, n):
+        words = [w.letters for w in enumerate_signed_permutations(n)]
+        assert [verify._decode(iota_embed(SignedPermutation(w))) for w in words] == words
+
+    def test_embedding_keeps_no_image(self):
+        # Injectivity by decoding keeps nothing per word; a memo of the 3,840 images at n = 5 peaks near 0.8 MB.
+        assert verify_embedding(5).ok  # warm the letter table
+        tracemalloc.start()
+        try:
+            assert verify_embedding(5).ok
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    def test_an_image_that_does_not_decode_is_looked_up_among_the_images(self, monkeypatch):
+        # Each image written backwards is sigma composed with i -> 2n + 1 - i, which commutes with sigma: still
+        # one-to-one, mirror symmetric and compatible with inverses.  It does not decode, so the sweep starts over
+        # after the first word and keeps every image, and it finds no collision.
+        real, decode, decoded = verify._iota_embed, verify._decode, []
+        monkeypatch.setattr(verify, "_iota_embed", lambda letters: real(letters)[::-1])
+        monkeypatch.setattr(verify, "_decode", lambda images: decoded.append(images) or decode(images))
+        assert verify_embedding(3) == Report("embedding", 3, 48)
+        assert decoded == [(6, 5, 4, 3, 2, 1)]
 
     def test_transition_builds_no_step_objects_on_passing_steps(self, monkeypatch):
         def refuse(*args, **kwargs):
