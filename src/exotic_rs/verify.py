@@ -51,7 +51,7 @@ PAIR_BUDGET = 6   # verifiers that enumerate all pairs of size n
 WORD_BUDGET = 6   # verifiers that enumerate all words of size n
 COUNT_BUDGET = 8  # pure shape-counting verifiers
 _tables: dict[tuple[Callable, int, int], tuple] = {}  # by (table, n, a cell's place in _cells(n)): what _cell_tables yields
-_letters = cache(lambda n: {s: n + 1 - s if s <= n else n - s for s in range(1, 2 * n + 1)}.get)  # sigma(i) -> letter, for _decode
+_letter_of = cache(lambda n: {s: n + 1 - s if s <= n else n - s for s in range(1, 2 * n + 1)}.get)  # sigma(i) -> letter, for _decode
 _shapes = cache(lambda n: tuple(enumerate_bipartitions(n)))  # the shapes of size n in canonical order, once per process
 _tries, _codes = lambda rows, n: correspondence._removal_trie(rows), lambda rows, n: [_box_code(R, n) for R in rows]  # tables to keep
 
@@ -299,7 +299,7 @@ def verify_embedding(n: int) -> Report:
 def _decode(images: tuple[int, ...]) -> tuple[int, ...]:
     """The word that the embedding sends to ``images``, read off sigma(1..n): position n+1-i holds n+1-sigma(i)
     when sigma(i) <= n, else the barred sigma(i)-n.  A left inverse: a word it gives back shares its image with none."""
-    return tuple(map(_letters(len(images) // 2), images[len(images) // 2 - 1::-1]))  # sigma(n), ..., sigma(1)
+    return tuple(map(_letter_of(len(images) // 2), images[len(images) // 2 - 1::-1]))  # sigma(n), ..., sigma(1)
 
 
 def cells(n: int) -> dict[Bipartition, list[SignedPermutation]]:
