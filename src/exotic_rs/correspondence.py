@@ -42,17 +42,17 @@ functions are thin wrappers that build the validated types
 :class:`~exotic_rs.signed_perm.SignedPermutation`).  The sweeps share the
 steps of common prefixes: ``_insertion_tree`` places each prefix of a word
 once and carries R as one integer, its ``_box_code``, and ``_walk`` runs each
-cascade once for all the R of a ``_removal_trie`` that share it.  Only the
-``_with_trace`` variants and the transition check record steps, as plain
-tuples whose layout is private to this module.  A hop's truncation is counted
-down each component only to the first row without an entry below the moving
-value: columns increase, so none below has one.
+cascade once for all the R whose box codes share the low digits that fix it.
+Only the ``_with_trace`` variants and the transition check record steps, as
+plain tuples whose layout is private to this module.  A hop's truncation is
+counted down each component only to the first row without an entry below the
+moving value: columns increase, so none below has one.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import zip_longest
 from operator import itemgetter
 
@@ -370,48 +370,42 @@ def _remove(z: _Rows, c: int, i: int, hops: list[tuple] | None) -> int:
         value, row[j] = row[j], value
 
 
-def _removal_trie(rs: Sequence[_Tableau]) -> list[tuple[int, int, int, int, bool, _Tableau]]:
-    """The same-shape tableaux rs, given by rows in canonical order, as a trie in preorder: a node
-    (d, c, i, run, copy, first) for each sequence of the boxes (c, i) of n, n-1, ..., n-d+1 that the ``run``
-    tableaux from ``first`` on share (they are contiguous).  ``copy`` is False for a parent's last child.
-    Each tableau has a leaf of its own, also when rs lists it twice."""
-    orders = [[b[k] for k in range(len(b), 0, -1)] for b in map(_boxes, rs)]
-    nodes = []
-    for j, order in enumerate(orders):
-        # Below the depth where order leaves the previous tableau's path, its nodes are new; a repeat, just its leaf.
-        shared = next((d for d, (a, b) in enumerate(zip(orders[j - 1], order)) if a != b), len(order) - 1) if j else 0
-        for d in range(shared, len(order)):
-            end = j + 1 if d + 1 == len(order) else next(
-                (e for e in range(j + 1, len(rs)) if orders[e][:d + 1] != order[:d + 1]), len(rs))
-            nodes.append((d + 1, *order[d], end - j, end < len(rs) and orders[end][:d] == order[:d], rs[j]))
-    return nodes
-
-
-def _walk(T: _Tableau, trie: Sequence, hops: list | None = None) -> list[tuple[int, ...]]:
-    """The words of the pairs (T, R) of the trie's tableaux R, in its order: one :func:`_remove` per node, on
-    a copy of its parent's rows unless it is the last child.  Unless ``hops`` is None, each node appends the
-    list of its hops."""
-    n = sum(map(len, T[0])) + sum(map(len, T[1]))
-    states, letters, words = [_rows(T)] * (n + 1), [0] * n, [] if trie else [()]  # the empty pair's word
-    for d, c, i, _, copy, _ in trie:  # a node's parent comes before it in preorder, so states[d - 1] is the parent's
-        z = states[d] = list(map(list, states[d - 1])) if copy else states[d - 1]
+def _walk(Ts: Sequence[_Tableau], codes: Sequence[int], hops: list | None = None) -> Iterator[list[tuple[int, ...]]]:
+    """For each T of the same-shape Ts in turn, the words of the pairs (T, R) for the tableaux R with these
+    :func:`_box_code`s, in their order.  R's depth-d node, the cascades of n, ..., n-d+1, is its code mod (2n)^d,
+    so an R shares with the one before it the nodes of their equal low digits, all but the leaf for a repeat.
+    One :func:`_remove` per node, on a copy of its parent's rows when a later R leaves the parent.  Unless ``hops``
+    is None, it holds (d, the node's hops) for each node of the current T."""
+    n = sum(map(len, Ts[0][0])) + sum(map(len, Ts[0][1]))
+    digits = [[code // (2 * n) ** k % (2 * n) for k in range(n)] for code in codes]  # the rows of n, n-1, ..., 1
+    shared = [0] + [next((d for d in range(n - 1) if a[d] != b[d]), max(n - 1, 0)) for a, b in zip(digits, digits[1:])]
+    nodes, copies = [], 0  # backward, (d, c, i, copy) per new depth of each R; bit d: the next R to leave depth d stays at d - 1
+    for ms, s in zip(digits[::-1], shared[::-1]):
+        nodes += [(d, ms[d - 1] & 1, ms[d - 1] >> 1, copies >> d & 1) for d in range(n, s, -1)]
+        copies = copies & ((2 << s) - 1) | 2 << s
+    for T in Ts:
+        states, letters, words = [_rows(T)] * (n + 1), [0] * n, [] if n else [()] * len(codes)  # the empty pair's word
         if hops is not None:
-            hops.append([])
-        letters[n - d] = _remove(z, c, i, None if hops is None else hops[-1])
-        if d == n:
-            words.append(tuple(letters))
-    return words
+            hops.clear()
+        for d, c, i, copy in reversed(nodes):  # a node's parent comes before it, so states[d - 1] is the parent's
+            z = states[d] = list(map(list, states[d - 1])) if copy else states[d - 1]
+            if hops is not None:
+                hops.append((d, node_hops := []))
+            letters[n - d] = _remove(z, c, i, None if hops is None else node_hops)
+            if d == n:
+                words.append(tuple(letters))
+        yield words
 
 
-def _disagreements(hops: list[list[tuple]], answers: dict) -> Iterator[tuple[int, tuple]]:
-    """(node, hop), in order, for each hop of :func:`_walk`'s per-node lists that :func:`_classify` (memo: ``answers``) mispredicts."""
-    for node, node_hops in enumerate(hops):
-        for hop in node_hops:
+def _disagreements(nodes: Iterable[tuple], answers: dict) -> Iterator[tuple[int, tuple]]:
+    """(d, hop) for each hop, in order, of the nodes (d, hops) that :func:`_classify` (memo: ``answers``) mispredicts."""
+    for d, hops in nodes:
+        for hop in hops:
             _, c, i, _, mu, nu, slot, letter = hop
             if (key := (mu, nu, c, i)) not in answers:
                 answers[key] = _classify(*key)
             if answers[key] != (letter > 0 if slot is None else slot[:2]):
-                yield node, hop
+                yield d, hop
 
 
 def _removal_step(value, c, i, j, mu, nu, slot, letter) -> RemovalStep:

@@ -10,16 +10,16 @@ the row-level kernels on the cached tableaux' rows and validate pairs only for
 failure records.  The sweeps walk prefix trees: each one-letter insertion and
 each removal cascade is computed once per tree node, for all the words or pairs
 beneath it, and each classification once per call; those memos die with the
-call.  Each size's shapes, and each cell's rows, removal trie and box codes,
-persist once built, for the process: tables of the cached enumeration, not
-kernel results; a cell's serve only the cell tuple they were built from.  Wtilde
-also runs bump_once's step once per first-level node, apart from the walk, so
-that its letter is checked against the walk's own k = n cascade.  It reads a
-node's reduced words off one walk of the reduced T only where every R of the
-node's run, without n, is the reduced cell in order.  Roundtrip checks its pairs
-by counting: once every word comes back, insertion maps the words one-to-one
-onto the equally many pairs.  The word sweeps look each word's R up by its
-insertion-tree box code.
+call.  Each size's shapes, and each cell's rows and box codes, persist once
+built, for the process: tables of the cached enumeration, not kernel results; a
+cell's serve only the cell tuple they were built from.  The pair sweeps walk
+the cascades off R's box codes, and the word sweeps look R up by them.  Wtilde
+also runs bump_once's step once per first-level node (codes with one low digit),
+apart from the walk, so that its letter is checked against the walk's own k = n
+cascade.  It reads a node's reduced words off the reduced cell's walk only where
+every R of the node's run, without n, is the reduced cell in order.  Roundtrip
+checks its pairs by counting: once every word comes back, insertion maps the
+words one-to-one onto the equally many pairs.
 """
 
 from __future__ import annotations
@@ -29,11 +29,11 @@ import math
 import os
 from collections.abc import Callable, Iterator
 from functools import cache
-from itertools import accumulate
+from itertools import groupby
 
 from . import correspondence
 from .bitableaux import Bitableau, enumerate_standard_bitableaux
-from .correspondence import CorrespondencePair, _Tableau, _box_code, _disagreements, _hop_failure, _pair, _rows, bump_once, insertion, reverse_bumping
+from .correspondence import CorrespondencePair, _Tableau, _box_code, _disagreements, _hop_failure, _pair, _rows, _walk, bump_once, insertion, reverse_bumping
 from .partitions import Bipartition, _Frozen, count_bitableaux, enumerate_bipartitions
 from .signed_perm import (
     SignedPermutation,
@@ -50,10 +50,9 @@ from .signed_perm import (
 PAIR_BUDGET = 6   # verifiers that enumerate all pairs of size n
 WORD_BUDGET = 6   # verifiers that enumerate all words of size n
 COUNT_BUDGET = 8  # pure shape-counting verifiers
-_tables: dict[tuple[Callable, int, int], tuple] = {}  # by (table, n, a cell's place in _cells(n)): what _cell_tables yields
+_tables: dict[tuple[int, int], tuple] = {}  # by (n, a cell's place in _cells(n)): what _cell_tables yields
 _letter_of = cache(lambda n: {s: n + 1 - s if s <= n else n - s for s in range(1, 2 * n + 1)}.get)  # sigma(i) -> letter, for _decode
 _shapes = cache(lambda n: tuple(enumerate_bipartitions(n)))  # the shapes of size n in canonical order, once per process
-_tries, _codes = lambda rows, n: correspondence._removal_trie(rows), lambda rows, n: [_box_code(R, n) for R in rows]  # tables to keep
 
 
 class BudgetExceededError(RuntimeError):
@@ -116,13 +115,13 @@ def _cells(n: int) -> Iterator[tuple[Bitableau, ...]]:
     return map(enumerate_standard_bitableaux, _shapes(n))
 
 
-def _cell_tables(n: int, table: Callable) -> Iterator[tuple[tuple[Bitableau, ...], tuple[_Tableau, ...], tuple]]:
-    """Each shape cell of size n in canonical order, with its tableaux' rows and ``table(rows, n)``: built on first use and
+def _cell_tables(n: int) -> Iterator[tuple[tuple[Bitableau, ...], tuple[_Tableau, ...], tuple[int | None, ...]]]:
+    """Each shape cell of size n in canonical order, with its tableaux' rows and box codes (:func:`_box_code`): built on first use and
     kept for the process, as they depend on the cell alone, but reused only for the very cell tuple they came from."""
     for s, cell in enumerate(_cells(n)):
-        if (entry := _tables.get((table, n, s))) is None or entry[0] is not cell:
+        if (entry := _tables.get((n, s))) is None or entry[0] is not cell:
             rows = tuple((t.left, t.right) for t in cell)  # tuples: every caller shares them
-            entry = _tables[table, n, s] = cell, rows, tuple(table(rows, n))
+            entry = _tables[n, s] = cell, rows, tuple(_box_code(R, n) for R in rows)
         yield entry
 
 
@@ -160,7 +159,7 @@ def verify_roundtrip(n: int) -> Report:
     _check_budget(n, PAIR_BUDGET, "round-trip verification")
     failures, words, pairs, nowhere = [], 0, 0, (None, None, 0)
     place: dict[_Tableau, tuple[int, list, int]] = {}  # each tableau's rows: its shape's place, the words of its pairs as T, its index as R
-    for s, (_, rows, _) in enumerate(tables := list(_cell_tables(n, _codes))):
+    for s, (_, rows, _) in enumerate(tables := list(_cell_tables(n))):
         place.update((T, (s, [None] * len(rows), b)) for b, T in enumerate(rows))
         pairs += len(rows) ** 2
     coded = {code: place[T] for _, rows, codes in tables for T, code in zip(rows, codes)}  # the same by box code; None, which no R has, if not standard
@@ -169,9 +168,9 @@ def verify_roundtrip(n: int) -> Report:
         if s is None or s_r != s or filed[b] is not None:
             break  # a word outside the enumeration or on a pair filed before: check every word flat
         filed[b] = letters
-    else:  # each word at a pair of its own, so each T's trie walk must give the words filed for it
+    else:  # each word at a pair of its own, so each T's walk must give the words filed for it
         if pairs == 2**n * math.factorial(n) and all(
-                correspondence._walk(T, trie) == place[T][1] for _, rows, trie in _cell_tables(n, _tries) for T in rows):
+                words == place[T][1] for _, rows, codes in tables for T, words in zip(rows, _walk(rows, codes))):
             return Report("roundtrip", n, 2 * pairs)
     for letters, T, code in correspondence._insertion_tree(n):
         words += 1
@@ -196,9 +195,9 @@ def verify_inverse(n: int) -> Report:
     """Swapping the pair inverts the word: word(R, T) = word(T, R)^-1."""
     _check_budget(n, PAIR_BUDGET, "inverse-symmetry verification")
     failures, checked = [], 0
-    for _, cell, trie in _cell_tables(n, _tries):
+    for _, cell, codes in _cell_tables(n):
         # Within one shape cell, the swap of the pair (T, R) = (t_i, t_j) is (t_j, t_i).
-        words = [correspondence._walk(T, trie) for T in cell]
+        words = list(_walk(cell, codes))
         for i, T in enumerate(cell):
             for j, R in enumerate(cell):
                 straight, swapped = words[i][j], words[j][i]
@@ -221,14 +220,16 @@ def verify_transition(n: int) -> Report:
     """Every cascade step of every removal agrees with second_decrement's rule table."""
     _check_budget(n, PAIR_BUDGET, "transition verification")
     failures, checked, answers = [], 0, {}
-    for _, cell, trie in _cell_tables(n, _tries):
-        for T in cell:
-            correspondence._walk(T, trie, hops := [])
-            checked += sum(run * len(node_hops) for (_, _, _, run, _, _), node_hops in zip(trie, hops))  # once for each pair beneath the node
-            if bad := list(_disagreements(hops, answers)):  # then as (j, d, hop) for each pair (T, cell[j]) beneath, in (R, k, hop) order
-                first = list(accumulate((d == n for d, *_ in trie), initial=0))  # each node's first R: a leaf per R, in order
-                bad = sorted(((j, trie[node][0], hop) for node, hop in bad for j in range(first[node], first[node] + trie[node][3])), key=lambda b: b[:2])
-                failures += (_hop_failure(T, cell[j], n + 1 - d, hop) for j, d, hop in bad)
+    for _, cell, codes in _cell_tables(n):
+        for T, _ in zip(cell, _walk(cell, codes, hops := [])):
+            path = [0] * (n + 1)  # the hops of the current nodes at depths 1..d, counted once for each pair at a leaf
+            for d, node_hops in hops:
+                path[d] = path[d - 1] + len(node_hops)
+                checked += path[n] if d == n else 0
+            if any(_disagreements(hops, answers)):  # then T's pairs flat, in (R, k, hop) order: cascade k = n..1 is depth 1..n
+                for R in cell:
+                    correspondence._reverse(T, R, cascades := [])
+                    failures += (_hop_failure(T, R, k, hop) for k, hop in _disagreements(((k, h) for k, _, h in cascades), answers))
     return Report("transition", n, checked, tuple(failures))
 
 
@@ -236,39 +237,34 @@ def verify_wtilde(n: int) -> Report:
     """bump_once agrees with dropping the word's last letter: the emitted
     letter is w_n and the reduced pair's word is the shifted remainder."""
     _check_budget(n, PAIR_BUDGET, "reduction verification")
-    failures, checked, walk = [], 0, correspondence._walk
-    smaller = {T: (cell, trie) for _, cell, trie in _cell_tables(n - 1, _tries) for T in cell} if n else {}  # each one's cell
-    reduced_words: dict[_Tableau, list[tuple[int, ...]]] = {}  # for each reduced T, the words with each R of its cell
+    failures, checked = [], 0
+    # Each reduced T's cell, and its words with each R of that cell, from one walk of every cell of size n - 1.
+    smaller = {T: (cell, words) for _, cell, codes in _cell_tables(n - 1) for T, words in zip(cell, _walk(cell, codes))} if n else {}
     drop = lambda R: tuple(tuple(row[:-1] if row[-1] == n else row for row in rows if row != (n,)) for rows in R)
-    for _, cell, trie in _cell_tables(n, _tries) if n else ():  # the empty pair has no entry to remove
-        # The k = n cascades.  Each carries its run's first R without n when the run's R without n are the
-        # reduced cell in order, so that the run's j-th pair reduces to that cell's j-th R; else None.
+    for _, cell, codes in _cell_tables(n) if n else ():  # the empty pair has no entry to remove
+        # The k = n cascades, runs of codes with one low digit (the row m of n), each with its first R without n if
+        # the run's R without n are the reduced cell in order, so that its j-th pair reduces to that cell's j-th R.
         tops, start = [], 0
-        for d, c, i, run, _, first in trie:
-            if d == 1:
-                reduced = tuple(drop(R) for R in cell[start:start + run])
-                tops.append((c, i, run, first, reduced[0] if smaller.get(reduced[0], ((),))[0] == reduced else None))
-                start += run
-        for T in cell:
-            words, start = walk(T, trie), 0
-            for c, i, run, first, reduced_first in tops:
+        for m, run in groupby(codes, lambda code: code % (2 * n)):
+            end = start + len(list(run))
+            reduced = tuple(map(drop, cell[start:end]))
+            tops.append((m & 1, m >> 1, start, end, reduced[0] if smaller.get(reduced[0], ((),))[0] == reduced else None))
+            start = end
+        for T, words in zip(cell, _walk(cell, codes)):
+            for c, i, start, end, reduced_first in tops:
                 # bump_once's step, apart from the walk's own k = n cascade that emits the words' last letter.
-                reduced_T, reduced_R, letter = correspondence._reduce(_rows(T), first, c, i)
-                reduced_cell, reduced_trie = smaller.get(reduced_T, ((None,), None))
-                # So the step must reduce the run's first pair to that R and a tableau of that same cell.
-                if reduced_R == reduced_first == reduced_cell[0]:
-                    if reduced_T not in reduced_words:
-                        reduced_words[reduced_T] = walk(reduced_T, reduced_trie)
-                    reduced_run = reduced_words[reduced_T]
-                else:  # each pair of the run by itself; rows that are no standard pair raise in the validated pair
-                    reduced_run = [reverse_bumping(bump_once(_pair(T, R))[0]).letters for R in cell[start:start + run]]
-                for R, word, reduced_word in zip(cell[start:start + run], words[start:], reduced_run):
+                reduced_T, reduced_R, letter = correspondence._reduce(_rows(T), cell[start], c, i)
+                reduced_cell, reduced_run = smaller.get(reduced_T, ((None,), None))
+                # So the step must reduce the run's first pair to that R and a tableau of that same cell; if not, each
+                # pair of the run goes by itself, and rows that are no standard pair raise in the validated pair.
+                if not reduced_R == reduced_first == reduced_cell[0]:
+                    reduced_run = [reverse_bumping(bump_once(_pair(T, R))[0]).letters for R in cell[start:end]]
+                for R, word, reduced_word in zip(cell[start:end], words[start:], reduced_run):
                     wt, r2 = _w_tilde(word)
                     checked += 1
                     if letter != word[-1] or abs(letter) != r2 or reduced_word != wt:
                         failures.append({"pair": _pair(T, R).to_json(), "word": _text(word), "letter": letter,
                                          "reduced_word": _text(reduced_word), "expected_reduced": _text(wt)})
-                start += run
     return Report("wtilde", n, checked, tuple(failures))
 
 
@@ -315,7 +311,7 @@ def _group_by_shape(n: int, item: Callable[[tuple[int, ...], Bitableau, Bitablea
     """Insert each word of size n once and file ``item(letters, T, R)`` under
     the shape of its pair (T, R), in the order of :func:`cells`."""
     _check_budget(n, WORD_BUDGET, "cell decomposition")
-    out, tables = {bp: [] for bp in _shapes(n)}, list(_cell_tables(n, _codes))  # a bucket for each cell
+    out, tables = {bp: [] for bp in _shapes(n)}, list(_cell_tables(n))  # a bucket for each cell
     found = {T: (bucket, t) for bucket, (cell, rows, _) in zip(out.values(), tables) for T, t in zip(rows, cell)}
     coded = {code: found[T] for _, rows, codes in tables for T, code in zip(rows, codes)}  # the same by box code
     for letters, T, code in correspondence._insertion_tree(n):

@@ -271,13 +271,35 @@ class TestReverseBumping:
         # One repr line of the hop lists that _walk records per T, cell by cell: the transition check's input.
         # The digest was taken while _remove still recounted every row at every hop.
         digest, hops_seen = hashlib.sha256(), 0
-        for _, cell, trie in verify._cell_tables(5, verify._tries):
-            for T in cell:
-                correspondence._walk(T, trie, hops := [])
+        for _, cell, codes in verify._cell_tables(5):
+            for _ in correspondence._walk(cell, codes, nodes := []):
+                hops = [node_hops for _, node_hops in nodes]
                 hops_seen += sum(map(len, hops))
                 digest.update(repr(hops).encode() + b"\n")
         assert hops_seen == 16324
         assert digest.hexdigest() == "03f08c1e8a92f3772b8d2dd0b020fa5392c11c781fb4e57f065eece7cfff1a63"
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_walk_on_any_order_of_codes_is_the_flat_reverse_bumping(self, data):
+        # A cell's codes in any order, repeats included: each T's words are the flat ones, and the hops of the node
+        # at depth d on each R's path are those of R's flat cascade k = n + 1 - d.
+        n = data.draw(st.integers(0, 6))
+        _, rows, codes = data.draw(st.sampled_from(list(verify._cell_tables(n))))
+        index = st.integers(0, len(rows) - 1)
+        Rs, Ts = data.draw(st.lists(index, min_size=1, max_size=12)), [rows[t] for t in data.draw(st.lists(index, min_size=1, max_size=3))]
+        for T, words in zip(Ts, correspondence._walk(Ts, [codes[r] for r in Rs], nodes := [])):
+            assert words == [correspondence._reverse(T, rows[r]) for r in Rs]
+            path, paths = [None] * (n + 1), []
+            for d, node_hops in nodes:
+                path[d] = node_hops
+                if d == n:
+                    paths.append(path[1:])
+            flat = []
+            for r in Rs:
+                correspondence._reverse(T, rows[r], cascades := [])
+                flat.append([hops for _, _, hops in cascades])
+            assert paths == (flat if n else [])  # at n = 0, no node
 
     @given(signed_words(max_n=100))
     @settings(max_examples=40, deadline=None)

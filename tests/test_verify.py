@@ -373,7 +373,7 @@ class TestCells:
 
 # -- tables kept for the process ---------------------------------------------------
 #
-# verify._cell_tables keeps each cell's rows, removal trie and box codes for the
+# verify._cell_tables keeps each cell's rows and box codes, its one table, for the
 # life of the process, and reuses them only for the very cell tuple they were
 # built from.  Nothing a kernel computes is kept: every call runs its own
 # insertions, walks and classifications.
@@ -430,17 +430,19 @@ class TestTablesHideNoFault:
 
     def test_each_cell_is_built_once_and_every_call_walks_its_own_cascades(self, monkeypatch):
         monkeypatch.setattr(verify, "_tables", {})
-        builds, walks = [], []
-        real_trie, real_remove = correspondence._removal_trie, correspondence._remove
-        monkeypatch.setattr(correspondence, "_removal_trie", lambda rows: builds.append(rows) or real_trie(rows))
+        coded, walks = [], []
+        real_code, real_remove = verify._box_code, correspondence._remove
+        monkeypatch.setattr(verify, "_box_code", lambda R, n: coded.append(R) or real_code(R, n))
         monkeypatch.setattr(correspondence, "_remove", lambda *args: walks.append(None) or real_remove(*args))
         per_round = []
         for _ in range(2):
             for verifier in (verify_roundtrip, verify_inverse, verify_transition, verify_wtilde):
                 assert verifier(4).ok
             per_round.append(len(walks) - sum(per_round))
-            # One trie per cell of size 4, and of size 3 for wtilde's reduced pairs, however many calls use it.
-            assert len(builds) == len(enumerate_bipartitions(4)) + len(enumerate_bipartitions(3)) == 30
+            # One code table per cell of size 4, and of size 3 for wtilde's reduced pairs, however many calls use it:
+            # 30 builds, each coding every tableau of its cell once.
+            assert len(verify._tables) == len(enumerate_bipartitions(4)) + len(enumerate_bipartitions(3)) == 30
+            assert coded == [(t.left, t.right) for n in (4, 3) for cell in verify._cells(n) for t in cell]
         assert per_round[0] == per_round[1] > 0
 
 
