@@ -20,10 +20,10 @@ rows stored wall-outward.
 
 from __future__ import annotations
 
+import _signal  # the C module behind `signal`, loaded at start-up; `signal` builds three enums on import
 import argparse
 import json
 import math
-import signal
 import sys
 
 from .correspondence import (
@@ -33,9 +33,9 @@ from .correspondence import (
     reverse_bumping,
     reverse_bumping_with_trace,
 )
-from .partitions import count_bitableaux, enumerate_bipartitions
+from .partitions import count_bitableaux
 from .signed_perm import _INTEGER, SignedPermutation, _text
-from .verify import BudgetExceededError, _group_by_shape, cells, run_verifier, verify_counting
+from .verify import BudgetExceededError, _group_by_shape, _shapes, cells, run_verifier, verify_counting
 
 
 def _size(text: str) -> int:
@@ -128,7 +128,7 @@ def cmd_cells(args: argparse.Namespace) -> int:
 
 def cmd_count(args: argparse.Namespace) -> int:
     report = verify_counting(args.n)
-    shapes = enumerate_bipartitions(args.n)
+    shapes = _shapes(args.n)
     total = 0
     for bp in shapes:
         c = count_bitableaux(bp)
@@ -154,52 +154,47 @@ def cmd_render(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command; when ``command`` names one, the parser of that command alone."""
+    pair = {"required": True, "help": "path to the pair JSON, or - for stdin"}
+    size, flag = {"type": _size}, {"action": "store_true"}
+    commands = {  # name: (help, handler, (flag or name, add_argument keywords)...)
+        "insert": ("map a word to its pair of bitableaux", cmd_insert, (
+            ("word", {"help": 'space-separated signed letters, e.g. "2 -1 3" ("" for n=0)'}),
+            ("--trace", {**flag, "help": "include the bump-by-bump trace"}),
+            ("--json", {**flag, "help": "emit the pair as JSON (default: pictures)"}),
+        )),
+        "bump": ("map a pair of bitableaux back to its word", cmd_bump, (
+            ("--pair", pair), ("--trace", {**flag, "help": "emit JSON with the removal trace"}),
+        )),
+        "table": ("print the whole correspondence for size n", cmd_table, (("n", size), ("--json", flag))),
+        "cells": ("group the words of size n by shape", cmd_cells, (("n", size),)),
+        "count": ("standard-bitableau counts per shape of size n", cmd_count, (("n", size),)),
+        "verify": ("run one verifier", cmd_verify, (
+            ("property", {"help": "golden | roundtrip | inverse | counting | transition | wtilde | embedding"}),
+            ("n", size), ("--json", flag),
+        )),
+        "render": ("pretty-print a pair JSON file", cmd_render, (("--pair", pair),)),
+    }
+    narrowed = command in commands
     parser = argparse.ArgumentParser(prog="exotic-rs", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("insert", help="map a word to its pair of bitableaux")
-    p.add_argument("word", help='space-separated signed letters, e.g. "2 -1 3" ("" for n=0)')
-    p.add_argument("--trace", action="store_true", help="include the bump-by-bump trace")
-    p.add_argument("--json", action="store_true", help="emit the pair as JSON (default: pictures)")
-    p.set_defaults(func=cmd_insert)
-
-    p = sub.add_parser("bump", help="map a pair of bitableaux back to its word")
-    p.add_argument("--pair", required=True, help="path to the pair JSON, or - for stdin")
-    p.add_argument("--trace", action="store_true", help="emit JSON with the removal trace")
-    p.set_defaults(func=cmd_bump)
-
-    p = sub.add_parser("table", help="print the whole correspondence for size n")
-    p.add_argument("n", type=_size)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_table)
-
-    p = sub.add_parser("cells", help="group the words of size n by shape")
-    p.add_argument("n", type=_size)
-    p.set_defaults(func=cmd_cells)
-
-    p = sub.add_parser("count", help="standard-bitableau counts per shape of size n")
-    p.add_argument("n", type=_size)
-    p.set_defaults(func=cmd_count)
-
-    p = sub.add_parser("verify", help="run one verifier")
-    p.add_argument("property", help="golden | roundtrip | inverse | counting | transition | wtilde | embedding")
-    p.add_argument("n", type=_size)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("render", help="pretty-print a pair JSON file")
-    p.add_argument("--pair", required=True, help="path to the pair JSON, or - for stdin")
-    p.set_defaults(func=cmd_render)
-
+    # Narrowed only: it keeps the usage line listing every command; in the full build it renames "argument command:".
+    metavar = {"metavar": "{" + ",".join(commands) + "}"} if narrowed else {}
+    sub = parser.add_subparsers(dest="command", required=True, **metavar)
+    for name in [command] if narrowed else commands:
+        help_text, handler, arguments = commands[name]
+        p = sub.add_parser(name, help=help_text)
+        for arg, keywords in arguments:
+            p.add_argument(arg, **keywords)
+        p.set_defaults(func=handler)
     return parser
 
 
 def run(argv: list[str] | None = None) -> int:
     """Parse argv and execute; returns the process exit code."""
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
     except SystemExit as exc:  # argparse already printed the usage message
         return int(exc.code or 0)
     try:
@@ -210,8 +205,8 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> int:
-    if hasattr(signal, "SIGPIPE"):  # a closed pipe (`| head`) ends the process quietly
-        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+    if hasattr(_signal, "SIGPIPE"):  # a closed pipe (`| head`) ends the process quietly
+        _signal.signal(_signal.SIGPIPE, _signal.SIG_DFL)
     return run(sys.argv[1:])
 
 

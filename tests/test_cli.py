@@ -23,8 +23,10 @@ from exotic_rs import (
     insertion,
     load_golden_table,
 )
+from exotic_rs import cli
 from exotic_rs.cli import run
 
+COMMANDS = ["insert", "bump", "table", "cells", "count", "verify", "render"]
 MIXED_WORD = "2 7 5 -6 4 -3 1"
 MIXED_ASCII = "T:\n4 1 | 2 7\n5 3 | 6\nR:\n2 1 | 3 7\n5 4 | 6\n"
 EMPTY_PAIR_JSON = '{"T": {"left": [], "right": []}, "R": {"left": [], "right": []}}'
@@ -267,7 +269,7 @@ class TestTable:
         proc.stdout.close()
         err = proc.stderr.read()
         proc.stderr.close()
-        assert proc.wait(timeout=120) != 2
+        assert proc.wait(timeout=120) == -signal.SIGPIPE
         assert err == b""
 
 
@@ -429,7 +431,9 @@ class TestRunChecks:
 
 class TestUsage:
     def test_unknown_subcommand_exits_2(self, capsys):
-        assert invoke(capsys, ["frobnicate"])[0] == 2
+        code, out, err = invoke(capsys, ["frobnicate"])
+        assert (code, out) == (2, "")
+        assert "argument command: invalid choice: 'frobnicate'" in err
 
     def test_no_arguments_exits_2(self, capsys):
         assert invoke(capsys, [])[0] == 2
@@ -452,10 +456,29 @@ class TestUsage:
         assert code == 0
         assert "insert" in out and "verify" in out
 
+    # A command in argv[0] builds its own subparser only; what the user sees must not tell the two builds apart.
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["-h", "insert"], ["frobnicate"], ["--json", "table", "2"],
+        *([name, "-h"] for name in COMMANDS), *([name] for name in COMMANDS),
+        ["insert", "2 -1", "--bogus"], ["insert", "2 -1", "--js"], ["table", "x"], ["table", "2", "extra"],
+        ["verify", "golden"], ["bump", "--pair"], ["count", "2"], None,
+    ], ids=repr)
+    def test_each_command_parses_as_with_every_subparser(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr("sys.argv", ["exotic-rs", "count", "x"])  # what run() reads when argv is None
+        narrowed = invoke(capsys, argv)
+        full_build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: full_build())
+        assert narrowed == invoke(capsys, argv)
+
+    def test_a_command_in_argv0_builds_its_subparser_alone(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.build_parser("table").parse_args(["insert", "2 -1"])
+        assert "invalid choice: 'insert'" in capsys.readouterr().err
+
     def test_import_leaves_out_the_slow_stdlib_modules(self):
         # Every command pays for what `import exotic_rs.cli` imports.  Under -S, `site` imports nothing, so
         # sys.modules holds what the package pulled in.
-        slow = ["dataclasses", "inspect", "typing", "importlib.resources", "pathlib"]
+        slow = ["dataclasses", "inspect", "typing", "importlib.resources", "pathlib", "signal"]
         src = str(Path(exotic_rs.__file__).resolve().parents[1])
         done = subprocess.run(
             [sys.executable, "-S", "-c", f"import exotic_rs.cli, sys; print(*[m for m in {slow!r} if m in sys.modules])"],
