@@ -39,10 +39,12 @@ row, where ``_insert`` records k in R) and ``_remove`` (one cascade out).
 rows back to letters, and ``_reduce`` is the step of ``bump_once``.  The public
 functions are thin wrappers that build the validated types
 (:class:`~exotic_rs.bitableaux.Bitableau`, :class:`CorrespondencePair`,
-:class:`~exotic_rs.signed_perm.SignedPermutation`).  The sweeps share the
-steps of common prefixes: ``_insertion_tree`` places each prefix of a word
-once and carries R as one integer, its ``_box_code``, and ``_walk`` runs each
-cascade once for all the R whose box codes share the low digits that fix it.
+:class:`~exotic_rs.signed_perm.SignedPermutation`).  The sweeps run each
+distinct step once per call: a memo keys every placement or removal by the
+state it starts from and its letter or box, the step's whole input, and runs
+the kernel on a miss only.  ``_insertion_tree`` walks the prefixes of the words
+and carries R as one integer, its ``_box_code``; ``_walk`` walks, for each T,
+the R whose box codes share the low digits that fix a cascade.
 Only the ``_with_trace`` variants and the transition check record steps, as
 plain tuples whose layout is private to this module.  A hop's truncation is
 counted down each component only to the first row without an entry below the
@@ -52,7 +54,7 @@ moving value: columns increase, so none below has one.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import zip_longest
 from operator import itemgetter
 
@@ -275,23 +277,32 @@ def _place(z: _Rows, letter: int, steps: list[InsertionStep] | None) -> int:
 
 def _insertion_tree(n: int) -> Iterator[tuple[tuple[int, ...], _Tableau, int]]:
     """(letters, T, the :func:`_box_code` of R) of every word of size n in canonical order, from a depth-first walk
-    of the prefixes: each places its last letter on a copy of its parent's rows (the first child, placed last, on
-    the rows), and appends its box's row to the code.  A prefix with one magnitude u left yields its two words."""
-    stack, radix = [((), tuple(range(1, n + 1)), [[], []], 0)], 2 * n
+    of the prefixes: each is a move of the call's memo (:func:`_interned`), keyed by its parent's state and its last
+    letter as sid * 2n + 2(|letter| - 1) + [barred], and appends its box's row to the code.  A prefix with one
+    magnitude left yields its two words, whose moves keep the rows (left, right) of their T, one object each."""
+    radix, memo, tableaux = 2 * n, {}, {}
+    stack = [((), tuple(range(1, n + 1)), *_interned(memo, [[], []]), 0)]
+    if not n:  # the empty word
+        yield (), ((), ()), 0
     while stack:
-        letters, unused, z, code = stack.pop()
-        if not unused:  # n = 0: the empty word
-            yield letters, _frozen(z), code
-        elif len(unused) == 1:  # u barred on a copy, then unbarred on the rows
-            barred = list(map(list, z))
-            m_barred, m = _place(barred, -unused[0], None), _place(z, unused[0], None)
-            yield letters + unused, _frozen(z), code * radix + m
-            yield letters + (-unused[0],), _frozen(barred), code * radix + m_barred
-        else:
-            for q in range(2 * len(unused) - 1, -1, -1):  # q = 2a + b: the a-th unused magnitude, barred if b
-                child = z if q == 0 else list(map(list, z))
-                letter = -unused[q >> 1] if q & 1 else unused[q >> 1]
-                stack.append((letters + (letter,), unused[: q >> 1] + unused[(q >> 1) + 1:], child, code * radix + _place(child, letter, None)))
+        letters, unused, sid, state, code = stack.pop()
+        leaves = len(unused) == 1  # yielded at once: u unbarred, then barred
+        for q in range(2) if leaves else range(2 * len(unused) - 1, -1, -1):  # q = 2a + b: the a-th unused magnitude, barred if b
+            letter = -unused[q >> 1] if q & 1 else unused[q >> 1]
+            if (entry := memo.get(key := sid * radix + 2 * unused[q >> 1] - 2 + (q & 1))) is None:
+                m = _place(z := list(map(list, state)), letter, None)
+                entry = memo[key] = (m, tableaux.setdefault(T := _frozen(z), T)) if leaves else (m, *_interned(memo, z))
+            if leaves:
+                yield letters + (letter,), entry[1], code * radix + entry[0]
+            else:
+                stack.append((letters + (letter,), unused[: q >> 1] + unused[(q >> 1) + 1:], *entry[1:], code * radix + entry[0]))
+
+
+def _interned(memo: dict, z: _Rows) -> tuple[int, tuple]:
+    """(id, state) of the combined rows z in a sweep's memo: the state is the tuple of z's rows, canonical after every
+    kernel step, and its id is new when first seen.  The memo keys each move by the id and by the letter or box, the
+    kernel's whole input, so a hit gives what the kernel would; it lives for one verifier call."""
+    return memo.setdefault(state := tuple(map(tuple, z)), (len(memo), state))
 
 
 def _box_code(R: _Tableau, n: int) -> int | None:
@@ -370,28 +381,29 @@ def _remove(z: _Rows, c: int, i: int, hops: list[tuple] | None) -> int:
         value, row[j] = row[j], value
 
 
-def _walk(Ts: Sequence[_Tableau], codes: Sequence[int], hops: list | None = None) -> Iterator[list[tuple[int, ...]]]:
+def _walk(Ts: Sequence[_Tableau], codes: Sequence[int], hops: list | None = None, memo: dict | None = None,
+          judge: Callable[[list], object] | None = None) -> Iterator[list[tuple[int, ...]]]:
     """For each T of the same-shape Ts in turn, the words of the pairs (T, R) for the tableaux R with these
     :func:`_box_code`s, in their order.  R's depth-d node, the cascades of n, ..., n-d+1, is its code mod (2n)^d,
-    so an R shares with the one before it the nodes of their equal low digits, all but the leaf for a repeat.
-    One :func:`_remove` per node, on a copy of its parent's rows when a later R leaves the parent.  Unless ``hops``
-    is None, it holds (d, the node's hops) for each node of the current T."""
-    n = sum(map(len, Ts[0][0])) + sum(map(len, Ts[0][1]))
+    so an R shares with the one before it the nodes of their equal low digits, all but the leaf for a repeat.  Each
+    node is a move of ``memo`` (:func:`_interned`; pass one to share it between the cells of a size), keyed by its
+    parent's state and the row m of the box of n+1-d as sid * 2n + m.  Unless ``hops`` is None, it holds (d, the
+    move's hops, or ``judge`` of them once per move) for each node of the current T; a memo serves one kind of call."""
+    n, memo = sum(map(len, Ts[0][0])) + sum(map(len, Ts[0][1])), {} if memo is None else memo
     digits = [[code // (2 * n) ** k % (2 * n) for k in range(n)] for code in codes]  # the rows of n, n-1, ..., 1
     shared = [0] + [next((d for d in range(n - 1) if a[d] != b[d]), max(n - 1, 0)) for a, b in zip(digits, digits[1:])]
-    nodes, copies = [], 0  # backward, (d, c, i, copy) per new depth of each R; bit d: the next R to leave depth d stays at d - 1
-    for ms, s in zip(digits[::-1], shared[::-1]):
-        nodes += [(d, ms[d - 1] & 1, ms[d - 1] >> 1, copies >> d & 1) for d in range(n, s, -1)]
-        copies = copies & ((2 << s) - 1) | 2 << s
+    nodes = [(d, ms[d - 1]) for ms, s in zip(digits, shared) for d in range(s + 1, n + 1)]  # a node's parent comes before it
     for T in Ts:
-        states, letters, words = [_rows(T)] * (n + 1), [0] * n, [] if n else [()] * len(codes)  # the empty pair's word
+        path, letters, words = [(None, *_interned(memo, _rows(T)))] * (n + 1), [0] * n, [] if n else [()] * len(codes)
         if hops is not None:
             hops.clear()
-        for d, c, i, copy in reversed(nodes):  # a node's parent comes before it, so states[d - 1] is the parent's
-            z = states[d] = list(map(list, states[d - 1])) if copy else states[d - 1]
+        for d, m in nodes:  # path[d - 1] is the parent's move
+            if (entry := memo.get(key := path[d - 1][1] * 2 * n + m)) is None:
+                letter = _remove(z := list(map(list, path[d - 1][2])), m & 1, m >> 1, node_hops := None if hops is None else [])
+                entry = memo[key] = letter, *_interned(memo, z), node_hops if judge is None else judge(node_hops)
+            path[d], letters[n - d] = entry, entry[0]
             if hops is not None:
-                hops.append((d, node_hops := []))
-            letters[n - d] = _remove(z, c, i, None if hops is None else node_hops)
+                hops.append((d, entry[3]))
             if d == n:
                 words.append(tuple(letters))
         yield words

@@ -7,19 +7,21 @@ refuse sizes beyond their budget by raising :class:`BudgetExceededError` --
 never by silently checking less.  The env variable ``EXOTIC_RS_MAX_N``
 (an integer) raises all budgets.  The pair verifiers and :func:`cells` run
 the row-level kernels on the cached tableaux' rows and validate pairs only for
-failure records.  The sweeps walk prefix trees: each one-letter insertion and
-each removal cascade is computed once per tree node, for all the words or pairs
-beneath it, and each classification once per call; those memos die with the
-call.  Each size's shapes, and each cell's rows and box codes, persist once
-built, for the process: tables of the cached enumeration, not kernel results; a
-cell's serve only the cell tuple they were built from.  The pair sweeps walk
-the cascades off R's box codes, and the word sweeps look R up by them.  Wtilde
-also runs bump_once's step once per first-level node (codes with one low digit),
-apart from the walk, so that its letter is checked against the walk's own k = n
-cascade.  It reads a node's reduced words off the reduced cell's walk only where
-every R of the node's run, without n, is the reduced cell in order.  Roundtrip
-checks its pairs by counting: once every word comes back, insertion maps the
-words one-to-one onto the equally many pairs.
+failure records.  Each one-letter insertion and each removal cascade runs once
+per call for each distinct (state, letter or box), however many words, pairs
+and cells reach it; transition classifies each distinct cascade's hops once,
+and each rule-table key once.  Those memos cannot mask a fault: they are keyed
+by the kernel's whole input, so a hit gives what the kernel would, and they die
+with the call.  Each size's shapes, and each cell's rows and box codes, persist
+once built, for the process: tables of the cached enumeration, not kernel
+results; a cell's serve only the cell tuple they were built from.  The pair
+sweeps walk the cascades off R's box codes, and the word sweeps look R up by
+them.  Wtilde also runs bump_once's step once per first-level node (codes with
+one low digit), apart from the walk, so that its letter is checked against the
+walk's own k = n cascade.  It reads a node's reduced words off the reduced
+cell's walk only where every R of the node's run, without n, is the reduced
+cell in order.  Roundtrip checks its pairs by counting: once every word comes
+back, insertion maps the words one-to-one onto the equally many pairs.
 """
 
 from __future__ import annotations
@@ -157,7 +159,7 @@ def verify_roundtrip(n: int) -> Report:
     insertion(reverse_bumping(pair)) = pair for every pair, which follows from
     the first half by counting: there are as many pairs as words."""
     _check_budget(n, PAIR_BUDGET, "round-trip verification")
-    failures, words, pairs, nowhere = [], 0, 0, (None, None, 0)
+    failures, words, pairs, nowhere, memo = [], 0, 0, (None, None, 0), {}
     place: dict[_Tableau, tuple[int, list, int]] = {}  # each tableau's rows: its shape's place, the words of its pairs as T, its index as R
     for s, (_, rows, _) in enumerate(tables := list(_cell_tables(n))):
         place.update((T, (s, [None] * len(rows), b)) for b, T in enumerate(rows))
@@ -170,7 +172,7 @@ def verify_roundtrip(n: int) -> Report:
         filed[b] = letters
     else:  # each word at a pair of its own, so each T's walk must give the words filed for it
         if pairs == 2**n * math.factorial(n) and all(
-                words == place[T][1] for _, rows, codes in tables for T, words in zip(rows, _walk(rows, codes))):
+                words == place[T][1] for _, rows, codes in tables for T, words in zip(rows, _walk(rows, codes, memo=memo))):
             return Report("roundtrip", n, 2 * pairs)
     for letters, T, code in correspondence._insertion_tree(n):
         words += 1
@@ -194,10 +196,10 @@ def verify_roundtrip(n: int) -> Report:
 def verify_inverse(n: int) -> Report:
     """Swapping the pair inverts the word: word(R, T) = word(T, R)^-1."""
     _check_budget(n, PAIR_BUDGET, "inverse-symmetry verification")
-    failures, checked = [], 0
+    failures, checked, memo = [], 0, {}
     for _, cell, codes in _cell_tables(n):
         # Within one shape cell, the swap of the pair (T, R) = (t_i, t_j) is (t_j, t_i).
-        words = list(_walk(cell, codes))
+        words = list(_walk(cell, codes, memo=memo))
         for i, T in enumerate(cell):
             for j, R in enumerate(cell):
                 straight, swapped = words[i][j], words[j][i]
@@ -219,14 +221,15 @@ def verify_counting(n: int) -> Report:
 def verify_transition(n: int) -> Report:
     """Every cascade step of every removal agrees with second_decrement's rule table."""
     _check_budget(n, PAIR_BUDGET, "transition verification")
-    failures, checked, answers = [], 0, {}
+    failures, checked, answers, memo = [], 0, {}, {}
+    judge = lambda node_hops: (len(node_hops), any(_disagreements([(0, node_hops)], answers)))  # once per distinct move
     for _, cell, codes in _cell_tables(n):
-        for T, _ in zip(cell, _walk(cell, codes, hops := [])):
+        for T, _ in zip(cell, _walk(cell, codes, hops := [], memo, judge)):
             path = [0] * (n + 1)  # the hops of the current nodes at depths 1..d, counted once for each pair at a leaf
-            for d, node_hops in hops:
-                path[d] = path[d - 1] + len(node_hops)
+            for d, (count, _) in hops:
+                path[d] = path[d - 1] + count
                 checked += path[n] if d == n else 0
-            if any(_disagreements(hops, answers)):  # then T's pairs flat, in (R, k, hop) order: cascade k = n..1 is depth 1..n
+            if any(wrong for _, (_, wrong) in hops):  # then T's pairs flat, in (R, k, hop) order: cascade k = n..1 is depth 1..n
                 for R in cell:
                     correspondence._reverse(T, R, cascades := [])
                     failures += (_hop_failure(T, R, k, hop) for k, hop in _disagreements(((k, h) for k, _, h in cascades), answers))
@@ -237,9 +240,9 @@ def verify_wtilde(n: int) -> Report:
     """bump_once agrees with dropping the word's last letter: the emitted
     letter is w_n and the reduced pair's word is the shifted remainder."""
     _check_budget(n, PAIR_BUDGET, "reduction verification")
-    failures, checked = [], 0
+    failures, checked, memo, smaller_memo = [], 0, {}, {}  # a memo for each size walked
     # Each reduced T's cell, and its words with each R of that cell, from one walk of every cell of size n - 1.
-    smaller = {T: (cell, words) for _, cell, codes in _cell_tables(n - 1) for T, words in zip(cell, _walk(cell, codes))} if n else {}
+    smaller = {T: (cell, words) for _, cell, codes in _cell_tables(n - 1) for T, words in zip(cell, _walk(cell, codes, memo=smaller_memo))} if n else {}
     drop = lambda R: tuple(tuple(row[:-1] if row[-1] == n else row for row in rows if row != (n,)) for rows in R)
     for _, cell, codes in _cell_tables(n) if n else ():  # the empty pair has no entry to remove
         # The k = n cascades, runs of codes with one low digit (the row m of n), each with its first R without n if
@@ -250,7 +253,7 @@ def verify_wtilde(n: int) -> Report:
             reduced = tuple(map(drop, cell[start:end]))
             tops.append((m & 1, m >> 1, start, end, reduced[0] if smaller.get(reduced[0], ((),))[0] == reduced else None))
             start = end
-        for T, words in zip(cell, _walk(cell, codes)):
+        for T, words in zip(cell, _walk(cell, codes, memo=memo)):
             for c, i, start, end, reduced_first in tops:
                 # bump_once's step, apart from the walk's own k = n cascade that emits the words' last letter.
                 reduced_T, reduced_R, letter = correspondence._reduce(_rows(T), cell[start], c, i)

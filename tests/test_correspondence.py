@@ -282,24 +282,26 @@ class TestReverseBumping:
     @given(st.data())
     @settings(max_examples=100, deadline=None)
     def test_walk_on_any_order_of_codes_is_the_flat_reverse_bumping(self, data):
-        # A cell's codes in any order, repeats included: each T's words are the flat ones, and the hops of the node
-        # at depth d on each R's path are those of R's flat cascade k = n + 1 - d.
+        # Several walks of one size on one memo, as a verifier call makes them: cells in any order, repeats
+        # included, and each cell's codes in any order, repeats included.  Each T's words are the flat ones, and the
+        # hops of the node at depth d on each R's path are those of R's flat cascade k = n + 1 - d.
         n = data.draw(st.integers(0, 6))
-        _, rows, codes = data.draw(st.sampled_from(list(verify._cell_tables(n))))
-        index = st.integers(0, len(rows) - 1)
-        Rs, Ts = data.draw(st.lists(index, min_size=1, max_size=12)), [rows[t] for t in data.draw(st.lists(index, min_size=1, max_size=3))]
-        for T, words in zip(Ts, correspondence._walk(Ts, [codes[r] for r in Rs], nodes := [])):
-            assert words == [correspondence._reverse(T, rows[r]) for r in Rs]
-            path, paths = [None] * (n + 1), []
-            for d, node_hops in nodes:
-                path[d] = node_hops
-                if d == n:
-                    paths.append(path[1:])
-            flat = []
-            for r in Rs:
-                correspondence._reverse(T, rows[r], cascades := [])
-                flat.append([hops for _, _, hops in cascades])
-            assert paths == (flat if n else [])  # at n = 0, no node
+        tables, memo = list(verify._cell_tables(n)), {}
+        for _, rows, codes in data.draw(st.lists(st.sampled_from(tables), min_size=1, max_size=4)):
+            index = st.integers(0, len(rows) - 1)
+            Rs, Ts = data.draw(st.lists(index, min_size=1, max_size=12)), [rows[t] for t in data.draw(st.lists(index, min_size=1, max_size=3))]
+            for T, words in zip(Ts, correspondence._walk(Ts, [codes[r] for r in Rs], nodes := [], memo)):
+                assert words == [correspondence._reverse(T, rows[r]) for r in Rs]
+                path, paths = [None] * (n + 1), []
+                for d, node_hops in nodes:
+                    path[d] = node_hops
+                    if d == n:
+                        paths.append(path[1:])
+                flat = []
+                for r in Rs:
+                    correspondence._reverse(T, rows[r], cascades := [])
+                    flat.append([hops for _, _, hops in cascades])
+                assert paths == (flat if n else [])  # at n = 0, no node
 
     @given(signed_words(max_n=100))
     @settings(max_examples=40, deadline=None)

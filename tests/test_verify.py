@@ -24,6 +24,7 @@ from exotic_rs import (
     Bitableau,
     BudgetExceededError,
     CorrespondencePair,
+    Partition,
     Report,
     SignedPermutation,
     cells,
@@ -179,19 +180,20 @@ class TestVerifiers:
         real = correspondence._remove
         monkeypatch.setattr(correspondence, "_remove", lambda *args: walks.append(args) or real(*args))
         assert verify_wtilde(4).ok
-        # One walk per node of each T's trie, one _reduce per depth-1 node of it (bump_once's step, apart
-        # from the walk's k = n cascade), and one walk per node of each reduced T's trie for the reduced
-        # pairs' words: flat, that was one per (pair, k) and one per (distinct reduced pair, k),
-        # 384 * 4 + 48 * 3 = 1680.
-        assert len(walks) == 1216 + 160 + 132 == 1508
+        # One walk per distinct (state, box) of the size-4 cells, one _reduce per depth-1 node of each T's code
+        # walk (bump_once's step, apart from the walk's k = n cascade), and one walk per distinct (state, box) of
+        # the size-3 cells for the reduced pairs' words.  Once per code-walk node, that was 1216 + 160 + 132; flat,
+        # one per (pair, k) and one per (distinct reduced pair, k), 384 * 4 + 48 * 3 = 1680.
+        assert len(walks) == 360 + 160 + 66 == 586
 
     def test_word_sweep_places_each_prefix_once(self, monkeypatch):
         places = []
         real = correspondence._place
         monkeypatch.setattr(correspondence, "_place", lambda *args: places.append(args[1]) or real(*args))
         assert verify_roundtrip(4).ok
-        # One placement per nonempty prefix: 8 + 8 * 6 + 8 * 6 * 4 + 8 * 6 * 4 * 2; flat, 384 * 4 = 1536.
-        assert len(places) == 8 + 48 + 192 + 384 == 632
+        # One placement per distinct (state, letter), by the size of the state it leaves: once per nonempty
+        # prefix, that was 8 + 48 + 192 + 384 = 632; flat, 384 * 4 = 1536.
+        assert len(places) == 8 + 48 + 144 + 160 == 360
 
     @pytest.mark.parametrize("verifier", [verify_inverse, verify_roundtrip])
     def test_pair_sweep_walks_each_trie_node_once(self, monkeypatch, verifier):
@@ -199,8 +201,24 @@ class TestVerifiers:
         real = correspondence._remove
         monkeypatch.setattr(correspondence, "_remove", lambda *args: walks.append(args) or real(*args))
         assert verifier(4).ok
-        # One walk per node of each T's trie; flat, one per (pair, k) or per word: 384 * 4 = 1536.
-        assert len(walks) == 1216
+        # One walk per distinct (state, box), by the size of the state it leaves, the mirror image of the
+        # placements above; once per node of each T's code walk, that was 1216; flat, one per (pair, k) or per
+        # word: 384 * 4 = 1536.
+        assert len(walks) == 160 + 144 + 48 + 8 == 360
+
+    def test_one_memo_spans_every_cell_of_a_call(self, monkeypatch):
+        # The kernel calls of one call at n = 5, by depth d, read off the size n + 1 - d of the rows a removal
+        # starts from and the size d of the rows a placement leaves: once per distinct input, however many cells
+        # reach it.  A memo per cell would repeat the deep ones, which tableaux of many shapes share.
+        removed, placed = Counter(), Counter()
+        real_remove, real_place = correspondence._remove, correspondence._place
+        monkeypatch.setattr(correspondence, "_remove", lambda z, *args: removed.update([6 - sum(map(len, z))]) or real_remove(z, *args))
+        monkeypatch.setattr(correspondence, "_place", lambda z, *args: placed.update([sum(map(len, z)) + 1]) or real_place(z, *args))
+        assert verify_inverse(5).ok
+        assert sum(map(len, cells(5).values())) == 3840
+        assert [removed[d] for d in range(1, 6)] == [760, 800, 360, 80, 10]
+        assert [placed[d] for d in range(1, 6)] == [10, 80, 360, 800, 760]
+        assert sum(removed.values()) == sum(placed.values()) == 2010
 
     def test_run_verifier_by_name(self):
         assert run_verifier("golden", 3).ok
@@ -615,6 +633,25 @@ class TestMemosHideNoFailure:
         monkeypatch.setattr(correspondence, "_remove", corrupt)
         seen = failures_against_direct()
         assert {key: count for key, count in seen.items() if count} == failing
+
+    def test_one_corrupt_reverse_bump_that_two_cells_reach(self, monkeypatch):
+        # The cascade from the rows ((1, 2, 3),), () out of the first left row: at size 4 it is the k = 3 cascade
+        # of pairs of shapes ((3, 1), ()) and ((4,), ()), whose k = 4 cascades leave those rows, so the one memo of
+        # a call runs it once for both cells; at size 3 it is the k = 3 cascade of the one-row T.
+        node = ((((1, 2, 3),), ()), 0, 0)
+        real = correspondence._remove
+
+        def corrupt(t, c, i, hops):
+            hit = (correspondence._frozen(t), c, i) == node
+            letter = real(t, c, i, hops)
+            return -letter if hit else letter
+
+        monkeypatch.setattr(correspondence, "_remove", corrupt)
+        seen = failures_against_direct()
+        assert {key: count for key, count in seen.items() if count} == {("verify_roundtrip", 3): 2, ("verify_roundtrip", 4): 4,
+                                                                        ("verify_wtilde", 4): 6}
+        shapes = {CorrespondencePair.from_json(f["pair"]).shape for f in verify_roundtrip(4).failures if "pair" in f}
+        assert shapes == {Bipartition(Partition((3, 1))), Bipartition(Partition((4,)))}
 
     def test_wrong_reduced_tableau_of_the_right_shape(self, monkeypatch):
         # bump_once's step hands back each reduced R mirrored in its shape's canonical order.
