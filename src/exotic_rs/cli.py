@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import _signal  # the C module behind `signal`, loaded at start-up; `signal` builds three enums on import
 import argparse
-import json
 import math
 import sys
 
+from .bitableaux import Bitableau
 from .correspondence import (
     CorrespondencePair,
     insertion,
@@ -33,7 +33,7 @@ from .correspondence import (
     reverse_bumping,
     reverse_bumping_with_trace,
 )
-from .partitions import count_bitableaux
+from .partitions import Bipartition, count_bitableaux
 from .signed_perm import _INTEGER, SignedPermutation, _text
 from .verify import BudgetExceededError, _group_by_shape, _shapes, cells, run_verifier, verify_counting
 
@@ -45,7 +45,17 @@ def _size(text: str) -> int:
     return int(text)
 
 
+def _json(x: Bitableau | Bipartition | tuple[int, ...]) -> str:
+    """What ``json.dumps`` prints for ``x.to_json()``, or for a word's text, built on the list repr of ints."""
+    if isinstance(x, Bitableau):
+        return f'{{"left": {[*map(list, x.left)]}, "right": {[*map(list, x.right)]}}}'
+    if isinstance(x, Bipartition):
+        return f'{{"mu": {[*x.mu.parts]}, "nu": {[*x.nu.parts]}}}'
+    return f'"{_text(x)}"'  # a word's text needs no escaping
+
+
 def _read_pair(path: str) -> CorrespondencePair:
+    import json  # here, not at import: only bump and render read JSON
     if path == "-":
         raw = sys.stdin.read()
     else:
@@ -71,11 +81,11 @@ def _render_pair(pair: CorrespondencePair) -> str:
 def cmd_insert(args: argparse.Namespace) -> int:
     word = SignedPermutation.from_text(args.word)
     pair, records = insertion_with_trace(word) if args.trace else (insertion(word), ())
-    if args.json:
-        obj = pair.to_json()
-        if args.trace:
-            obj["trace"] = [r.to_json() for r in records]
-        print(json.dumps(obj))
+    if args.json and args.trace:
+        import json
+        print(json.dumps({**pair.to_json(), "trace": [r.to_json() for r in records]}))
+    elif args.json:
+        print(f'{{"T": {_json(pair.T)}, "R": {_json(pair.R)}}}')
     else:
         if args.trace:
             for rec in records:
@@ -92,6 +102,7 @@ def cmd_insert(args: argparse.Namespace) -> int:
 def cmd_bump(args: argparse.Namespace) -> int:
     pair = _read_pair(args.pair)
     if args.trace:
+        import json
         word, records = reverse_bumping_with_trace(pair)
         print(json.dumps({"word": word.to_text(), "trace": [r.to_json() for r in records]}))
     else:
@@ -101,14 +112,14 @@ def cmd_bump(args: argparse.Namespace) -> int:
 
 def cmd_table(args: argparse.Namespace) -> int:
     dumped: dict[int, str] = {}  # each tableau's JSON, rendered once; by identity, as the tableaux are the cached ones
-    js = lambda t: dumped.get(id(t)) or dumped.setdefault(id(t), json.dumps(t.to_json()))
+    js = lambda t: dumped.get(id(t)) or dumped.setdefault(id(t), _json(t))
     if args.json:
         # Rows are kept as JSON text and written block by block, laid out as json.dumps would.
-        row = lambda w, T, R: f'{{"word": {json.dumps(_text(w))}, "T": {js(T)}, "R": {js(R)}}}'
+        row = lambda w, T, R: f'{{"word": {_json(w)}, "T": {js(T)}, "R": {js(R)}}}'
         blocks = _group_by_shape(args.n, row).items()
         sys.stdout.write("[")
         for i, (shape, rows) in enumerate(blocks):
-            sys.stdout.write(f'{", " if i else ""}{{"shape": {json.dumps(shape.to_json())}, "words": [{", ".join(rows)}]}}')
+            sys.stdout.write(f'{", " if i else ""}{{"shape": {_json(shape)}, "words": [{", ".join(rows)}]}}')
         print("]")
         return 0
     line = lambda w, T, R: f"{_text(w)}\t{js(T)}\t{js(R)}"
@@ -143,6 +154,7 @@ def cmd_count(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     report = run_verifier(args.property, args.n)
     if args.json:
+        import json
         print(json.dumps(report.to_json()))
     else:
         print(report.summary())

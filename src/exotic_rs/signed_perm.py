@@ -150,7 +150,7 @@ def is_mirror_symmetric(images: tuple[int, ...]) -> bool:
     """Whether sigma(i) + sigma(2n+1-i) = 2n+1 for all i (the image condition
     cutting the embedded copy of the signed permutations out of S_2n)."""
     size = len(images)
-    return size % 2 == 0 and all(images[i] + images[size - 1 - i] == size + 1 for i in range(size))
+    return size % 2 == 0 and all(images[i] + images[size - 1 - i] == size + 1 for i in range(size // 2))
 
 
 def derive_w_tilde(w: SignedPermutation) -> tuple[SignedPermutation, int]:

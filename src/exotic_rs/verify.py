@@ -26,7 +26,6 @@ back, insertion maps the words one-to-one onto the equally many pairs.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from collections.abc import Callable, Iterator
@@ -102,6 +101,7 @@ class Report(_Frozen):
         head = f"{self.property} n={self.n}"
         if self.ok:
             return f"{head}: OK ({self.checked} checks)"
+        import json  # here, not at import: every command imports this module, and only a failure is printed as JSON
         first = json.dumps(self.failures[0], sort_keys=True)
         return f"{head}: FAILED ({len(self.failures)} of {self.checked} checks); first failure: {first}"
 
@@ -328,6 +328,7 @@ def _group_by_shape(n: int, item: Callable[[tuple[int, ...], Bitableau, Bitablea
 
 def load_golden_table() -> dict:
     """The frozen n=3 correspondence table shipped with the package."""
+    import json
     from importlib import resources  # here, not at import: only the golden check reads it
 
     text = resources.files("exotic_rs").joinpath("data/golden_table_n3.json").read_text()

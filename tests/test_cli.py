@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -244,8 +245,8 @@ class TestTable:
     def test_each_tableau_is_rendered_once(self, capsys, monkeypatch):
         # 76 standard tableaux of size 4; rendered per word, T and R, that was 2 * 384 renderings.
         rendered = []
-        real = json.dumps
-        monkeypatch.setattr(json, "dumps", lambda obj: rendered.append(obj) or real(obj))
+        real = cli._json
+        monkeypatch.setattr(cli, "_json", lambda x: rendered.append(x) or real(x))
         code, _, _ = invoke(capsys, ["table", "4"])
         assert code == 0
         assert len(rendered) == sum(map(len, map(exotic_rs.enumerate_standard_bitableaux, enumerate_bipartitions(4)))) == 76
@@ -271,6 +272,46 @@ class TestTable:
         proc.stderr.close()
         assert proc.wait(timeout=120) == -signal.SIGPIPE
         assert err == b""
+
+
+class TestJsonText:
+    """`insert --json` and `table` build their JSON on the list repr; it must read as json.dumps writes it."""
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_every_tableau_and_shape_of_size_up_to_six(self, n):
+        for bp in enumerate_bipartitions(n):
+            assert cli._json(bp) == json.dumps(bp.to_json())
+            for t in exotic_rs.enumerate_standard_bitableaux(bp):
+                assert cli._json(t) == json.dumps(t.to_json())
+
+    def test_insert_json_of_every_word_up_to_size_four_and_of_long_words(self, capsys):
+        rng = random.Random(25)
+        long_words = [[rng.choice((-1, 1)) * m for m in rng.sample(range(1, 201), 200)] for _ in range(4)]
+        words = [w.to_text() for n in range(5) for w in enumerate_signed_permutations(n)]
+        assert len(words) == 443
+        for text in words + [" ".join(map(str, w)) for w in long_words]:
+            code, out, err = invoke(capsys, ["insert", "--json", text])
+            assert (code, out, err) == (0, json.dumps(insertion_pair_json(text)) + "\n", "")
+
+    def test_only_the_commands_that_read_or_trace_load_json(self):
+        # Under -S, `site` imports nothing, so sys.modules holds what the commands pulled in.
+        script = "\n".join([
+            "import io, sys",
+            "from exotic_rs import cli",
+            'codes = [cli.run(["insert", "--json", "2 -1 3"]), cli.run(["table", "3"]), cli.run(["table", "3", "--json"])]',
+            'loaded = "json" in sys.modules',
+            "sys.stdin = io.StringIO(sys.argv[1])",
+            'codes += [cli.run(argv) for argv in (["bump", "--pair", "-"], ["insert", "--json", "--trace", "2 -1 3"],'
+            ' ["verify", "roundtrip", "3", "--json"])]',
+            "print(loaded, codes, file=sys.stderr)",
+        ])
+        src = str(Path(exotic_rs.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", script, json.dumps(insertion_pair_json("2 -1 3"))],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+        )
+        assert (done.returncode, done.stderr) == (0, "False [0, 0, 0, 0, 0, 0]\n")
+        assert "\n2 -1 3\n" in done.stdout
 
 
 class TestCells:
@@ -478,7 +519,7 @@ class TestUsage:
     def test_import_leaves_out_the_slow_stdlib_modules(self):
         # Every command pays for what `import exotic_rs.cli` imports.  Under -S, `site` imports nothing, so
         # sys.modules holds what the package pulled in.
-        slow = ["dataclasses", "inspect", "typing", "importlib.resources", "pathlib", "signal"]
+        slow = ["dataclasses", "inspect", "typing", "importlib.resources", "pathlib", "signal", "json"]
         src = str(Path(exotic_rs.__file__).resolve().parents[1])
         done = subprocess.run(
             [sys.executable, "-S", "-c", f"import exotic_rs.cli, sys; print(*[m for m in {slow!r} if m in sys.modules])"],
