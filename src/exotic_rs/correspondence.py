@@ -43,10 +43,10 @@ functions are thin wrappers that build the validated types
 distinct step once per call: a memo keys every placement or removal by the
 state it starts from and its letter or box, the step's whole input, and runs
 the kernel on a miss only.  ``_insertion_tree`` walks the prefixes of the words
-and carries R as one integer, its ``_box_code``; ``_walk`` walks, for each T,
-the R whose box codes share the low digits that fix a cascade.
-Only the ``_with_trace`` variants and the transition check record steps, as
-plain tuples whose layout is private to this module.  A hop's truncation is
+and carries R as one integer, its ``_box_code``; ``_walk`` walks, for each T's
+state, the R whose box codes share the low digits that fix a cascade.  Only
+the ``_with_trace`` variants and the transition check record steps, as plain
+tuples whose layout is private to this module.  A hop's truncation is
 counted down each component only to the first row without an entry below the
 moving value: columns increase, so none below has one.
 """
@@ -54,7 +54,7 @@ moving value: columns increase, so none below has one.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import zip_longest
 from operator import itemgetter
 
@@ -381,29 +381,23 @@ def _remove(z: _Rows, c: int, i: int, hops: list[tuple] | None) -> int:
         value, row[j] = row[j], value
 
 
-def _walk(Ts: Sequence[_Tableau], codes: Sequence[int], hops: list | None = None, memo: dict | None = None,
-          judge: Callable[[list], object] | None = None) -> Iterator[list[tuple[int, ...]]]:
-    """For each T of the same-shape Ts in turn, the words of the pairs (T, R) for the tableaux R with these
-    :func:`_box_code`s, in their order.  R's depth-d node, the cascades of n, ..., n-d+1, is its code mod (2n)^d,
-    so an R shares with the one before it the nodes of their equal low digits, all but the leaf for a repeat.  Each
-    node is a move of ``memo`` (:func:`_interned`; pass one to share it between the cells of a size), keyed by its
-    parent's state and the row m of the box of n+1-d as sid * 2n + m.  Unless ``hops`` is None, it holds (d, the
-    move's hops, or ``judge`` of them once per move) for each node of the current T; a memo serves one kind of call."""
-    n, memo = sum(map(len, Ts[0][0])) + sum(map(len, Ts[0][1])), {} if memo is None else memo
+def _walk(states: Sequence[tuple], codes: Sequence[int], memo: dict | None = None) -> Iterator[list[tuple[int, ...]]]:
+    """For each T, given by its state (:func:`_interned`), of same-shape tableaux in turn, the words of the pairs (T, R)
+    for the tableaux R with these :func:`_box_code`s, in their order.  R's depth-d node, the cascades of n, ..., n-d+1,
+    is its code mod (2n)^d, so an R shares with the one before it the nodes of their equal low digits, all but the leaf
+    for a repeat.  Each node is a move of ``memo`` (:func:`_interned`; pass one to share it between the cells of a
+    size), keyed by its parent's state and the row m of the box of n+1-d as sid * 2n + m."""
+    n, memo = sum(map(len, states[0])), {} if memo is None else memo
     digits = [[code // (2 * n) ** k % (2 * n) for k in range(n)] for code in codes]  # the rows of n, n-1, ..., 1
     shared = [0] + [next((d for d in range(n - 1) if a[d] != b[d]), max(n - 1, 0)) for a, b in zip(digits, digits[1:])]
     nodes = [(d, ms[d - 1]) for ms, s in zip(digits, shared) for d in range(s + 1, n + 1)]  # a node's parent comes before it
-    for T in Ts:
-        path, letters, words = [(None, *_interned(memo, _rows(T)))] * (n + 1), [0] * n, [] if n else [()] * len(codes)
-        if hops is not None:
-            hops.clear()
+    for state in states:
+        path, letters, words = [(None, *memo.setdefault(state, (len(memo), state)))] * (n + 1), [0] * n, [] if n else [()] * len(codes)
         for d, m in nodes:  # path[d - 1] is the parent's move
             if (entry := memo.get(key := path[d - 1][1] * 2 * n + m)) is None:
-                letter = _remove(z := list(map(list, path[d - 1][2])), m & 1, m >> 1, node_hops := None if hops is None else [])
-                entry = memo[key] = letter, *_interned(memo, z), node_hops if judge is None else judge(node_hops)
+                letter = _remove(z := list(map(list, path[d - 1][2])), m & 1, m >> 1, None)
+                entry = memo[key] = letter, *_interned(memo, z)
             path[d], letters[n - d] = entry, entry[0]
-            if hops is not None:
-                hops.append((d, entry[3]))
             if d == n:
                 words.append(tuple(letters))
         yield words

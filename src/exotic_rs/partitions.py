@@ -112,14 +112,6 @@ class Partition(_Frozen):
             raise IndexError(f"part index must be >= 1, got {i}")
         return self.parts[i - 1] if i <= len(self.parts) else 0
 
-    def decremented(self, i: int) -> "Partition":
-        """Remove one box from row i, requiring the result to be a partition."""
-        if not self.can_decrement(i):
-            raise ValueError(f"cannot remove a box from row {i} of {self.parts}")
-        parts = list(self.parts)
-        parts[i - 1] -= 1
-        return Partition(tuple(parts))
-
     def can_decrement(self, i: int) -> bool:
         return 1 <= i <= len(self.parts) and self.part(i) > self.part(i + 1)
 
@@ -152,11 +144,6 @@ class Bipartition(_Frozen):
 
     def component(self, side: Side) -> Partition:
         return self.mu if side is Side.LEFT else self.nu
-
-    def decremented(self, side: Side, row: int) -> "Bipartition":
-        if side is Side.LEFT:
-            return Bipartition(self.mu.decremented(row), self.nu)
-        return Bipartition(self.mu, self.nu.decremented(row))
 
     def can_decrement(self, side: Side, row: int) -> bool:
         return self.component(side).can_decrement(row)

@@ -6,22 +6,29 @@ with a deterministic list of failures (canonical word order).  Verifiers
 refuse sizes beyond their budget by raising :class:`BudgetExceededError` --
 never by silently checking less.  The env variable ``EXOTIC_RS_MAX_N``
 (an integer) raises all budgets.  The pair verifiers and :func:`cells` run
-the row-level kernels on the cached tableaux' rows and validate pairs only for
-failure records.  Each one-letter insertion and each removal cascade runs once
-per call for each distinct (state, letter or box), however many words, pairs
-and cells reach it; transition classifies each distinct cascade's hops once,
-and each rule-table key once.  Those memos cannot mask a fault: they are keyed
-by the kernel's whole input, so a hit gives what the kernel would, and they die
-with the call.  Each size's shapes, and each cell's rows and box codes, persist
-once built, for the process: tables of the cached enumeration, not kernel
-results; a cell's serve only the cell tuple they were built from.  The pair
-sweeps walk the cascades off R's box codes, and the word sweeps look R up by
-them.  Wtilde also runs bump_once's step once per first-level node (codes with
-one low digit), apart from the walk, so that its letter is checked against the
-walk's own k = n cascade.  It reads a node's reduced words off the reduced
-cell's walk only where every R of the node's run, without n, is the reduced
-cell in order.  Roundtrip checks its pairs by counting: once every word comes
-back, insertion maps the words one-to-one onto the equally many pairs.
+the kernels on the cached tableaux' rows, box codes and states (tuples of
+combined rows), kept for the cell tuple they came from, and validate pairs only
+for failure records, or to refuse a listed tableau that is not standard.
+
+Roundtrip and transition descend once through the distinct states that
+removal reaches from the listed T's (:func:`_descend`), a move per distinct
+(state, corner): reverse bumping removes R's boxes of n, n - 1, ..., and the
+standard R of a shape are the orders its corners can go in.  Each roundtrip
+move places its letter back into the child, which must give the state and the
+corner's row, so, by induction on the size, insertion undoes reverse bumping
+on every pair.  With the cells exactly the standard tableaux, reverse bumping
+is then one-to-one from the 2^n * n! pairs to the words (each entry of T leaves
+once), so onto, and each word w = reverse_bumping(p) has insertion(w) = p.
+Transition classifies each move's hops once, counted for each path through the
+move.  A failing move or an inexact cell falls back to the flat evaluation.
+
+The prefix tree of :func:`cells` and the walks of inverse and wtilde run each
+insertion or removal step once per call for each distinct (state, letter or
+box), in memos keyed by the kernel's whole input that die with the call, so
+they cannot mask a fault.  Wtilde also runs bump_once's step once per
+first-level node (codes with one low digit), to check its letter against the
+walk's k = n cascade, and reads a node's reduced words off the reduced cell's
+walk only where every R of the node's run, without n, is that cell in order.
 """
 
 from __future__ import annotations
@@ -117,14 +124,42 @@ def _cells(n: int) -> Iterator[tuple[Bitableau, ...]]:
     return map(enumerate_standard_bitableaux, _shapes(n))
 
 
-def _cell_tables(n: int) -> Iterator[tuple[tuple[Bitableau, ...], tuple[_Tableau, ...], tuple[int | None, ...]]]:
-    """Each shape cell of size n in canonical order, with its tableaux' rows and box codes (:func:`_box_code`): built on first use and
-    kept for the process, as they depend on the cell alone, but reused only for the very cell tuple they came from."""
+def _cell_tables(n: int) -> Iterator[tuple[tuple[Bitableau, ...], tuple[_Tableau, ...], tuple[int | None, ...], tuple[tuple, ...]]]:
+    """Each shape cell of size n in canonical order, with its tableaux' rows, box codes (:func:`_box_code`) and states: built
+    on first use and kept for the process, as they depend on the cell alone, but reused only for the very cell tuple."""
     for s, cell in enumerate(_cells(n)):
         if (entry := _tables.get((n, s))) is None or entry[0] is not cell:
             rows = tuple((t.left, t.right) for t in cell)  # tuples: every caller shares them
-            entry = _tables[n, s] = cell, rows, tuple(_box_code(R, n) for R in rows)
+            entry = _tables[n, s] = cell, rows, tuple(_box_code(R, n) for R in rows), tuple(tuple(map(tuple, _rows(T))) for T in rows)
+        if None in entry[2]:  # a tableau that is not standard: the validated pair of its first pair, in iter_pairs order, raises
+            [CorrespondencePair(t, r) for t in cell for r in cell]
         yield entry
+
+
+def _descend(n: int, tables: list[tuple], answers: dict | None = None) -> int | None:
+    """The downward pass of roundtrip, or, with ``answers`` (:func:`_disagreements`' memo), of transition: the hops of
+    every listed T with every standard R, carried down with the paths (0 for roundtrip); None at the first move that
+    fails, or unless each cell is distinct standard tableaux of its shape, as many as :func:`count_bitableaux` gives."""
+    if not all(len(set(rows)) == len(rows) == count_bitableaux(bp) and {(*map(len, T[0]), None, *map(len, T[1])) for T in rows}
+               == {(*bp.mu.parts, None, *bp.nu.parts)} for bp, (_, rows, _, _) in zip(_shapes(n), tables)):  # read off the rows
+        return None
+    level = {state: [1, 0] for _, _, _, states in tables for state in states}  # each state: [paths into it, their hops]
+    for _ in range(n):
+        level, above = {}, level
+        for state, (paths, carried) in above.items():
+            for m, row in enumerate(state):
+                if row and len(row) > len(state[m + 2]):  # a corner, the last box of row m: the state ends in two empty rows
+                    letter = correspondence._remove(z := list(map(list, state)), m & 1, m >> 1, hops := None if answers is None else [])
+                    into = level.setdefault(tuple(map(tuple, z)), [0, 0])
+                    into[0] += paths
+                    if answers is None:
+                        if correspondence._place(z, letter, None) != m or tuple(map(tuple, z)) != state:
+                            return None
+                    elif any(_disagreements([(0, hops)], answers)):
+                        return None
+                    else:
+                        into[1] += carried + len(hops) * paths
+    return sum(carried for _, carried in level.values())  # at the empty state, every path's hops
 
 
 # -- verifiers -------------------------------------------------------------------
@@ -155,36 +190,24 @@ def verify_golden_n3(n: int = 3) -> Report:
 
 
 def verify_roundtrip(n: int) -> Report:
-    """reverse_bumping(insertion(w)) = w for every word, and
-    insertion(reverse_bumping(pair)) = pair for every pair, which follows from
-    the first half by counting: there are as many pairs as words."""
+    """reverse_bumping(insertion(w)) = w for every word, and insertion(reverse_bumping(pair)) = pair for every pair:
+    both at once from the downward pass (see the module docstring), or else word by word and pair by pair."""
     _check_budget(n, PAIR_BUDGET, "round-trip verification")
-    failures, words, pairs, nowhere, memo = [], 0, 0, (None, None, 0), {}
-    place: dict[_Tableau, tuple[int, list, int]] = {}  # each tableau's rows: its shape's place, the words of its pairs as T, its index as R
-    for s, (_, rows, _) in enumerate(tables := list(_cell_tables(n))):
-        place.update((T, (s, [None] * len(rows), b)) for b, T in enumerate(rows))
-        pairs += len(rows) ** 2
-    coded = {code: place[T] for _, rows, codes in tables for T, code in zip(rows, codes)}  # the same by box code; None, which no R has, if not standard
-    for letters, T, code in correspondence._insertion_tree(n):
-        (s, filed, _), (s_r, _, b) = place.get(T, nowhere), coded.get(code, nowhere)
-        if s is None or s_r != s or filed[b] is not None:
-            break  # a word outside the enumeration or on a pair filed before: check every word flat
-        filed[b] = letters
-    else:  # each word at a pair of its own, so each T's walk must give the words filed for it
-        if pairs == 2**n * math.factorial(n) and all(
-                words == place[T][1] for _, rows, codes in tables for T, words in zip(rows, _walk(rows, codes, memo=memo))):
-            return Report("roundtrip", n, 2 * pairs)
+    tables = list(_cell_tables(n))
+    pairs = sum(len(rows) ** 2 for _, rows, _, _ in tables)
+    if pairs == 2**n * math.factorial(n) and _descend(n, tables) is not None:
+        return Report("roundtrip", n, 2 * pairs)
+    failures, words = [], 0
+    cell_of = {key: s for s, (_, rows, codes, _) in enumerate(tables) for key in (*rows, *codes)}  # by rows and by box code
     for letters, T, code in correspondence._insertion_tree(n):
         words += 1
-        if (s := place.get(T, nowhere)[0]) is None or coded.get(code, nowhere)[0] != s or correspondence._reverse(*correspondence._insert(letters)) != letters:
+        if (s := cell_of.get(T)) is None or cell_of.get(code) != s or correspondence._reverse(*correspondence._insert(letters)) != letters:
             w = SignedPermutation(letters)  # rows that are no standard pair raise here, in the validated pair
             failures.append(record := {"word": w.to_text(), "came_back_as": reverse_bumping(insertion(w)).to_text()})
             if record["came_back_as"] == record["word"]:
                 record["reason"] = "pair outside the enumeration"
-    # Premise: the tree yields each word once (the pinned `cells 5` and `table 5 --json` output hold it
-    # fixed).  When every word comes back from an enumerated pair of one shape, insertion maps the words
-    # one-to-one into the pairs; with as many pairs as words it is onto, and each pair p = insertion(w) has
-    # reverse_bumping(p) = w, so insertion(reverse_bumping(p)) = p.  Otherwise check every pair.
+    # The tree yields each word once (`cells 5` and `table 5 --json` are pinned).  If every word comes back from a listed
+    # pair of one shape, and the pairs are as many, insertion maps the words onto them, so it inverts reverse bumping.
     if failures or not pairs == words == 2**n * math.factorial(n):
         for pair in iter_pairs(n):
             again = insertion(reverse_bumping(pair))
@@ -197,9 +220,9 @@ def verify_inverse(n: int) -> Report:
     """Swapping the pair inverts the word: word(R, T) = word(T, R)^-1."""
     _check_budget(n, PAIR_BUDGET, "inverse-symmetry verification")
     failures, checked, memo = [], 0, {}
-    for _, cell, codes in _cell_tables(n):
+    for _, cell, codes, states in _cell_tables(n):
         # Within one shape cell, the swap of the pair (T, R) = (t_i, t_j) is (t_j, t_i).
-        words = list(_walk(cell, codes, memo=memo))
+        words = list(_walk(states, codes, memo))
         for i, T in enumerate(cell):
             for j, R in enumerate(cell):
                 straight, swapped = words[i][j], words[j][i]
@@ -219,20 +242,16 @@ def verify_counting(n: int) -> Report:
 
 
 def verify_transition(n: int) -> Report:
-    """Every cascade step of every removal agrees with second_decrement's rule table."""
+    """Every cascade step of every removal agrees with second_decrement's rule table; failures in (R, k, hop) order."""
     _check_budget(n, PAIR_BUDGET, "transition verification")
-    failures, checked, answers, memo = [], 0, {}, {}
-    judge = lambda node_hops: (len(node_hops), any(_disagreements([(0, node_hops)], answers)))  # once per distinct move
-    for _, cell, codes in _cell_tables(n):
-        for T, _ in zip(cell, _walk(cell, codes, hops := [], memo, judge)):
-            path = [0] * (n + 1)  # the hops of the current nodes at depths 1..d, counted once for each pair at a leaf
-            for d, (count, _) in hops:
-                path[d] = path[d - 1] + count
-                checked += path[n] if d == n else 0
-            if any(wrong for _, (_, wrong) in hops):  # then T's pairs flat, in (R, k, hop) order: cascade k = n..1 is depth 1..n
-                for R in cell:
-                    correspondence._reverse(T, R, cascades := [])
-                    failures += (_hop_failure(T, R, k, hop) for k, hop in _disagreements(((k, h) for k, _, h in cascades), answers))
+    tables, answers = list(_cell_tables(n)), {}
+    if (checked := _descend(n, tables, answers)) is not None:
+        return Report("transition", n, checked)
+    failures, checked = [], 0
+    for T, R in ((T, R) for _, cell, _, _ in tables for T in cell for R in cell):
+        correspondence._reverse(T, R, cascades := [])
+        checked += sum(len(hops) for _, _, hops in cascades)
+        failures += (_hop_failure(T, R, k, hop) for k, hop in _disagreements(((k, h) for k, _, h in cascades), answers))
     return Report("transition", n, checked, tuple(failures))
 
 
@@ -242,9 +261,9 @@ def verify_wtilde(n: int) -> Report:
     _check_budget(n, PAIR_BUDGET, "reduction verification")
     failures, checked, memo, smaller_memo = [], 0, {}, {}  # a memo for each size walked
     # Each reduced T's cell, and its words with each R of that cell, from one walk of every cell of size n - 1.
-    smaller = {T: (cell, words) for _, cell, codes in _cell_tables(n - 1) for T, words in zip(cell, _walk(cell, codes, memo=smaller_memo))} if n else {}
+    smaller = {T: (cell, words) for _, cell, codes, states in _cell_tables(n - 1) for T, words in zip(cell, _walk(states, codes, smaller_memo))} if n else {}
     drop = lambda R: tuple(tuple(row[:-1] if row[-1] == n else row for row in rows if row != (n,)) for rows in R)
-    for _, cell, codes in _cell_tables(n) if n else ():  # the empty pair has no entry to remove
+    for _, cell, codes, states in _cell_tables(n) if n else ():  # the empty pair has no entry to remove
         # The k = n cascades, runs of codes with one low digit (the row m of n), each with its first R without n if
         # the run's R without n are the reduced cell in order, so that its j-th pair reduces to that cell's j-th R.
         tops, start = [], 0
@@ -253,10 +272,10 @@ def verify_wtilde(n: int) -> Report:
             reduced = tuple(map(drop, cell[start:end]))
             tops.append((m & 1, m >> 1, start, end, reduced[0] if smaller.get(reduced[0], ((),))[0] == reduced else None))
             start = end
-        for T, words in zip(cell, _walk(cell, codes, memo=memo)):
+        for T, state, words in zip(cell, states, _walk(states, codes, memo)):
             for c, i, start, end, reduced_first in tops:
                 # bump_once's step, apart from the walk's own k = n cascade that emits the words' last letter.
-                reduced_T, reduced_R, letter = correspondence._reduce(_rows(T), cell[start], c, i)
+                reduced_T, reduced_R, letter = correspondence._reduce(list(map(list, state)), cell[start], c, i)
                 reduced_cell, reduced_run = smaller.get(reduced_T, ((None,), None))
                 # So the step must reduce the run's first pair to that R and a tableau of that same cell; if not, each
                 # pair of the run goes by itself, and rows that are no standard pair raise in the validated pair.
@@ -315,8 +334,8 @@ def _group_by_shape(n: int, item: Callable[[tuple[int, ...], Bitableau, Bitablea
     the shape of its pair (T, R), in the order of :func:`cells`."""
     _check_budget(n, WORD_BUDGET, "cell decomposition")
     out, tables = {bp: [] for bp in _shapes(n)}, list(_cell_tables(n))  # a bucket for each cell
-    found = {T: (bucket, t) for bucket, (cell, rows, _) in zip(out.values(), tables) for T, t in zip(rows, cell)}
-    coded = {code: found[T] for _, rows, codes in tables for T, code in zip(rows, codes)}  # the same by box code
+    found = {T: (bucket, t) for bucket, (cell, rows, _, _) in zip(out.values(), tables) for T, t in zip(rows, cell)}
+    coded = {code: found[T] for _, rows, codes, _ in tables for T, code in zip(rows, codes)}  # the same by box code
     for letters, T, code in correspondence._insertion_tree(n):
         (bucket, t), (bucket_r, r) = found.get(T, (None, None)), coded.get(code, (None, None))
         if bucket is None or bucket_r is not bucket:

@@ -268,12 +268,18 @@ class TestReverseBumping:
         assert digest.hexdigest() == "b1915a9b5935c7df234cdd4ed1c37aa145a58b9d88397e64133aeb9427ca0a7c"
 
     def test_hops_of_every_trie_walk_of_size_five_are_pinned(self):
-        # One repr line of the hop lists that _walk records per T, cell by cell: the transition check's input.
-        # The digest was taken while _remove still recounted every row at every hop.
+        # One repr line per T, cell by cell, of the hops that _remove records for the nodes of T's trie walk: the cascades
+        # k = n, ..., 1 of each R in code order, but only those below the low digits it shares with the R before it.  The
+        # digest was taken while _remove still recounted every row at every hop, and while _walk recorded these lists.
         digest, hops_seen = hashlib.sha256(), 0
-        for _, cell, codes in verify._cell_tables(5):
-            for _ in correspondence._walk(cell, codes, nodes := []):
-                hops = [node_hops for _, node_hops in nodes]
+        for _, cell, codes, _ in verify._cell_tables(5):
+            digits = [[code // 10**k % 10 for k in range(5)] for code in codes]  # 2n = 10: the rows of 5, 4, ..., 1
+            shared = [0] + [next((d for d in range(4) if a[d] != b[d]), 4) for a, b in zip(digits, digits[1:])]
+            for T in cell:
+                hops = []
+                for R, depth in zip(cell, shared):
+                    correspondence._reverse(T, R, cascades := [])
+                    hops += [node_hops for _, _, node_hops in cascades[depth:]]
                 hops_seen += sum(map(len, hops))
                 digest.update(repr(hops).encode() + b"\n")
         assert hops_seen == 16324
@@ -283,25 +289,14 @@ class TestReverseBumping:
     @settings(max_examples=100, deadline=None)
     def test_walk_on_any_order_of_codes_is_the_flat_reverse_bumping(self, data):
         # Several walks of one size on one memo, as a verifier call makes them: cells in any order, repeats
-        # included, and each cell's codes in any order, repeats included.  Each T's words are the flat ones, and the
-        # hops of the node at depth d on each R's path are those of R's flat cascade k = n + 1 - d.
+        # included, and each cell's codes in any order, repeats included.  Each T's words are the flat ones.
         n = data.draw(st.integers(0, 6))
         tables, memo = list(verify._cell_tables(n)), {}
-        for _, rows, codes in data.draw(st.lists(st.sampled_from(tables), min_size=1, max_size=4)):
+        for _, rows, codes, states in data.draw(st.lists(st.sampled_from(tables), min_size=1, max_size=4)):
             index = st.integers(0, len(rows) - 1)
-            Rs, Ts = data.draw(st.lists(index, min_size=1, max_size=12)), [rows[t] for t in data.draw(st.lists(index, min_size=1, max_size=3))]
-            for T, words in zip(Ts, correspondence._walk(Ts, [codes[r] for r in Rs], nodes := [], memo)):
-                assert words == [correspondence._reverse(T, rows[r]) for r in Rs]
-                path, paths = [None] * (n + 1), []
-                for d, node_hops in nodes:
-                    path[d] = node_hops
-                    if d == n:
-                        paths.append(path[1:])
-                flat = []
-                for r in Rs:
-                    correspondence._reverse(T, rows[r], cascades := [])
-                    flat.append([hops for _, _, hops in cascades])
-                assert paths == (flat if n else [])  # at n = 0, no node
+            Rs, Ts = data.draw(st.lists(index, min_size=1, max_size=12)), data.draw(st.lists(index, min_size=1, max_size=3))
+            for t, words in zip(Ts, correspondence._walk([states[t] for t in Ts], [codes[r] for r in Rs], memo)):
+                assert words == [correspondence._reverse(rows[t], rows[r]) for r in Rs]
 
     @given(signed_words(max_n=100))
     @settings(max_examples=40, deadline=None)

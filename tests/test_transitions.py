@@ -103,9 +103,10 @@ class TestClassifierTotality:
         for bp in enumerate_bipartitions(n):
             for side, row in bp.removable_rows():
                 out = second_decrement(bp, FirstRemoval(side, row))  # must not raise
-                if isinstance(out, Continue):
-                    after = bp.decremented(side, row)
-                    assert after.can_decrement(out.side, out.row)
+                if isinstance(out, Continue):  # a corner of the shape less the first box
+                    parts = [list(bp.mu.parts), list(bp.nu.parts)]
+                    parts[side is Side.RIGHT][row - 1] -= 1
+                    assert Bipartition(*map(Partition, map(tuple, parts))).can_decrement(out.side, out.row)
                 else:
                     assert isinstance(out, (TerminateUnbarred, TerminateBarred))
 

@@ -191,8 +191,8 @@ class TestVerifiers:
         real = correspondence._place
         monkeypatch.setattr(correspondence, "_place", lambda *args: places.append(args[1]) or real(*args))
         assert verify_roundtrip(4).ok
-        # One placement per distinct (state, letter), by the size of the state it leaves: once per nonempty
-        # prefix, that was 8 + 48 + 192 + 384 = 632; flat, 384 * 4 = 1536.
+        # One placement per distinct move of the downward pass, the letter back into the child, by the size of the
+        # state it gives back: once per nonempty prefix, that was 8 + 48 + 192 + 384 = 632; flat, 384 * 4 = 1536.
         assert len(places) == 8 + 48 + 144 + 160 == 360
 
     @pytest.mark.parametrize("verifier", [verify_inverse, verify_roundtrip])
@@ -241,8 +241,9 @@ class TestRoundtripByCounting:
         assert report.ok
         assert report.checked == 768
 
-    def test_a_pair_no_word_reaches_is_not_passed(self, monkeypatch):
-        # The last cell of size 3 lists one more tableau: its first one with 4 in place of 3.
+    @pytest.mark.parametrize("verifier", [verify_roundtrip, verify_inverse, verify_transition, verify_wtilde])
+    def test_a_pair_no_word_reaches_is_not_passed(self, monkeypatch, verifier):
+        # The last cell of each size lists one more tableau: its first one with n + 1 in place of n.
         real = verify._cells
 
         def padded(n):
@@ -252,10 +253,10 @@ class TestRoundtripByCounting:
             return [*cells, (*last, Bitableau(moved(t.left), moved(t.right)))]
 
         monkeypatch.setattr(verify, "_cells", padded)
-        # Every word still passes, but there are more pairs than words: the pair half checks each pair,
-        # and the validated pair refuses the extra one.
+        # The extra tableau has no box code, so no word reaches a pair that holds it: the validated pair of the
+        # first such pair refuses it before a walk or the pass reads the missing code.
         with pytest.raises(ValueError, match="must be standard"):
-            verify_roundtrip(3)
+            verifier(3)
 
     def test_words_that_land_outside_the_enumeration_fail(self, monkeypatch):
         # The last cell of size 3, one tableau, lists the first cell's one tableau instead.  There are as many
@@ -263,6 +264,47 @@ class TestRoundtripByCounting:
         real = verify._cells
         monkeypatch.setattr(verify, "_cells", lambda n: [*(cells := list(real(n)))[:-1], cells[0]])
         assert verify_roundtrip(3).failures == ({"word": "-3 -2 -1", "came_back_as": "-3 -2 -1", "reason": "pair outside the enumeration"},)
+
+
+class TestDownwardPass:
+    """Roundtrip and transition certified by one pass down the distinct states that removal reaches."""
+
+    def test_each_distinct_move_runs_its_kernels_once(self, monkeypatch):
+        # By depth d, read off the size n + 1 - d of the state a move leaves, which a placement gives back: the same
+        # distinct moves as the walk of inverse (test_one_memo_spans_every_cell_of_a_call).
+        removed, placed = Counter(), Counter()
+        real_remove, real_place = correspondence._remove, correspondence._place
+        monkeypatch.setattr(correspondence, "_remove", lambda z, *args: removed.update([6 - sum(map(len, z))]) or real_remove(z, *args))
+        monkeypatch.setattr(correspondence, "_place", lambda z, *args: placed.update([5 - sum(map(len, z))]) or real_place(z, *args))
+        assert verify_roundtrip(5).ok
+        assert [removed[d] for d in range(1, 6)] == [placed[d] for d in range(1, 6)] == [760, 800, 360, 80, 10]
+        removed.clear(), placed.clear()
+        assert verify_transition(5).ok
+        assert [removed[d] for d in range(1, 6)] == [760, 800, 360, 80, 10] and not placed
+
+    def test_past_the_default_budget(self, monkeypatch):
+        monkeypatch.setenv("EXOTIC_RS_MAX_N", "7")
+        assert verify_roundtrip(7) == Report("roundtrip", 7, 1_290_240)  # 2^7 * 7! words and as many pairs
+        assert verify_transition(7) == Report("transition", 7, 6_807_360)
+
+    def test_a_wrong_hook_count_moves_no_transition_count(self, monkeypatch):
+        # count_bitableaux now disagrees with the cells of shapes holding (2, 1), so transition checks pair by pair.
+        real = partitions._hook_count
+        monkeypatch.setattr(partitions, "_hook_count", lambda parts: 3 if parts == (2, 1) else real(parts))
+        assert verify_transition(4) == Report("transition", 4, 2004)
+
+    @pytest.mark.parametrize("change", ["repeat", "drop", "swap"])
+    def test_a_cell_that_is_not_exactly_its_shape_is_not_certified(self, change):
+        # The pass takes the cells as its premise, so it certifies nothing when one of size 4 repeats a tableau, lacks
+        # one, or lists one of another shape in place of its own; the verifiers then check every pair flat.
+        tables = list(verify._cell_tables(4))
+        assert verify._descend(4, tables) == 0 and verify._descend(4, tables, {}) == 2004
+        s = next(s for s, (_, rows, _, _) in enumerate(tables) if len(rows) > 1)
+        cell, rows, codes, states = tables[s]
+        other = tables[s + 1]
+        edit = {"repeat": lambda seq, o: (seq[0], *seq[:-1]), "drop": lambda seq, o: seq[1:], "swap": lambda seq, o: (o[0], *seq[1:])}[change]
+        tables[s] = tuple(edit(seq, o) for seq, o in zip(tables[s], other))
+        assert verify._descend(4, tables) is None and verify._descend(4, tables, {}) is None
 
 
 class TestMutationMatrix:
@@ -391,7 +433,7 @@ class TestCells:
 
 # -- tables kept for the process ---------------------------------------------------
 #
-# verify._cell_tables keeps each cell's rows and box codes, its one table, for the
+# verify._cell_tables keeps each cell's rows, box codes and states, its one table, for the
 # life of the process, and reuses them only for the very cell tuple they were
 # built from.  Nothing a kernel computes is kept: every call runs its own
 # insertions, walks and classifications.
