@@ -36,8 +36,8 @@ Each direction is one step on T kept as these rules read it, one list of
 combined rows: ``_place`` (one letter into T; it returns the new box's combined
 row, where ``_insert`` records k in R) and ``_remove`` (one cascade out).
 ``_insert`` maps letters to the rows (T, R) of their pair, ``_reverse`` maps
-rows back to letters, and ``_reduce`` is the step of ``bump_once``.  The public
-functions are thin wrappers that build the validated types
+rows back to letters; ``_reduce`` and ``_drop`` are ``bump_once``'s steps on T
+and on R.  The public functions are thin wrappers that build the validated types
 (:class:`~exotic_rs.bitableaux.Bitableau`, :class:`CorrespondencePair`,
 :class:`~exotic_rs.signed_perm.SignedPermutation`).  The sweeps run each
 distinct step once per call: a memo keys every placement or removal by the
@@ -451,19 +451,22 @@ def bump_once(pair: CorrespondencePair) -> tuple[CorrespondencePair, int, int]:
     if pair.size == 0:
         raise ValueError("the empty pair has no largest entry to remove")
     rec = pair.R.left, pair.R.right
-    T, R, letter = _reduce(_rows((pair.T.left, pair.T.right)), rec, *_boxes(rec)[pair.size])
-    return _pair(T, R), letter, abs(letter)
+    T, letter = _reduce(_rows((pair.T.left, pair.T.right)), *_boxes(rec)[pair.size])
+    return _pair(T, _drop(rec, pair.size)), letter, abs(letter)
 
 
-def _reduce(z: _Rows, R: _Tableau, c: int, i: int) -> tuple[_Tableau, _Tableau, int]:
-    """:func:`bump_once` on rows: the cascade of R's largest entry n, in row i of component c, runs on the
-    mutable combined rows z and leaves them as it ends.  Returns the reduced pair's rows and the letter."""
-    n = R[c][i][-1]
+def _reduce(z: _Rows, c: int, i: int) -> tuple[_Tableau, int]:
+    """:func:`bump_once`'s step on T: the cascade out of the outermost box of row i of component c, which holds n
+    in R, runs on the mutable combined rows z and leaves them as it ends.  Returns the reduced T's rows and the letter."""
     letter = _remove(z, c, i, None)
     r = abs(letter)
     relabel = lambda rows: tuple(tuple(x - 1 if x > r else x for x in row) for row in rows)
-    drop = lambda rows: tuple(row for row in (row[:-1] if row[-1] == n else row for row in rows) if row)
-    return tuple(map(relabel, _frozen(z))), (drop(R[0]), drop(R[1])), letter
+    return tuple(map(relabel, _frozen(z))), letter
+
+
+def _drop(R: _Tableau, n: int) -> _Tableau:
+    """:func:`bump_once`'s step on R: the rows of R without the box of its largest entry n."""
+    return tuple(tuple(row for row in (row[:-1] if row[-1] == n else row for row in rows) if row) for rows in R)
 
 
 # -- transition classification ---------------------------------------------------

@@ -135,10 +135,6 @@ class Bipartition(_Frozen):
         return Partition(tuple(self.mu.part(i) + self.nu.part(i) for i in range(1, n + 1)))
 
     @property
-    def length(self) -> int:
-        return max(self.mu.length, self.nu.length)
-
-    @property
     def size(self) -> int:
         return self.mu.size + self.nu.size
 
@@ -147,12 +143,6 @@ class Bipartition(_Frozen):
 
     def can_decrement(self, side: Side, row: int) -> bool:
         return self.component(side).can_decrement(row)
-
-    def removable_rows(self) -> list[tuple[Side, int]]:
-        """All (side, row) whose outermost box can be removed, left rows first."""
-        out = [(Side.LEFT, i) for i in range(1, self.mu.length + 1) if self.mu.can_decrement(i)]
-        out += [(Side.RIGHT, i) for i in range(1, self.nu.length + 1) if self.nu.can_decrement(i)]
-        return out
 
     def to_text(self) -> str:
         return f"mu={self.mu};nu={self.nu}"
@@ -167,8 +157,6 @@ class Bipartition(_Frozen):
 def _last_equal_row(parts: tuple[int, ...], m: int, length: int) -> int:
     """Largest row index i <= length with parts_i = parts_m, parts beyond the
     tuple reading as 0; 0 when no row qualifies."""
-    if m < 1:
-        raise IndexError(f"row index must be >= 1, got {m}")
     part = lambda i: parts[i - 1] if i <= len(parts) else 0
     target = part(m)
     return next((i for i in range(length, 0, -1) if part(i) == target), 0)

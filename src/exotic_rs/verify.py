@@ -8,7 +8,8 @@ never by silently checking less.  The env variable ``EXOTIC_RS_MAX_N``
 (an integer) raises all budgets.  The pair verifiers and :func:`cells` run
 the kernels on the cached tableaux' rows, box codes and states (tuples of
 combined rows), kept for the cell tuple they came from, and validate pairs only
-for failure records, or to refuse a listed tableau that is not standard.
+for failure records, or to refuse a listed tableau that is not standard; one
+of another size is refused by name.
 
 Roundtrip and transition descend once through the distinct states that
 removal reaches from the listed T's (:func:`_descend`), a move per distinct
@@ -25,10 +26,10 @@ move.  A failing move or an inexact cell falls back to the flat evaluation.
 The prefix tree of :func:`cells` and the walks of inverse and wtilde run each
 insertion or removal step once per call for each distinct (state, letter or
 box), in memos keyed by the kernel's whole input that die with the call, so
-they cannot mask a fault.  Wtilde also runs bump_once's step once per
-first-level node (codes with one low digit), to check its letter against the
-walk's k = n cascade, and reads a node's reduced words off the reduced cell's
-walk only where every R of the node's run, without n, is that cell in order.
+they cannot mask a fault.  Wtilde also runs bump_once's step on T once per T
+and box of n, to check its letter against the walk's k = n cascade, and on R
+once per cell; each pair reads its reduced word off the reduced cell's walk at
+its reduced T and R or, if they are no listed pair of one cell, goes by itself.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ import math
 import os
 from collections.abc import Callable, Iterator
 from functools import cache
-from itertools import groupby
 
 from . import correspondence
 from .bitableaux import Bitableau, enumerate_standard_bitableaux
@@ -133,6 +133,7 @@ def _cell_tables(n: int) -> Iterator[tuple[tuple[Bitableau, ...], tuple[_Tableau
             entry = _tables[n, s] = cell, rows, tuple(_box_code(R, n) for R in rows), tuple(tuple(map(tuple, _rows(T))) for T in rows)
         if None in entry[2]:  # a tableau that is not standard: the validated pair of its first pair, in iter_pairs order, raises
             [CorrespondencePair(t, r) for t in cell for r in cell]
+            raise ValueError(f"cell {_shapes(n)[s].to_text()} of size {n} lists a tableau of size {cell[entry[2].index(None)].size}")
         yield entry
 
 
@@ -197,23 +198,19 @@ def verify_roundtrip(n: int) -> Report:
     pairs = sum(len(rows) ** 2 for _, rows, _, _ in tables)
     if pairs == 2**n * math.factorial(n) and _descend(n, tables) is not None:
         return Report("roundtrip", n, 2 * pairs)
-    failures, words = [], 0
-    cell_of = {key: s for s, (_, rows, codes, _) in enumerate(tables) for key in (*rows, *codes)}  # by rows and by box code
-    for letters, T, code in correspondence._insertion_tree(n):
-        words += 1
-        if (s := cell_of.get(T)) is None or cell_of.get(code) != s or correspondence._reverse(*correspondence._insert(letters)) != letters:
+    failures, cell_of = [], {T: s for s, (_, rows, _, _) in enumerate(tables) for T in rows}
+    for letters in _signed_permutations(n):
+        T, R = correspondence._insert(letters)
+        if (s := cell_of.get(T)) is None or cell_of.get(R) != s or correspondence._reverse(T, R) != letters:
             w = SignedPermutation(letters)  # rows that are no standard pair raise here, in the validated pair
             failures.append(record := {"word": w.to_text(), "came_back_as": reverse_bumping(insertion(w)).to_text()})
             if record["came_back_as"] == record["word"]:
                 record["reason"] = "pair outside the enumeration"
-    # The tree yields each word once (`cells 5` and `table 5 --json` are pinned).  If every word comes back from a listed
-    # pair of one shape, and the pairs are as many, insertion maps the words onto them, so it inverts reverse bumping.
-    if failures or not pairs == words == 2**n * math.factorial(n):
-        for pair in iter_pairs(n):
-            again = insertion(reverse_bumping(pair))
-            if again != pair:
-                failures.append({"pair": pair.to_json(), "came_back_as": again.to_json()})
-    return Report("roundtrip", n, words + pairs, tuple(failures))
+    for pair in iter_pairs(n):
+        again = insertion(reverse_bumping(pair))
+        if again != pair:
+            failures.append({"pair": pair.to_json(), "came_back_as": again.to_json()})
+    return Report("roundtrip", n, 2**n * math.factorial(n) + pairs, tuple(failures))
 
 
 def verify_inverse(n: int) -> Report:
@@ -259,34 +256,31 @@ def verify_wtilde(n: int) -> Report:
     """bump_once agrees with dropping the word's last letter: the emitted
     letter is w_n and the reduced pair's word is the shifted remainder."""
     _check_budget(n, PAIR_BUDGET, "reduction verification")
-    failures, checked, memo, smaller_memo = [], 0, {}, {}  # a memo for each size walked
-    # Each reduced T's cell, and its words with each R of that cell, from one walk of every cell of size n - 1.
-    smaller = {T: (cell, words) for _, cell, codes, states in _cell_tables(n - 1) for T, words in zip(cell, _walk(states, codes, smaller_memo))} if n else {}
-    drop = lambda R: tuple(tuple(row[:-1] if row[-1] == n else row for row in rows if row != (n,)) for rows in R)
+    failures, checked, memo, smaller, smaller_memo = [], 0, {}, {}, {}  # a memo for each size walked
+    for _, rows, codes, states in _cell_tables(n - 1) if n else ():
+        words = list(_walk(states, codes, smaller_memo))
+        smaller.update((T, (words, j)) for j, T in enumerate(rows))  # by its rows, each tableau of size n - 1: its cell's words, its place
     for _, cell, codes, states in _cell_tables(n) if n else ():  # the empty pair has no entry to remove
-        # The k = n cascades, runs of codes with one low digit (the row m of n), each with its first R without n if
-        # the run's R without n are the reduced cell in order, so that its j-th pair reduces to that cell's j-th R.
-        tops, start = [], 0
-        for m, run in groupby(codes, lambda code: code % (2 * n)):
-            end = start + len(list(run))
-            reduced = tuple(map(drop, cell[start:end]))
-            tops.append((m & 1, m >> 1, start, end, reduced[0] if smaller.get(reduced[0], ((),))[0] == reduced else None))
-            start = end
+        # Each R's box of n and its reduced R's cell and place; for each T, its reduced T's words and the letter, by box.
+        drops = [(code % (2 * n), *smaller.get(correspondence._drop(R, n), (None, None))) for R, code in zip(cell, codes)]
+        boxes = {m for m, _, _ in drops}
         for T, state, words in zip(cell, states, _walk(states, codes, memo)):
-            for c, i, start, end, reduced_first in tops:
-                # bump_once's step, apart from the walk's own k = n cascade that emits the words' last letter.
-                reduced_T, reduced_R, letter = correspondence._reduce(list(map(list, state)), cell[start], c, i)
-                reduced_cell, reduced_run = smaller.get(reduced_T, ((None,), None))
-                # So the step must reduce the run's first pair to that R and a tableau of that same cell; if not, each
-                # pair of the run goes by itself, and rows that are no standard pair raise in the validated pair.
-                if not reduced_R == reduced_first == reduced_cell[0]:
-                    reduced_run = [reverse_bumping(bump_once(_pair(T, R))[0]).letters for R in cell[start:end]]
-                for R, word, reduced_word in zip(cell[start:end], words[start:], reduced_run):
-                    wt, r2 = _w_tilde(word)
-                    checked += 1
-                    if letter != word[-1] or abs(letter) != r2 or reduced_word != wt:
-                        failures.append({"pair": _pair(T, R).to_json(), "word": _text(word), "letter": letter,
-                                         "reduced_word": _text(reduced_word), "expected_reduced": _text(wt)})
+            reduced = {}
+            for m in boxes:
+                reduced_T, letter = correspondence._reduce(list(map(list, state)), m & 1, m >> 1)
+                reduced_cell, i = smaller.get(reduced_T, (None, None))
+                reduced[m] = reduced_cell, reduced_cell and reduced_cell[i], letter
+            for R, word, (m, dropped_cell, j) in zip(cell, words, drops):
+                reduced_cell, reduced_words, letter = reduced[m]
+                # A reduced pair of one listed cell reads its word off that cell's walk; any other goes by itself, and
+                # rows that are no standard pair raise in the validated pair.
+                reduced_word = reduced_words[j] if reduced_cell is dropped_cell is not None else \
+                    reverse_bumping(bump_once(_pair(T, R))[0]).letters
+                wt, r2 = _w_tilde(word)
+                checked += 1
+                if letter != word[-1] or abs(letter) != r2 or reduced_word != wt:
+                    failures.append({"pair": _pair(T, R).to_json(), "word": _text(word), "letter": letter,
+                                     "reduced_word": _text(reduced_word), "expected_reduced": _text(wt)})
     return Report("wtilde", n, checked, tuple(failures))
 
 

@@ -16,6 +16,7 @@ from exotic_rs import (
     CorrespondencePair,
     Partition,
     RemovalStep,
+    Side,
     SignedPermutation,
     TerminateBarred,
     TerminateUnbarred,
@@ -67,6 +68,12 @@ def _corner_rows(lengths: list[list[int]]) -> list[tuple[int, int]]:
     """(component, 0-based row) of every row whose outermost box is a corner:
     a row longer than the one below it."""
     return [(c, i) for c, ls in enumerate(lengths) for i, k in enumerate(ls) if k > (ls[i + 1] if i + 1 < len(ls) else 0)]
+
+
+def corners(bp: Bipartition) -> list[tuple[Side, int]]:
+    """(side, 1-based row) of every corner of the shape, whose outermost box
+    can be removed: left rows top to bottom, then right rows."""
+    return [((Side.LEFT, Side.RIGHT)[c], i + 1) for c, i in _corner_rows([list(bp.mu.parts), list(bp.nu.parts)])]
 
 
 def _grown_rows(draw, n: int) -> tuple[list[list[int]], list[list[int]]]:

@@ -110,7 +110,7 @@ class TestBipartition:
         bp = Bipartition(Partition((5, 4, 3, 2, 1, 1)), Partition((3, 2, 2, 2, 2, 1)))
         assert bp.lam == Partition((8, 6, 5, 4, 3, 2))
         assert bp.size == 28
-        assert bp.length == 6
+        assert bp.lam.length == 6
 
     def test_component_lookup(self):
         bp = Bipartition(Partition((2,)), Partition((1, 1)))
@@ -128,21 +128,6 @@ class TestBipartition:
     def test_text_round_trip(self, bp, text):
         assert bp.to_text() == text
 
-    def test_removable_rows_lists_left_before_right(self):
-        bp = Bipartition(Partition((2, 1)), Partition((1, 1)))
-        rows = bp.removable_rows()
-        assert (Side.LEFT, 1) in rows and (Side.LEFT, 2) in rows
-        assert (Side.RIGHT, 2) in rows and (Side.RIGHT, 1) not in rows
-        sides = [side for side, _ in rows]
-        assert sides == sorted(sides, key=lambda s: s is Side.RIGHT)
-
-    @given(bipartitions())
-    def test_removable_rows_match_can_decrement(self, bp):
-        listed = set(bp.removable_rows())
-        for side in (Side.LEFT, Side.RIGHT):
-            for i in range(1, bp.component(side).length + 1):
-                assert ((side, i) in listed) == bp.can_decrement(side, i)
-
 
 class TestIndexSets:
     """_last_equal_row: the last row of the index set of rows i with
@@ -150,30 +135,30 @@ class TestIndexSets:
 
     def test_deep_shape_left_row_four(self):
         bp = Bipartition(Partition((5, 4, 3, 2, 1, 1)), Partition((3, 2, 2, 2, 2, 1)))
-        assert _last_equal_row(bp.mu.parts, 4, bp.length) == 4
-        assert _last_equal_row(bp.nu.parts, 4, bp.length) == 5
+        assert _last_equal_row(bp.mu.parts, 4, bp.lam.length) == 4
+        assert _last_equal_row(bp.nu.parts, 4, bp.lam.length) == 5
 
     def test_two_column_shape_row_one(self):
         bp = Bipartition(Partition((2, 2)), Partition((3, 2, 1)))
-        assert _last_equal_row(bp.mu.parts, 1, bp.length) == 2
+        assert _last_equal_row(bp.mu.parts, 1, bp.lam.length) == 2
 
     def test_rows_beyond_the_shape_read_as_zero(self):
         bp = Bipartition(Partition((2, 1)), Partition((1, 1)))
-        assert _last_equal_row(bp.mu.parts, 3, bp.length) == 0
-        assert _last_equal_row(bp.nu.parts, 3, bp.length) == 0
+        assert _last_equal_row(bp.mu.parts, 3, bp.lam.length) == 0
+        assert _last_equal_row(bp.nu.parts, 3, bp.lam.length) == 0
         bp2 = Bipartition(Partition((2,)), Partition((1, 1)))
         # row 2 of mu is an implicit zero shared with every later row
-        assert _last_equal_row(bp2.mu.parts, 2, bp2.length) == 2
+        assert _last_equal_row(bp2.mu.parts, 2, bp2.lam.length) == 2
 
     @given(bipartitions(), st.integers(1, 12))
     def test_max_helpers_agree_with_index_sets(self, bp, m):
         if m > bp.lam.length:
             return
-        rows = range(1, bp.length + 1)
+        rows = range(1, bp.lam.length + 1)
         gamma_m = [i for i in rows if bp.mu.part(i) == bp.mu.part(m)]
         delta_m = [i for i in rows if bp.nu.part(i) == bp.nu.part(m)]
-        assert _last_equal_row(bp.mu.parts, m, bp.length) == max(gamma_m)
-        assert _last_equal_row(bp.nu.parts, m, bp.length) == max(delta_m)
+        assert _last_equal_row(bp.mu.parts, m, bp.lam.length) == max(gamma_m)
+        assert _last_equal_row(bp.nu.parts, m, bp.lam.length) == max(delta_m)
 
 
 class TestDimension:

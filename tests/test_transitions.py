@@ -12,7 +12,7 @@ import hashlib
 import pytest
 from hypothesis import given, settings
 
-from conftest import outcome_of_step, signed_words, standard_pairs
+from conftest import corners, outcome_of_step, signed_words, standard_pairs
 from exotic_rs import (
     Bipartition,
     Continue,
@@ -101,7 +101,7 @@ class TestClassifierTotality:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_every_corner_of_every_shape_classifies_uniquely(self, n):
         for bp in enumerate_bipartitions(n):
-            for side, row in bp.removable_rows():
+            for side, row in corners(bp):
                 out = second_decrement(bp, FirstRemoval(side, row))  # must not raise
                 if isinstance(out, Continue):  # a corner of the shape less the first box
                     parts = [list(bp.mu.parts), list(bp.nu.parts)]
@@ -116,7 +116,7 @@ class TestClassifierTotality:
             f"{bp.to_text()} {side.value} {row} {second_decrement(bp, FirstRemoval(side, row))!r}\n"
             for n in range(1, 11)
             for bp in enumerate_bipartitions(n)
-            for side, row in bp.removable_rows()
+            for side, row in corners(bp)
         ]
         assert len(lines) == 3396
         digest = hashlib.sha256("".join(lines).encode()).hexdigest()

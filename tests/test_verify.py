@@ -175,14 +175,14 @@ class TestVerifiers:
             assert report.ok
             assert report.checked == checked
 
-    def test_wtilde_walks_each_trie_node_and_reduces_each_run_once(self, monkeypatch):
+    def test_wtilde_walks_each_trie_node_and_reduces_once_per_box_of_n(self, monkeypatch):
         walks = []
         real = correspondence._remove
         monkeypatch.setattr(correspondence, "_remove", lambda *args: walks.append(args) or real(*args))
         assert verify_wtilde(4).ok
-        # One walk per distinct (state, box) of the size-4 cells, one _reduce per depth-1 node of each T's code
-        # walk (bump_once's step, apart from the walk's k = n cascade), and one walk per distinct (state, box) of
-        # the size-3 cells for the reduced pairs' words.  Once per code-walk node, that was 1216 + 160 + 132; flat,
+        # One walk per distinct (state, box) of the size-4 cells, one _reduce per T and box of n among its cell's R
+        # (bump_once's step, apart from the walk's k = n cascade), and one walk per distinct (state, box) of the
+        # size-3 cells for the reduced pairs' words.  Once per code-walk node, that was 1216 + 160 + 132; flat,
         # one per (pair, k) and one per (distinct reduced pair, k), 384 * 4 + 48 * 3 = 1680.
         assert len(walks) == 360 + 160 + 66 == 586
 
@@ -241,7 +241,7 @@ class TestRoundtripByCounting:
         assert report.ok
         assert report.checked == 768
 
-    @pytest.mark.parametrize("verifier", [verify_roundtrip, verify_inverse, verify_transition, verify_wtilde])
+    @pytest.mark.parametrize("verifier", [verify_roundtrip, verify_inverse, verify_transition, verify_wtilde, cells])
     def test_a_pair_no_word_reaches_is_not_passed(self, monkeypatch, verifier):
         # The last cell of each size lists one more tableau: its first one with n + 1 in place of n.
         real = verify._cells
@@ -256,6 +256,12 @@ class TestRoundtripByCounting:
         # The extra tableau has no box code, so no word reaches a pair that holds it: the validated pair of the
         # first such pair refuses it before a walk or the pass reads the missing code.
         with pytest.raises(ValueError, match="must be standard"):
+            verifier(3)
+        # The last cell of size 3 lists the last standard tableau of size 2 instead: its pairs are valid, but no code
+        # of size 3 names it, so the cell is refused as one of another size.
+        smaller = list(real(2))[-1][-1]
+        monkeypatch.setattr(verify, "_cells", lambda n: [*list(real(n))[:-1], (smaller,)] if n == 3 else real(n))
+        with pytest.raises(ValueError, match=r"^cell mu=\[\];nu=\[3\] of size 3 lists a tableau of size 2$"):
             verifier(3)
 
     def test_words_that_land_outside_the_enumeration_fail(self, monkeypatch):
@@ -696,24 +702,31 @@ class TestMemosHideNoFailure:
         assert shapes == {Bipartition(Partition((3, 1))), Bipartition(Partition((4,)))}
 
     def test_wrong_reduced_tableau_of_the_right_shape(self, monkeypatch):
-        # bump_once's step hands back each reduced R mirrored in its shape's canonical order.
+        # bump_once's step on R hands back each reduced R mirrored in its shape's canonical order.
         cells = {}
         for shape in (*enumerate_bipartitions(2), *enumerate_bipartitions(3)):
             cell = [(t.left, t.right) for t in enumerate_standard_bitableaux(shape)]
             cells.update(zip(cell, reversed(cell)))
-        real = correspondence._reduce
-
-        def mirrored(t, R, c, i):
-            T, reduced_R, letter = real(t, R, c, i)
-            return T, cells.get(reduced_R, reduced_R), letter
-
-        monkeypatch.setattr(correspondence, "_reduce", mirrored)
+        real = correspondence._drop
+        monkeypatch.setattr(correspondence, "_drop", lambda R, n: cells.get(dropped := real(R, n), dropped))
         seen = failures_against_direct()
         # A pair fails when its reduced R moves: then its reduced word is another pair's.  R stays put only
         # as the middle one of an odd cell, in 4 of the 8 pairs of size 2 and 16 of the 48 of size 3, and
         # each pair of size n - 1 is the reduction of 2n pairs of size n.
         assert {key: count for key, count in seen.items() if count} == {("verify_wtilde", 3): 2 * 3 * (8 - 4),
                                                                         ("verify_wtilde", 4): 2 * 4 * (48 - 16)}
+
+    def test_one_wrong_reduced_tableau(self, monkeypatch):
+        # bump_once's step on R hands back, for the last R of size 4 whose reduced R is the first tableau of its cell,
+        # that cell's second tableau: each pair of that R reads another pair's reduced word, and no other pair does.
+        first, second, *_ = ((t.left, t.right) for t in enumerate_standard_bitableaux(Bipartition(Partition((2,)), Partition((1,)))))
+        real = correspondence._drop
+        target = [R for cell in verify._cells(4) for t in cell if real(R := (t.left, t.right), 4) == first][-1]
+        monkeypatch.setattr(correspondence, "_drop", lambda R, n: second if R == target else real(R, n))
+        seen = failures_against_direct()
+        listed = next(len(cell) for cell in verify._cells(4) if any((t.left, t.right) == target for t in cell))
+        assert {key: count for key, count in seen.items() if count} == {("verify_wtilde", 4): listed}
+        assert {CorrespondencePair.from_json(f["pair"]).R for f in verify_wtilde(4).failures} == {Bitableau(*target)}
 
     @staticmethod
     def corrupt_two_keys(monkeypatch) -> tuple[Counter, tuple, tuple]:
@@ -750,10 +763,10 @@ class TestMemosHideNoFailure:
         node = self.box_of_n(insertion(SignedPermutation.from_text(word)))
         real = correspondence._reduce
 
-        def corrupt(t, R, c, i):
+        def corrupt(t, c, i):
             hit = (correspondence._frozen(t), c, i) == node
-            T, reduced_R, letter = real(t, R, c, i)
-            return T, reduced_R, -letter if hit else letter
+            T, letter = real(t, c, i)
+            return T, -letter if hit else letter
 
         monkeypatch.setattr(correspondence, "_reduce", corrupt)
         return node
