@@ -372,9 +372,8 @@ class TestMutationMatrix:
             {"word": w, "came_back_as": w, "reason": "pair outside the enumeration"} for w in reached)
         assert len(reached) == 2 * (len(rest) + 2) - 1
         # The cell's trie gives the listed-twice tableau a leaf of its own, so inverse, transition and wtilde check each
-        # listed pair, as the direct evaluations do; a repeated pair passes their checks.  In one_of_three, the run of the
-        # tableaux with 3 in left row 2 is (first, first): as long as the reduced cell, and its first reduces to the
-        # reduced cell's first, but its second does not reduce to the second.  So wtilde checks that run pair by pair.
+        # listed pair, as the direct evaluations do; a repeated pair passes their checks.  Wtilde reads each pair's reduced
+        # word at its own reduced T and R, so the pairs of the listed-twice tableau reduce as they do by themselves.
         for prop, direct in (("inverse", direct_inverse), ("transition", direct_transition), ("wtilde", direct_wtilde)):
             assert (reports[prop].checked, []) == direct(3)
 
