@@ -17,8 +17,8 @@ rows at equal depth put the right component below the left.
 
 A :class:`Bitableau` is any filling by distinct positive integers that
 increases along rows (away from the wall) and down columns; entries need not
-be 1..n (intermediate states of the algorithms have gaps).  ``is_standard``
-identifies the fillings whose entries are exactly 1..n.
+be 1..n (intermediate states of the algorithms have gaps).  A standard one,
+whose entries are exactly 1..n, is what the correspondence pairs.
 """
 
 from __future__ import annotations
@@ -105,13 +105,6 @@ class Bitableau(_Frozen):
 
     def entries(self) -> frozenset[int]:
         return frozenset(x for rows in (self.left, self.right) for row in rows for x in row)
-
-    @property
-    def is_standard(self) -> bool:
-        """True when the entries are exactly 1..size.  The constructor makes
-        them distinct, positive and increasing along rows, so it is enough
-        that the largest row end is the size."""
-        return max([row[-1] for row in self.left + self.right], default=0) == self.size
 
     # -- rendering and serialization ------------------------------------------
 

@@ -89,12 +89,8 @@ def cmd_insert(args: argparse.Namespace) -> int:
     else:
         if args.trace:
             for rec in records:
-                hops = ", ".join(
-                    f"{s.value}->{s.target!r}"
-                    + (f" displacing {s.displaced}" if s.displaced is not None else "")
-                    for s in rec.steps
-                )
-                print(f"letter {rec.letter}: {hops}")
+                hops = (f"{s.value}->{s.target!r}" + (f" displacing {s.displaced}" if s.displaced is not None else "") for s in rec.steps)
+                print(f"letter {rec.letter}: {', '.join(hops)}")
         print(_render_pair(pair))
     return 0
 

@@ -42,9 +42,9 @@ and on R.  The public functions are thin wrappers that build the validated types
 :class:`~exotic_rs.signed_perm.SignedPermutation`).  The sweeps run each
 distinct step once per call: a memo keys every placement or removal by the
 state it starts from and its letter or box, the step's whole input, and runs
-the kernel on a miss only.  ``_insertion_tree`` walks the prefixes of the words
-and carries R as one integer, its ``_box_code``; ``_walk`` walks, for each T's
-state, the R whose box codes share the low digits that fix a cascade.  Only
+the kernel on a miss only.  ``_insertions`` steps every word through such a
+memo; ``_walk`` steps each T's state through the R in turn, sharing with the R
+before the cascades of its leading equal ``_box_rows``.  Only
 the ``_with_trace`` variants and the transition check record steps, as plain
 tuples whose layout is private to this module.  A hop's truncation is
 counted down each component only to the first row without an entry below the
@@ -60,7 +60,7 @@ from operator import itemgetter
 
 from .bitableaux import Bitableau, Position
 from .partitions import Bipartition, Partition, Side, _Frozen, _last_equal_row
-from .signed_perm import SignedPermutation
+from .signed_perm import SignedPermutation, _signed_permutations
 
 _last = itemgetter(-1)  # a row's outermost entry
 
@@ -81,7 +81,7 @@ class CorrespondencePair(_Frozen):
         left, right = [*map(len, T.left)], [*map(len, T.right)]
         if left != [*map(len, R.left)] or right != [*map(len, R.right)]:
             raise ValueError(f"pair components must share one shape: {T.shape} vs {R.shape}")
-        size = sum(left) + sum(right)  # of both; standard: the largest row end is the size (see Bitableau.is_standard)
+        size = sum(left) + sum(right)  # of both; standard: the largest row end is the size, as entries are distinct and increase
         for name, t in (("T", T), ("R", R)):
             if max(map(_last, t.left + t.right), default=0) != size:
                 raise ValueError(f"{name} must be standard (entries exactly 1..{size})")
@@ -186,14 +186,15 @@ _Rows = list[list[int]]
 _Tableau = tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]  # the kernels' in and out: (left, right) rows
 
 
-def _rows(t: _Tableau) -> _Rows:
-    """The combined rows of the tableau with rows (left, right)."""
+def _rows(t: _Tableau, row: type = list) -> _Rows:
+    """The combined rows of the tableau with rows (left, right), each made by ``row``: lists for the kernels, or tuples
+    for a state (:func:`_interned`), which then holds the tableau's own row tuples, as ``tuple`` gives a tuple back."""
     left, right = t
     z = []
     for a, b in zip_longest(left, right, fillvalue=()):
-        z.append(list(a))
-        z.append(list(b))
-    z += ([],) if len(left) > len(right) else ([], [])  # a longer left ends in an empty right row already
+        z.append(row(a))
+        z.append(row(b))
+    z += (row(),) if len(left) > len(right) else (row(), row())  # a longer left ends in an empty right row already
     return z
 
 
@@ -275,29 +276,6 @@ def _place(z: _Rows, letter: int, steps: list[InsertionStep] | None) -> int:
     return m
 
 
-def _insertion_tree(n: int) -> Iterator[tuple[tuple[int, ...], _Tableau, int]]:
-    """(letters, T, the :func:`_box_code` of R) of every word of size n in canonical order, from a depth-first walk
-    of the prefixes: each is a move of the call's memo (:func:`_interned`), keyed by its parent's state and its last
-    letter as sid * 2n + 2(|letter| - 1) + [barred], and appends its box's row to the code.  A prefix with one
-    magnitude left yields its two words, whose moves keep the rows (left, right) of their T, one object each."""
-    radix, memo, tableaux = 2 * n, {}, {}
-    stack = [((), tuple(range(1, n + 1)), *_interned(memo, [[], []]), 0)]
-    if not n:  # the empty word
-        yield (), ((), ()), 0
-    while stack:
-        letters, unused, sid, state, code = stack.pop()
-        leaves = len(unused) == 1  # yielded at once: u unbarred, then barred
-        for q in range(2) if leaves else range(2 * len(unused) - 1, -1, -1):  # q = 2a + b: the a-th unused magnitude, barred if b
-            letter = -unused[q >> 1] if q & 1 else unused[q >> 1]
-            if (entry := memo.get(key := sid * radix + 2 * unused[q >> 1] - 2 + (q & 1))) is None:
-                m = _place(z := list(map(list, state)), letter, None)
-                entry = memo[key] = (m, tableaux.setdefault(T := _frozen(z), T)) if leaves else (m, *_interned(memo, z))
-            if leaves:
-                yield letters + (letter,), entry[1], code * radix + entry[0]
-            else:
-                stack.append((letters + (letter,), unused[: q >> 1] + unused[(q >> 1) + 1:], *entry[1:], code * radix + entry[0]))
-
-
 def _interned(memo: dict, z: _Rows) -> tuple[int, tuple]:
     """(id, state) of the combined rows z in a sweep's memo: the state is the tuple of z's rows, canonical after every
     kernel step, and its id is new when first seen.  The memo keys each move by the id and by the letter or box, the
@@ -305,11 +283,11 @@ def _interned(memo: dict, z: _Rows) -> tuple[int, tuple]:
     return memo.setdefault(state := tuple(map(tuple, z)), (len(memo), state))
 
 
-def _box_code(R: _Tableau, n: int) -> int | None:
-    """The combined rows 2i + c of the boxes of 1, ..., n in R, as the base-2n digits of one number, 1's first;
-    None unless R's entries are exactly 1..n.  Rows increase, so tableaux with different rows differ in code."""
-    boxes = sorted((x, 2 * i + c) for c, rows in enumerate(R) for i, row in enumerate(rows) for x in row)
-    return sum(m * (2 * n) ** (n - x) for x, m in boxes) if [x for x, _ in boxes] == list(range(1, n + 1)) else None
+def _box_rows(R: _Tableau, n: int) -> tuple[int, ...] | None:
+    """The combined rows 2i + c of the boxes of n, n - 1, ..., 1 in R; None unless R's entries are exactly 1..n.
+    Rows increase, so tableaux with different rows differ in box rows."""
+    boxes = sorted(((x, 2 * i + c) for c, rows in enumerate(R) for i, row in enumerate(rows) for x in row), reverse=True)
+    return tuple(m for _, m in boxes) if [x for x, _ in boxes] == list(range(n, 0, -1)) else None
 
 
 # -- reverse bumping -----------------------------------------------------------
@@ -381,18 +359,33 @@ def _remove(z: _Rows, c: int, i: int, hops: list[tuple] | None) -> int:
         value, row[j] = row[j], value
 
 
-def _walk(states: Sequence[tuple], codes: Sequence[int], memo: dict | None = None) -> Iterator[list[tuple[int, ...]]]:
+def _insertions(n: int) -> Iterator[tuple[tuple[int, ...], tuple, tuple[int, ...]]]:
+    """(letters, T's state, R's :func:`_box_rows`) of every word of size n in canonical order.  Each word steps through the
+    call's memo (:func:`_interned`), a move keyed by its prefix's state and its letter as sid * (2n + 1) + letter."""
+    memo = {}
+    root = _interned(memo, [[], []])
+    for letters in _signed_permutations(n):
+        (sid, state), rows = root, []
+        for letter in letters:
+            if (entry := memo.get(key := sid * (2 * n + 1) + letter)) is None:
+                m = _place(z := list(map(list, state)), letter, None)
+                entry = memo[key] = m, *_interned(memo, z)
+            m, sid, state = entry
+            rows.append(m)
+        yield letters, state, tuple(rows[::-1])
+
+
+def _walk(states: Sequence[tuple], boxes: Sequence[tuple[int, ...]], memo: dict) -> Iterator[list[tuple[int, ...]]]:
     """For each T, given by its state (:func:`_interned`), of same-shape tableaux in turn, the words of the pairs (T, R)
-    for the tableaux R with these :func:`_box_code`s, in their order.  R's depth-d node, the cascades of n, ..., n-d+1,
-    is its code mod (2n)^d, so an R shares with the one before it the nodes of their equal low digits, all but the leaf
-    for a repeat.  Each node is a move of ``memo`` (:func:`_interned`; pass one to share it between the cells of a
-    size), keyed by its parent's state and the row m of the box of n+1-d as sid * 2n + m."""
-    n, memo = sum(map(len, states[0])), {} if memo is None else memo
-    digits = [[code // (2 * n) ** k % (2 * n) for k in range(n)] for code in codes]  # the rows of n, n-1, ..., 1
-    shared = [0] + [next((d for d in range(n - 1) if a[d] != b[d]), max(n - 1, 0)) for a, b in zip(digits, digits[1:])]
-    nodes = [(d, ms[d - 1]) for ms, s in zip(digits, shared) for d in range(s + 1, n + 1)]  # a node's parent comes before it
+    for the tableaux R with these :func:`_box_rows`, in their order.  R's depth-d node, the cascades of n, ..., n-d+1, is
+    fixed by its first d box rows, so an R shares with the one before it the nodes of their equal leading rows, all but the
+    leaf for a repeat.  Each node is a move of ``memo`` (:func:`_interned`), which the cells of a size share, keyed by
+    its parent's state and the row m of the box of n+1-d as sid * 2n + m."""
+    n = sum(map(len, states[0]))
+    shared = [0] + [next((d for d in range(n - 1) if a[d] != b[d]), max(n - 1, 0)) for a, b in zip(boxes, boxes[1:])]
+    nodes = [(d, ms[d - 1]) for ms, s in zip(boxes, shared) for d in range(s + 1, n + 1)]  # a node's parent comes before it
     for state in states:
-        path, letters, words = [(None, *memo.setdefault(state, (len(memo), state)))] * (n + 1), [0] * n, [] if n else [()] * len(codes)
+        path, letters, words = [(None, *memo.setdefault(state, (len(memo), state)))] * (n + 1), [0] * n, [] if n else [()] * len(boxes)
         for d, m in nodes:  # path[d - 1] is the parent's move
             if (entry := memo.get(key := path[d - 1][1] * 2 * n + m)) is None:
                 letter = _remove(z := list(map(list, path[d - 1][2])), m & 1, m >> 1, None)

@@ -6,10 +6,10 @@ with a deterministic list of failures (canonical word order).  Verifiers
 refuse sizes beyond their budget by raising :class:`BudgetExceededError` --
 never by silently checking less.  The env variable ``EXOTIC_RS_MAX_N``
 (an integer) raises all budgets.  The pair verifiers and :func:`cells` run
-the kernels on the cached tableaux' rows, box codes and states (tuples of
-combined rows), kept for the cell tuple they came from, and validate pairs only
-for failure records, or to refuse a listed tableau that is not standard; one
-of another size is refused by name.
+the kernels on the cached tableaux' rows, box rows (of n, n - 1, ..., 1) and
+states (tuples of combined rows), kept for the cell tuple they came from, and
+validate pairs only for failure records, or to refuse a listed tableau that is
+not standard; one of another size is refused by name.
 
 Roundtrip and transition descend once through the distinct states that
 removal reaches from the listed T's (:func:`_descend`), a move per distinct
@@ -23,7 +23,7 @@ once), so onto, and each word w = reverse_bumping(p) has insertion(w) = p.
 Transition classifies each move's hops once, counted for each path through the
 move.  A failing move or an inexact cell falls back to the flat evaluation.
 
-The prefix tree of :func:`cells` and the walks of inverse and wtilde run each
+The word sweep of :func:`cells` and the walks of inverse and wtilde run each
 insertion or removal step once per call for each distinct (state, letter or
 box), in memos keyed by the kernel's whole input that die with the call, so
 they cannot mask a fault.  Wtilde also runs bump_once's step on T once per T
@@ -41,7 +41,7 @@ from functools import cache
 
 from . import correspondence
 from .bitableaux import Bitableau, enumerate_standard_bitableaux
-from .correspondence import CorrespondencePair, _Tableau, _box_code, _disagreements, _hop_failure, _pair, _rows, _walk, bump_once, insertion, reverse_bumping
+from .correspondence import CorrespondencePair, _Tableau, _box_rows, _disagreements, _hop_failure, _pair, _rows, _walk, bump_once, insertion, reverse_bumping
 from .partitions import Bipartition, _Frozen, count_bitableaux, enumerate_bipartitions
 from .signed_perm import (
     SignedPermutation,
@@ -124,13 +124,13 @@ def _cells(n: int) -> Iterator[tuple[Bitableau, ...]]:
     return map(enumerate_standard_bitableaux, _shapes(n))
 
 
-def _cell_tables(n: int) -> Iterator[tuple[tuple[Bitableau, ...], tuple[_Tableau, ...], tuple[int | None, ...], tuple[tuple, ...]]]:
-    """Each shape cell of size n in canonical order, with its tableaux' rows, box codes (:func:`_box_code`) and states: built
+def _cell_tables(n: int) -> Iterator[tuple[tuple[Bitableau, ...], tuple[_Tableau, ...], tuple[tuple[int, ...] | None, ...], tuple[tuple, ...]]]:
+    """Each shape cell of size n in canonical order, with its tableaux' rows, box rows (:func:`_box_rows`) and states: built
     on first use and kept for the process, as they depend on the cell alone, but reused only for the very cell tuple."""
     for s, cell in enumerate(_cells(n)):
         if (entry := _tables.get((n, s))) is None or entry[0] is not cell:
             rows = tuple((t.left, t.right) for t in cell)  # tuples: every caller shares them
-            entry = _tables[n, s] = cell, rows, tuple(_box_code(R, n) for R in rows), tuple(tuple(map(tuple, _rows(T))) for T in rows)
+            entry = _tables[n, s] = cell, rows, tuple(_box_rows(R, n) for R in rows), tuple(tuple(_rows(T, tuple)) for T in rows)
         if None in entry[2]:  # a tableau that is not standard: the validated pair of its first pair, in iter_pairs order, raises
             [CorrespondencePair(t, r) for t in cell for r in cell]
             raise ValueError(f"cell {_shapes(n)[s].to_text()} of size {n} lists a tableau of size {cell[entry[2].index(None)].size}")
@@ -171,9 +171,8 @@ def verify_golden_n3(n: int = 3) -> Report:
     reverse_bumping(pair) = word for each of the 48 rows."""
     if n != 3:
         raise ValueError("the golden table is fixed at n=3")
-    data = load_golden_table()
     failures = []
-    rows = data["rows"]
+    rows = load_golden_table()["rows"]
     words_seen = set()
     for row in rows:
         w = SignedPermutation.from_text(row["word"])
@@ -217,9 +216,9 @@ def verify_inverse(n: int) -> Report:
     """Swapping the pair inverts the word: word(R, T) = word(T, R)^-1."""
     _check_budget(n, PAIR_BUDGET, "inverse-symmetry verification")
     failures, checked, memo = [], 0, {}
-    for _, cell, codes, states in _cell_tables(n):
+    for _, cell, box_rows, states in _cell_tables(n):
         # Within one shape cell, the swap of the pair (T, R) = (t_i, t_j) is (t_j, t_i).
-        words = list(_walk(states, codes, memo))
+        words = list(_walk(states, box_rows, memo))
         for i, T in enumerate(cell):
             for j, R in enumerate(cell):
                 straight, swapped = words[i][j], words[j][i]
@@ -257,14 +256,14 @@ def verify_wtilde(n: int) -> Report:
     letter is w_n and the reduced pair's word is the shifted remainder."""
     _check_budget(n, PAIR_BUDGET, "reduction verification")
     failures, checked, memo, smaller, smaller_memo = [], 0, {}, {}, {}  # a memo for each size walked
-    for _, rows, codes, states in _cell_tables(n - 1) if n else ():
-        words = list(_walk(states, codes, smaller_memo))
+    for _, rows, box_rows, states in _cell_tables(n - 1) if n else ():
+        words = list(_walk(states, box_rows, smaller_memo))
         smaller.update((T, (words, j)) for j, T in enumerate(rows))  # by its rows, each tableau of size n - 1: its cell's words, its place
-    for _, cell, codes, states in _cell_tables(n) if n else ():  # the empty pair has no entry to remove
+    for _, cell, box_rows, states in _cell_tables(n) if n else ():  # the empty pair has no entry to remove
         # Each R's box of n and its reduced R's cell and place; for each T, its reduced T's words and the letter, by box.
-        drops = [(code % (2 * n), *smaller.get(correspondence._drop(R, n), (None, None))) for R, code in zip(cell, codes)]
+        drops = [(ms[0], *smaller.get(correspondence._drop(R, n), (None, None))) for R, ms in zip(cell, box_rows)]
         boxes = {m for m, _, _ in drops}
-        for T, state, words in zip(cell, states, _walk(states, codes, memo)):
+        for T, state, words in zip(cell, states, _walk(states, box_rows, memo)):
             reduced = {}
             for m in boxes:
                 reduced_T, letter = correspondence._reduce(list(map(list, state)), m & 1, m >> 1)
@@ -328,10 +327,10 @@ def _group_by_shape(n: int, item: Callable[[tuple[int, ...], Bitableau, Bitablea
     the shape of its pair (T, R), in the order of :func:`cells`."""
     _check_budget(n, WORD_BUDGET, "cell decomposition")
     out, tables = {bp: [] for bp in _shapes(n)}, list(_cell_tables(n))  # a bucket for each cell
-    found = {T: (bucket, t) for bucket, (cell, rows, _, _) in zip(out.values(), tables) for T, t in zip(rows, cell)}
-    coded = {code: found[T] for _, rows, codes, _ in tables for T, code in zip(rows, codes)}  # the same by box code
-    for letters, T, code in correspondence._insertion_tree(n):
-        (bucket, t), (bucket_r, r) = found.get(T, (None, None)), coded.get(code, (None, None))
+    found = {state: (bucket, t) for bucket, (cell, _, _, states) in zip(out.values(), tables) for state, t in zip(states, cell)}
+    placed = {ms: found[state] for _, _, box_rows, states in tables for state, ms in zip(states, box_rows)}  # the same by box rows
+    for letters, state, ms in correspondence._insertions(n):
+        (bucket, t), (bucket_r, r) = found.get(state, (None, None)), placed.get(ms, (None, None))
         if bucket is None or bucket_r is not bucket:
             insertion(SignedPermutation(letters))  # rows that are no standard pair raise here, in the validated pair
             raise ValueError(f"word {_text(letters)!r}: pair outside the enumeration")

@@ -63,19 +63,14 @@ class TestValidation:
 
     def test_gaps_in_entries_are_allowed(self):
         t = Bitableau([[2, 9]], [[5]])
-        assert not t.is_standard
-        assert t.entries() == frozenset({2, 5, 9})
+        assert t.entries() == frozenset({2, 5, 9}) != frozenset(range(1, t.size + 1))
 
 
 class TestBasicViews:
     def test_shape_and_size(self):
         assert NINE.shape == Bipartition(Partition((3, 1)), Partition((2, 2, 1)))
         assert NINE.size == 9
-        assert NINE.is_standard
-
-    @given(bitableaux())
-    def test_is_standard_means_the_entries_are_one_to_size(self, t):
-        assert t.is_standard == (t.entries() == frozenset(range(1, t.size + 1)))
+        assert NINE.entries() == frozenset(range(1, NINE.size + 1))
 
     def test_render_mirrors_the_left_component(self):
         assert NINE.render() == "6 3 1 | 4 7\n2 | 5 8\n| 9"
@@ -121,7 +116,7 @@ class TestEnumeration:
         for bp in enumerate_bipartitions(n):
             listed = enumerate_standard_bitableaux(bp)
             assert len(set(listed)) == len(listed) == count_bitableaux(bp)
-            assert all(t.is_standard and t.shape == bp for t in listed)
+            assert all(t.entries() == frozenset(range(1, n + 1)) and t.shape == bp for t in listed)
 
     def test_canonical_order_is_pinned(self):
         # Pair indices and the order of verifier failures follow this order.

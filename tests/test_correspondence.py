@@ -134,7 +134,7 @@ class TestInsertion:
     def test_produces_a_standard_same_shape_pair(self, w):
         pair = insertion(w)
         assert pair.size == w.n
-        assert pair.T.is_standard and pair.R.is_standard
+        assert pair.T.entries() == pair.R.entries() == frozenset(range(1, w.n + 1))
         assert pair.T.shape == pair.R.shape
 
     @given(signed_words(max_n=7))
@@ -155,20 +155,26 @@ class TestInsertion:
 
     @pytest.mark.parametrize("n", range(6))
     def test_insertion_tree_inserts_every_word_in_canonical_order(self, n):
-        # n = 0 yields the empty word; from n = 1 on, the leaves come two at a time from their parent.
-        expected = [(w, T, correspondence._box_code(R, n)) for w in signed_perm._signed_permutations(n) for T, R in [correspondence._insert(w)]]
-        assert list(correspondence._insertion_tree(n)) == expected
+        # The words of the memoized word sweep, _insertions, against the flat insertion of each: n = 0 yields the
+        # empty word.  The state is T's combined rows, as tuples, and the box rows list R's rows of n, n - 1, ..., 1.
+        expected = [(w, tuple(map(tuple, correspondence._rows(T))), correspondence._box_rows(R, n))
+                    for w in signed_perm._signed_permutations(n) for T, R in [correspondence._insert(w)]]
+        assert list(correspondence._insertions(n)) == expected
 
-    def test_box_codes_tell_every_standard_tableau_apart(self):
+    def test_box_rows_tell_every_standard_tableau_apart(self):
         for n in range(7):
-            rows = [(t.left, t.right) for cell in verify._cells(n) for t in cell]
-            codes = {correspondence._box_code(r, n) for r in rows}
-            assert None not in codes and len(codes) == len(rows)
-        # A listed tableau that is not standard has no code, so no word's R matches it: here the last size-3
+            tables = list(verify._cell_tables(n))
+            rows = [R for _, cell, _, _ in tables for R in cell]
+            box_rows = {correspondence._box_rows(R, n) for R in rows}
+            assert None not in box_rows and len(box_rows) == len(rows)
+            # Each state holds T's own row tuples, not copies: state[2i + c] is row i of component c.
+            assert all(state[2 * i + c] is row for _, Ts, _, states in tables for T, state in zip(Ts, states)
+                       for c, side in enumerate(T) for i, row in enumerate(side))
+        # A listed tableau that is not standard has no box rows, so no word's R matches it: here the last size-3
         # cell's first tableau with 4 in place of 3, as in TestRoundtripByCounting.
         moved = lambda rows: tuple(tuple(x + (x == 3) for x in row) for row in rows)
         t = list(verify._cells(3))[-1][0]
-        assert correspondence._box_code((moved(t.left), moved(t.right)), 3) is None
+        assert correspondence._box_rows((moved(t.left), moved(t.right)), 3) is None
 
 
 class TestReverseBumping:
@@ -269,12 +275,12 @@ class TestReverseBumping:
 
     def test_hops_of_every_trie_walk_of_size_five_are_pinned(self):
         # One repr line per T, cell by cell, of the hops that _remove records for the nodes of T's trie walk: the cascades
-        # k = n, ..., 1 of each R in code order, but only those below the low digits it shares with the R before it.  The
-        # digest was taken while _remove still recounted every row at every hop, and while _walk recorded these lists.
+        # k = n, ..., 1 of each R in its cell's order, but only those below the leading box rows (of 5, 4, ..., 1) it shares
+        # with the R before it.  The digest was taken while _remove still recounted every row at every hop, while _walk
+        # recorded these lists, and while R's box rows were the base-10 digits of one number.
         digest, hops_seen = hashlib.sha256(), 0
-        for _, cell, codes, _ in verify._cell_tables(5):
-            digits = [[code // 10**k % 10 for k in range(5)] for code in codes]  # 2n = 10: the rows of 5, 4, ..., 1
-            shared = [0] + [next((d for d in range(4) if a[d] != b[d]), 4) for a, b in zip(digits, digits[1:])]
+        for _, cell, box_rows, _ in verify._cell_tables(5):
+            shared = [0] + [next((d for d in range(4) if a[d] != b[d]), 4) for a, b in zip(box_rows, box_rows[1:])]
             for T in cell:
                 hops = []
                 for R, depth in zip(cell, shared):
@@ -287,15 +293,15 @@ class TestReverseBumping:
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
-    def test_walk_on_any_order_of_codes_is_the_flat_reverse_bumping(self, data):
+    def test_walk_on_any_order_of_box_rows_is_the_flat_reverse_bumping(self, data):
         # Several walks of one size on one memo, as a verifier call makes them: cells in any order, repeats
-        # included, and each cell's codes in any order, repeats included.  Each T's words are the flat ones.
+        # included, and each cell's R in any order, repeats included.  Each T's words are the flat ones.
         n = data.draw(st.integers(0, 6))
         tables, memo = list(verify._cell_tables(n)), {}
-        for _, rows, codes, states in data.draw(st.lists(st.sampled_from(tables), min_size=1, max_size=4)):
+        for _, rows, box_rows, states in data.draw(st.lists(st.sampled_from(tables), min_size=1, max_size=4)):
             index = st.integers(0, len(rows) - 1)
             Rs, Ts = data.draw(st.lists(index, min_size=1, max_size=12)), data.draw(st.lists(index, min_size=1, max_size=3))
-            for t, words in zip(Ts, correspondence._walk([states[t] for t in Ts], [codes[r] for r in Rs], memo)):
+            for t, words in zip(Ts, correspondence._walk([states[t] for t in Ts], [box_rows[r] for r in Rs], memo)):
                 assert words == [correspondence._reverse(rows[t], rows[r]) for r in Rs]
 
     @given(signed_words(max_n=100))
@@ -471,6 +477,8 @@ class TestCombinedRows:
                 z = correspondence._rows((t.left, t.right))
                 _assert_padded(z)
                 assert correspondence._frozen(z) == (t.left, t.right)
+                # With tuple rows, the same rows: the state that the tables keep for T.
+                assert tuple(correspondence._rows((t.left, t.right), tuple)) == tuple(map(tuple, z))
 
     @given(signed_words(max_n=100))
     @settings(max_examples=60, deadline=None)

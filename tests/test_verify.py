@@ -253,12 +253,12 @@ class TestRoundtripByCounting:
             return [*cells, (*last, Bitableau(moved(t.left), moved(t.right)))]
 
         monkeypatch.setattr(verify, "_cells", padded)
-        # The extra tableau has no box code, so no word reaches a pair that holds it: the validated pair of the
-        # first such pair refuses it before a walk or the pass reads the missing code.
+        # The extra tableau has no box rows, so no word reaches a pair that holds it: the validated pair of the
+        # first such pair refuses it before a walk or the pass reads the missing box rows.
         with pytest.raises(ValueError, match="must be standard"):
             verifier(3)
-        # The last cell of size 3 lists the last standard tableau of size 2 instead: its pairs are valid, but no code
-        # of size 3 names it, so the cell is refused as one of another size.
+        # The last cell of size 3 lists the last standard tableau of size 2 instead: its pairs are valid, but it has no
+        # box rows of size 3, so the cell is refused as one of another size.
         smaller = list(real(2))[-1][-1]
         monkeypatch.setattr(verify, "_cells", lambda n: [*list(real(n))[:-1], (smaller,)] if n == 3 else real(n))
         with pytest.raises(ValueError, match=r"^cell mu=\[\];nu=\[3\] of size 3 lists a tableau of size 2$"):
@@ -306,7 +306,6 @@ class TestDownwardPass:
         tables = list(verify._cell_tables(4))
         assert verify._descend(4, tables) == 0 and verify._descend(4, tables, {}) == 2004
         s = next(s for s, (_, rows, _, _) in enumerate(tables) if len(rows) > 1)
-        cell, rows, codes, states = tables[s]
         other = tables[s + 1]
         edit = {"repeat": lambda seq, o: (seq[0], *seq[:-1]), "drop": lambda seq, o: seq[1:], "swap": lambda seq, o: (o[0], *seq[1:])}[change]
         tables[s] = tuple(edit(seq, o) for seq, o in zip(tables[s], other))
@@ -438,7 +437,7 @@ class TestCells:
 
 # -- tables kept for the process ---------------------------------------------------
 #
-# verify._cell_tables keeps each cell's rows, box codes and states, its one table, for the
+# verify._cell_tables keeps each cell's rows, box rows and states, its one table, for the
 # life of the process, and reuses them only for the very cell tuple they were
 # built from.  Nothing a kernel computes is kept: every call runs its own
 # insertions, walks and classifications.
@@ -496,16 +495,16 @@ class TestTablesHideNoFault:
     def test_each_cell_is_built_once_and_every_call_walks_its_own_cascades(self, monkeypatch):
         monkeypatch.setattr(verify, "_tables", {})
         coded, walks = [], []
-        real_code, real_remove = verify._box_code, correspondence._remove
-        monkeypatch.setattr(verify, "_box_code", lambda R, n: coded.append(R) or real_code(R, n))
+        real_box_rows, real_remove = verify._box_rows, correspondence._remove
+        monkeypatch.setattr(verify, "_box_rows", lambda R, n: coded.append(R) or real_box_rows(R, n))
         monkeypatch.setattr(correspondence, "_remove", lambda *args: walks.append(None) or real_remove(*args))
         per_round = []
         for _ in range(2):
             for verifier in (verify_roundtrip, verify_inverse, verify_transition, verify_wtilde):
                 assert verifier(4).ok
             per_round.append(len(walks) - sum(per_round))
-            # One code table per cell of size 4, and of size 3 for wtilde's reduced pairs, however many calls use it:
-            # 30 builds, each coding every tableau of its cell once.
+            # One table per cell of size 4, and of size 3 for wtilde's reduced pairs, however many calls use it:
+            # 30 builds, each reading the box rows of every tableau of its cell once.
             assert len(verify._tables) == len(enumerate_bipartitions(4)) + len(enumerate_bipartitions(3)) == 30
             assert coded == [(t.left, t.right) for n in (4, 3) for cell in verify._cells(n) for t in cell]
         assert per_round[0] == per_round[1] > 0
