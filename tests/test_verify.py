@@ -515,7 +515,7 @@ class TestTablesHideNoFault:
 # Direct, unmemoized evaluations of the pair verifiers: every check computes
 # its bumps and classifications afresh, through the public wrappers.  These
 # reach the one-letter step correspondence._place and the one-cascade step
-# _remove, which the verifiers' prefix trees call too (and the classifier
+# _remove, which the verifiers' sweeps and walks call too (and the classifier
 # through correspondence._classify, which both second_decrement and the
 # transition check call), so a step patched there is seen by both.
 
