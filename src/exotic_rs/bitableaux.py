@@ -53,8 +53,8 @@ class Position(_Frozen):
 
 
 class Bitableau(_Frozen):
-    """An increasing filling of a bipartition shape by distinct positive
-    integers, stored wall-outward (see module docstring)."""
+    """An increasing filling of a bipartition shape by distinct positive integers, stored wall-outward (see module
+    docstring).  One scan of its rows accepts it; otherwise a row-by-row report raises, naming the first fault."""
 
     __slots__ = ("left", "right")
 
@@ -67,6 +67,8 @@ class Bitableau(_Frozen):
         left, right = tuple(map(tuple, self.left)), tuple(map(tuple, self.right))
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
+        if _accepted(left, right):
+            return
         seen: set[int] = set()
         for side, rows in ((Side.LEFT, left), (Side.RIGHT, right)):
             for i, row in enumerate(rows, start=1):
@@ -131,6 +133,24 @@ class Bitableau(_Frozen):
             if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
                 raise ValueError(f"bad bitableau object: {key!r} must be a list of rows")
         return cls(tuple(tuple(r) for r in obj["left"]), tuple(tuple(r) for r in obj["right"]))
+
+
+def _accepted(left: tuple[tuple, ...], right: tuple[tuple, ...]) -> bool:
+    """Whether every row is non-empty, rises from 0 in exact ints and fits under the row above it; no entry twice."""
+    count = 0
+    for rows in (left, right):
+        above = None
+        for row in rows:
+            prev = 0
+            for x in row:
+                if type(x) is not int or x <= prev:
+                    return False
+                prev = x
+            if not row or above is not None and (len(above) < len(row) or any(map(ge, above, row))):
+                return False
+            count += len(row)
+            above = row
+    return len(set().union(*left, *right)) == count
 
 
 # -- enumeration ---------------------------------------------------------------

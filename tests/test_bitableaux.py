@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
@@ -22,6 +24,43 @@ from exotic_rs import (
 
 # A nine-box worked example used throughout this file.
 NINE = Bitableau([[1, 3, 6], [2]], [[4, 7], [5, 8], [9]])
+
+# A component of up to three rows, each of up to four entries: small integers, some repeated, some not positive,
+# and the bool True, which is not an entry.
+ENTRIES = st.one_of(st.integers(-1, 8), st.just(True))
+RAGGED = st.lists(st.lists(ENTRIES, max_size=4), max_size=3)
+
+
+def whole(message: str) -> str:
+    """The pattern that matches just this message."""
+    return rf"\A{re.escape(message)}\Z"
+
+
+@st.composite
+def nearly_bitableaux(draw) -> tuple[list[list], list[list]]:
+    """The rows of a valid bitableau, half the time with one entry replaced by a drawn one."""
+    t = draw(bitableaux())
+    rows = [list(map(list, t.left)), list(map(list, t.right))]
+    boxes = [(c, i, j) for c, comp in enumerate(rows) for i, row in enumerate(comp) for j in range(len(row))]
+    if boxes and draw(st.booleans()):
+        c, i, j = draw(st.sampled_from(boxes))
+        rows[c][i][j] = draw(ENTRIES)
+    return rows[0], rows[1]
+
+
+def is_bitableau(left, right) -> bool:
+    """Written apart from the constructor: the entries are distinct positive exact ints, every row and column of a
+    component increases, no row is empty, and row lengths weakly decrease."""
+    entries = [x for rows in (left, right) for row in rows for x in row]
+    if any(type(x) is not int or x < 1 for x in entries) or len(set(entries)) != len(entries):
+        return False
+    for rows in (left, right):
+        if not all(rows) or any(len(a) < len(b) for a, b in zip(rows, rows[1:])):
+            return False
+        columns = [[row[j] for row in rows if j < len(row)] for j in range(len(rows[0]) if rows else 0)]
+        if any(a >= b for line in [*rows, *columns] for a, b in zip(line, line[1:])):
+            return False
+    return True
 
 
 class TestRowNumbering:
@@ -47,11 +86,40 @@ class TestValidation:
             ([[0]], [], "positive"),
             ([[1, -2]], [], "positive"),
             ([[True]], [], "positive"),
+            # More than one fault: the message names the first one in reading order (a component's rows top to
+            # bottom and each row's entries outward, then its row lengths and columns), and is matched whole.
+            pytest.param([[1, 1]], [], whole("entries must be distinct, 1 appears twice"), id="repeat-before-order"),
+            pytest.param(
+                [[2], [1, 3]], [], whole("left row lengths must weakly decrease: row 1 is shorter than row 2"),
+                id="lengths-before-column",
+            ),
+            pytest.param([[1]], [[1, 0]], whole("entries must be distinct, 1 appears twice"), id="repeat-before-sign"),
+            pytest.param([[True, 1]], [], whole("entries must be positive integers, got True in left row 1"), id="bool"),
+            pytest.param(
+                [[3, 1], [1]], [], whole("entries must increase away from the wall in left row 1: (3, 1)"),
+                id="order-before-later-repeat",
+            ),
+            pytest.param(
+                [[1, 2], []], [[2]], whole("left row 2 is empty; empty rows are not stored"), id="empty-before-right-repeat"
+            ),
+            pytest.param(
+                [[2], [1]], [[4, 3]], whole("entries must increase down each column: left rows 1,2 at distance 1 hold 2,1"),
+                id="left-column-before-right-order",
+            ),
         ],
     )
     def test_rejects_invalid_fillings(self, left, right, message):
         with pytest.raises(ValueError, match=message):
             Bitableau(left, right)
+
+    @given(st.one_of(st.tuples(RAGGED, RAGGED), nearly_bitableaux()))
+    def test_accepts_exactly_the_increasing_fillings_by_distinct_positive_integers(self, filling):
+        try:
+            Bitableau(*filling)
+        except ValueError:
+            assert not is_bitableau(*filling)
+        else:
+            assert is_bitableau(*filling)
 
     def test_duplicates_across_components_are_rejected(self):
         with pytest.raises(ValueError, match="distinct"):

@@ -129,6 +129,23 @@ class TestInsertion:
             "steps": [{"value": 2, "side": "right", "row": 1, "col": 1, "displaced": None}],
         }
 
+    def test_a_corrupt_kernel_result_does_not_leave_the_public_call(self, monkeypatch):
+        # The tableau check at the boundary stops it: here _place swaps T's left rows (1,) and (2,) after the last
+        # letter of 1 -2, a column fault that keeps every other rule.
+        place = correspondence._place
+
+        def corrupt(z, letter, steps):
+            m = place(z, letter, steps)
+            if letter == -2:
+                z[0], z[2] = z[2], z[0]
+            return m
+
+        monkeypatch.setattr(correspondence, "_place", corrupt)
+        message = r"\Aentries must increase down each column: left rows 1,2 at distance 1 hold 2,1\Z"
+        for call in (insertion, insertion_with_trace):
+            with pytest.raises(ValueError, match=message):
+                call(SignedPermutation((1, -2)))
+
     @given(signed_words(max_n=7))
     @settings(max_examples=60)
     def test_produces_a_standard_same_shape_pair(self, w):
