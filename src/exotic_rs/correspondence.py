@@ -33,8 +33,9 @@ row 1 the letter is emitted unbarred, and when no box is available it is
 emitted barred.
 
 Each direction is one step on T kept as these rules read it, one list of
-combined rows: ``_place`` (one letter into T; it returns the new box's combined
-row, where ``_insert`` records k in R) and ``_remove`` (one cascade out).
+combined rows, and names a box by its combined row: ``_place`` (one letter
+into T) returns the new box's row, where ``_insert`` records k in R, and
+``_remove`` (one cascade out) takes the row that ``_boxes`` gives k in R.
 ``_insert`` maps letters to the rows (T, R) of their pair, ``_reverse`` maps
 rows back to letters; ``_reduce`` and ``_drop`` are ``bump_once``'s steps on T
 and on R.  The public functions are thin wrappers that build the validated types
@@ -176,9 +177,10 @@ class RemovalRecord(_Frozen):
 #
 # Both directions run on one list ``z`` of combined rows, mutable, wall-outward:
 # z[2i + c] is row i of component c (0 left, 1 right); a box is named by its
-# combined row m = 2i + c and column j, all 0-based.  A row that a component
-# lacks is empty, and z ends in exactly two empty rows past the last non-empty
-# one, so the rows m - 2, m and m + 2 that a probe reads are always there.
+# combined row m = 2i + c and column j, all 0-based, and only the hop records,
+# the rule table and the traces read it as (c, i).  A row that a component lacks
+# is empty, and z ends in exactly two empty rows past the last non-empty one, so
+# the rows m - 2, m and m + 2 that a probe reads are always there.
 
 _SIDES = (Side.LEFT, Side.RIGHT)
 
@@ -210,9 +212,9 @@ def _pair(T: _Tableau, R: _Tableau) -> CorrespondencePair:
     return CorrespondencePair(Bitableau(*T), Bitableau(*R))
 
 
-def _boxes(t: _Tableau) -> dict[int, tuple[int, int]]:
-    """The (component, row) holding each entry."""
-    return {x: (c, i) for c, rows in enumerate(t) for i, row in enumerate(rows) for x in row}
+def _boxes(t: _Tableau) -> dict[int, int]:
+    """The combined row 2i + c holding each entry."""
+    return {x: 2 * i + c for c, rows in enumerate(t) for i, row in enumerate(rows) for x in row}
 
 
 # -- insertion -----------------------------------------------------------------
@@ -284,10 +286,11 @@ def _interned(memo: dict, z: _Rows) -> tuple[int, tuple]:
 
 
 def _box_rows(R: _Tableau, n: int) -> tuple[int, ...] | None:
-    """The combined rows 2i + c of the boxes of n, n - 1, ..., 1 in R; None unless R's entries are exactly 1..n.
-    Rows increase, so tableaux with different rows differ in box rows."""
-    boxes = sorted(((x, 2 * i + c) for c, rows in enumerate(R) for i, row in enumerate(rows) for x in row), reverse=True)
-    return tuple(m for _, m in boxes) if [x for x, _ in boxes] == list(range(n, 0, -1)) else None
+    """The combined rows (:func:`_boxes`) of the boxes of n, n - 1, ..., 1 in R; None unless R's entries are exactly
+    1..n.  Every caller passes a validated tableau or a kernel's R, whose entries are distinct, so n boxes with none
+    missing are exactly 1..n.  Rows increase, so tableaux with different rows differ in box rows."""
+    rows = tuple(map((boxes := _boxes(R)).get, range(n, 0, -1)))
+    return rows if len(boxes) == n and None not in rows else None
 
 
 # -- reverse bumping -----------------------------------------------------------
@@ -310,18 +313,18 @@ def _reverse(T: _Tableau, R: _Tableau, cascades: list | None = None) -> tuple[in
     z, boxes, letters_rev = _rows(T), _boxes(R), []
     for k in range(len(boxes), 0, -1):
         hops = None if cascades is None else []
-        letters_rev.append(_remove(z, *boxes[k], hops))
+        letters_rev.append(_remove(z, boxes[k], hops))
         if hops is not None:
             cascades.append((k, letters_rev[-1], hops))
     return tuple(reversed(letters_rev))
 
 
-def _remove(z: _Rows, c: int, i: int, hops: list[tuple] | None) -> int:
-    """Remove the outermost box of row i of component c from the combined rows z and walk its value back up the
-    diagram; returns the emitted letter.  Unless ``hops`` is None, each hop appends (value, c, i, j, mu, nu, slot,
-    letter): the box left, the truncation's row counts, taken row by row until one has none, and the box entered
-    or the letter."""
-    row = z[m := 2 * i + c]
+def _remove(z: _Rows, m: int, hops: list[tuple] | None) -> int:
+    """Remove the outermost box of combined row m from the combined rows z and walk its value back up the diagram;
+    returns the emitted letter.  Unless ``hops`` is None, each hop appends (value, c, i, j, mu, nu, slot, letter):
+    the box left, as row i of component c, the truncation's row counts, taken row by row until one has none, and the
+    box entered or the letter."""
+    row = z[m]
     j = len(row) - 1
     value = row.pop()
     if not row and len(z) == m + 3:  # the last non-empty row emptied: now it is row m - 1, or else m - 2 (or none)
@@ -385,10 +388,10 @@ def _walk(states: Sequence[tuple], boxes: Sequence[tuple[int, ...]], memo: dict)
     shared = [0] + [next((d for d in range(n - 1) if a[d] != b[d]), max(n - 1, 0)) for a, b in zip(boxes, boxes[1:])]
     nodes = [(d, ms[d - 1]) for ms, s in zip(boxes, shared) for d in range(s + 1, n + 1)]  # a node's parent comes before it
     for state in states:
-        path, letters, words = [(None, *memo.setdefault(state, (len(memo), state)))] * (n + 1), [0] * n, [] if n else [()] * len(boxes)
+        path, letters, words = [(None, *_interned(memo, state))] * (n + 1), [0] * n, [] if n else [()] * len(boxes)
         for d, m in nodes:  # path[d - 1] is the parent's move
             if (entry := memo.get(key := path[d - 1][1] * 2 * n + m)) is None:
-                letter = _remove(z := list(map(list, path[d - 1][2])), m & 1, m >> 1, None)
+                letter = _remove(z := list(map(list, path[d - 1][2])), m, None)
                 entry = memo[key] = letter, *_interned(memo, z)
             path[d], letters[n - d] = entry, entry[0]
             if d == n:
@@ -396,21 +399,21 @@ def _walk(states: Sequence[tuple], boxes: Sequence[tuple[int, ...]], memo: dict)
         yield words
 
 
-def _disagreements(nodes: Iterable[tuple], answers: dict) -> Iterator[tuple[int, tuple]]:
-    """(d, hop) for each hop, in order, of the nodes (d, hops) that :func:`_classify` (memo: ``answers``) mispredicts."""
-    for d, hops in nodes:
-        for hop in hops:
-            _, c, i, _, mu, nu, slot, letter = hop
-            if (key := (mu, nu, c, i)) not in answers:
-                answers[key] = _classify(*key)
-            if answers[key] != (letter > 0 if slot is None else slot[:2]):
-                yield d, hop
+def _disagreements(hops: Iterable[tuple], answers: dict) -> Iterator[tuple]:
+    """Each hop, in order, of one cascade's ``hops`` that :func:`_classify` (memo: ``answers``) mispredicts."""
+    for hop in hops:
+        _, c, i, _, mu, nu, slot, letter = hop
+        if (key := (mu, nu, c, i)) not in answers:
+            answers[key] = _classify(*key)
+        if answers[key] != (letter > 0 if slot is None else slot[:2]):
+            yield hop
 
 
 def _removal_step(value, c, i, j, mu, nu, slot, letter) -> RemovalStep:
     """The :class:`RemovalStep` of one hop recorded by :func:`_remove`."""
     target = None if slot is None else Position(_SIDES[slot[0]], slot[1] + 1, slot[2] + 1)
-    return RemovalStep(value, Position(_SIDES[c], i + 1, j + 1), _truncation_shape(mu, nu), target, letter)
+    shape = Bipartition(Partition._unchecked(mu), Partition._unchecked(nu))  # the counts weakly decrease by construction
+    return RemovalStep(value, Position(_SIDES[c], i + 1, j + 1), shape, target, letter)
 
 
 def _hop_failure(T: _Tableau, R: _Tableau, k: int, hop: tuple) -> dict:
@@ -422,11 +425,6 @@ def _hop_failure(T: _Tableau, R: _Tableau, k: int, hop: tuple) -> dict:
     except ClassificationError as err:
         why = {"error": str(err)}
     return {"pair": _pair(T, R).to_json(), "k": k, "step": step.to_json(), **why}
-
-
-def _truncation_shape(mu: tuple[int, ...], nu: tuple[int, ...]) -> Bipartition:
-    """The shape of a hop's truncation, from its row counts: weakly decreasing by construction, so not checked again."""
-    return Bipartition(Partition._unchecked(mu), Partition._unchecked(nu))
 
 
 # -- single-step reduction -------------------------------------------------------
@@ -444,14 +442,14 @@ def bump_once(pair: CorrespondencePair) -> tuple[CorrespondencePair, int, int]:
     if pair.size == 0:
         raise ValueError("the empty pair has no largest entry to remove")
     rec = pair.R.left, pair.R.right
-    T, letter = _reduce(_rows((pair.T.left, pair.T.right)), *_boxes(rec)[pair.size])
+    T, letter = _reduce(_rows((pair.T.left, pair.T.right)), _boxes(rec)[pair.size])
     return _pair(T, _drop(rec, pair.size)), letter, abs(letter)
 
 
-def _reduce(z: _Rows, c: int, i: int) -> tuple[_Tableau, int]:
-    """:func:`bump_once`'s step on T: the cascade out of the outermost box of row i of component c, which holds n
-    in R, runs on the mutable combined rows z and leaves them as it ends.  Returns the reduced T's rows and the letter."""
-    letter = _remove(z, c, i, None)
+def _reduce(z: _Rows, m: int) -> tuple[_Tableau, int]:
+    """:func:`bump_once`'s step on T: the cascade out of the outermost box of combined row m, which holds n in R, runs
+    on the mutable combined rows z and leaves them as it ends.  Returns the reduced T's rows and the letter."""
+    letter = _remove(z, m, None)
     r = abs(letter)
     relabel = lambda rows: tuple(tuple(x - 1 if x > r else x for x in row) for row in rows)
     return tuple(map(relabel, _frozen(z))), letter

@@ -150,13 +150,13 @@ def _descend(n: int, tables: list[tuple], answers: dict | None = None) -> int | 
         for state, (paths, carried) in above.items():
             for m, row in enumerate(state):
                 if row and len(row) > len(state[m + 2]):  # a corner, the last box of row m: the state ends in two empty rows
-                    letter = correspondence._remove(z := list(map(list, state)), m & 1, m >> 1, hops := None if answers is None else [])
+                    letter = correspondence._remove(z := list(map(list, state)), m, hops := None if answers is None else [])
                     into = level.setdefault(tuple(map(tuple, z)), [0, 0])
                     into[0] += paths
                     if answers is None:
                         if correspondence._place(z, letter, None) != m or tuple(map(tuple, z)) != state:
                             return None
-                    elif any(_disagreements([(0, hops)], answers)):
+                    elif any(_disagreements(hops, answers)):
                         return None
                     else:
                         into[1] += carried + len(hops) * paths
@@ -247,7 +247,7 @@ def verify_transition(n: int) -> Report:
     for T, R in ((T, R) for _, cell, _, _ in tables for T in cell for R in cell):
         correspondence._reverse(T, R, cascades := [])
         checked += sum(len(hops) for _, _, hops in cascades)
-        failures += (_hop_failure(T, R, k, hop) for k, hop in _disagreements(((k, h) for k, _, h in cascades), answers))
+        failures += (_hop_failure(T, R, k, hop) for k, _, hops in cascades for hop in _disagreements(hops, answers))
     return Report("transition", n, checked, tuple(failures))
 
 
@@ -266,7 +266,7 @@ def verify_wtilde(n: int) -> Report:
         for T, state, words in zip(cell, states, _walk(states, box_rows, memo)):
             reduced = {}
             for m in boxes:
-                reduced_T, letter = correspondence._reduce(list(map(list, state)), m & 1, m >> 1)
+                reduced_T, letter = correspondence._reduce(list(map(list, state)), m)
                 reduced_cell, i = smaller.get(reduced_T, (None, None))
                 reduced[m] = reduced_cell, reduced_cell and reduced_cell[i], letter
             for R, word, (m, dropped_cell, j) in zip(cell, words, drops):

@@ -193,6 +193,25 @@ class TestInsertion:
         t = list(verify._cells(3))[-1][0]
         assert correspondence._box_rows((moved(t.left), moved(t.right)), 3) is None
 
+    @pytest.mark.parametrize("n", range(7))
+    def test_box_rows_are_the_sorted_boxes(self, n):
+        def reference(R, n):  # the definition by sorting R's entries that _box_rows replaced
+            boxes = sorted(((x, 2 * i + c) for c, rows in enumerate(R) for i, row in enumerate(rows) for x in row), reverse=True)
+            return tuple(m for _, m in boxes) if [x for x, _ in boxes] == list(range(n, 0, -1)) else None
+
+        moved = lambda rows, k: tuple(tuple(n + 1 if x == k else x for x in row) for row in rows)
+        for cell in verify._cells(n):
+            for t in cell:
+                R = t.left, t.right
+                assert correspondence._box_rows(R, n) == reference(R, n) is not None
+                # Read as size n + 1, R is one short; read as size n - 1, one too many; and each entry moved past n.
+                assert correspondence._box_rows(R, n + 1) is reference(R, n + 1) is None
+                if n:
+                    assert correspondence._box_rows(R, n - 1) is reference(R, n - 1) is None
+                for k in range(1, n + 1):
+                    R = moved(t.left, k), moved(t.right, k)
+                    assert correspondence._box_rows(R, n) is reference(R, n) is None
+
 
 class TestReverseBumping:
     def test_worked_example_with_column_tableaux(self):
@@ -460,7 +479,7 @@ class TestTracedAndPlainPathsAgree:
         def refuse(*args, **kwargs):
             raise AssertionError("a plain call built a trace")
 
-        for name in ("Position", "InsertionStep", "RemovalStep", "_truncation_shape"):
+        for name in ("Position", "InsertionStep", "RemovalStep", "Bipartition"):
             monkeypatch.setattr(correspondence, name, refuse)
         pair = insertion(w)
         assert reverse_bumping(pair) == w
@@ -509,8 +528,8 @@ class TestCombinedRows:
             last[:] = [z]
             return m
 
-        def remove(z, c, i, hops):
-            letter = real_remove(z, c, i, hops)
+        def remove(z, m, hops):
+            letter = real_remove(z, m, hops)
             _assert_padded(z)
             steps.append(letter)
             return letter

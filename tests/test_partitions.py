@@ -192,6 +192,12 @@ class TestEnumeration:
         got = list(partitions_of(4, max_part=2))
         assert got == [(2, 2), (2, 1, 1), (1, 1, 1, 1)]
 
+    def test_negative_sizes_are_rejected(self):
+        with pytest.raises(ValueError, match=r"^cannot partition a negative total: -1$"):
+            list(partitions_of(-1))
+        with pytest.raises(ValueError, match=r"^total size must be >= 0, got -1$"):
+            enumerate_bipartitions(-1)
+
     def test_bipartition_listing_order_is_textual(self):
         got = [bp.to_text() for bp in enumerate_bipartitions(1)]
         assert got == sorted(got)

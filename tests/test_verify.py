@@ -95,6 +95,25 @@ class TestGoldenTable:
         with pytest.raises(ValueError, match="fixed at n=3"):
             verify_golden_n3(4)
 
+    def test_a_wrong_insertion_is_named_by_its_word(self, monkeypatch):
+        real, wrong = verify.insertion, insertion(SignedPermutation.from_text("1 2 3"))
+        monkeypatch.setattr(verify, "insertion", lambda w: wrong if w.to_text() == "2 -1 3" else real(w))
+        got = {"T": {"left": [[1, 2, 3]], "right": []}, "R": {"left": [[1, 2, 3]], "right": []}}
+        assert verify_golden_n3() == Report("golden", 3, 96, ({"word": "2 -1 3", "direction": "insertion", "got": got},))
+
+    def test_a_wrong_reverse_bump_is_named_by_its_word(self, monkeypatch):
+        real, target = verify.reverse_bumping, insertion(SignedPermutation.from_text("2 -1 3"))
+        monkeypatch.setattr(verify, "reverse_bumping", lambda pair: SignedPermutation((1, 2, 3)) if pair == target else real(pair))
+        assert verify_golden_n3() == Report("golden", 3, 96, ({"word": "2 -1 3", "direction": "reverse", "got": "1 2 3"},))
+
+    @pytest.mark.parametrize("change, rows, distinct", [(lambda rows: rows[:-1], 47, 47),
+                                                        (lambda rows: [*rows[:-1], rows[0]], 48, 47)], ids=["short", "repeat"])
+    def test_a_table_without_48_distinct_words_fails(self, monkeypatch, change, rows, distinct):
+        # Every row it keeps passes both directions, so the table record is the one failure.
+        table = load_golden_table()
+        monkeypatch.setattr(verify, "load_golden_table", lambda: {**table, "rows": change(table["rows"])})
+        assert verify_golden_n3() == Report("golden", 3, 2 * rows, ({"direction": "table", "rows": rows, "distinct_words": distinct},))
+
 
 class TestVerifiers:
     @pytest.mark.parametrize(
@@ -144,11 +163,18 @@ class TestVerifiers:
         assert verify_embedding(3) == Report("embedding", 3, 48)
         assert decoded == [(6, 5, 4, 3, 2, 1)]
 
+    def test_an_image_off_the_mirror_fails_the_mirror_condition(self, monkeypatch):
+        # The image of 2 -1 3 is declared not mirror symmetric; it still decodes, so the sweep makes one pass.
+        real = verify.is_mirror_symmetric
+        monkeypatch.setattr(verify, "is_mirror_symmetric", lambda sigma: sigma != (1, 4, 2, 5, 3, 6) and real(sigma))
+        record = {"word": "2 -1 3", "image": [1, 4, 2, 5, 3, 6], "reason": "mirror condition"}
+        assert verify_embedding(3) == Report("embedding", 3, 48, (record,))
+
     def test_transition_builds_no_step_objects_on_passing_steps(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("a passing step built a trace object")
 
-        for name in ("RemovalStep", "Position", "_truncation_shape", "Partition", "Bipartition", "FirstRemoval",
+        for name in ("RemovalStep", "Position", "Partition", "Bipartition", "FirstRemoval",
                      "Continue", "TerminateUnbarred", "TerminateBarred"):
             monkeypatch.setattr(correspondence, name, refuse)
         keys = []
@@ -660,20 +686,20 @@ class TestMemosHideNoFailure:
     )
     def test_one_corrupt_reverse_bump(self, monkeypatch, word, depth, corrupt_pairs, failing):
         # The letter of the target pair's cascade at this depth, k = n + 1 - depth, comes out with the other bar:
-        # one node of its cell's trie, the rows that the cascades before it leave and the box of k, which the
-        # corrupt pairs share.
+        # one node of its cell's trie, the rows that the cascades before it leave and the combined row of the box of k,
+        # which the corrupt pairs share.
         target = insertion(SignedPermutation.from_text(word))
         path = lambda R: [correspondence._boxes((R.left, R.right))[target.size - d] for d in range(depth)]
         t = correspondence._rows((target.T.left, target.T.right))
-        for box in path(target.R)[:-1]:
-            correspondence._remove(t, *box, None)
-        node = (correspondence._frozen(t), *path(target.R)[-1])
+        for m in path(target.R)[:-1]:
+            correspondence._remove(t, m, None)
+        node = (correspondence._frozen(t), path(target.R)[-1])
         assert sum(path(R) == path(target.R) for R in enumerate_standard_bitableaux(target.shape)) == corrupt_pairs
         real = correspondence._remove
 
-        def corrupt(t, c, i, hops):
-            hit = (correspondence._frozen(t), c, i) == node
-            letter = real(t, c, i, hops)
+        def corrupt(t, m, hops):
+            hit = (correspondence._frozen(t), m) == node
+            letter = real(t, m, hops)
             return -letter if hit else letter
 
         monkeypatch.setattr(correspondence, "_remove", corrupt)
@@ -684,12 +710,12 @@ class TestMemosHideNoFailure:
         # The cascade from the rows ((1, 2, 3),), () out of the first left row: at size 4 it is the k = 3 cascade
         # of pairs of shapes ((3, 1), ()) and ((4,), ()), whose k = 4 cascades leave those rows, so the one memo of
         # a call runs it once for both cells; at size 3 it is the k = 3 cascade of the one-row T.
-        node = ((((1, 2, 3),), ()), 0, 0)
+        node = ((((1, 2, 3),), ()), 0)
         real = correspondence._remove
 
-        def corrupt(t, c, i, hops):
-            hit = (correspondence._frozen(t), c, i) == node
-            letter = real(t, c, i, hops)
+        def corrupt(t, m, hops):
+            hit = (correspondence._frozen(t), m) == node
+            letter = real(t, m, hops)
             return -letter if hit else letter
 
         monkeypatch.setattr(correspondence, "_remove", corrupt)
@@ -753,17 +779,17 @@ class TestMemosHideNoFailure:
 
     @staticmethod
     def box_of_n(pair: CorrespondencePair) -> tuple:
-        """The rows of T and the (component, 0-based row) of n in R: the node bump_once's step starts from."""
-        return ((pair.T.left, pair.T.right), *correspondence._boxes((pair.R.left, pair.R.right))[pair.size])
+        """The rows of T and the combined row of n in R: the node bump_once's step starts from."""
+        return (pair.T.left, pair.T.right), correspondence._boxes((pair.R.left, pair.R.right))[pair.size]
 
     def corrupt_reduced_letter(self, monkeypatch, word: str) -> tuple:
         """Patch _reduce to emit the other bar at the node of the word's pair; returns that node."""
         node = self.box_of_n(insertion(SignedPermutation.from_text(word)))
         real = correspondence._reduce
 
-        def corrupt(t, c, i):
-            hit = (correspondence._frozen(t), c, i) == node
-            T, letter = real(t, c, i)
+        def corrupt(t, m):
+            hit = (correspondence._frozen(t), m) == node
+            T, letter = real(t, m)
             return T, -letter if hit else letter
 
         monkeypatch.setattr(correspondence, "_reduce", corrupt)
