@@ -40,28 +40,23 @@ into T) returns the new box's row, where ``_insert`` records k in R, and
 rows back to letters; ``_reduce`` and ``_drop`` are ``bump_once``'s steps on T
 and on R.  The public functions are thin wrappers that build the validated types
 (:class:`~exotic_rs.bitableaux.Bitableau`, :class:`CorrespondencePair`,
-:class:`~exotic_rs.signed_perm.SignedPermutation`).  The sweeps run each
-distinct step once per call: a memo keys every placement or removal by the
-state it starts from and its letter or box, the step's whole input, and runs
-the kernel on a miss only.  ``_insertions`` steps every word through such a
-memo; ``_walk`` steps each T's state through the R in turn, sharing with the R
-before the cascades of its leading equal ``_box_rows``.  Only
-the ``_with_trace`` variants and the transition check record steps, as plain
-tuples whose layout is private to this module.  A hop's truncation is
-counted down each component only to the first row without an entry below the
-moving value: columns increase, so none below has one.
+:class:`~exotic_rs.signed_perm.SignedPermutation`).  Only the ``_with_trace``
+variants and the transition check record steps, as plain tuples whose layout is
+private to this module, which runs no sweep: those are in :mod:`.verify`.  A
+hop's truncation is counted down each component only to the first row without
+an entry below the moving value: columns increase, so none below has one.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from itertools import zip_longest
 from operator import itemgetter
 
 from .bitableaux import Bitableau, Position
 from .partitions import Bipartition, Partition, Side, _Frozen, _last_equal_row
-from .signed_perm import SignedPermutation, _signed_permutations
+from .signed_perm import SignedPermutation
 
 _last = itemgetter(-1)  # a row's outermost entry
 
@@ -190,7 +185,7 @@ _Tableau = tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]  # th
 
 def _rows(t: _Tableau, row: type = list) -> _Rows:
     """The combined rows of the tableau with rows (left, right), each made by ``row``: lists for the kernels, or tuples
-    for a state (:func:`_interned`), which then holds the tableau's own row tuples, as ``tuple`` gives a tuple back."""
+    for a state (:func:`.verify._interned`), which then holds the tableau's own row tuples, as ``tuple`` gives a tuple back."""
     left, right = t
     z = []
     for a, b in zip_longest(left, right, fillvalue=()):
@@ -278,21 +273,6 @@ def _place(z: _Rows, letter: int, steps: list[InsertionStep] | None) -> int:
     return m
 
 
-def _interned(memo: dict, z: _Rows) -> tuple[int, tuple]:
-    """(id, state) of the combined rows z in a sweep's memo: the state is the tuple of z's rows, canonical after every
-    kernel step, and its id is new when first seen.  The memo keys each move by the id and by the letter or box, the
-    kernel's whole input, so a hit gives what the kernel would; it lives for one verifier call."""
-    return memo.setdefault(state := tuple(map(tuple, z)), (len(memo), state))
-
-
-def _box_rows(R: _Tableau, n: int) -> tuple[int, ...] | None:
-    """The combined rows (:func:`_boxes`) of the boxes of n, n - 1, ..., 1 in R; None unless R's entries are exactly
-    1..n.  Every caller passes a validated tableau or a kernel's R, whose entries are distinct, so n boxes with none
-    missing are exactly 1..n.  Rows increase, so tableaux with different rows differ in box rows."""
-    rows = tuple(map((boxes := _boxes(R)).get, range(n, 0, -1)))
-    return rows if len(boxes) == n and None not in rows else None
-
-
 # -- reverse bumping -----------------------------------------------------------
 
 
@@ -360,43 +340,6 @@ def _remove(z: _Rows, m: int, hops: list[tuple] | None) -> int:
             return -value if m else value
         m, j = k, col
         value, row[j] = row[j], value
-
-
-def _insertions(n: int) -> Iterator[tuple[tuple[int, ...], tuple, tuple[int, ...]]]:
-    """(letters, T's state, R's :func:`_box_rows`) of every word of size n in canonical order.  Each word steps through the
-    call's memo (:func:`_interned`), a move keyed by its prefix's state and its letter as sid * (2n + 1) + letter."""
-    memo = {}
-    root = _interned(memo, [[], []])
-    for letters in _signed_permutations(n):
-        (sid, state), rows = root, []
-        for letter in letters:
-            if (entry := memo.get(key := sid * (2 * n + 1) + letter)) is None:
-                m = _place(z := list(map(list, state)), letter, None)
-                entry = memo[key] = m, *_interned(memo, z)
-            m, sid, state = entry
-            rows.append(m)
-        yield letters, state, tuple(rows[::-1])
-
-
-def _walk(states: Sequence[tuple], boxes: Sequence[tuple[int, ...]], memo: dict) -> Iterator[list[tuple[int, ...]]]:
-    """For each T, given by its state (:func:`_interned`), of same-shape tableaux in turn, the words of the pairs (T, R)
-    for the tableaux R with these :func:`_box_rows`, in their order.  R's depth-d node, the cascades of n, ..., n-d+1, is
-    fixed by its first d box rows, so an R shares with the one before it the nodes of their equal leading rows, all but the
-    leaf for a repeat.  Each node is a move of ``memo`` (:func:`_interned`), which the cells of a size share, keyed by
-    its parent's state and the row m of the box of n+1-d as sid * 2n + m."""
-    n = sum(map(len, states[0]))
-    shared = [0] + [next((d for d in range(n - 1) if a[d] != b[d]), max(n - 1, 0)) for a, b in zip(boxes, boxes[1:])]
-    nodes = [(d, ms[d - 1]) for ms, s in zip(boxes, shared) for d in range(s + 1, n + 1)]  # a node's parent comes before it
-    for state in states:
-        path, letters, words = [(None, *_interned(memo, state))] * (n + 1), [0] * n, [] if n else [()] * len(boxes)
-        for d, m in nodes:  # path[d - 1] is the parent's move
-            if (entry := memo.get(key := path[d - 1][1] * 2 * n + m)) is None:
-                letter = _remove(z := list(map(list, path[d - 1][2])), m, None)
-                entry = memo[key] = letter, *_interned(memo, z)
-            path[d], letters[n - d] = entry, entry[0]
-            if d == n:
-                words.append(tuple(letters))
-        yield words
 
 
 def _disagreements(hops: Iterable[tuple], answers: dict) -> Iterator[tuple]:

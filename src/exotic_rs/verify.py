@@ -9,7 +9,8 @@ never by silently checking less.  The env variable ``EXOTIC_RS_MAX_N``
 the kernels on the cached tableaux' rows, box rows (of n, n - 1, ..., 1) and
 states (tuples of combined rows), kept for the cell tuple they came from, and
 validate pairs only for failure records, or to refuse a listed tableau that is
-not standard; one of another size is refused by name.
+not standard; one of another size is refused by name.  Every sweep is in this
+module, which calls the kernels of :mod:`.correspondence`; that module runs none.
 
 Roundtrip and transition descend once through the distinct states that
 removal reaches from the listed T's (:func:`_descend`), a move per distinct
@@ -23,25 +24,27 @@ once), so onto, and each word w = reverse_bumping(p) has insertion(w) = p.
 Transition classifies each move's hops once, counted for each path through the
 move.  A failing move or an inexact cell falls back to the flat evaluation.
 
-The word sweep of :func:`cells` and the walks of inverse and wtilde run each
-insertion or removal step once per call for each distinct (state, letter or
-box), in memos keyed by the kernel's whole input that die with the call, so
-they cannot mask a fault.  Wtilde also runs bump_once's step on T once per T
-and box of n, to check its letter against the walk's k = n cascade, and on R
-once per cell; each pair reads its reduced word off the reduced cell's walk at
-its reduced T and R or, if they are no listed pair of one cell, goes by itself.
+The word sweep of :func:`cells` (:func:`_group_by_shape`) and the walks of
+inverse and wtilde (:func:`_walk`) run each insertion or removal step once per
+call for each distinct (state, letter or box): a memo keys each move by its
+state's id (:func:`_interned`) and its letter or box, the kernel's whole input,
+runs the kernel on a miss only, and dies with the call, so it cannot mask a
+fault.  Wtilde also runs bump_once's step on T once per T and box of n, to
+check its letter against the walk's k = n cascade, and on R once per cell; each
+pair reads its reduced word off the reduced cell's walk at its reduced T and R
+or, if they are no listed pair of one cell, goes by itself.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from functools import cache
 
 from . import correspondence
 from .bitableaux import Bitableau, enumerate_standard_bitableaux
-from .correspondence import CorrespondencePair, _Tableau, _box_rows, _disagreements, _hop_failure, _pair, _rows, _walk, bump_once, insertion, reverse_bumping
+from .correspondence import CorrespondencePair, _Rows, _Tableau, _boxes, _disagreements, _hop_failure, _pair, _rows, bump_once, insertion, reverse_bumping
 from .partitions import Bipartition, _Frozen, count_bitableaux, enumerate_bipartitions
 from .signed_perm import (
     SignedPermutation,
@@ -124,6 +127,21 @@ def _cells(n: int) -> Iterator[tuple[Bitableau, ...]]:
     return map(enumerate_standard_bitableaux, _shapes(n))
 
 
+def _interned(memo: dict, z: _Rows) -> tuple[int, tuple]:
+    """(id, state) of the combined rows z in a sweep's memo: the state is the tuple of z's rows, canonical after every
+    kernel step, and its id is new when first seen.  The memo keys each move by the id and by the letter or box, the
+    kernel's whole input, so a hit gives what the kernel would; it lives for one verifier call."""
+    return memo.setdefault(state := tuple(map(tuple, z)), (len(memo), state))
+
+
+def _box_rows(R: _Tableau, n: int) -> tuple[int, ...] | None:
+    """The combined rows (:func:`_boxes`) of the boxes of n, n - 1, ..., 1 in R; None unless R's entries are exactly
+    1..n.  Every caller passes a validated tableau or a kernel's R, whose entries are distinct, so n boxes with none
+    missing are exactly 1..n.  Rows increase, so tableaux with different rows differ in box rows."""
+    rows = tuple(map((boxes := _boxes(R)).get, range(n, 0, -1)))
+    return rows if len(boxes) == n and None not in rows else None
+
+
 def _cell_tables(n: int) -> Iterator[tuple[tuple[Bitableau, ...], tuple[_Tableau, ...], tuple[tuple[int, ...] | None, ...], tuple[tuple, ...]]]:
     """Each shape cell of size n in canonical order, with its tableaux' rows, box rows (:func:`_box_rows`) and states: built
     on first use and kept for the process, as they depend on the cell alone, but reused only for the very cell tuple."""
@@ -161,6 +179,27 @@ def _descend(n: int, tables: list[tuple], answers: dict | None = None) -> int | 
                     else:
                         into[1] += carried + len(hops) * paths
     return sum(carried for _, carried in level.values())  # at the empty state, every path's hops
+
+
+def _walk(states: Sequence[tuple], boxes: Sequence[tuple[int, ...]], memo: dict) -> Iterator[list[tuple[int, ...]]]:
+    """For each T, given by its state (:func:`_interned`), of same-shape tableaux in turn, the words of the pairs (T, R)
+    for the tableaux R with these :func:`_box_rows`, in their order.  R's depth-d node, the cascades of n, ..., n-d+1, is
+    fixed by its first d box rows, so an R shares with the one before it the nodes of their equal leading rows, all but the
+    leaf for a repeat.  Each node is a move of ``memo`` (:func:`_interned`), which the cells of a size share, keyed by
+    its parent's state and the row m of the box of n+1-d as sid * 2n + m."""
+    n = sum(map(len, states[0]))
+    shared = [0] + [next((d for d in range(n - 1) if a[d] != b[d]), max(n - 1, 0)) for a, b in zip(boxes, boxes[1:])]
+    nodes = [(d, ms[d - 1]) for ms, s in zip(boxes, shared) for d in range(s + 1, n + 1)]  # a node's parent comes before it
+    for state in states:
+        path, letters, words = [(None, *_interned(memo, state))] * (n + 1), [0] * n, [] if n else [()] * len(boxes)
+        for d, m in nodes:  # path[d - 1] is the parent's move
+            if (entry := memo.get(key := path[d - 1][1] * 2 * n + m)) is None:
+                letter = correspondence._remove(z := list(map(list, path[d - 1][2])), m, None)
+                entry = memo[key] = letter, *_interned(memo, z)
+            path[d], letters[n - d] = entry, entry[0]
+            if d == n:
+                words.append(tuple(letters))
+        yield words
 
 
 # -- verifiers -------------------------------------------------------------------
@@ -216,11 +255,11 @@ def verify_inverse(n: int) -> Report:
     """Swapping the pair inverts the word: word(R, T) = word(T, R)^-1."""
     _check_budget(n, PAIR_BUDGET, "inverse-symmetry verification")
     failures, checked, memo = [], 0, {}
-    for _, cell, box_rows, states in _cell_tables(n):
+    for _, rows, box_rows, states in _cell_tables(n):
         # Within one shape cell, the swap of the pair (T, R) = (t_i, t_j) is (t_j, t_i).
         words = list(_walk(states, box_rows, memo))
-        for i, T in enumerate(cell):
-            for j, R in enumerate(cell):
+        for i, T in enumerate(rows):
+            for j, R in enumerate(rows):
                 straight, swapped = words[i][j], words[j][i]
                 checked += 1
                 if swapped != _inverse(straight):
@@ -244,7 +283,7 @@ def verify_transition(n: int) -> Report:
     if (checked := _descend(n, tables, answers)) is not None:
         return Report("transition", n, checked)
     failures, checked = [], 0
-    for T, R in ((T, R) for _, cell, _, _ in tables for T in cell for R in cell):
+    for T, R in ((T, R) for _, rows, _, _ in tables for T in rows for R in rows):
         correspondence._reverse(T, R, cascades := [])
         checked += sum(len(hops) for _, _, hops in cascades)
         failures += (_hop_failure(T, R, k, hop) for k, _, hops in cascades for hop in _disagreements(hops, answers))
@@ -259,21 +298,21 @@ def verify_wtilde(n: int) -> Report:
     for _, rows, box_rows, states in _cell_tables(n - 1) if n else ():
         words = list(_walk(states, box_rows, smaller_memo))
         smaller.update((T, (words, j)) for j, T in enumerate(rows))  # by its rows, each tableau of size n - 1: its cell's words, its place
-    for _, cell, box_rows, states in _cell_tables(n) if n else ():  # the empty pair has no entry to remove
-        # Each R's box of n and its reduced R's cell and place; for each T, its reduced T's words and the letter, by box.
-        drops = [(ms[0], *smaller.get(correspondence._drop(R, n), (None, None))) for R, ms in zip(cell, box_rows)]
+    for _, rows, box_rows, states in _cell_tables(n) if n else ():  # the empty pair has no entry to remove
+        # Each R's box of n and its reduced R's cell's words and place; for each T, its reduced T's words and the letter, by box.
+        drops = [(ms[0], *smaller.get(correspondence._drop(R, n), (None, None))) for R, ms in zip(rows, box_rows)]
         boxes = {m for m, _, _ in drops}
-        for T, state, words in zip(cell, states, _walk(states, box_rows, memo)):
+        for T, state, words in zip(rows, states, _walk(states, box_rows, memo)):
             reduced = {}
             for m in boxes:
                 reduced_T, letter = correspondence._reduce(list(map(list, state)), m)
-                reduced_cell, i = smaller.get(reduced_T, (None, None))
-                reduced[m] = reduced_cell, reduced_cell and reduced_cell[i], letter
-            for R, word, (m, dropped_cell, j) in zip(cell, words, drops):
-                reduced_cell, reduced_words, letter = reduced[m]
+                reduced_matrix, i = smaller.get(reduced_T, (None, None))
+                reduced[m] = reduced_matrix, reduced_matrix and reduced_matrix[i], letter
+            for R, word, (m, dropped_matrix, j) in zip(rows, words, drops):
+                reduced_matrix, reduced_words, letter = reduced[m]
                 # A reduced pair of one listed cell reads its word off that cell's walk; any other goes by itself, and
                 # rows that are no standard pair raise in the validated pair.
-                reduced_word = reduced_words[j] if reduced_cell is dropped_cell is not None else \
+                reduced_word = reduced_words[j] if reduced_matrix is dropped_matrix is not None else \
                     reverse_bumping(bump_once(_pair(T, R))[0]).letters
                 wt, r2 = _w_tilde(word)
                 checked += 1
@@ -324,13 +363,24 @@ def cells(n: int) -> dict[Bipartition, list[SignedPermutation]]:
 
 def _group_by_shape(n: int, item: Callable[[tuple[int, ...], Bitableau, Bitableau], object]) -> dict[Bipartition, list]:
     """Insert each word of size n once and file ``item(letters, T, R)`` under
-    the shape of its pair (T, R), in the order of :func:`cells`."""
+    the shape of its pair (T, R), in the order of :func:`cells`.  Each word steps through the call's memo
+    (:func:`_interned`) to T's state and R's :func:`_box_rows`, a move keyed by its prefix's state and its letter as
+    sid * (2n + 1) + letter."""
     _check_budget(n, WORD_BUDGET, "cell decomposition")
     out, tables = {bp: [] for bp in _shapes(n)}, list(_cell_tables(n))  # a bucket for each cell
     found = {state: (bucket, t) for bucket, (cell, _, _, states) in zip(out.values(), tables) for state, t in zip(states, cell)}
     placed = {ms: found[state] for _, _, box_rows, states in tables for state, ms in zip(states, box_rows)}  # the same by box rows
-    for letters, state, ms in correspondence._insertions(n):
-        (bucket, t), (bucket_r, r) = found.get(state, (None, None)), placed.get(ms, (None, None))
+    memo = {}
+    root = _interned(memo, [[], []])
+    for letters in _signed_permutations(n):
+        (sid, state), ms = root, []
+        for letter in letters:
+            if (entry := memo.get(key := sid * (2 * n + 1) + letter)) is None:
+                m = correspondence._place(z := list(map(list, state)), letter, None)
+                entry = memo[key] = m, *_interned(memo, z)
+            m, sid, state = entry
+            ms.append(m)
+        (bucket, t), (bucket_r, r) = found.get(state, (None, None)), placed.get(tuple(ms[::-1]), (None, None))
         if bucket is None or bucket_r is not bucket:
             insertion(SignedPermutation(letters))  # rows that are no standard pair raise here, in the validated pair
             raise ValueError(f"word {_text(letters)!r}: pair outside the enumeration")

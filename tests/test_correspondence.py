@@ -172,17 +172,22 @@ class TestInsertion:
 
     @pytest.mark.parametrize("n", range(6))
     def test_insertion_tree_inserts_every_word_in_canonical_order(self, n):
-        # The words of the memoized word sweep, _insertions, against the flat insertion of each: n = 0 yields the
-        # empty word.  The state is T's combined rows, as tuples, and the box rows list R's rows of n, n - 1, ..., 1.
-        expected = [(w, tuple(map(tuple, correspondence._rows(T))), correspondence._box_rows(R, n))
-                    for w in signed_perm._signed_permutations(n) for T, R in [correspondence._insert(w)]]
-        assert list(correspondence._insertions(n)) == expected
+        # The words of the memoized word sweep in verify._group_by_shape against the flat insertion of each: n = 0
+        # files the empty word.  Each word is filed with the T and R of its flat pair, under their shape, each cell
+        # lists its words in canonical order, and the cells hold every word once.
+        order = {w: k for k, w in enumerate(signed_perm._signed_permutations(n))}
+        filed = verify._group_by_shape(n, lambda letters, T, R: (letters, T, R))
+        for shape, items in filed.items():
+            for letters, T, R in items:
+                assert ((T.left, T.right), (R.left, R.right)) == correspondence._insert(letters) and T.shape == shape
+            assert [order[letters] for letters, _, _ in items] == sorted(order[letters] for letters, _, _ in items)
+        assert sorted(order[letters] for items in filed.values() for letters, _, _ in items) == list(range(len(order)))
 
     def test_box_rows_tell_every_standard_tableau_apart(self):
         for n in range(7):
             tables = list(verify._cell_tables(n))
             rows = [R for _, cell, _, _ in tables for R in cell]
-            box_rows = {correspondence._box_rows(R, n) for R in rows}
+            box_rows = {verify._box_rows(R, n) for R in rows}
             assert None not in box_rows and len(box_rows) == len(rows)
             # Each state holds T's own row tuples, not copies: state[2i + c] is row i of component c.
             assert all(state[2 * i + c] is row for _, Ts, _, states in tables for T, state in zip(Ts, states)
@@ -191,7 +196,7 @@ class TestInsertion:
         # cell's first tableau with 4 in place of 3, as in TestRoundtripByCounting.
         moved = lambda rows: tuple(tuple(x + (x == 3) for x in row) for row in rows)
         t = list(verify._cells(3))[-1][0]
-        assert correspondence._box_rows((moved(t.left), moved(t.right)), 3) is None
+        assert verify._box_rows((moved(t.left), moved(t.right)), 3) is None
 
     @pytest.mark.parametrize("n", range(7))
     def test_box_rows_are_the_sorted_boxes(self, n):
@@ -203,14 +208,14 @@ class TestInsertion:
         for cell in verify._cells(n):
             for t in cell:
                 R = t.left, t.right
-                assert correspondence._box_rows(R, n) == reference(R, n) is not None
+                assert verify._box_rows(R, n) == reference(R, n) is not None
                 # Read as size n + 1, R is one short; read as size n - 1, one too many; and each entry moved past n.
-                assert correspondence._box_rows(R, n + 1) is reference(R, n + 1) is None
+                assert verify._box_rows(R, n + 1) is reference(R, n + 1) is None
                 if n:
-                    assert correspondence._box_rows(R, n - 1) is reference(R, n - 1) is None
+                    assert verify._box_rows(R, n - 1) is reference(R, n - 1) is None
                 for k in range(1, n + 1):
                     R = moved(t.left, k), moved(t.right, k)
-                    assert correspondence._box_rows(R, n) is reference(R, n) is None
+                    assert verify._box_rows(R, n) is reference(R, n) is None
 
 
 class TestReverseBumping:
@@ -337,7 +342,7 @@ class TestReverseBumping:
         for _, rows, box_rows, states in data.draw(st.lists(st.sampled_from(tables), min_size=1, max_size=4)):
             index = st.integers(0, len(rows) - 1)
             Rs, Ts = data.draw(st.lists(index, min_size=1, max_size=12)), data.draw(st.lists(index, min_size=1, max_size=3))
-            for t, words in zip(Ts, correspondence._walk([states[t] for t in Ts], [box_rows[r] for r in Rs], memo)):
+            for t, words in zip(Ts, verify._walk([states[t] for t in Ts], [box_rows[r] for r in Rs], memo)):
                 assert words == [correspondence._reverse(rows[t], rows[r]) for r in Rs]
 
     @given(signed_words(max_n=100))

@@ -50,6 +50,7 @@ class TestConstruction:
         w = SignedPermutation.from_text(text)
         assert w.letters == letters
         assert w.to_text() == text
+        assert str(w) == w.to_text()
 
     @pytest.mark.parametrize(
         "text, message",
