@@ -35,7 +35,7 @@ from .correspondence import (
 )
 from .partitions import Bipartition, count_bitableaux
 from .signed_perm import _INTEGER, SignedPermutation, _text
-from .verify import BudgetExceededError, _group_by_shape, _shapes, cells, run_verifier, verify_counting
+from .verify import VERIFIERS, BudgetExceededError, _group_by_shape, _shapes, cells, run_verifier, verify_counting
 
 
 def _size(text: str) -> int:
@@ -179,7 +179,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         "cells": ("group the words of size n by shape", cmd_cells, (("n", size),)),
         "count": ("standard-bitableau counts per shape of size n", cmd_count, (("n", size),)),
         "verify": ("run one verifier", cmd_verify, (
-            ("property", {"help": "golden | roundtrip | inverse | counting | transition | wtilde | embedding"}),
+            ("property", {"help": " | ".join(VERIFIERS)}),
             ("n", size), ("--json", flag),
         )),
         "render": ("pretty-print a pair JSON file", cmd_render, (("--pair", pair),)),

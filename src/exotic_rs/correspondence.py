@@ -4,9 +4,10 @@
 standard bitableaux; ``reverse_bumping`` is its inverse.  ``bump_once``
 peels off just the largest entry, producing the pair of the reduced word.
 ``second_decrement`` classifies, from shape data alone, where the next box
-leaves the diagram during a removal cascade; its rule table, ``_classify``,
-reads row tuples, and the first rule to apply answers.  The bumping
-algorithms are the ground truth it is checked against.
+leaves the diagram during a removal cascade: its rule, stated at
+``_classify``, is the walk of reverse bumping below, read off the row counts
+of a truncation.  The bumping algorithms are the ground truth it is checked
+against.
 
 Insertion, letter by letter (k = 1..n, s = |w_k|):
 
@@ -51,11 +52,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator
-from itertools import zip_longest
+from itertools import count, zip_longest
 from operator import itemgetter
 
 from .bitableaux import Bitableau, Position
-from .partitions import Bipartition, Partition, Side, _Frozen, _last_equal_row
+from .partitions import Bipartition, Partition, Side, _Frozen
 from .signed_perm import SignedPermutation
 
 _last = itemgetter(-1)  # a row's outermost entry
@@ -138,7 +139,7 @@ class RemovalStep(_Frozen):
 
     ``value`` leaves the box ``source``; ``shape`` is the shape of the
     sub-bitableau of entries < value together with that box (the data the
-    transition rules see).  Either ``target`` is the box it lands in, or
+    transition rule sees).  Either ``target`` is the box it lands in, or
     ``emitted`` is the signed letter that leaves the diagram.
     """
 
@@ -173,7 +174,7 @@ class RemovalRecord(_Frozen):
 # Both directions run on one list ``z`` of combined rows, mutable, wall-outward:
 # z[2i + c] is row i of component c (0 left, 1 right); a box is named by its
 # combined row m = 2i + c and column j, all 0-based, and only the hop records,
-# the rule table and the traces read it as (c, i).  A row that a component lacks
+# the transition rule and the traces read it as (c, i).  A row that a component lacks
 # is empty, and z ends in exactly two empty rows past the last non-empty one, so
 # the rows m - 2, m and m + 2 that a probe reads are always there.
 
@@ -440,7 +441,7 @@ class TerminateBarred(_Frozen):
 
 
 class ClassificationError(ValueError):
-    """No rule of the transition table matched."""
+    """The transition rule gave no answer, which only a patched :func:`_classify` does."""
 
     def __init__(self, bp: Bipartition, removal: FirstRemoval):
         self.bp = bp
@@ -455,9 +456,9 @@ def second_decrement(bp: Bipartition, removal: FirstRemoval):
     box included) and ``removal`` names that box's row.  The answer is
     TerminateUnbarred / TerminateBarred when the cascade emits the value as
     a letter, or Continue(side, row): the next box to empty out, as a row of
-    the shape obtained from ``bp`` by the first removal.  The rule table is
-    :func:`_classify`; when none of its rules applies, a
-    :class:`ClassificationError` carrying (bp, removal) is raised.
+    the shape obtained from ``bp`` by the first removal.  The rule is
+    :func:`_classify`, which answers on every corner; should it give no
+    answer, a :class:`ClassificationError` carrying (bp, removal) is raised.
     """
     if not bp.can_decrement(removal.side, removal.row):
         raise ValueError(f"({removal.side.value}, row {removal.row}) is not a removable corner of {bp}")
@@ -470,44 +471,22 @@ def second_decrement(bp: Bipartition, removal: FirstRemoval):
 
 
 def _classify(mu: tuple[int, ...], nu: tuple[int, ...], c: int, i: int) -> bool | tuple[int, int] | None:
-    """The transition rule table, in the kernel's terms: the hop leaves the outermost box of row i
-    of component c of the truncation (mu, nu), whose row counts include that box.  The answer is
-    True / False when the value leaves as an unbarred / barred letter, the (c, i) of the row that
-    loses the next box, or None when no rule applies.  The rules are tried in order and the first
-    to apply answers; each comment names its rule.  They number rows from 1, as m = i + 1."""
-    part = lambda p, k: p[k - 1] if k <= len(p) else 0
-    length = max(len(mu), len(nu))
-    m = i + 1
-    mu_m, nu_m = part(mu, m), part(nu, m)
-    if c == 0:
-        if m == 1:
-            return True
-        mu_next, nu_prev = part(mu, m + 1), part(nu, m - 1)
-        if mu_m + nu_m == 1 and nu_prev == 0:
+    """The transition rule, in the kernel's terms: the hop leaves the outermost box of row i of
+    component c of the truncation (mu, nu), whose row counts include that box.  Let c_k be the
+    entries below the moving value in combined row k: the truncation's part, less that box in its
+    row m = 2i + c.  From row 0 the value leaves as an unbarred letter (True).  Otherwise the next
+    box leaves the highest of combined rows m - 1, m, m + 1, ... with an entry below the value and,
+    in its component, a shorter row under it (c_k > c_(k+2)), answered as its (c, i); once two
+    consecutive rows have no entry below the value, none further down has one (columns increase),
+    and it leaves as a barred letter (False).  This is :func:`_remove`'s walk on the counts alone,
+    so it reads only combined rows m - 1 and below, and it answers on every corner."""
+    m = 2 * i + c
+    if not m:
+        return True
+    counts = [x for pair in zip_longest(mu, nu, fillvalue=0) for x in pair] + [0, 0, 0]
+    counts[m] -= 1
+    for k in count(m - 1):
+        if k >= m and counts[k - 1] == counts[k] == 0:
             return False
-        mg_next, md_m = _last_equal_row(mu, m + 1, length), _last_equal_row(nu, m, length)
-        if mu_m - 1 > mu_next and (nu_prev == nu_m != 0 or nu_prev == 0):
-            return 0, i  # left-row-shrinks-again
-        if mu_m - 1 == mu_next and nu_prev == nu_m != 0 and (mg_next > md_m or mu_m == 1):
-            return 1, md_m - 1  # hop-to-matching-right-rows
-        if mu_m - 1 == mu_next != 0 and ((nu_prev == nu_m != 0 and mg_next <= md_m) or nu_prev == 0):
-            return 0, mg_next - 1  # slide-down-equal-left-rows
-        if nu_prev > nu_m:
-            return 1, i - 1  # climb-to-previous-right-row
-    else:
-        if mu_m + nu_m == 1:
-            return False
-        mg_m, md_m = _last_equal_row(mu, m, length), _last_equal_row(nu, m, length)
-        md_next, nu_next = _last_equal_row(nu, m + 1, length), part(nu, m + 1)
-        # Crossing into a left row needs mu_m != 0.  The later cross rule needs no guard: when
-        # mu_m = 0 and nu_m - 1 = nu_next, slide-down-equal-right-rows answers first, or nu_m = 1
-        # and the barred termination above has answered.
-        if mg_m == md_m and mu_m != 0:
-            return 0, i  # cross-to-left-row
-        if nu_m - 1 > nu_next and (mg_m > md_m or mu_m == 0):
-            return 1, i  # right-row-shrinks-again
-        if nu_m - 1 == nu_next != 0 and (mg_m > md_next or mu_m == 0):
-            return 1, md_next - 1  # slide-down-equal-right-rows
-        if nu_m - 1 == nu_next and (mg_m <= md_next or nu_m == 1):
-            return 0, mg_m - 1  # cross-to-matching-left-rows
-    return None
+        if counts[k] > counts[k + 2]:
+            return k & 1, k >> 1

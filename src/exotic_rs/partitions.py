@@ -1,5 +1,5 @@
-"""Integer partitions, bipartitions, the row-index scan of the box-removal
-transition rules, and the number of standard bitableaux of a shape.
+"""Integer partitions, bipartitions, and the number of standard bitableaux of
+a shape.
 
 Conventions used throughout the package:
 
@@ -9,9 +9,9 @@ Conventions used throughout the package:
 * A bipartition (mu, nu) describes the shape of a bitableau: mu gives the
   row lengths of the left component, nu of the right component.  Row i of
   the combined shape has lam_i = mu_i + nu_i boxes.
-* Rows are indexed from 1 to match the usual mathematical conventions;
-  the row-index scan of the transition rules answers with a row in
-  ``{1, ..., len(lam)}``, or 0 for none.
+* Rows are indexed from 1 to match the usual mathematical conventions.
+  The kernels in :mod:`.correspondence`, and the transition rule stated
+  at ``correspondence._classify``, index rows from 0 instead.
 """
 
 from __future__ import annotations
@@ -152,14 +152,6 @@ class Bipartition(_Frozen):
 
     def __str__(self) -> str:
         return self.to_text()
-
-
-def _last_equal_row(parts: tuple[int, ...], m: int, length: int) -> int:
-    """Largest row index i <= length with parts_i = parts_m, parts beyond the
-    tuple reading as 0; 0 when no row qualifies."""
-    part = lambda i: parts[i - 1] if i <= len(parts) else 0
-    target = part(m)
-    return next((i for i in range(length, 0, -1) if part(i) == target), 0)
 
 
 def dimension_b(bp: Bipartition) -> int:

@@ -277,7 +277,7 @@ def verify_counting(n: int) -> Report:
 
 
 def verify_transition(n: int) -> Report:
-    """Every cascade step of every removal agrees with second_decrement's rule table; failures in (R, k, hop) order."""
+    """Every cascade step of every removal agrees with second_decrement's rule; failures in (R, k, hop) order."""
     _check_budget(n, PAIR_BUDGET, "transition verification")
     tables, answers = list(_cell_tables(n)), {}
     if (checked := _descend(n, tables, answers)) is not None:

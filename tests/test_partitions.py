@@ -1,4 +1,4 @@
-"""Partitions, bipartitions, row-index helpers, and counting."""
+"""Partitions, bipartitions, and counting."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import hashlib
 import math
 import pickle
 
-import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -22,7 +21,6 @@ from exotic_rs import (
     enumerate_standard_bitableaux,
     partitions_of,
 )
-from exotic_rs.partitions import _last_equal_row
 
 
 class TestPartition:
@@ -127,38 +125,6 @@ class TestBipartition:
     )
     def test_text_round_trip(self, bp, text):
         assert bp.to_text() == text
-
-
-class TestIndexSets:
-    """_last_equal_row: the last row of the index set of rows i with
-    mu_i = mu_m (gamma_m), respectively nu_i = nu_m (delta_m); 0 for none."""
-
-    def test_deep_shape_left_row_four(self):
-        bp = Bipartition(Partition((5, 4, 3, 2, 1, 1)), Partition((3, 2, 2, 2, 2, 1)))
-        assert _last_equal_row(bp.mu.parts, 4, bp.lam.length) == 4
-        assert _last_equal_row(bp.nu.parts, 4, bp.lam.length) == 5
-
-    def test_two_column_shape_row_one(self):
-        bp = Bipartition(Partition((2, 2)), Partition((3, 2, 1)))
-        assert _last_equal_row(bp.mu.parts, 1, bp.lam.length) == 2
-
-    def test_rows_beyond_the_shape_read_as_zero(self):
-        bp = Bipartition(Partition((2, 1)), Partition((1, 1)))
-        assert _last_equal_row(bp.mu.parts, 3, bp.lam.length) == 0
-        assert _last_equal_row(bp.nu.parts, 3, bp.lam.length) == 0
-        bp2 = Bipartition(Partition((2,)), Partition((1, 1)))
-        # row 2 of mu is an implicit zero shared with every later row
-        assert _last_equal_row(bp2.mu.parts, 2, bp2.lam.length) == 2
-
-    @given(bipartitions(), st.integers(1, 12))
-    def test_max_helpers_agree_with_index_sets(self, bp, m):
-        if m > bp.lam.length:
-            return
-        rows = range(1, bp.lam.length + 1)
-        gamma_m = [i for i in rows if bp.mu.part(i) == bp.mu.part(m)]
-        delta_m = [i for i in rows if bp.nu.part(i) == bp.nu.part(m)]
-        assert _last_equal_row(bp.mu.parts, m, bp.lam.length) == max(gamma_m)
-        assert _last_equal_row(bp.nu.parts, m, bp.lam.length) == max(delta_m)
 
 
 class TestDimension:

@@ -79,7 +79,7 @@ class TestTerminations:
         assert second_decrement(_bp((), (2, 1)), FirstRemoval(Side.RIGHT, 1)) == Continue(Side.RIGHT, 2)
 
     def test_matching_unit_columns_agree_across_rules(self):
-        # both cross rules apply and name the same left row; the first answers
+        # the scan answers at row m - 1, the left row beside the right row that lost the box
         assert second_decrement(_bp((1, 1), (1, 1)), FirstRemoval(Side.RIGHT, 2)) == Continue(Side.LEFT, 2)
 
 
@@ -121,6 +121,18 @@ class TestClassifierTotality:
         assert len(lines) == 3396
         digest = hashlib.sha256("".join(lines).encode()).hexdigest()
         assert digest == "fe0a8437215f2387a5c4f2023dbac7b555f48e6d5cfa11da44c0f1a7f7449650"
+
+    def test_every_answer_of_sizes_eleven_and_twelve_is_pinned(self):
+        # The same lines for sizes 11 and 12; the 11-case rule table that the row scan replaced gave the same digest.
+        lines = [
+            f"{bp.to_text()} {side.value} {row} {second_decrement(bp, FirstRemoval(side, row))!r}\n"
+            for n in (11, 12)
+            for bp in enumerate_bipartitions(n)
+            for side, row in corners(bp)
+        ]
+        assert len(lines) == 6364
+        digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+        assert digest == "c40c2c9d2562489e6117be86189b942dfeb4fdd7074f7b10e85f96b96c49a176"
 
 
 class TestAgreementWithCascades:

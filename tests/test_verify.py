@@ -183,7 +183,7 @@ class TestVerifiers:
         report = verify_transition(4)
         assert report.ok
         assert report.checked == 2004
-        # The rule table runs once per distinct (mu, nu, c, i).
+        # The rule runs once per distinct (mu, nu, c, i).
         assert len(keys) == len(set(keys)) == 60
 
     def test_passing_pair_checks_build_no_validated_objects(self, monkeypatch):
