@@ -453,16 +453,20 @@ def second_decrement(bp: Bipartition, removal: FirstRemoval):
     """Where a removal cascade goes next, from shape data alone.
 
     ``bp`` is the shape of the truncation the moving value is leaving (its
-    box included) and ``removal`` names that box's row.  The answer is
+    box included) and ``removal`` names that box's row.  The box must be a
+    corner: row ``row`` of ``side`` exists and the row below it is shorter
+    (or absent); otherwise ValueError is raised.  The answer is
     TerminateUnbarred / TerminateBarred when the cascade emits the value as
     a letter, or Continue(side, row): the next box to empty out, as a row of
     the shape obtained from ``bp`` by the first removal.  The rule is
     :func:`_classify`, which answers on every corner; should it give no
     answer, a :class:`ClassificationError` carrying (bp, removal) is raised.
     """
-    if not bp.can_decrement(removal.side, removal.row):
+    c, i = _SIDES.index(removal.side), removal.row - 1
+    rows = (bp.mu, bp.nu)[c].parts + (0,)
+    if not 0 <= i < len(rows) - 1 or rows[i + 1] >= rows[i]:
         raise ValueError(f"({removal.side.value}, row {removal.row}) is not a removable corner of {bp}")
-    answer = _classify(bp.mu.parts, bp.nu.parts, _SIDES.index(removal.side), removal.row - 1)
+    answer = _classify(bp.mu.parts, bp.nu.parts, c, i)
     if answer is None:
         raise ClassificationError(bp, removal)
     if isinstance(answer, tuple):

@@ -4,8 +4,7 @@ a shape.
 Conventions used throughout the package:
 
 * Partitions are weakly decreasing tuples of positive integers; trailing
-  zeros are stripped on construction.  Out-of-range parts read as 0, so
-  ``mu.part(i)`` is total for every i >= 1.
+  zeros are stripped on construction.
 * A bipartition (mu, nu) describes the shape of a bitableau: mu gives the
   row lengths of the left component, nu of the right component.  Row i of
   the combined shape has lam_i = mu_i + nu_i boxes.
@@ -18,6 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from enum import Enum
+from itertools import zip_longest
 from math import comb, factorial
 from operator import attrgetter
 
@@ -99,21 +99,8 @@ class Partition(_Frozen):
         object.__setattr__(self, "parts", parts)
 
     @property
-    def length(self) -> int:
-        return len(self.parts)
-
-    @property
     def size(self) -> int:
         return sum(self.parts)
-
-    def part(self, i: int) -> int:
-        """The i-th part (1-indexed); 0 for i beyond the length."""
-        if i < 1:
-            raise IndexError(f"part index must be >= 1, got {i}")
-        return self.parts[i - 1] if i <= len(self.parts) else 0
-
-    def can_decrement(self, i: int) -> bool:
-        return 1 <= i <= len(self.parts) and self.part(i) > self.part(i + 1)
 
     def __str__(self) -> str:
         return "[" + ",".join(str(p) for p in self.parts) + "]"
@@ -131,18 +118,11 @@ class Bipartition(_Frozen):
     @property
     def lam(self) -> Partition:
         """The row-sum partition: lam_i = mu_i + nu_i."""
-        n = max(self.mu.length, self.nu.length)
-        return Partition(tuple(self.mu.part(i) + self.nu.part(i) for i in range(1, n + 1)))
+        return Partition(tuple(map(sum, zip_longest(self.mu.parts, self.nu.parts, fillvalue=0))))
 
     @property
     def size(self) -> int:
         return self.mu.size + self.nu.size
-
-    def component(self, side: Side) -> Partition:
-        return self.mu if side is Side.LEFT else self.nu
-
-    def can_decrement(self, side: Side, row: int) -> bool:
-        return self.component(side).can_decrement(row)
 
     def to_text(self) -> str:
         return f"mu={self.mu};nu={self.nu}"

@@ -13,7 +13,6 @@ from conftest import bipartitions, partitions, signed_words
 from exotic_rs import (
     Bipartition,
     Partition,
-    Side,
     SignedPermutation,
     count_bitableaux,
     dimension_b,
@@ -50,25 +49,6 @@ class TestPartition:
             Partition((True,))
         with pytest.raises(ValueError, match="non-negative integers"):
             Partition((2, True))
-
-    def test_padded_part_reads(self):
-        p = Partition((3, 1))
-        assert [p.part(i) for i in range(1, 5)] == [3, 1, 0, 0]
-        assert p.length == 2
-        assert p.size == 4
-
-    def test_part_index_must_be_positive(self):
-        with pytest.raises(IndexError):
-            Partition((3, 1)).part(0)
-
-    def test_decrement_and_increment(self):
-        p = Partition((3, 1))
-        assert p.can_decrement(1) and p.can_decrement(2)
-        assert not p.can_decrement(3) and not p.can_decrement(0)
-
-    def test_decrement_requires_a_corner(self):
-        p = Partition((2, 2))
-        assert not p.can_decrement(1) and p.can_decrement(2)
 
     def test_str_form(self):
         assert str(Partition((3, 1))) == "[3,1]"
@@ -108,12 +88,14 @@ class TestBipartition:
         bp = Bipartition(Partition((5, 4, 3, 2, 1, 1)), Partition((3, 2, 2, 2, 2, 1)))
         assert bp.lam == Partition((8, 6, 5, 4, 3, 2))
         assert bp.size == 28
-        assert bp.lam.length == 6
+        assert len(bp.lam.parts) == 6
 
-    def test_component_lookup(self):
-        bp = Bipartition(Partition((2,)), Partition((1, 1)))
-        assert bp.component(Side.LEFT) == Partition((2,))
-        assert bp.component(Side.RIGHT) == Partition((1, 1))
+    def test_lam_is_the_componentwise_sum_through_size_eight(self):
+        for n in range(9):
+            for bp in enumerate_bipartitions(n):
+                rows = max(len(bp.mu.parts), len(bp.nu.parts))
+                mu, nu = (parts + (0,) * (rows - len(parts)) for parts in (bp.mu.parts, bp.nu.parts))
+                assert bp.lam.parts == tuple(mu[i] + nu[i] for i in range(rows))
 
     @pytest.mark.parametrize(
         "bp, text",

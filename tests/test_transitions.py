@@ -96,6 +96,21 @@ class TestValidation:
         with pytest.raises(ValueError, match="not a removable corner"):
             second_decrement(_bp(mu, nu), FirstRemoval(side, row))
 
+    def test_only_corners_are_accepted(self):
+        cases = 0
+        for n in range(9):
+            for bp in enumerate_bipartitions(n):
+                accepted = corners(bp)
+                for side, parts in ((Side.LEFT, bp.mu.parts), (Side.RIGHT, bp.nu.parts)):
+                    for row in range(-1, len(parts) + 3):
+                        cases += 1
+                        if (side, row) in accepted:
+                            second_decrement(bp, FirstRemoval(side, row))
+                        else:
+                            with pytest.raises(ValueError, match="not a removable corner"):
+                                second_decrement(bp, FirstRemoval(side, row))
+        assert cases == 5206
+
 
 class TestClassifierTotality:
     @pytest.mark.parametrize("n", range(1, 11))
@@ -106,7 +121,7 @@ class TestClassifierTotality:
                 if isinstance(out, Continue):  # a corner of the shape less the first box
                     parts = [list(bp.mu.parts), list(bp.nu.parts)]
                     parts[side is Side.RIGHT][row - 1] -= 1
-                    assert Bipartition(*map(Partition, map(tuple, parts))).can_decrement(out.side, out.row)
+                    assert (out.side, out.row) in corners(Bipartition(*map(Partition, map(tuple, parts))))
                 else:
                     assert isinstance(out, (TerminateUnbarred, TerminateBarred))
 
