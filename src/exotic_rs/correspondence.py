@@ -83,6 +83,13 @@ class CorrespondencePair(_Frozen):
             if max(map(_last, t.left + t.right), default=0) != size:
                 raise ValueError(f"{name} must be standard (entries exactly 1..{size})")
 
+    @classmethod
+    def _unchecked(cls, T: Bitableau, R: Bitableau) -> "CorrespondencePair":
+        """The pair (T, R) as the constructor would store it, without its checks: for a valid pair."""
+        object.__setattr__(self := object.__new__(cls), "T", T)
+        object.__setattr__(self, "R", R)
+        return self
+
     @property
     def shape(self) -> Bipartition:
         return self.T.shape

@@ -86,8 +86,8 @@ def sort_key(w: SignedPermutation) -> tuple[tuple[int, bool], ...]:
 
 
 def enumerate_signed_permutations(n: int) -> list[SignedPermutation]:
-    """All 2^n * n! signed permutations on n letters, in canonical order."""
-    return list(map(SignedPermutation, _signed_permutations(n)))
+    """All 2^n * n! signed permutations on n letters, in canonical order; valid by construction, so unchecked."""
+    return list(map(SignedPermutation._unchecked, _signed_permutations(n)))
 
 
 def _signed_permutations(n: int) -> Iterator[tuple[int, ...]]:

@@ -9,8 +9,10 @@ never by silently checking less.  The env variable ``EXOTIC_RS_MAX_N``
 the kernels on the cached tableaux' rows, box rows (of n, n - 1, ..., 1) and
 states (tuples of combined rows), kept for the cell tuple they came from, and
 validate pairs only for failure records, or to refuse a listed tableau that is
-not standard; one of another size is refused by name.  Every sweep is in this
-module, which calls the kernels of :mod:`.correspondence`; that module runs none.
+not standard; one of another size is refused by name.  :func:`iter_pairs` checks
+each cell once, through its first tableau's pairs, and the words of the sweeps are
+valid by construction.  Every sweep is in this module, which calls the kernels of
+:mod:`.correspondence`; that module runs none.
 
 Roundtrip and transition descend once through the distinct states that
 removal reaches from the listed T's (:func:`_descend`), a move per distinct
@@ -117,9 +119,15 @@ class Report(_Frozen):
 
 
 def iter_pairs(n: int) -> Iterator[CorrespondencePair]:
-    """All same-shape pairs of standard bitableaux with n boxes, shape by
-    shape in canonical order."""
-    return (CorrespondencePair(t, r) for cell in _cells(n) for t in cell for r in cell)
+    """All same-shape pairs of standard bitableaux with n boxes, shape by shape in canonical order, checked by cell."""
+    return (CorrespondencePair._unchecked(t, r) for cell in map(_check_cell, _cells(n)) for t in cell for r in cell)
+
+
+def _check_cell(cell: tuple[Bitableau, ...]) -> tuple[Bitableau, ...]:
+    """The cell, once row 0 of its pairs (its first tableau with each) is validated: any invalid pair puts one there."""
+    for t in cell:
+        CorrespondencePair(cell[0], t)
+    return cell
 
 
 def _cells(n: int) -> Iterator[tuple[Bitableau, ...]]:
@@ -150,7 +158,7 @@ def _cell_tables(n: int) -> Iterator[tuple[tuple[Bitableau, ...], tuple[_Tableau
             rows = tuple((t.left, t.right) for t in cell)  # tuples: every caller shares them
             entry = _tables[n, s] = cell, rows, tuple(_box_rows(R, n) for R in rows), tuple(tuple(_rows(T, tuple)) for T in rows)
         if None in entry[2]:  # a tableau that is not standard: the validated pair of its first pair, in iter_pairs order, raises
-            [CorrespondencePair(t, r) for t in cell for r in cell]
+            _check_cell(cell)
             raise ValueError(f"cell {_shapes(n)[s].to_text()} of size {n} lists a tableau of size {cell[entry[2].index(None)].size}")
         yield entry
 

@@ -12,12 +12,15 @@ from hypothesis import given, settings
 from conftest import bipartitions, partitions, signed_words
 from exotic_rs import (
     Bipartition,
+    Bitableau,
+    CorrespondencePair,
     Partition,
     SignedPermutation,
     count_bitableaux,
     dimension_b,
     enumerate_bipartitions,
     enumerate_standard_bitableaux,
+    iter_pairs,
     partitions_of,
 )
 
@@ -60,8 +63,8 @@ class TestPartition:
 
 
 class TestUnchecked:
-    """``_Frozen._unchecked`` skips the constructor's checks and nothing else:
-    on a valid field its value is the validated constructor's."""
+    """``_Frozen._unchecked``, and the pair's two-field ``CorrespondencePair._unchecked``, skip the constructor's
+    checks and nothing else: on valid fields the value is the validated constructor's."""
 
     @staticmethod
     def assert_same(fast, checked):
@@ -81,6 +84,14 @@ class TestUnchecked:
     @settings(max_examples=50)
     def test_signed_permutations(self, w):
         self.assert_same(SignedPermutation._unchecked(w.letters), SignedPermutation(w.letters))
+
+    def test_empty_pair(self):
+        self.assert_same(CorrespondencePair._unchecked(Bitableau(), Bitableau()), CorrespondencePair())
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_pairs(self, n):
+        for pair in iter_pairs(n):
+            self.assert_same(CorrespondencePair._unchecked(pair.T, pair.R), CorrespondencePair(pair.T, pair.R))
 
 
 class TestBipartition:

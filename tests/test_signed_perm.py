@@ -103,6 +103,11 @@ class TestEnumeration:
             list(_signed_permutations(-1))
 
     @pytest.mark.parametrize("n", range(7))
+    def test_each_word_is_the_validated_word(self, n):
+        # The words are built unchecked, being valid by construction.
+        assert enumerate_signed_permutations(n) == [SignedPermutation(w) for w in _signed_permutations(n)]
+
+    @pytest.mark.parametrize("n", range(7))
     def test_stream_is_every_word_in_canonical_order(self, n):
         every_word = (
             SignedPermutation(tuple(m * s for m, s in zip(mags, signs)))

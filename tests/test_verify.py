@@ -461,6 +461,63 @@ class TestCells:
             assert all(insertion(w).shape == bp for w in cell)
 
 
+class TestPairEnumeration:
+    """iter_pairs checks each cell once, through its first tableau's pairs, and yields the cell's pairs unchecked:
+    the same values, in the same order, and the same refusals as one validated pair each."""
+
+    @staticmethod
+    def count_pair_checks(monkeypatch) -> list:
+        calls, check = [], correspondence.CorrespondencePair.__post_init__
+        monkeypatch.setattr(correspondence.CorrespondencePair, "__post_init__", lambda self: calls.append(self) or check(self))
+        return calls
+
+    @staticmethod
+    def with_bad_last_cell(monkeypatch, moved: bool) -> tuple:
+        """Patches the last cell of size 3, one tableau t, to list after t either t with 4 in place of 3 (the padded cell
+        of test_a_pair_no_word_reaches_is_not_passed) or the first cell's tableau, of another shape; returns that cell."""
+        real = verify._cells
+        (first, *_), *_, (t,) = real(3)
+        bump = lambda rows: tuple(tuple(x + (x == 3) for x in row) for row in rows)
+        bad = (t, Bitableau(bump(t.left), bump(t.right)) if moved else first)
+        monkeypatch.setattr(verify, "_cells", lambda n: [*list(real(n))[:-1], bad] if n == 3 else real(n))
+        return bad
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_each_pair_is_the_validated_pair_in_order(self, n):
+        assert list(iter_pairs(n)) == [CorrespondencePair(t, r) for cell in verify._cells(n) for t in cell for r in cell]
+
+    @pytest.mark.parametrize("n, tableaux", [(0, 1), (1, 2), (2, 6), (3, 20), (4, 76), (5, 312)])
+    def test_one_pair_check_per_tableau(self, monkeypatch, n, tableaux):
+        calls = self.count_pair_checks(monkeypatch)
+        pairs = list(iter_pairs(n))
+        assert len(calls) == tableaux == sum(map(len, verify._cells(n)))
+        assert len(pairs) == 2**n * math.factorial(n)
+
+    @pytest.mark.parametrize(
+        "moved, message",
+        [
+            (True, "R must be standard (entries exactly 1..3)"),
+            (False, "pair components must share one shape: mu=[];nu=[3] vs mu=[1,1,1];nu=[]"),
+        ],
+    )
+    def test_a_bad_cell_raises_the_first_pairs_error_before_yielding_any_of_its_pairs(self, monkeypatch, moved, message):
+        # The message is the one that the validated pair of the cell's first invalid pair, in row-major order, raises.
+        good = [CorrespondencePair(t, r) for cell in list(verify._cells(3))[:-1] for t in cell for r in cell]
+        self.with_bad_last_cell(monkeypatch, moved)
+        pairs = iter_pairs(3)
+        assert [next(pairs) for _ in good] == good  # the 47 pairs of the cells before the bad one, and no more
+        with pytest.raises(ValueError) as caught:
+            next(pairs)
+        assert str(caught.value) == message
+
+    def test_cell_tables_refuse_with_at_most_one_pair_per_tableau(self, monkeypatch):
+        bad = self.with_bad_last_cell(monkeypatch, moved=True)
+        calls = self.count_pair_checks(monkeypatch)
+        with pytest.raises(ValueError, match=r"^R must be standard \(entries exactly 1\.\.3\)$"):
+            list(verify._cell_tables(3))
+        assert 0 < len(calls) <= len(bad)
+
+
 # -- tables kept for the process ---------------------------------------------------
 #
 # verify._cell_tables keeps each cell's rows, box rows and states, its one table, for the
