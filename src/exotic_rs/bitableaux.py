@@ -13,7 +13,9 @@ a shared wall::
 Rows of each component are numbered 1, 2, ... downward.  Interleaving the
 two components by depth gives the *combined row numbering* used by the
 bumping algorithms: left row i is combined row 2i-1, right row i is 2i, so
-rows at equal depth put the right component below the left.
+rows at equal depth put the right component below the left.  The kernels of
+:mod:`.correspondence` count the same order from 0: their combined row 2i + c
+is row i of component c, counted from 0, with c = 0 left and 1 right.
 
 A :class:`Bitableau` is any filling by distinct positive integers that
 increases along rows (away from the wall) and down columns; entries need not

@@ -9,29 +9,30 @@ leaves the diagram during a removal cascade: its rule, stated at
 of a truncation.  The bumping algorithms are the ground truth it is checked
 against.
 
-Insertion, letter by letter (k = 1..n, s = |w_k|):
+Rows are numbered as the kernels number them, from 0: row i of component c
+(0 left, 1 right) is combined row m = 2i + c.  Insertion, letter by letter
+(k = 1..n, s = |w_k|):
 
 * a value x has at most one slot in each row: the column of the first entry
   larger than x (or the free box after the row's last entry), provided the
   row is the first of its component or the row above holds a smaller entry
   in that column;
-* unbarred s starts at the slot of the first left row;
+* unbarred s starts at the slot of combined row 0, the first left row;
 * barred s starts in the wall-adjacent column: on each side, at the first
   row whose wall entry is larger than s (or the new row below), taking the
   lower of the two in the combined row order;
 * placing s on an occupied slot displaces the larger entry, which is then
-  placed at its slot in the lowest of combined rows m+1, m, ..., 1 that has
-  one, where m is the combined row it was displaced from (left row 1 always
-  has one); a free slot ends the cascade and records k at the same spot in R.
+  placed at its slot in the lowest of combined rows m+1, m, ..., 0 that has
+  one, where m is the combined row it was displaced from (row 0 always has
+  one); a free slot ends the cascade and records k at the same spot in R.
 
 Reverse bumping undoes this: for k = n..1 it removes the box holding k in R,
 takes the entry s of T in that box, and walks s back up.  A row offers s at
 most one available box: its last entry smaller than s, provided the box
 below is absent or larger than s.  From combined row m, s moves to the
 available box in the highest of combined rows m-1, m, ... that has one,
-displacing the smaller entry found there; when the walk reaches combined
-row 1 the letter is emitted unbarred, and when no box is available it is
-emitted barred.
+displacing the smaller entry found there; from combined row 0 the letter
+is emitted unbarred, and when no box is available it is emitted barred.
 
 Each direction is one step on T kept as these rules read it, one list of
 combined rows, and names a box by its combined row: ``_place`` (one letter
@@ -178,12 +179,10 @@ class RemovalRecord(_Frozen):
 
 # -- the kernel ------------------------------------------------------------------
 #
-# Both directions run on one list ``z`` of combined rows, mutable, wall-outward:
-# z[2i + c] is row i of component c (0 left, 1 right); a box is named by its
-# combined row m = 2i + c and column j, all 0-based, and only the hop records,
-# the transition rule and the traces read it as (c, i).  A row that a component lacks
-# is empty, and z ends in exactly two empty rows past the last non-empty one, so
-# the rows m - 2, m and m + 2 that a probe reads are always there.
+# Both directions run on one list ``z`` of combined rows, mutable and wall-outward: z[2i + c] is row i of
+# component c, and a box is named by its combined row m = 2i + c and column j, all from 0; only the hop records,
+# the transition rule and the traces read it as (c, i).  A row that a component lacks is empty, and z ends in
+# exactly two empty rows past the last non-empty one, so the rows m - 2, m and m + 2 that a probe reads are there.
 
 _SIDES = (Side.LEFT, Side.RIGHT)
 
@@ -461,18 +460,19 @@ def second_decrement(bp: Bipartition, removal: FirstRemoval):
 
     ``bp`` is the shape of the truncation the moving value is leaving (its
     box included) and ``removal`` names that box's row.  The box must be a
-    corner: row ``row`` of ``side`` exists and the row below it is shorter
-    (or absent); otherwise ValueError is raised.  The answer is
-    TerminateUnbarred / TerminateBarred when the cascade emits the value as
-    a letter, or Continue(side, row): the next box to empty out, as a row of
-    the shape obtained from ``bp`` by the first removal.  The rule is
+    corner: ``side`` is a :class:`Side`, ``row`` an int, row ``row`` of ``side``
+    exists and the row below it is shorter (or absent); otherwise ValueError is
+    raised.  The answer is TerminateUnbarred / TerminateBarred when the cascade
+    emits the value as a letter, or Continue(side, row): the next box to empty
+    out, as a row of the shape obtained from ``bp`` by the first removal.  The rule is
     :func:`_classify`, which answers on every corner; should it give no
     answer, a :class:`ClassificationError` carrying (bp, removal) is raised.
     """
-    c, i = _SIDES.index(removal.side), removal.row - 1
+    named = removal.side in _SIDES and type(removal.row) is int  # exact: bool is rejected; row -1 stands for no row
+    c, i = (_SIDES.index(removal.side), removal.row - 1) if named else (0, -1)
     rows = (bp.mu, bp.nu)[c].parts + (0,)
     if not 0 <= i < len(rows) - 1 or rows[i + 1] >= rows[i]:
-        raise ValueError(f"({removal.side.value}, row {removal.row}) is not a removable corner of {bp}")
+        raise ValueError(f"{removal!r} is not a removable corner of {bp}")
     answer = _classify(bp.mu.parts, bp.nu.parts, c, i)
     if answer is None:
         raise ClassificationError(bp, removal)

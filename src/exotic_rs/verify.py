@@ -8,10 +8,11 @@ never by silently checking less.  The env variable ``EXOTIC_RS_MAX_N``
 (an integer) raises all budgets.  The pair verifiers and :func:`cells` run
 the kernels on the cached tableaux' rows, box rows (of n, n - 1, ..., 1) and
 states (tuples of combined rows), kept for the cell tuple they came from, and
-validate pairs only for failure records, or to refuse a listed tableau that is
-not standard; one of another size is refused by name.  :func:`iter_pairs` checks
-each cell once, through its first tableau's pairs, and the words of the sweeps are
-valid by construction.  Every sweep is in this module, which calls the kernels of
+validate pairs only for failure records.  The enumerated cells are checked in one
+place, :func:`_cell_tables`, once per cell as its table is built, which
+:func:`iter_pairs` reads too: a listed tableau that is not a standard tableau of
+its cell's shape is refused by name.  The words of the sweeps are valid by
+construction.  Every sweep is in this module, which calls the kernels of
 :mod:`.correspondence`; that module runs none.
 
 Roundtrip and transition descend once through the distinct states that
@@ -119,15 +120,8 @@ class Report(_Frozen):
 
 
 def iter_pairs(n: int) -> Iterator[CorrespondencePair]:
-    """All same-shape pairs of standard bitableaux with n boxes, shape by shape in canonical order, checked by cell."""
-    return (CorrespondencePair._unchecked(t, r) for cell in map(_check_cell, _cells(n)) for t in cell for r in cell)
-
-
-def _check_cell(cell: tuple[Bitableau, ...]) -> tuple[Bitableau, ...]:
-    """The cell, once row 0 of its pairs (its first tableau with each) is validated: any invalid pair puts one there."""
-    for t in cell:
-        CorrespondencePair(cell[0], t)
-    return cell
+    """All same-shape pairs of standard bitableaux with n boxes, shape by shape in canonical order, of the checked cells."""
+    return (CorrespondencePair._unchecked(t, r) for cell, _, _, _ in _cell_tables(n) for t in cell for r in cell)
 
 
 def _cells(n: int) -> Iterator[tuple[Bitableau, ...]]:
@@ -142,33 +136,27 @@ def _interned(memo: dict, z: _Rows) -> tuple[int, tuple]:
     return memo.setdefault(state := tuple(map(tuple, z)), (len(memo), state))
 
 
-def _box_rows(R: _Tableau, n: int) -> tuple[int, ...] | None:
-    """The combined rows (:func:`_boxes`) of the boxes of n, n - 1, ..., 1 in R; None unless R's entries are exactly
-    1..n.  Every caller passes a validated tableau or a kernel's R, whose entries are distinct, so n boxes with none
-    missing are exactly 1..n.  Rows increase, so tableaux with different rows differ in box rows."""
-    rows = tuple(map((boxes := _boxes(R)).get, range(n, 0, -1)))
-    return rows if len(boxes) == n and None not in rows else None
-
-
-def _cell_tables(n: int) -> Iterator[tuple[tuple[Bitableau, ...], tuple[_Tableau, ...], tuple[tuple[int, ...] | None, ...], tuple[tuple, ...]]]:
-    """Each shape cell of size n in canonical order, with its tableaux' rows, box rows (:func:`_box_rows`) and states: built
-    on first use and kept for the process, as they depend on the cell alone, but reused only for the very cell tuple."""
-    for s, cell in enumerate(_cells(n)):
+def _cell_tables(n: int) -> Iterator[tuple[tuple[Bitableau, ...], tuple[_Tableau, ...], tuple[tuple[int, ...], ...], tuple[tuple, ...]]]:
+    """Each shape cell of size n in canonical order, with its tableaux' rows, box rows (the combined rows of their boxes of
+    n, n - 1, ..., 1) and states, built on first use and kept for the process, but reused only for the very cell tuple.
+    The one check of the enumerated cells: a listed tableau whose row lengths are not the cell's shape, or whose box rows
+    miss an entry of 1..n, is refused by name; a Bitableau's entries are distinct and increase, so the rest are standard."""
+    for s, (bp, cell) in enumerate(zip(_shapes(n), _cells(n))):
         if (entry := _tables.get((n, s))) is None or entry[0] is not cell:
             rows = tuple((t.left, t.right) for t in cell)  # tuples: every caller shares them
-            entry = _tables[n, s] = cell, rows, tuple(_box_rows(R, n) for R in rows), tuple(tuple(_rows(T, tuple)) for T in rows)
-        if None in entry[2]:  # a tableau that is not standard: the validated pair of its first pair, in iter_pairs order, raises
-            _check_cell(cell)
-            raise ValueError(f"cell {_shapes(n)[s].to_text()} of size {n} lists a tableau of size {cell[entry[2].index(None)].size}")
+            box_rows = tuple(tuple(map(_boxes(R).get, range(n, 0, -1))) for R in rows)
+            for t, R, ms in zip(cell, rows, box_rows):
+                if (tuple(map(len, R[0])), tuple(map(len, R[1]))) != (bp.mu.parts, bp.nu.parts) or None in ms:
+                    raise ValueError(f"cell {bp.to_text()} of size {n} lists {t!r}, not a standard tableau of its shape")
+            entry = _tables[n, s] = cell, rows, box_rows, tuple(tuple(_rows(T, tuple)) for T in rows)
         yield entry
 
 
 def _descend(n: int, tables: list[tuple], answers: dict | None = None) -> int | None:
     """The downward pass of roundtrip, or, with ``answers`` (:func:`_disagreements`' memo), of transition: the hops of
     every listed T with every standard R, carried down with the paths (0 for roundtrip); None at the first move that
-    fails, or unless each cell is distinct standard tableaux of its shape, as many as :func:`count_bitableaux` gives."""
-    if not all(len(set(rows)) == len(rows) == count_bitableaux(bp) and {(*map(len, T[0]), None, *map(len, T[1])) for T in rows}
-               == {(*bp.mu.parts, None, *bp.nu.parts)} for bp, (_, rows, _, _) in zip(_shapes(n), tables)):  # read off the rows
+    fails, or unless each cell lists its (checked) tableaux once each, as many as :func:`count_bitableaux` gives."""
+    if not all(len(set(rows)) == len(rows) == count_bitableaux(bp) for bp, (_, rows, _, _) in zip(_shapes(n), tables)):
         return None
     level = {state: [1, 0] for _, _, _, states in tables for state in states}  # each state: [paths into it, their hops]
     for _ in range(n):
@@ -191,9 +179,9 @@ def _descend(n: int, tables: list[tuple], answers: dict | None = None) -> int | 
 
 def _walk(states: Sequence[tuple], boxes: Sequence[tuple[int, ...]], memo: dict) -> Iterator[list[tuple[int, ...]]]:
     """For each T, given by its state (:func:`_interned`), of same-shape tableaux in turn, the words of the pairs (T, R)
-    for the tableaux R with these :func:`_box_rows`, in their order.  R's depth-d node, the cascades of n, ..., n-d+1, is
-    fixed by its first d box rows, so an R shares with the one before it the nodes of their equal leading rows, all but the
-    leaf for a repeat.  Each node is a move of ``memo`` (:func:`_interned`), which the cells of a size share, keyed by
+    for the tableaux R with these box rows (:func:`_cell_tables`), in their order.  R's depth-d node, the cascades of n,
+    ..., n-d+1, is fixed by its first d box rows, so an R shares with the one before it the nodes of their equal leading
+    rows, all but the leaf for a repeat.  Each node is a move of ``memo`` (:func:`_interned`), which the cells of a size share, keyed by
     its parent's state and the row m of the box of n+1-d as sid * 2n + m."""
     n = sum(map(len, states[0]))
     shared = [0] + [next((d for d in range(n - 1) if a[d] != b[d]), max(n - 1, 0)) for a, b in zip(boxes, boxes[1:])]
@@ -318,8 +306,7 @@ def verify_wtilde(n: int) -> Report:
                 reduced[m] = reduced_matrix, reduced_matrix and reduced_matrix[i], letter
             for R, word, (m, dropped_matrix, j) in zip(rows, words, drops):
                 reduced_matrix, reduced_words, letter = reduced[m]
-                # A reduced pair of one listed cell reads its word off that cell's walk; any other goes by itself, and
-                # rows that are no standard pair raise in the validated pair.
+                # A reduced pair of one listed cell reads its word off that cell's walk; any other goes by itself.
                 reduced_word = reduced_words[j] if reduced_matrix is dropped_matrix is not None else \
                     reverse_bumping(bump_once(_pair(T, R))[0]).letters
                 wt, r2 = _w_tilde(word)
@@ -372,8 +359,8 @@ def cells(n: int) -> dict[Bipartition, list[SignedPermutation]]:
 def _group_by_shape(n: int, item: Callable[[tuple[int, ...], Bitableau, Bitableau], object]) -> dict[Bipartition, list]:
     """Insert each word of size n once and file ``item(letters, T, R)`` under
     the shape of its pair (T, R), in the order of :func:`cells`.  Each word steps through the call's memo
-    (:func:`_interned`) to T's state and R's :func:`_box_rows`, a move keyed by its prefix's state and its letter as
-    sid * (2n + 1) + letter."""
+    (:func:`_interned`) to T's state and R's box rows (:func:`_cell_tables`), a move keyed by its prefix's state and its
+    letter as sid * (2n + 1) + letter."""
     _check_budget(n, WORD_BUDGET, "cell decomposition")
     out, tables = {bp: [] for bp in _shapes(n)}, list(_cell_tables(n))  # a bucket for each cell
     found = {state: (bucket, t) for bucket, (cell, _, _, states) in zip(out.values(), tables) for state, t in zip(states, cell)}

@@ -186,36 +186,30 @@ class TestInsertion:
     def test_box_rows_tell_every_standard_tableau_apart(self):
         for n in range(7):
             tables = list(verify._cell_tables(n))
-            rows = [R for _, cell, _, _ in tables for R in cell]
-            box_rows = {verify._box_rows(R, n) for R in rows}
-            assert None not in box_rows and len(box_rows) == len(rows)
+            box_rows = [ms for _, _, cell_box_rows, _ in tables for ms in cell_box_rows]
+            assert len(set(box_rows)) == len(box_rows) == sum(len(cell) for cell, _, _, _ in tables)
             # Each state holds T's own row tuples, not copies: state[2i + c] is row i of component c.
             assert all(state[2 * i + c] is row for _, Ts, _, states in tables for T, state in zip(Ts, states)
                        for c, side in enumerate(T) for i, row in enumerate(side))
-        # A listed tableau that is not standard has no box rows, so no word's R matches it: here the last size-3
-        # cell's first tableau with 4 in place of 3, as in TestRoundtripByCounting.
-        moved = lambda rows: tuple(tuple(x + (x == 3) for x in row) for row in rows)
-        t = list(verify._cells(3))[-1][0]
-        assert verify._box_rows((moved(t.left), moved(t.right)), 3) is None
 
     @pytest.mark.parametrize("n", range(7))
-    def test_box_rows_are_the_sorted_boxes(self, n):
-        def reference(R, n):  # the definition by sorting R's entries that _box_rows replaced
+    def test_box_rows_are_the_sorted_boxes(self, n, monkeypatch):
+        def reference(R, n):  # the definition by sorting R's entries that the tables' box rows replaced
             boxes = sorted(((x, 2 * i + c) for c, rows in enumerate(R) for i, row in enumerate(rows) for x in row), reverse=True)
             return tuple(m for _, m in boxes) if [x for x, _ in boxes] == list(range(n, 0, -1)) else None
 
-        moved = lambda rows, k: tuple(tuple(n + 1 if x == k else x for x in row) for row in rows)
-        for cell in verify._cells(n):
-            for t in cell:
-                R = t.left, t.right
-                assert verify._box_rows(R, n) == reference(R, n) is not None
-                # Read as size n + 1, R is one short; read as size n - 1, one too many; and each entry moved past n.
-                assert verify._box_rows(R, n + 1) is reference(R, n + 1) is None
-                if n:
-                    assert verify._box_rows(R, n - 1) is reference(R, n - 1) is None
-                for k in range(1, n + 1):
-                    R = moved(t.left, k), moved(t.right, k)
-                    assert verify._box_rows(R, n) is reference(R, n) is None
+        for _, rows, box_rows, _ in verify._cell_tables(n):
+            assert list(box_rows) == [reference(R, n) for R in rows] and None not in box_rows
+        # A cell that lists after its tableaux its first one with n + 1 in place of n: the reference gives that tableau
+        # no box rows, and the table is refused (as in test_verify.TestCellCheck).
+        real = list(verify._cells(n))
+        for s, cell in enumerate(real if n else ()):
+            t = cell[0]
+            moved = Bitableau(*(tuple(tuple(x + (x == n) for x in row) for row in rows) for rows in (t.left, t.right)))
+            assert reference((moved.left, moved.right), n) is None
+            monkeypatch.setattr(verify, "_cells", lambda _, bad=[*real[:s], (*cell, moved), *real[s + 1:]]: bad)
+            with pytest.raises(ValueError, match=r"not a standard tableau of its shape$"):
+                list(verify._cell_tables(n))
 
 
 class TestReverseBumping:

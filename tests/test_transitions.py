@@ -90,11 +90,17 @@ class TestValidation:
             ((2, 2), (), Side.LEFT, 1),   # row 1 is not a corner
             ((), (1,), Side.LEFT, 1),     # empty component
             ((1,), (), Side.LEFT, 2),     # beyond the shape
+            ((1,), (), "left", 1),        # a side that is no Side
+            ((1,), (), Side.LEFT, True),  # a bool row, rejected as everywhere in the package
+            ((1,), (), Side.LEFT, 1.0),   # a row that is no int
         ],
     )
     def test_non_corners_are_rejected(self, mu, nu, side, row):
-        with pytest.raises(ValueError, match="not a removable corner"):
-            second_decrement(_bp(mu, nu), FirstRemoval(side, row))
+        # The message names the removal by its repr, which reads a side that is no Side as it is.
+        removal = FirstRemoval(side, row)
+        with pytest.raises(ValueError) as caught:
+            second_decrement(_bp(mu, nu), removal)
+        assert str(caught.value) == f"{removal!r} is not a removable corner of {_bp(mu, nu)}"
 
     def test_only_corners_are_accepted(self):
         cases = 0

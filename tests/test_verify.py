@@ -267,36 +267,6 @@ class TestRoundtripByCounting:
         assert report.ok
         assert report.checked == 768
 
-    @pytest.mark.parametrize("verifier", [verify_roundtrip, verify_inverse, verify_transition, verify_wtilde, cells])
-    def test_a_pair_no_word_reaches_is_not_passed(self, monkeypatch, verifier):
-        # The last cell of each size lists one more tableau: its first one with n + 1 in place of n.
-        real = verify._cells
-
-        def padded(n):
-            *cells, last = real(n)
-            t = last[0]
-            moved = lambda rows: tuple(tuple(x + (x == n) for x in row) for row in rows)
-            return [*cells, (*last, Bitableau(moved(t.left), moved(t.right)))]
-
-        monkeypatch.setattr(verify, "_cells", padded)
-        # The extra tableau has no box rows, so no word reaches a pair that holds it: the validated pair of the
-        # first such pair refuses it before a walk or the pass reads the missing box rows.
-        with pytest.raises(ValueError, match="must be standard"):
-            verifier(3)
-        # The last cell of size 3 lists the last standard tableau of size 2 instead: its pairs are valid, but it has no
-        # box rows of size 3, so the cell is refused as one of another size.
-        smaller = list(real(2))[-1][-1]
-        monkeypatch.setattr(verify, "_cells", lambda n: [*list(real(n))[:-1], (smaller,)] if n == 3 else real(n))
-        with pytest.raises(ValueError, match=r"^cell mu=\[\];nu=\[3\] of size 3 lists a tableau of size 2$"):
-            verifier(3)
-
-    def test_words_that_land_outside_the_enumeration_fail(self, monkeypatch):
-        # The last cell of size 3, one tableau, lists the first cell's one tableau instead.  There are as many
-        # pairs as words and each pair comes back, but the word of the pair that is missing lands outside.
-        real = verify._cells
-        monkeypatch.setattr(verify, "_cells", lambda n: [*(cells := list(real(n)))[:-1], cells[0]])
-        assert verify_roundtrip(3).failures == ({"word": "-3 -2 -1", "came_back_as": "-3 -2 -1", "reason": "pair outside the enumeration"},)
-
 
 class TestDownwardPass:
     """Roundtrip and transition certified by one pass down the distinct states that removal reaches."""
@@ -325,16 +295,15 @@ class TestDownwardPass:
         monkeypatch.setattr(partitions, "_hook_count", lambda parts: 3 if parts == (2, 1) else real(parts))
         assert verify_transition(4) == Report("transition", 4, 2004)
 
-    @pytest.mark.parametrize("change", ["repeat", "drop", "swap"])
+    @pytest.mark.parametrize("change", ["repeat", "drop"])
     def test_a_cell_that_is_not_exactly_its_shape_is_not_certified(self, change):
-        # The pass takes the cells as its premise, so it certifies nothing when one of size 4 repeats a tableau, lacks
-        # one, or lists one of another shape in place of its own; the verifiers then check every pair flat.
+        # The pass takes the checked cells (TestCellCheck) as its premise, so it certifies nothing when one of size 4
+        # repeats a tableau or lacks one; the verifiers then check every pair flat.
         tables = list(verify._cell_tables(4))
         assert verify._descend(4, tables) == 0 and verify._descend(4, tables, {}) == 2004
         s = next(s for s, (_, rows, _, _) in enumerate(tables) if len(rows) > 1)
-        other = tables[s + 1]
-        edit = {"repeat": lambda seq, o: (seq[0], *seq[:-1]), "drop": lambda seq, o: seq[1:], "swap": lambda seq, o: (o[0], *seq[1:])}[change]
-        tables[s] = tuple(edit(seq, o) for seq, o in zip(tables[s], other))
+        edit = {"repeat": lambda seq: (seq[0], *seq[:-1]), "drop": lambda seq: seq[1:]}[change]
+        tables[s] = tuple(map(edit, tables[s]))
         assert verify._descend(4, tables) is None and verify._descend(4, tables, {}) is None
 
 
@@ -462,25 +431,8 @@ class TestCells:
 
 
 class TestPairEnumeration:
-    """iter_pairs checks each cell once, through its first tableau's pairs, and yields the cell's pairs unchecked:
-    the same values, in the same order, and the same refusals as one validated pair each."""
-
-    @staticmethod
-    def count_pair_checks(monkeypatch) -> list:
-        calls, check = [], correspondence.CorrespondencePair.__post_init__
-        monkeypatch.setattr(correspondence.CorrespondencePair, "__post_init__", lambda self: calls.append(self) or check(self))
-        return calls
-
-    @staticmethod
-    def with_bad_last_cell(monkeypatch, moved: bool) -> tuple:
-        """Patches the last cell of size 3, one tableau t, to list after t either t with 4 in place of 3 (the padded cell
-        of test_a_pair_no_word_reaches_is_not_passed) or the first cell's tableau, of another shape; returns that cell."""
-        real = verify._cells
-        (first, *_), *_, (t,) = real(3)
-        bump = lambda rows: tuple(tuple(x + (x == 3) for x in row) for row in rows)
-        bad = (t, Bitableau(bump(t.left), bump(t.right)) if moved else first)
-        monkeypatch.setattr(verify, "_cells", lambda n: [*list(real(n))[:-1], bad] if n == 3 else real(n))
-        return bad
+    """iter_pairs yields the pairs of the cells that verify._cell_tables checks, once per tableau as its table is built
+    (TestCellCheck), unchecked: the same values, in the same order, as one validated pair each."""
 
     @pytest.mark.parametrize("n", range(6))
     def test_each_pair_is_the_validated_pair_in_order(self, n):
@@ -488,34 +440,52 @@ class TestPairEnumeration:
 
     @pytest.mark.parametrize("n, tableaux", [(0, 1), (1, 2), (2, 6), (3, 20), (4, 76), (5, 312)])
     def test_one_pair_check_per_tableau(self, monkeypatch, n, tableaux):
-        calls = self.count_pair_checks(monkeypatch)
+        # The pairs' check is the cell check: from cold tables, one reading of each tableau's boxes, and no validated pair.
+        monkeypatch.setattr(verify, "_tables", {})
+        read, boxes = [], verify._boxes
+        monkeypatch.setattr(verify, "_boxes", lambda R: read.append(R) or boxes(R))
+        monkeypatch.setattr(correspondence.CorrespondencePair, "__post_init__", lambda self: pytest.fail("a pair was checked"))
         pairs = list(iter_pairs(n))
-        assert len(calls) == tableaux == sum(map(len, verify._cells(n)))
+        assert len(read) == tableaux == sum(map(len, verify._cells(n)))
         assert len(pairs) == 2**n * math.factorial(n)
 
-    @pytest.mark.parametrize(
-        "moved, message",
-        [
-            (True, "R must be standard (entries exactly 1..3)"),
-            (False, "pair components must share one shape: mu=[];nu=[3] vs mu=[1,1,1];nu=[]"),
-        ],
-    )
-    def test_a_bad_cell_raises_the_first_pairs_error_before_yielding_any_of_its_pairs(self, monkeypatch, moved, message):
-        # The message is the one that the validated pair of the cell's first invalid pair, in row-major order, raises.
-        good = [CorrespondencePair(t, r) for cell in list(verify._cells(3))[:-1] for t in cell for r in cell]
-        self.with_bad_last_cell(monkeypatch, moved)
-        pairs = iter_pairs(3)
-        assert [next(pairs) for _ in good] == good  # the 47 pairs of the cells before the bad one, and no more
-        with pytest.raises(ValueError) as caught:
-            next(pairs)
-        assert str(caught.value) == message
 
-    def test_cell_tables_refuse_with_at_most_one_pair_per_tableau(self, monkeypatch):
-        bad = self.with_bad_last_cell(monkeypatch, moved=True)
-        calls = self.count_pair_checks(monkeypatch)
-        with pytest.raises(ValueError, match=r"^R must be standard \(entries exactly 1\.\.3\)$"):
-            list(verify._cell_tables(3))
-        assert 0 < len(calls) <= len(bad)
+class TestCellCheck:
+    """The one check of the enumerated cells, made where verify._cell_tables builds a cell's table.  The last cell of
+    size 3, mu=[];nu=[3] with one tableau t, is patched four ways; every consumer of the cells raises one ValueError that
+    names the cell and the refused tableau, and none yields a pair of that cell or gives a report."""
+
+    @staticmethod
+    def bad_cell(kind: str) -> tuple[tuple, Bitableau]:
+        """The patched cell and the tableau it is refused for."""
+        (first, *_), *_, (t,) = verify._cells(3)
+        padded = Bitableau(*(tuple(tuple(x + (x == 3) for x in row) for row in rows) for rows in (t.left, t.right)))
+        smaller = list(verify._cells(2))[-1][-1]
+        return {"other_shape": ((t, first), first),  # a tableau of another shape of the same size
+                "replaced": ((first,), first),  # the first cell's tableau in place of t
+                "padded": ((t, padded), padded),  # t with 4 in place of 3: no box of 3
+                "smaller": ((smaller,), smaller)}[kind]  # a standard tableau of size 2
+
+    @pytest.mark.parametrize("consumer", ["iter_pairs", "cells", "table", "roundtrip", "inverse", "transition", "wtilde"])
+    @pytest.mark.parametrize("kind", ["other_shape", "replaced", "padded", "smaller"])
+    def test_a_bad_cell_is_refused_before_any_of_its_pairs(self, monkeypatch, capsys, kind, consumer):
+        good = [CorrespondencePair(t, r) for cell in list(verify._cells(3))[:-1] for t in cell for r in cell]
+        real = verify._cells
+        cell, refused = self.bad_cell(kind)
+        monkeypatch.setattr(verify, "_cells", lambda n: [*list(real(n))[:-1], cell] if n == 3 else real(n))
+        message = f"cell mu=[];nu=[3] of size 3 lists {refused!r}, not a standard tableau of its shape"
+        if consumer == "table":
+            assert cli.run(["table", "3"]) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+            return
+        with pytest.raises(ValueError) as caught:
+            if consumer == "iter_pairs":
+                pairs = iter_pairs(3)
+                assert [next(pairs) for _ in good] == good  # the 47 pairs of the cells before the bad one
+                next(pairs)
+            else:
+                (cells if consumer == "cells" else verify.VERIFIERS[consumer])(3)
+        assert str(caught.value) == message
 
 
 # -- tables kept for the process ---------------------------------------------------
@@ -578,8 +548,8 @@ class TestTablesHideNoFault:
     def test_each_cell_is_built_once_and_every_call_walks_its_own_cascades(self, monkeypatch):
         monkeypatch.setattr(verify, "_tables", {})
         coded, walks = [], []
-        real_box_rows, real_remove = verify._box_rows, correspondence._remove
-        monkeypatch.setattr(verify, "_box_rows", lambda R, n: coded.append(R) or real_box_rows(R, n))
+        real_boxes, real_remove = verify._boxes, correspondence._remove
+        monkeypatch.setattr(verify, "_boxes", lambda R: coded.append(R) or real_boxes(R))
         monkeypatch.setattr(correspondence, "_remove", lambda *args: walks.append(None) or real_remove(*args))
         per_round = []
         for _ in range(2):
