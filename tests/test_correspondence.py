@@ -171,7 +171,7 @@ class TestInsertion:
         assert digest.hexdigest() == "7dd98aba0914759214c1cd830c1d948d0c6c243c37ff7d0abfadc0f85947ea9a"
 
     @pytest.mark.parametrize("n", range(6))
-    def test_insertion_tree_inserts_every_word_in_canonical_order(self, n):
+    def test_word_sweep_files_every_word_in_canonical_order(self, n):
         # The words of the memoized word sweep in verify._group_by_shape against the flat insertion of each: n = 0
         # files the empty word.  Each word is filed with the T and R of its flat pair, under their shape, each cell
         # lists its words in canonical order, and the cells hold every word once.

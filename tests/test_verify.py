@@ -212,7 +212,7 @@ class TestVerifiers:
         # one per (pair, k) and one per (distinct reduced pair, k), 384 * 4 + 48 * 3 = 1680.
         assert len(walks) == 360 + 160 + 66 == 586
 
-    def test_word_sweep_places_each_prefix_once(self, monkeypatch):
+    def test_downward_pass_places_each_distinct_move_once(self, monkeypatch):
         places = []
         real = correspondence._place
         monkeypatch.setattr(correspondence, "_place", lambda *args: places.append(args[1]) or real(*args))
