@@ -44,6 +44,10 @@ class Position(_Frozen):
         self.__post_init__()
 
     def __post_init__(self) -> None:
+        if not isinstance(self.side, Side):
+            raise ValueError(f"position side must be a Side, got {self.side!r}")
+        if type(self.row) is not int or type(self.col) is not int:  # exact: bool is rejected
+            raise ValueError(f"position row/col must be integers, got row={self.row!r}, col={self.col!r}")
         if self.row < 1 or self.col < 1:
             raise ValueError(f"position row/col must be >= 1: {self!r}")
 

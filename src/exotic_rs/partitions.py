@@ -114,6 +114,8 @@ class Bipartition(_Frozen):
     def __init__(self, mu: Partition = Partition(), nu: Partition = Partition()) -> None:
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "nu", nu)
+        if not (isinstance(mu, Partition) and isinstance(nu, Partition)):
+            raise ValueError(f"bipartition components must be partitions, got mu={mu!r}, nu={nu!r}")
 
     @property
     def lam(self) -> Partition:

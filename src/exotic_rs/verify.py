@@ -83,6 +83,8 @@ def _limit(default: int) -> int:
 
 
 def _check_budget(n: int, default: int, what: str) -> None:
+    if type(n) is not int:  # exact: bool is rejected
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     limit = _limit(default)

@@ -65,8 +65,23 @@ def is_bitableau(left, right) -> bool:
 
 class TestRowNumbering:
     def test_rejects_nonpositive_rows(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=whole("position row/col must be >= 1: (left r1 c0)")):
             Position(Side.LEFT, 1, 0)
+
+    @pytest.mark.parametrize(
+        "side, row, col, message",
+        [
+            ("left", 1, 1, "position side must be a Side, got 'left'"),
+            (Side.LEFT, True, 1, "position row/col must be integers, got row=True, col=1"),
+            (Side.RIGHT, 1, True, "position row/col must be integers, got row=1, col=True"),
+            (Side.LEFT, 1, 1.5, "position row/col must be integers, got row=1, col=1.5"),
+            (Side.LEFT, 2.0, 1, "position row/col must be integers, got row=2.0, col=1"),
+        ],
+        ids=["str-side", "bool-row", "bool-col", "float-col", "float-row"],
+    )
+    def test_malformed_fields_are_refused_where_built(self, side, row, col, message):
+        with pytest.raises(ValueError, match=whole(message)):
+            Position(side, row, col)
 
     def test_position_repr_is_compact(self):
         assert repr(Position(Side.LEFT, 2, 1)) == "(left r2 c1)"

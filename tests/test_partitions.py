@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import math
 import pickle
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -118,6 +119,21 @@ class TestBipartition:
     )
     def test_text_round_trip(self, bp, text):
         assert bp.to_text() == text
+
+    @pytest.mark.parametrize(
+        "mu, nu, shown",
+        [
+            ((2, 1), (1,), "mu=(2, 1), nu=(1,)"),
+            (Partition((2, 1)), (1,), "mu=Partition(parts=(2, 1)), nu=(1,)"),
+            ((), Partition(), "mu=(), nu=Partition(parts=())"),
+        ],
+        ids=["tuples", "tuple-nu", "tuple-mu"],
+    )
+    def test_components_that_are_not_partitions_are_refused_where_built(self, mu, nu, shown):
+        # Accepted, such a shape would fail later, far from its cause: count_bitableaux and
+        # enumerate_standard_bitableaux would raise AttributeError on the tuple.
+        with pytest.raises(ValueError, match=rf"\Abipartition components must be partitions, got {re.escape(shown)}\Z"):
+            Bipartition(mu, nu)
 
 
 class TestDimension:

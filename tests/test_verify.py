@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -169,6 +170,20 @@ class TestVerifiers:
         monkeypatch.setattr(verify, "is_mirror_symmetric", lambda sigma: sigma != (1, 4, 2, 5, 3, 6) and real(sigma))
         record = {"word": "2 -1 3", "image": [1, 4, 2, 5, 3, 6], "reason": "mirror condition"}
         assert verify_embedding(3) == Report("embedding", 3, 48, (record,))
+
+    def test_an_image_off_the_mirror_that_decodes_fails_both_inverse_checks(self, monkeypatch):
+        # The image of 2 -1 3 with its last two entries swapped: sigma(1..3) is unchanged, so it still decodes and the
+        # sweep makes one pass, but it is off the mirror.  Its word and -2 1 3, the word's inverse, each compare their
+        # inverse's image with the inverse of their own, and one side of each comparison is the swapped image.  A check
+        # that reads only sigma(1..n) of the inverse image would miss -2 1 3.
+        real, swapped = verify._iota_embed, (1, 4, 2, 5, 6, 3)
+        monkeypatch.setattr(verify, "_iota_embed", lambda letters: swapped if letters == (2, -1, 3) else real(letters))
+        assert real((2, -1, 3)) == (1, 4, 2, 5, 3, 6)
+        assert verify_embedding(3) == Report("embedding", 3, 48, (
+            {"word": "2 -1 3", "image": list(swapped), "reason": "mirror condition"},
+            {"word": "2 -1 3", "reason": "inverse not respected"},
+            {"word": "-2 1 3", "reason": "inverse not respected"},
+        ))
 
     def test_transition_builds_no_step_objects_on_passing_steps(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -412,6 +427,15 @@ class TestBudgets:
     def test_negative_sizes_are_rejected(self):
         with pytest.raises(ValueError):
             verify_roundtrip(-1)
+
+    @pytest.mark.parametrize("n", [True, False, 1.5, 2.0, "3"], ids=repr)
+    def test_sizes_are_exact_integers(self, n):
+        # Unrefused, a bool would reach the report as "n": true, and a float would raise TypeError from range.
+        for prop in ("roundtrip", "inverse", "counting", "transition", "wtilde", "embedding"):
+            with pytest.raises(ValueError, match=rf"\An must be an integer, got {re.escape(repr(n))}\Z"):
+                run_verifier(prop, n)
+        with pytest.raises(ValueError, match=rf"\An must be an integer, got {re.escape(repr(n))}\Z"):
+            cells(n)
 
 
 class TestCells:
