@@ -26,6 +26,8 @@ is then one-to-one from the 2^n * n! pairs to the words (each entry of T leaves
 once), so onto, and each word w = reverse_bumping(p) has insertion(w) = p.
 Transition classifies each move's hops once, counted for each path through the
 move.  A failing move or an inexact cell falls back to the flat evaluation.
+Embedding, too, certifies in a pass that embeds each word once and keeps no
+image, and runs its exact pass, which keeps every image, only when that fails.
 
 The word sweep of :func:`cells` (:func:`_group_by_shape`) and the walks of
 inverse and wtilde (:func:`_walk`) run each insertion or removal step once per
@@ -206,6 +208,8 @@ def _walk(states: Sequence[tuple], boxes: Sequence[tuple[int, ...]], memo: dict)
 def verify_golden_n3(n: int = 3) -> Report:
     """Both directions of the frozen n=3 table: insertion(word) = pair and
     reverse_bumping(pair) = word for each of the 48 rows."""
+    if type(n) is not int:  # exact: bool and 3.0 are rejected
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n != 3:
         raise ValueError("the golden table is fixed at n=3")
     failures = []
@@ -275,7 +279,7 @@ def verify_counting(n: int) -> Report:
 
 
 def verify_transition(n: int) -> Report:
-    """Every cascade step of every removal agrees with second_decrement's rule; failures in (R, k, hop) order."""
+    """Every cascade step of every removal agrees with second_decrement's rule; failures by pair (T, then R), k = n..1, hop."""
     _check_budget(n, PAIR_BUDGET, "transition verification")
     tables, answers = list(_cell_tables(n)), {}
     if (checked := _descend(n, tables, answers)) is not None:
@@ -320,27 +324,30 @@ def verify_wtilde(n: int) -> Report:
 
 
 def verify_embedding(n: int) -> Report:
-    """The embedding into the symmetric group on 2n letters: mirror image condition, injectivity, and
-    compatibility with inverses.  Injectivity holds when :func:`_decode` gives every word back, which keeps no
-    image; from the first word that it does not, the sweep starts over and keeps every image to look up."""
+    """The embedding into the symmetric group on 2n letters: mirror image condition, injectivity, and compatibility with
+    inverses.  A certificate embeds each word w once and keeps nothing: its image sigma must be mirror symmetric, decode
+    to w and have an inverse that decodes to w^-1.  :func:`_decode` maps sigma(1..n) one-to-one and a mirror-symmetric
+    sigma is fixed by sigma(1..n), so the first two checks make sigma a permutation (before :func:`permutation_inverse`
+    sees it) and the embedding's value at w, and no two words share an image; the inverse of a mirror-symmetric
+    permutation is mirror symmetric, so the third makes sigma^-1 the image of w^-1, which w^-1's own turn certified.  So
+    a passing certificate means that the exact pass would record nothing; only on a failure does that pass run, keeping
+    every image.  :func:`_decode`, :func:`is_mirror_symmetric` and :func:`permutation_inverse` are trusted."""
     _check_budget(n, WORD_BUDGET, "embedding verification")
-    for seen in (None, {}):
-        failures, checked = [], 0
-        for w in _signed_permutations(n):
-            sigma = _iota_embed(w)
-            checked += 1
-            if not is_mirror_symmetric(sigma):
-                failures.append({"word": _text(w), "image": list(sigma), "reason": "mirror condition"})
-            if seen is None:
-                if _decode(sigma) != w:
-                    break
-            elif (earlier := seen.setdefault(sigma, w)) is not w:
-                failures.append({"word": _text(w), "collides_with": _text(earlier)})
-                seen[sigma] = w
-            if _iota_embed(_inverse(w)) != permutation_inverse(sigma):
-                failures.append({"word": _text(w), "reason": "inverse not respected"})
-        else:
-            return Report("embedding", n, checked, tuple(failures))
+    total = 2**n * math.factorial(n)
+    if all(is_mirror_symmetric(sigma := _iota_embed(w)) and _decode(sigma) == w
+           and _decode(permutation_inverse(sigma)) == _inverse(w) for w in _signed_permutations(n)):
+        return Report("embedding", n, total)
+    failures, seen = [], {}
+    for w in _signed_permutations(n):
+        sigma = _iota_embed(w)
+        if not is_mirror_symmetric(sigma):
+            failures.append({"word": _text(w), "image": list(sigma), "reason": "mirror condition"})
+        if (earlier := seen.setdefault(sigma, w)) is not w:
+            failures.append({"word": _text(w), "collides_with": _text(earlier)})
+            seen[sigma] = w
+        if _iota_embed(_inverse(w)) != permutation_inverse(sigma):
+            failures.append({"word": _text(w), "reason": "inverse not respected"})
+    return Report("embedding", n, total, tuple(failures))
 
 
 def _decode(images: tuple[int, ...]) -> tuple[int, ...]:

@@ -156,8 +156,8 @@ class TestVerifiers:
 
     def test_an_image_that_does_not_decode_is_looked_up_among_the_images(self, monkeypatch):
         # Each image written backwards is sigma composed with i -> 2n + 1 - i, which commutes with sigma: still
-        # one-to-one, mirror symmetric and compatible with inverses.  It does not decode, so the sweep starts over
-        # after the first word and keeps every image, and it finds no collision.
+        # one-to-one, mirror symmetric and compatible with inverses.  It does not decode, so the certificate fails at the
+        # first word and the exact pass keeps every image, decodes none, and finds no collision.
         real, decode, decoded = verify._iota_embed, verify._decode, []
         monkeypatch.setattr(verify, "_iota_embed", lambda letters: real(letters)[::-1])
         monkeypatch.setattr(verify, "_decode", lambda images: decoded.append(images) or decode(images))
@@ -165,17 +165,17 @@ class TestVerifiers:
         assert decoded == [(6, 5, 4, 3, 2, 1)]
 
     def test_an_image_off_the_mirror_fails_the_mirror_condition(self, monkeypatch):
-        # The image of 2 -1 3 is declared not mirror symmetric; it still decodes, so the sweep makes one pass.
+        # The image of 2 -1 3 is declared not mirror symmetric, so the certificate fails; the exact pass names that word.
         real = verify.is_mirror_symmetric
         monkeypatch.setattr(verify, "is_mirror_symmetric", lambda sigma: sigma != (1, 4, 2, 5, 3, 6) and real(sigma))
         record = {"word": "2 -1 3", "image": [1, 4, 2, 5, 3, 6], "reason": "mirror condition"}
         assert verify_embedding(3) == Report("embedding", 3, 48, (record,))
 
     def test_an_image_off_the_mirror_that_decodes_fails_both_inverse_checks(self, monkeypatch):
-        # The image of 2 -1 3 with its last two entries swapped: sigma(1..3) is unchanged, so it still decodes and the
-        # sweep makes one pass, but it is off the mirror.  Its word and -2 1 3, the word's inverse, each compare their
-        # inverse's image with the inverse of their own, and one side of each comparison is the swapped image.  A check
-        # that reads only sigma(1..n) of the inverse image would miss -2 1 3.
+        # The image of 2 -1 3 with its last two entries swapped: sigma(1..3) is unchanged, so it still decodes, but it
+        # is off the mirror, so the certificate fails and the exact pass runs.  Its word and -2 1 3, the word's inverse,
+        # each compare their inverse's image with the inverse of their own, and one side of each comparison is the
+        # swapped image.  A check that reads only sigma(1..n) of the inverse image would miss -2 1 3.
         real, swapped = verify._iota_embed, (1, 4, 2, 5, 6, 3)
         monkeypatch.setattr(verify, "_iota_embed", lambda letters: swapped if letters == (2, -1, 3) else real(letters))
         assert real((2, -1, 3)) == (1, 4, 2, 5, 3, 6)
@@ -184,6 +184,45 @@ class TestVerifiers:
             {"word": "2 -1 3", "reason": "inverse not respected"},
             {"word": "-2 1 3", "reason": "inverse not respected"},
         ))
+
+    def test_a_passing_embedding_sweep_embeds_each_word_once(self, monkeypatch):
+        calls, real = [], verify._iota_embed
+        monkeypatch.setattr(verify, "_iota_embed", lambda letters: calls.append(letters) or real(letters))
+        assert verify_embedding(5).ok
+        assert len(calls) == 3840 and calls == [w.letters for w in enumerate_signed_permutations(5)]
+
+    @pytest.mark.parametrize(
+        "image, inverse",
+        [
+            ("swap_last_two", False),
+            ("image_of_identity", False),
+            ("reversed", False),
+            (None, True),
+            # Both at once: the image decodes to 1 2 3 and its inverse to the faulty inverse, so only the decoding of
+            # the image itself tells the certificate that the word is wrong.
+            ("image_of_identity", True),
+        ],
+    )
+    def test_the_embedding_certificate_hides_no_failure(self, monkeypatch, image, inverse):
+        # A fault at one word of size 3, for each of the 48 words: its image is changed, or its inverse is replaced by
+        # the inverse of 1 2 3, or both.  The report is the direct evaluation's.  A fault that puts 1 2 3's image or
+        # inverse in place of its own changes nothing at 1 2 3; every other case fails.
+        real_embed, real_inverse, identity = verify._iota_embed, verify._inverse, (1, 2, 3)
+        change = {"swap_last_two": lambda sigma: (*sigma[:-2], sigma[-1], sigma[-2]),
+                  "image_of_identity": lambda sigma: real_embed(identity),
+                  "reversed": lambda sigma: sigma[::-1],
+                  None: lambda sigma: sigma}[image]
+        failing = 0
+        for w in enumerate_signed_permutations(3):
+            with monkeypatch.context() as patch:
+                patch.setattr(verify, "_iota_embed",
+                              lambda letters: change(real_embed(letters)) if letters == w.letters else real_embed(letters))
+                if inverse:
+                    patch.setattr(verify, "_inverse", lambda letters: identity if letters == w.letters else real_inverse(letters))
+                report = verify_embedding(3)
+                assert report == direct_embedding(3), w.to_text()
+                failing += not report.ok
+        assert failing == (47 if image == "image_of_identity" or inverse else 48)
 
     def test_transition_builds_no_step_objects_on_passing_steps(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -430,8 +469,9 @@ class TestBudgets:
 
     @pytest.mark.parametrize("n", [True, False, 1.5, 2.0, "3"], ids=repr)
     def test_sizes_are_exact_integers(self, n):
-        # Unrefused, a bool would reach the report as "n": true, and a float would raise TypeError from range.
-        for prop in ("roundtrip", "inverse", "counting", "transition", "wtilde", "embedding"):
+        # Unrefused, a bool would reach the report as "n": true, and a float would raise TypeError from range; golden
+        # would check its n = 3 table for 3.0 and report "n": 3.
+        for prop in ("golden", "roundtrip", "inverse", "counting", "transition", "wtilde", "embedding"):
             with pytest.raises(ValueError, match=rf"\An must be an integer, got {re.escape(repr(n))}\Z"):
                 run_verifier(prop, n)
         with pytest.raises(ValueError, match=rf"\An must be an integer, got {re.escape(repr(n))}\Z"):
@@ -660,6 +700,21 @@ def direct_wtilde(n):
                 }
             )
     return checked, failures
+
+
+def direct_embedding(n):
+    # Every image kept, each inverse embedded again; through verify's names, so that a patch there reaches this too.
+    failures, images = [], {}
+    for w in enumerate_signed_permutations(n):
+        sigma = verify._iota_embed(w.letters)
+        if not verify.is_mirror_symmetric(sigma):
+            failures.append({"word": w.to_text(), "image": list(sigma), "reason": "mirror condition"})
+        if sigma in images:
+            failures.append({"word": w.to_text(), "collides_with": images[sigma].to_text()})
+        images[sigma] = w
+        if verify._iota_embed(verify._inverse(w.letters)) != verify.permutation_inverse(sigma):
+            failures.append({"word": w.to_text(), "reason": "inverse not respected"})
+    return Report("embedding", n, 2**n * math.factorial(n), tuple(failures))
 
 
 MEMOIZED_AND_DIRECT = [
