@@ -32,6 +32,13 @@ from exotic_rs.cli import _size
 from exotic_rs.verify import _limit
 
 
+def _max_n(text: str) -> int:
+    """The argparse type of --max-n: a size as the CLI reads one, and not negative."""
+    if (n := _size(text)) < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    return n
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -41,7 +48,7 @@ def main() -> int:
         choices=sorted(VERIFIERS),
         help="restrict to these properties (repeatable; default: all)",
     )
-    parser.add_argument("--max-n", type=_size, help="raise every budget-limited sweep to this size")
+    parser.add_argument("--max-n", type=_max_n, help="raise every budget-limited sweep to this size")
     parser.add_argument("--json", action="store_true", help="print one JSON object per line")
     args = parser.parse_args()
 

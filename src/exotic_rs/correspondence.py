@@ -42,7 +42,8 @@ into T) returns the new box's row, where ``_insert`` records k in R, and
 rows back to letters; ``_reduce`` and ``_drop`` are ``bump_once``'s steps on T
 and on R.  The public functions are thin wrappers that build the validated types
 (:class:`~exotic_rs.bitableaux.Bitableau`, :class:`CorrespondencePair`,
-:class:`~exotic_rs.signed_perm.SignedPermutation`).  Only the ``_with_trace``
+:class:`~exotic_rs.signed_perm.SignedPermutation`); ``_pair`` accepts a kernel's
+rows in one scan per tableau and builds the pair unchecked.  Only the ``_with_trace``
 variants and the transition check record steps, as plain tuples whose layout is
 private to this module, which runs no sweep: those are in :mod:`.verify`.  A
 hop's truncation is counted down each component only to the first row without
@@ -56,7 +57,7 @@ from collections.abc import Iterable, Iterator
 from itertools import count, zip_longest
 from operator import itemgetter
 
-from .bitableaux import Bitableau, Position
+from .bitableaux import Bitableau, Position, _accepted
 from .partitions import Bipartition, Partition, Side, _Frozen
 from .signed_perm import SignedPermutation
 
@@ -83,13 +84,6 @@ class CorrespondencePair(_Frozen):
         for name, t in (("T", T), ("R", R)):
             if max(map(_last, t.left + t.right), default=0) != size:
                 raise ValueError(f"{name} must be standard (entries exactly 1..{size})")
-
-    @classmethod
-    def _unchecked(cls, T: Bitableau, R: Bitableau) -> "CorrespondencePair":
-        """The pair (T, R) as the constructor would store it, without its checks: for a valid pair."""
-        object.__setattr__(self := object.__new__(cls), "T", T)
-        object.__setattr__(self, "R", R)
-        return self
 
     @property
     def shape(self) -> Bipartition:
@@ -210,7 +204,14 @@ def _frozen(z: _Rows) -> _Tableau:
 
 
 def _pair(T: _Tableau, R: _Tableau) -> CorrespondencePair:
-    """The validated pair with these rows."""
+    """The validated pair with these row tuples, accepted as the constructors would: the row lengths agree,
+    :func:`_accepted` passes for each tableau (distinct positive exact ints; rows non-empty, rising, under the row above),
+    and each one's largest row end is the size, so its n distinct entries are 1..n.  Otherwise the constructors raise."""
+    (tl, tr), (rl, rr) = T, R
+    t, r = tl + tr, rl + rr  # each tableau's rows, left then right
+    if len(tl) == len(rl) and (lengths := [*map(len, t)]) == [*map(len, r)] and _accepted(tl, tr) and _accepted(rl, rr) \
+            and max(map(_last, t), default=0) == sum(lengths) == max(map(_last, r), default=0):
+        return CorrespondencePair._unchecked2(Bitableau._unchecked2(tl, tr), Bitableau._unchecked2(rl, rr))
     return CorrespondencePair(Bitableau(*T), Bitableau(*R))
 
 

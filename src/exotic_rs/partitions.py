@@ -77,6 +77,14 @@ class _Frozen:
         object.__setattr__(self, cls.__slots__[0], value)
         return self
 
+    @classmethod
+    def _unchecked2(cls, first: object, second: object):
+        """The value of a two-field class holding ``first`` and ``second``, as :meth:`_unchecked` does one field."""
+        setter, (a, b) = object.__setattr__, cls.__slots__  # each looked up once: as fast as literal names
+        setter(self := object.__new__(cls), a, first)
+        setter(self, b, second)
+        return self
+
 
 class Partition(_Frozen):
     """A weakly decreasing tuple of positive integers."""

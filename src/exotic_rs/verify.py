@@ -125,7 +125,7 @@ class Report(_Frozen):
 
 def iter_pairs(n: int) -> Iterator[CorrespondencePair]:
     """All same-shape pairs of standard bitableaux with n boxes, shape by shape in canonical order, of the checked cells."""
-    return (CorrespondencePair._unchecked(t, r) for cell, _, _, _ in _cell_tables(n) for t in cell for r in cell)
+    return (CorrespondencePair._unchecked2(t, r) for cell, _, _, _ in _cell_tables(n) for t in cell for r in cell)
 
 
 def _cells(n: int) -> Iterator[tuple[Bitableau, ...]]:
@@ -331,7 +331,8 @@ def verify_embedding(n: int) -> Report:
     sees it) and the embedding's value at w, and no two words share an image; the inverse of a mirror-symmetric
     permutation is mirror symmetric, so the third makes sigma^-1 the image of w^-1, which w^-1's own turn certified.  So
     a passing certificate means that the exact pass would record nothing; only on a failure does that pass run, keeping
-    every image.  :func:`_decode`, :func:`is_mirror_symmetric` and :func:`permutation_inverse` are trusted."""
+    every image and naming one that is not a permutation (mirror symmetry checks sums only) instead of inverting it.
+    :func:`_decode`, :func:`is_mirror_symmetric` and :func:`permutation_inverse` are trusted."""
     _check_budget(n, WORD_BUDGET, "embedding verification")
     total = 2**n * math.factorial(n)
     if all(is_mirror_symmetric(sigma := _iota_embed(w)) and _decode(sigma) == w
@@ -345,7 +346,9 @@ def verify_embedding(n: int) -> Report:
         if (earlier := seen.setdefault(sigma, w)) is not w:
             failures.append({"word": _text(w), "collides_with": _text(earlier)})
             seen[sigma] = w
-        if _iota_embed(_inverse(w)) != permutation_inverse(sigma):
+        if sorted(sigma) != [*range(1, 2 * n + 1)]:
+            failures.append({"word": _text(w), "image": list(sigma), "reason": "not a permutation"})
+        elif _iota_embed(_inverse(w)) != permutation_inverse(sigma):
             failures.append({"word": _text(w), "reason": "inverse not respected"})
     return Report("embedding", n, total, tuple(failures))
 

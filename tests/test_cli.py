@@ -443,6 +443,18 @@ class TestRunChecks:
         assert (done.returncode, done.stdout) == (2, "")
         assert "'\u0663'" in done.stderr
 
+    def test_max_n_refuses_a_negative_size(self):
+        # A negative size would leave every budget at its default and run the default sweep.
+        script = Path(__file__).resolve().parents[1] / "scripts" / "run_checks.py"
+        src = str(Path(exotic_rs.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, str(script), "-p", "counting", "--max-n", "-1"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.endswith("run_checks.py: error: argument --max-n: must be >= 0, got '-1'\n")
+
     def test_malformed_environment_exits_2(self):
         # Exit 1 would mean a property failed.
         script = Path(__file__).resolve().parents[1] / "scripts" / "run_checks.py"

@@ -146,6 +146,53 @@ class TestInsertion:
             with pytest.raises(ValueError, match=message):
                 call(SignedPermutation((1, -2)))
 
+    @pytest.mark.parametrize(
+        "T, R",
+        [
+            pytest.param((((1, 2),), ()), (((1,),), ((2,),)), id="shapes differ"),
+            pytest.param((((1, 2),), ((3,),)), (((1, 2), (3,)), ()), id="shapes differ in one row's side"),
+            pytest.param((((1, 3),), ()), (((1, 2),), ()), id="gap in T"),
+            pytest.param((((1, 2),), ()), (((1, 3),), ()), id="gap in R"),
+            pytest.param((((1,),), ((1,),)), (((1,),), ((2,),)), id="repeated entry"),
+            pytest.param((((2,), (1,)), ()), (((1,), (2,)), ()), id="column fault in T"),
+            pytest.param((((1,), (2,)), ()), (((2,), (1,)), ()), id="column fault in R"),
+            pytest.param((((1, 2),), ((),)), (((1, 2),), ((),)), id="empty row"),
+            pytest.param((((True, 2),), ()), (((1, 2),), ()), id="True entry"),
+            pytest.param((((1,), (2, 3)), ()), (((1,), (2, 3)), ()), id="longer lower row"),
+        ],
+    )
+    def test_a_refused_kernel_pair_raises_the_constructors_message(self, monkeypatch, T, R):
+        # The one scan that accepts a kernel pair refuses exactly what the constructors refuse, with their message.
+        with pytest.raises(ValueError) as expected:
+            CorrespondencePair(Bitableau(*T), Bitableau(*R))
+        monkeypatch.setattr(correspondence, "_insert", lambda letters, records=None: (T, R))
+        for call in (insertion, insertion_with_trace):
+            with pytest.raises(ValueError) as got:
+                call(SignedPermutation((1, 2)))
+            assert str(got.value) == str(expected.value)
+
+    def test_bump_once_refuses_a_kernel_pair_with_the_constructors_message(self, monkeypatch):
+        # The reduced T of 1 2 keeps its entry 2 instead of closing the gap; the reduced R is ((1,),).
+        T, R = (((2,),), ()), (((1,),), ())
+        with pytest.raises(ValueError) as expected:
+            CorrespondencePair(Bitableau(*T), Bitableau(*R))
+        monkeypatch.setattr(correspondence, "_reduce", lambda z, m: (T, 1))
+        with pytest.raises(ValueError) as got:
+            bump_once(insertion(SignedPermutation((1, 2))))
+        assert str(got.value) == str(expected.value) == "T must be standard (entries exactly 1..1)"
+
+    def test_a_passing_insertion_builds_no_validated_object(self, monkeypatch):
+        words = [w for n in range(6) for w in enumerate_signed_permutations(n)]
+        expected = [CorrespondencePair(*(Bitableau(*t) for t in correspondence._insert(w.letters))) for w in words]
+
+        def refuse(self):
+            raise AssertionError("a passing insertion built a validated object")
+
+        monkeypatch.setattr(Bitableau, "__post_init__", refuse)
+        monkeypatch.setattr(CorrespondencePair, "__post_init__", refuse)
+        assert [insertion(w) for w in words] == expected
+        assert [insertion_with_trace(w)[0] for w in words] == expected
+
     @given(signed_words(max_n=7))
     @settings(max_examples=60)
     def test_produces_a_standard_same_shape_pair(self, w):

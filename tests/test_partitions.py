@@ -64,8 +64,8 @@ class TestPartition:
 
 
 class TestUnchecked:
-    """``_Frozen._unchecked``, and the pair's two-field ``CorrespondencePair._unchecked``, skip the constructor's
-    checks and nothing else: on valid fields the value is the validated constructor's."""
+    """``_Frozen._unchecked`` and its two-field ``_unchecked2`` (a tableau's rows, a pair's tableaux) skip the
+    constructor's checks and nothing else: on valid fields the value is the validated constructor's."""
 
     @staticmethod
     def assert_same(fast, checked):
@@ -87,12 +87,18 @@ class TestUnchecked:
         self.assert_same(SignedPermutation._unchecked(w.letters), SignedPermutation(w.letters))
 
     def test_empty_pair(self):
-        self.assert_same(CorrespondencePair._unchecked(Bitableau(), Bitableau()), CorrespondencePair())
+        self.assert_same(CorrespondencePair._unchecked2(Bitableau(), Bitableau()), CorrespondencePair())
 
     @pytest.mark.parametrize("n", range(5))
     def test_pairs(self, n):
         for pair in iter_pairs(n):
-            self.assert_same(CorrespondencePair._unchecked(pair.T, pair.R), CorrespondencePair(pair.T, pair.R))
+            self.assert_same(CorrespondencePair._unchecked2(pair.T, pair.R), CorrespondencePair(pair.T, pair.R))
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_bitableaux(self, n):
+        for bp in enumerate_bipartitions(n):
+            for t in enumerate_standard_bitableaux(bp):
+                self.assert_same(Bitableau._unchecked2(t.left, t.right), Bitableau(t.left, t.right))
 
 
 class TestBipartition:

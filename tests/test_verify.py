@@ -185,6 +185,18 @@ class TestVerifiers:
             {"word": "-2 1 3", "reason": "inverse not respected"},
         ))
 
+    @pytest.mark.parametrize("image", [(0, 2, 3, 5), (1, 1, 4, 4)])
+    def test_an_image_that_is_not_a_permutation_is_named_not_inverted(self, monkeypatch, image):
+        # Both images of 2 -1 are mirror symmetric, as their entries sum in mirror pairs; (0, 2, 3, 5) leaves 1..4,
+        # which permutation_inverse cannot invert, and (1, 1, 4, 4) repeats entries.  The exact pass names the image and
+        # skips its inverse; -2 1, the inverse of 2 -1, compares the faulty image with its own inverse.
+        real = verify._iota_embed
+        monkeypatch.setattr(verify, "_iota_embed", lambda letters: image if letters == (2, -1) else real(letters))
+        assert verify_embedding(2) == direct_embedding(2) == Report("embedding", 2, 8, (
+            {"word": "2 -1", "image": list(image), "reason": "not a permutation"},
+            {"word": "-2 1", "reason": "inverse not respected"},
+        ))
+
     def test_a_passing_embedding_sweep_embeds_each_word_once(self, monkeypatch):
         calls, real = [], verify._iota_embed
         monkeypatch.setattr(verify, "_iota_embed", lambda letters: calls.append(letters) or real(letters))
@@ -712,7 +724,9 @@ def direct_embedding(n):
         if sigma in images:
             failures.append({"word": w.to_text(), "collides_with": images[sigma].to_text()})
         images[sigma] = w
-        if verify._iota_embed(verify._inverse(w.letters)) != verify.permutation_inverse(sigma):
+        if sorted(sigma) != list(range(1, 2 * n + 1)):
+            failures.append({"word": w.to_text(), "image": list(sigma), "reason": "not a permutation"})
+        elif verify._iota_embed(verify._inverse(w.letters)) != verify.permutation_inverse(sigma):
             failures.append({"word": w.to_text(), "reason": "inverse not respected"})
     return Report("embedding", n, 2**n * math.factorial(n), tuple(failures))
 
