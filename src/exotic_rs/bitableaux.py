@@ -102,10 +102,7 @@ class Bitableau(_Frozen):
 
     @property
     def shape(self) -> Bipartition:
-        return Bipartition(
-            Partition(tuple(len(r) for r in self.left)),
-            Partition(tuple(len(r) for r in self.right)),
-        )
+        return Bipartition(Partition(tuple(map(len, self.left))), Partition(tuple(map(len, self.right))))
 
     @property
     def size(self) -> int:

@@ -40,10 +40,10 @@ into T) returns the new box's row, where ``_insert`` records k in R, and
 ``_remove`` (one cascade out) takes the row that ``_boxes`` gives k in R.
 ``_insert`` maps letters to the rows (T, R) of their pair, ``_reverse`` maps
 rows back to letters; ``_reduce`` and ``_drop`` are ``bump_once``'s steps on T
-and on R.  The public functions are thin wrappers that build the validated types
-(:class:`~exotic_rs.bitableaux.Bitableau`, :class:`CorrespondencePair`,
-:class:`~exotic_rs.signed_perm.SignedPermutation`); ``_pair`` accepts a kernel's
-rows in one scan per tableau and builds the pair unchecked.  Only the ``_with_trace``
+and on R.  The public functions are thin wrappers that check only what the
+kernels leave open: ``_pair`` accepts a kernel's rows in one scan per tableau
+and builds the pair unchecked, and reverse bumping builds its word unchecked, as
+a checked pair's cascades emit each entry of T once.  Only the ``_with_trace``
 variants and the transition check record steps, as plain tuples whose layout is
 private to this module, which runs no sweep: those are in :mod:`.verify`.  A
 hop's truncation is counted down each component only to the first row without
@@ -94,7 +94,8 @@ class CorrespondencePair(_Frozen):
         return self.T.size
 
     def swapped(self) -> "CorrespondencePair":
-        return CorrespondencePair(self.R, self.T)
+        """(R, T), built unchecked: both tableaux are standard and share one shape."""
+        return CorrespondencePair._unchecked2(self.R, self.T)
 
     def to_json(self) -> dict:
         return {"T": self.T.to_json(), "R": self.R.to_json()}
@@ -285,13 +286,15 @@ def _place(z: _Rows, letter: int, steps: list[InsertionStep] | None) -> int:
 
 
 def reverse_bumping(pair: CorrespondencePair) -> SignedPermutation:
-    """The inverse of :func:`insertion`."""
-    return SignedPermutation(_reverse((pair.T.left, pair.T.right), (pair.R.left, pair.R.right)))
+    """The inverse of :func:`insertion`.  The word is valid by construction, so it is built unchecked: the pair is
+    checked, so T holds exactly 1..n; each of the n cascades pops one box and only swaps values up the diagram; so the
+    cascades emit each entry of T once, with a sign, whatever the transition rule decides."""
+    return SignedPermutation._unchecked(_reverse((pair.T.left, pair.T.right), (pair.R.left, pair.R.right)))
 
 
 def reverse_bumping_with_trace(pair: CorrespondencePair) -> tuple[SignedPermutation, tuple[RemovalRecord, ...]]:
     cascades: list[tuple[int, int, list[tuple]]] = []
-    word = SignedPermutation(_reverse((pair.T.left, pair.T.right), (pair.R.left, pair.R.right), cascades))
+    word = SignedPermutation._unchecked(_reverse((pair.T.left, pair.T.right), (pair.R.left, pair.R.right), cascades))
     return word, tuple(RemovalRecord(k, letter, tuple(_removal_step(*h) for h in hops)) for k, letter, hops in cascades)
 
 
@@ -459,8 +462,8 @@ class ClassificationError(ValueError):
 def second_decrement(bp: Bipartition, removal: FirstRemoval):
     """Where a removal cascade goes next, from shape data alone.
 
-    ``bp`` is the shape of the truncation the moving value is leaving (its
-    box included) and ``removal`` names that box's row.  The box must be a
+    ``bp``, a :class:`Bipartition`, is the shape of the truncation the moving value is leaving (its
+    box included) and ``removal``, a :class:`FirstRemoval`, names that box's row.  The box must be a
     corner: ``side`` is a :class:`Side`, ``row`` an int, row ``row`` of ``side``
     exists and the row below it is shorter (or absent); otherwise ValueError is
     raised.  The answer is TerminateUnbarred / TerminateBarred when the cascade
@@ -469,6 +472,10 @@ def second_decrement(bp: Bipartition, removal: FirstRemoval):
     :func:`_classify`, which answers on every corner; should it give no
     answer, a :class:`ClassificationError` carrying (bp, removal) is raised.
     """
+    if not isinstance(bp, Bipartition):
+        raise ValueError(f"bp must be a Bipartition, got {bp!r}")
+    if not isinstance(removal, FirstRemoval):
+        raise ValueError(f"removal must be a FirstRemoval, got {removal!r}")
     named = removal.side in _SIDES and type(removal.row) is int  # exact: bool is rejected; row -1 stands for no row
     c, i = (_SIDES.index(removal.side), removal.row - 1) if named else (0, -1)
     rows = (bp.mu, bp.nu)[c].parts + (0,)

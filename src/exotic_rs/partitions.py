@@ -170,12 +170,7 @@ def enumerate_bipartitions(n: int) -> list[Bipartition]:
     """
     if n < 0:
         raise ValueError(f"total size must be >= 0, got {n}")
-    out = [
-        Bipartition(Partition(mu), Partition(nu))
-        for k in range(n + 1)
-        for mu in partitions_of(k)
-        for nu in partitions_of(n - k)
-    ]
+    out = [Bipartition(Partition(mu), Partition(nu)) for k in range(n + 1) for mu in partitions_of(k) for nu in partitions_of(n - k)]
     return sorted(out, key=Bipartition.to_text)
 
 

@@ -40,8 +40,8 @@ class SignedPermutation(_Frozen):
         return len(self.letters)
 
     def inverse(self) -> "SignedPermutation":
-        """If the word sends k to +-a, the inverse sends a to +-k (same bar)."""
-        return SignedPermutation(_inverse(self.letters))
+        """If the word sends k to +-a, the inverse sends a to +-k (same bar): unchecked, as it permutes 1..n."""
+        return SignedPermutation._unchecked(_inverse(self.letters))
 
     def to_text(self) -> str:
         return _text(self.letters)
@@ -156,13 +156,13 @@ def is_mirror_symmetric(images: tuple[int, ...]) -> bool:
 def derive_w_tilde(w: SignedPermutation) -> tuple[SignedPermutation, int]:
     """Drop the last letter and close the gap its magnitude leaves.
 
-    Returns (reduced word, r) where r = |w_n|; every surviving letter keeps
-    its bar and magnitudes above r shift down by one.
+    Returns (reduced word, r) where r = |w_n|; every surviving letter keeps its bar and magnitudes
+    above r shift down by one, so the word is built unchecked: it drops r and closes the gap.
     """
     if w.n == 0:
         raise ValueError("the empty word has no last letter to remove")
     letters, r = _w_tilde(w.letters)
-    return SignedPermutation(letters), r
+    return SignedPermutation._unchecked(letters), r
 
 
 def _w_tilde(letters: tuple[int, ...]) -> tuple[tuple[int, ...], int]:

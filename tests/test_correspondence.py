@@ -310,6 +310,18 @@ class TestReverseBumping:
         for pair in iter_pairs(n):
             assert insertion(reverse_bumping(pair)) == pair
 
+    def test_a_passing_reverse_bump_builds_no_validated_object(self, monkeypatch):
+        pairs = [p for n in range(6) for p in iter_pairs(n)]
+        expected = [SignedPermutation(correspondence._reverse((p.T.left, p.T.right), (p.R.left, p.R.right))) for p in pairs]
+
+        def refuse(self):
+            raise AssertionError("a passing reverse bump built a validated object")
+
+        for cls in SignedPermutation, Bitableau, CorrespondencePair:
+            monkeypatch.setattr(cls, "__post_init__", refuse)
+        assert [reverse_bumping(p) for p in pairs] == expected
+        assert [reverse_bumping_with_trace(p)[0] for p in pairs] == expected
+
     @pytest.mark.parametrize("n", range(4))
     def test_swapping_pairs_inverts_words(self, n):
         for w in enumerate_signed_permutations(n):

@@ -6,11 +6,13 @@ import hashlib
 import math
 import pickle
 import re
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
 
 from conftest import bipartitions, partitions, signed_words
+from exotic_rs import signed_perm
 from exotic_rs import (
     Bipartition,
     Bitableau,
@@ -18,8 +20,10 @@ from exotic_rs import (
     Partition,
     SignedPermutation,
     count_bitableaux,
+    derive_w_tilde,
     dimension_b,
     enumerate_bipartitions,
+    enumerate_signed_permutations,
     enumerate_standard_bitableaux,
     iter_pairs,
     partitions_of,
@@ -99,6 +103,46 @@ class TestUnchecked:
         for bp in enumerate_bipartitions(n):
             for t in enumerate_standard_bitableaux(bp):
                 self.assert_same(Bitableau._unchecked2(t.left, t.right), Bitableau(t.left, t.right))
+
+    # Values derived from valid values are built unchecked: each is built while the constructors' checks refuse,
+    # then compared with the validated construction (whose pickle round trip runs those checks).
+
+    @staticmethod
+    @contextmanager
+    def refusing(monkeypatch):
+        def refuse(self):
+            raise AssertionError("a derived value was validated")
+
+        with monkeypatch.context() as patch:
+            for cls in SignedPermutation, Bitableau, CorrespondencePair:
+                patch.setattr(cls, "__post_init__", refuse)
+            yield
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_inverses(self, n, monkeypatch):
+        words = enumerate_signed_permutations(n)
+        with self.refusing(monkeypatch):
+            inverses = [w.inverse() for w in words]
+        for w, inverse in zip(words, inverses):
+            self.assert_same(inverse, SignedPermutation(signed_perm._inverse(w.letters)))
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_reduced_words(self, n, monkeypatch):
+        words = enumerate_signed_permutations(n)
+        with self.refusing(monkeypatch):
+            reduced = [derive_w_tilde(w) for w in words]
+        for w, (fast, r) in zip(words, reduced):
+            letters, r_checked = signed_perm._w_tilde(w.letters)
+            assert r == r_checked
+            self.assert_same(fast, SignedPermutation(letters))
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_swapped_pairs(self, n, monkeypatch):
+        pairs = list(iter_pairs(n))
+        with self.refusing(monkeypatch):
+            swapped = [pair.swapped() for pair in pairs]
+        for pair, fast in zip(pairs, swapped):
+            self.assert_same(fast, CorrespondencePair(pair.R, pair.T))
 
 
 class TestBipartition:

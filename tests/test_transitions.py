@@ -102,6 +102,21 @@ class TestValidation:
             second_decrement(_bp(mu, nu), removal)
         assert str(caught.value) == f"{removal!r} is not a removable corner of {_bp(mu, nu)}"
 
+    @pytest.mark.parametrize(
+        "bp, removal, message",
+        [
+            (_bp((1,), ()), (Side.LEFT, 1), "removal must be a FirstRemoval, got (left, 1)"),
+            (_bp((1,), ()), Continue(Side.LEFT, 1), "removal must be a FirstRemoval, got Continue(side=left, row=1)"),
+            ("mu=[1];nu=[]", FirstRemoval(Side.LEFT, 1), "bp must be a Bipartition, got 'mu=[1];nu=[]'"),
+            (None, FirstRemoval(Side.LEFT, 1), "bp must be a Bipartition, got None"),
+        ],
+        ids=["tuple-removal", "continue-removal", "text-shape", "none-shape"],
+    )
+    def test_arguments_of_other_types_are_rejected(self, bp, removal, message):
+        with pytest.raises(ValueError) as caught:
+            second_decrement(bp, removal)
+        assert str(caught.value) == message
+
     def test_only_corners_are_accepted(self):
         cases = 0
         for n in range(9):
