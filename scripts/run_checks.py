@@ -60,7 +60,7 @@ def main() -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
 
-    properties = args.properties or sorted(VERIFIERS)
+    properties = list(dict.fromkeys(args.properties or sorted(VERIFIERS)))  # a repeated -p runs once
     failures = 0
     checks = 0
     started = time.perf_counter()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -16,7 +17,6 @@ import pytest
 
 import exotic_rs
 from exotic_rs import (
-    COUNT_BUDGET,
     Report,
     SignedPermutation,
     enumerate_bipartitions,
@@ -236,10 +236,14 @@ class TestTable:
         assert code == 0
         assert out == json.dumps(json.loads(out)) + "\n"
 
-    def test_size_five_json_table_is_pinned(self, capsys):
-        code, out, _ = invoke(capsys, ["table", "5", "--json"])
+    @pytest.mark.parametrize("n, digest", [
+        (5, "5d980690b72d9a2a754308e8e2901aefdf2ef25f8a61f5612bf9df717a4bc362"),
+        (6, "054bcf378e307e67bb655071f6ec3b6a2128d6314ca91600c4139ef62afe9f9b"),
+    ], ids=["5", "6"])
+    def test_json_table_is_pinned(self, capsys, n, digest):
+        code, out, _ = invoke(capsys, ["table", str(n), "--json"])
         assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == "5d980690b72d9a2a754308e8e2901aefdf2ef25f8a61f5612bf9df717a4bc362"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_each_tableau_is_rendered_once(self, capsys, monkeypatch):
         # 76 standard tableaux of size 4; rendered per word, T and R, that was 2 * 384 renderings.
@@ -330,10 +334,14 @@ class TestCells:
         assert len(members) == 8
         assert set(members) == {w.to_text() for w in enumerate_signed_permutations(2)}
 
-    def test_size_five_output_is_pinned(self, capsys):
-        code, out, _ = invoke(capsys, ["cells", "5"])
+    @pytest.mark.parametrize("n, digest", [
+        (5, "adcc351b809532538875d26f4e183323fd63f05a5236d981ce01c835b9355bd6"),
+        (6, "edc1c86df590ebbdb608f2a2040cad1a680f426530f622a12b4af72c3528ce79"),
+    ], ids=["5", "6"])
+    def test_output_is_pinned(self, capsys, n, digest):
+        code, out, _ = invoke(capsys, ["cells", str(n)])
         assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == "adcc351b809532538875d26f4e183323fd63f05a5236d981ce01c835b9355bd6"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestCount:
@@ -407,76 +415,98 @@ class TestVerify:
             assert done.stdout.startswith(f"{prop} n=4: OK")
 
 
+RUN_CHECKS = Path(__file__).resolve().parents[1] / "scripts" / "run_checks.py"
+
+# The default sweep's check count for each property at n = 0, 1, 2, ... up to its budget (golden only at n = 3).
+DEFAULT_SWEEP = {
+    "counting": [1, 2, 5, 10, 20, 36, 65, 110, 185],
+    "embedding": [1, 2, 8, 48, 384, 3840, 46080],
+    "golden": [None, None, None, 96],
+    "inverse": [1, 2, 8, 48, 384, 3840, 46080],
+    "roundtrip": [2, 4, 16, 96, 768, 7680, 92160],
+    "transition": [0, 2, 18, 176, 2004, 26460, 399576],
+    "wtilde": [0, 2, 8, 48, 384, 3840, 46080],
+}
+
+
+def run_checks(*args, max_n=None):
+    """Run scripts/run_checks.py under -S, so that it sees only the standard library and the package.
+
+    An inherited EXOTIC_RS_MAX_N is dropped unless max_n sets it: it would change which sizes the sweep reaches.
+    PYTHONOPTIMIZE passes through, so the script runs optimized whenever the suite does.
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(exotic_rs.__file__).resolve().parents[1])}
+    env.pop("EXOTIC_RS_MAX_N", None)
+    if max_n is not None:
+        env["EXOTIC_RS_MAX_N"] = max_n
+    return subprocess.run(
+        [sys.executable, "-S", str(RUN_CHECKS), *args], capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
 class TestRunChecks:
     def test_json_lines(self):
-        script = Path(__file__).resolve().parents[1] / "scripts" / "run_checks.py"
-        src = str(Path(exotic_rs.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        env.pop("EXOTIC_RS_MAX_N", None)
-        done = subprocess.run(
-            [sys.executable, str(script), "-p", "golden", "-p", "counting", "--json"],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        done = run_checks("--json")
         assert done.returncode == 0, done.stderr
         *rows, totals = map(json.loads, done.stdout.splitlines())
         assert [(row["property"], row["n"], row["checked"], row["failures"]) for row in rows] == [
-            ("golden", 3, 96, 0),
-            *(("counting", n, len(enumerate_bipartitions(n)), 0) for n in range(COUNT_BUDGET + 1)),
+            (prop, n, checked, 0)
+            for prop, counts in DEFAULT_SWEEP.items() for n, checked in enumerate(counts) if checked is not None
         ]
         assert all(set(row) == {"property", "n", "checked", "failures", "elapsed_s"} for row in rows)
-        assert totals == {
-            "properties": 2,
-            "checked": sum(row["checked"] for row in rows),
-            "failures": 0,
-            "elapsed_s": totals["elapsed_s"],
-        }
+        assert totals == {"properties": 7, "checked": 680580, "failures": 0, "elapsed_s": totals["elapsed_s"]}
         assert totals["elapsed_s"] >= sum(row["elapsed_s"] for row in rows) >= 0
 
-    def test_max_n_reads_only_sign_and_ascii_digits(self):
-        script = Path(__file__).resolve().parents[1] / "scripts" / "run_checks.py"
-        src = str(Path(exotic_rs.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run(
-            [sys.executable, str(script), "-p", "counting", "--max-n", "\u0663"],
-            capture_output=True, text=True, env=env, timeout=120,
+    def test_a_repeated_property_runs_once_in_the_order_first_given(self):
+        done = run_checks("-p", "counting", "-p", "golden", "-p", "counting", "--json")
+        assert done.returncode == 0, done.stderr
+        *rows, totals = map(json.loads, done.stdout.splitlines())
+        assert [(row["property"], row["n"]) for row in rows] == [
+            *(("counting", n) for n in range(len(DEFAULT_SWEEP["counting"]))), ("golden", 3),
+        ]
+        assert (totals["properties"], totals["checked"]) == (2, sum(DEFAULT_SWEEP["counting"]) + 96)
+
+    @pytest.mark.parametrize("flags", [["--json"], []], ids=["json", "text"])
+    def test_a_failure_exits_1_and_is_counted(self, capsys, monkeypatch, flags):
+        spec = importlib.util.spec_from_file_location("run_checks", RUN_CHECKS)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        real = script.run_verifier
+        monkeypatch.setattr(
+            script, "run_verifier",
+            lambda prop, n: Report(prop, n, 96, ({"word": "1"},)) if prop == "golden" else real(prop, n),
         )
+        monkeypatch.delenv("EXOTIC_RS_MAX_N", raising=False)
+        monkeypatch.setattr("sys.argv", ["run_checks.py", "-p", "golden", "-p", "counting", *flags])
+        assert script.main() == 1
+        out = capsys.readouterr().out
+        if flags:
+            *rows, totals = map(json.loads, out.splitlines())
+            assert [row["failures"] for row in rows] == [1] + [0] * len(DEFAULT_SWEEP["counting"])
+            assert totals["failures"] == 1
+        else:
+            assert out.endswith(" 1 FAILURES\n")
+
+    def test_max_n_reads_only_sign_and_ascii_digits(self):
+        done = run_checks("-p", "counting", "--max-n", "\u0663")
         assert (done.returncode, done.stdout) == (2, "")
         assert "'\u0663'" in done.stderr
 
     def test_max_n_refuses_a_negative_size(self):
         # A negative size would leave every budget at its default and run the default sweep.
-        script = Path(__file__).resolve().parents[1] / "scripts" / "run_checks.py"
-        src = str(Path(exotic_rs.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run(
-            [sys.executable, str(script), "-p", "counting", "--max-n", "-1"],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        done = run_checks("-p", "counting", "--max-n", "-1")
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr.endswith("run_checks.py: error: argument --max-n: must be >= 0, got '-1'\n")
 
     def test_malformed_environment_exits_2(self):
         # Exit 1 would mean a property failed.
-        script = Path(__file__).resolve().parents[1] / "scripts" / "run_checks.py"
-        src = str(Path(exotic_rs.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        env["EXOTIC_RS_MAX_N"] = "abc"
-        done = subprocess.run(
-            [sys.executable, str(script), "-p", "counting"], capture_output=True, text=True, env=env, timeout=120,
-        )
+        done = run_checks("-p", "counting", max_n="abc")
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr == "error: EXOTIC_RS_MAX_N must be an integer, got 'abc'\n"
 
     def test_malformed_environment_stops_before_any_property(self):
         # golden never reads the variable, so it would print its line first.
-        script = Path(__file__).resolve().parents[1] / "scripts" / "run_checks.py"
-        src = str(Path(exotic_rs.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        env["EXOTIC_RS_MAX_N"] = "abc"
-        done = subprocess.run(
-            [sys.executable, str(script), "-p", "golden", "-p", "counting"],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        done = run_checks("-p", "golden", "-p", "counting", max_n="abc")
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr == "error: EXOTIC_RS_MAX_N must be an integer, got 'abc'\n"
 
