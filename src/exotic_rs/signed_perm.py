@@ -114,6 +114,27 @@ def _completions(word: list[int], unused: list[int], i: int) -> Iterator[tuple[i
         unused.insert(j, m)
 
 
+def _embedded_words(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """For each word w of :func:`_signed_permutations`, in its order: w, w^-1, E(w) and E(w^-1)(1..n) - 1, where E is
+    :func:`iota_embed`'s formula.  Each w_p = +-a (p = 0, 1, ...) also writes +-(p + 1) at a in w^-1, n + 1 - a and n + a
+    at n - p and n + 1 + p in E(w) (swapped if barred), and n - p (n + 1 + p if barred) at n + 1 - a in E(w^-1)."""
+    word, inverse, image, index, unused = [0] * n, [0] * n, [0] * (2 * n), [0] * n, list(range(1, n + 1))
+    def fill(p: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+        if p == n - 1:  # the one magnitude left
+            a = unused[0]
+            for word[p], inverse[a - 1], image[0], image[-1], index[n - a] in (
+                    (a, n, n + 1 - a, n + a, 0), (-a, -n, n + a, n + 1 - a, 2 * n - 1)):
+                yield tuple(word), tuple(inverse), tuple(image), tuple(index)
+            return
+        for j in range(len(unused)):
+            a = unused.pop(j)
+            for word[p], inverse[a - 1], image[n - 1 - p], image[n + p], index[n - a] in (
+                    (a, p + 1, n + 1 - a, n + a, n - 1 - p), (-a, -1 - p, n + a, n + 1 - a, n + p)):
+                yield from fill(p + 1)
+            unused.insert(j, a)
+    return fill(0) if n else iter([((), (), (), ())])
+
+
 def iota_embed(w: SignedPermutation) -> tuple[int, ...]:
     """Embed the signed permutation into the symmetric group on 2n letters.
 

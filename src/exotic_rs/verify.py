@@ -26,8 +26,8 @@ is then one-to-one from the 2^n * n! pairs to the words (each entry of T leaves
 once), so onto, and each word w = reverse_bumping(p) has insertion(w) = p.
 Transition classifies each move's hops once, counted for each path through the
 move.  A failing move or an inexact cell falls back to the flat evaluation.
-Embedding, too, certifies in a pass that embeds each word once and keeps no
-image, and runs its exact pass, which keeps every image, only when that fails.
+Embedding, too, certifies in a pass that embeds each word once, against the formula's image carried down the
+word enumeration, and keeps no image; it runs its exact pass, which keeps every image, only when that fails.
 
 The word sweep of :func:`cells` (:func:`_group_by_shape`) and the walks of
 inverse and wtilde (:func:`_walk`) run each insertion or removal step once per
@@ -54,6 +54,7 @@ from .partitions import Bipartition, _Frozen, count_bitableaux, enumerate_bipart
 from .signed_perm import (
     SignedPermutation,
     _INTEGER,
+    _embedded_words,
     _inverse,
     _iota_embed,
     _signed_permutations,
@@ -67,7 +68,6 @@ PAIR_BUDGET = 6   # verifiers that enumerate all pairs of size n
 WORD_BUDGET = 6   # verifiers that enumerate all words of size n
 COUNT_BUDGET = 8  # pure shape-counting verifiers
 _tables: dict[tuple[int, int], tuple] = {}  # by (n, a cell's place in _cells(n)): what _cell_tables yields
-_letter_of = cache(lambda n: {s: n + 1 - s if s <= n else n - s for s in range(1, 2 * n + 1)}.get)  # sigma(i) -> letter, for _decode
 _shapes = cache(lambda n: tuple(enumerate_bipartitions(n)))  # the shapes of size n in canonical order, once per process
 
 
@@ -325,18 +325,18 @@ def verify_wtilde(n: int) -> Report:
 
 def verify_embedding(n: int) -> Report:
     """The embedding into the symmetric group on 2n letters: mirror image condition, injectivity, and compatibility with
-    inverses.  A certificate embeds each word w once and keeps nothing: its image sigma must be mirror symmetric, decode
-    to w and have an inverse that decodes to w^-1.  :func:`_decode` maps sigma(1..n) one-to-one and a mirror-symmetric
-    sigma is fixed by sigma(1..n), so the first two checks make sigma a permutation (before :func:`permutation_inverse`
-    sees it) and the embedding's value at w, and no two words share an image; the inverse of a mirror-symmetric
-    permutation is mirror symmetric, so the third makes sigma^-1 the image of w^-1, which w^-1's own turn certified.  So
-    a passing certificate means that the exact pass would record nothing; only on a failure does that pass run, keeping
-    every image and naming one that is not a permutation (mirror symmetry checks sums only) instead of inverting it.
-    :func:`_decode`, :func:`is_mirror_symmetric` and :func:`permutation_inverse` are trusted."""
+    inverses.  A certificate embeds each word w once and keeps nothing.  :func:`_embedded_words`, which it trusts, gives w
+    with w^-1, the formula's image E(w) and tau = E(w^-1)(1..n) - 1.  sigma = _iota_embed(w) must be E(w), _inverse(w)
+    must be w^-1 and, at the smaller of w and w^-1 as tuples, sigma(tau(j)) must be j + 1 for j < n.  Then the exact pass
+    would record nothing: (1) each letter +-a of w puts n + 1 - a and n + a on a mirror pair of places, so sigma is a
+    mirror-symmetric permutation; (2) sigma(1..n) gives w back letter by letter, so no two words share an image; (3) as
+    E(w^-1) is mirror symmetric too, the check at the smaller word makes E(w) and E(w^-1) inverse on all of 1..2n, so
+    sigma^-1 = E(_inverse(w)), which w^-1's own turn certified to be _iota_embed(_inverse(w)).  Only on a failure does
+    the exact pass run, keeping every image and naming one that is not a permutation (mirror symmetry checks sums only)."""
     _check_budget(n, WORD_BUDGET, "embedding verification")
-    total = 2**n * math.factorial(n)
-    if all(is_mirror_symmetric(sigma := _iota_embed(w)) and _decode(sigma) == w
-           and _decode(permutation_inverse(sigma)) == _inverse(w) for w in _signed_permutations(n)):
+    total, identity = 2**n * math.factorial(n), tuple(range(1, n + 1))
+    if all((sigma := _iota_embed(w)) == image and _inverse(w) == inverse
+           and (inverse < w or tuple(map(sigma.__getitem__, tau)) == identity) for w, inverse, image, tau in _embedded_words(n)):
         return Report("embedding", n, total)
     failures, seen = [], {}
     for w in _signed_permutations(n):
@@ -351,12 +351,6 @@ def verify_embedding(n: int) -> Report:
         elif _iota_embed(_inverse(w)) != permutation_inverse(sigma):
             failures.append({"word": _text(w), "reason": "inverse not respected"})
     return Report("embedding", n, total, tuple(failures))
-
-
-def _decode(images: tuple[int, ...]) -> tuple[int, ...]:
-    """The word that the embedding sends to ``images``, read off sigma(1..n): position n+1-i holds n+1-sigma(i)
-    when sigma(i) <= n, else the barred sigma(i)-n.  A left inverse: a word it gives back shares its image with none."""
-    return tuple(map(_letter_of(len(images) // 2), images[len(images) // 2 - 1::-1]))  # sigma(n), ..., sigma(1)
 
 
 def cells(n: int) -> dict[Bipartition, list[SignedPermutation]]:

@@ -41,6 +41,14 @@ def invoke(capsys, argv, stdin_text=None, monkeypatch=None):
     return code, out, err
 
 
+def child_env() -> dict[str, str]:
+    """The environment of a child Python: this one with PYTHONPATH the package's src alone, and with no
+    EXOTIC_RS_MAX_N, which would change what the verifiers reach or, if malformed, make them refuse to run."""
+    env = {**os.environ, "PYTHONPATH": str(Path(exotic_rs.__file__).resolve().parents[1])}
+    env.pop("EXOTIC_RS_MAX_N", None)
+    return env
+
+
 class TestInsert:
     def test_ascii_rendering_of_a_seven_letter_word(self, capsys):
         code, out, err = invoke(capsys, ["insert", MIXED_WORD])
@@ -115,12 +123,10 @@ class TestBump:
     def test_pair_file_is_closed(self, tmp_path):
         path = tmp_path / "pair.json"
         path.write_text(json.dumps(insertion_pair_json(MIXED_WORD)))
-        src = str(Path(exotic_rs.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         done = subprocess.run(
             [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "exotic_rs.cli",
              "bump", "--pair", str(path)],
-            capture_output=True, text=True, env=env, timeout=120,
+            capture_output=True, text=True, env=child_env(), timeout=120,
         )
         assert (done.returncode, done.stdout) == (0, MIXED_WORD + "\n")
         assert "ResourceWarning" not in done.stderr
@@ -263,11 +269,9 @@ class TestTable:
     @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
     def test_a_closed_pipe_is_not_a_usage_error(self):
         # As in `exotic-rs table 5 | head -1`: the reader leaves after one line.
-        src = str(Path(exotic_rs.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.Popen(
             [sys.executable, "-m", "exotic_rs.cli", "table", "5"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
         )
         assert proc.stdout.readline().startswith(b"# ")
         proc.stdout.close()
@@ -308,10 +312,9 @@ class TestJsonText:
             ' ["verify", "roundtrip", "3", "--json"])]',
             "print(loaded, codes, file=sys.stderr)",
         ])
-        src = str(Path(exotic_rs.__file__).resolve().parents[1])
         done = subprocess.run(
             [sys.executable, "-S", "-c", script, json.dumps(insertion_pair_json("2 -1 3"))],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+            capture_output=True, text=True, env=child_env(), timeout=120,
         )
         assert (done.returncode, done.stderr) == (0, "False [0, 0, 0, 0, 0, 0]\n")
         assert "\n2 -1 3\n" in done.stdout
@@ -404,12 +407,10 @@ class TestVerify:
         assert "fixed at n=3" in err
 
     def test_verifiers_pass_with_asserts_stripped(self):
-        src = str(Path(exotic_rs.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         for prop in ("roundtrip", "transition"):
             done = subprocess.run(
                 [sys.executable, "-O", "-m", "exotic_rs.cli", "verify", prop, "4"],
-                capture_output=True, text=True, env=env, timeout=120,
+                capture_output=True, text=True, env=child_env(), timeout=120,
             )
             assert done.returncode == 0, done.stderr
             assert done.stdout.startswith(f"{prop} n=4: OK")
@@ -432,11 +433,10 @@ DEFAULT_SWEEP = {
 def run_checks(*args, max_n=None):
     """Run scripts/run_checks.py under -S, so that it sees only the standard library and the package.
 
-    An inherited EXOTIC_RS_MAX_N is dropped unless max_n sets it: it would change which sizes the sweep reaches.
+    The inherited EXOTIC_RS_MAX_N is replaced by max_n, if given (see :func:`child_env`).
     PYTHONOPTIMIZE passes through, so the script runs optimized whenever the suite does.
     """
-    env = {**os.environ, "PYTHONPATH": str(Path(exotic_rs.__file__).resolve().parents[1])}
-    env.pop("EXOTIC_RS_MAX_N", None)
+    env = child_env()
     if max_n is not None:
         env["EXOTIC_RS_MAX_N"] = max_n
     return subprocess.run(
@@ -561,10 +561,9 @@ class TestUsage:
         # Every command pays for what `import exotic_rs.cli` imports.  Under -S, `site` imports nothing, so
         # sys.modules holds what the package pulled in.
         slow = ["dataclasses", "inspect", "typing", "importlib.resources", "pathlib", "signal", "json"]
-        src = str(Path(exotic_rs.__file__).resolve().parents[1])
         done = subprocess.run(
             [sys.executable, "-S", "-c", f"import exotic_rs.cli, sys; print(*[m for m in {slow!r} if m in sys.modules])"],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+            capture_output=True, text=True, env=child_env(), timeout=120,
         )
         assert (done.returncode, done.stdout, done.stderr) == (0, "\n", "")
 

@@ -19,7 +19,7 @@ from exotic_rs import (
     permutation_inverse,
     sort_key,
 )
-from exotic_rs.signed_perm import _signed_permutations
+from exotic_rs.signed_perm import _embedded_words, _inverse, _signed_permutations
 
 
 class TestConstruction:
@@ -149,6 +149,22 @@ class TestEmbedding:
     def test_embedding_turns_inverses_into_inverses(self, n):
         for w in enumerate_signed_permutations(n):
             assert iota_embed(w.inverse()) == permutation_inverse(iota_embed(w))
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_embedded_words_carry_each_word_its_inverse_and_their_images(self, n):
+        # The carried images are checked by decoding them here and by permutation_inverse, not by _iota_embed.
+        def decode(first_half):  # sigma(n), ..., sigma(1) give w_1, ..., w_n: n + 1 - sigma(i), or -(sigma(i) - n) if barred
+            return tuple(n + 1 - s if s <= n else n - s for s in reversed(first_half))
+
+        carried = list(_embedded_words(n))
+        assert [w for w, _, _, _ in carried] == list(_signed_permutations(n))
+        for w, inverse, image, tau in carried:
+            assert inverse == _inverse(w)
+            assert is_mirror_symmetric(image) and sorted(image) == list(range(1, 2 * n + 1))
+            assert decode(image[:n]) == w
+            image_of_inverse = tuple(j + 1 for j in tau)
+            assert decode(image_of_inverse) == inverse
+            assert permutation_inverse(image)[:n] == image_of_inverse
 
     def test_permutation_inverse_is_an_involution(self):
         sigma = (2, 4, 1, 3)

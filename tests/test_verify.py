@@ -35,7 +35,6 @@ from exotic_rs import (
     enumerate_signed_permutations,
     enumerate_standard_bitableaux,
     insertion,
-    iota_embed,
     iter_pairs,
     load_golden_table,
     reverse_bumping_with_trace,
@@ -134,18 +133,13 @@ class TestVerifiers:
         assert report.n == n
         assert report.checked == checked
 
-    @pytest.mark.parametrize("verifier", [verify_roundtrip, verify_inverse, verify_wtilde])
+    @pytest.mark.parametrize("verifier", [verify_roundtrip, verify_inverse, verify_wtilde, verify_embedding])
     def test_degenerate_size_zero(self, verifier):
         assert verifier(0).ok
 
-    @pytest.mark.parametrize("n", range(6))
-    def test_decoding_gives_each_word_back_from_its_image(self, n):
-        words = [w.letters for w in enumerate_signed_permutations(n)]
-        assert [verify._decode(iota_embed(SignedPermutation(w))) for w in words] == words
-
     def test_embedding_keeps_no_image(self):
-        # Injectivity by decoding keeps nothing per word; a memo of the 3,840 images at n = 5 peaks near 0.8 MB.
-        assert verify_embedding(5).ok  # warm the letter table
+        # The certificate keeps nothing per word; a memo of the 3,840 images at n = 5 peaks near 0.8 MB.
+        assert verify_embedding(5).ok  # warm up
         tracemalloc.start()
         try:
             assert verify_embedding(5).ok
@@ -156,20 +150,29 @@ class TestVerifiers:
 
     def test_an_image_that_does_not_decode_is_looked_up_among_the_images(self, monkeypatch):
         # Each image written backwards is sigma composed with i -> 2n + 1 - i, which commutes with sigma: still
-        # one-to-one, mirror symmetric and compatible with inverses.  It does not decode, so the certificate fails at the
-        # first word and the exact pass keeps every image, decodes none, and finds no collision.
-        real, decode, decoded = verify._iota_embed, verify._decode, []
-        monkeypatch.setattr(verify, "_iota_embed", lambda letters: real(letters)[::-1])
-        monkeypatch.setattr(verify, "_decode", lambda images: decoded.append(images) or decode(images))
+        # one-to-one, mirror symmetric and compatible with inverses.  It does not decode, as it is not the formula's
+        # image, so the certificate fails at the first word; the exact pass embeds each word and its inverse, keeps
+        # every image, and finds no collision.
+        real, embedded = verify._iota_embed, []
+        monkeypatch.setattr(verify, "_iota_embed", lambda letters: embedded.append(letters) or real(letters)[::-1])
         assert verify_embedding(3) == Report("embedding", 3, 48)
-        assert decoded == [(6, 5, 4, 3, 2, 1)]
+        assert embedded[:2] == [(1, 2, 3), (1, 2, 3)] and len(embedded) == 1 + 2 * 48
 
     def test_an_image_off_the_mirror_fails_the_mirror_condition(self, monkeypatch):
-        # The image of 2 -1 3 is declared not mirror symmetric, so the certificate fails; the exact pass names that word.
-        real = verify.is_mirror_symmetric
-        monkeypatch.setattr(verify, "is_mirror_symmetric", lambda sigma: sigma != (1, 4, 2, 5, 3, 6) and real(sigma))
+        # The image of 2 -1 3 is declared not mirror symmetric.  Only the exact pass asks that, as the certificate compares
+        # each image with the formula's; so the first embedding, the certificate's of 1 2 3, is wrong.  The certificate
+        # fails at its first word, and the exact pass, which gets every real image, names 2 -1 3 alone.
+        real, real_mirror, embedded = verify._iota_embed, verify.is_mirror_symmetric, []
+
+        def embed(letters):
+            embedded.append(letters)
+            return real(letters)[::-1] if len(embedded) == 1 else real(letters)
+
+        monkeypatch.setattr(verify, "_iota_embed", embed)
+        monkeypatch.setattr(verify, "is_mirror_symmetric", lambda sigma: sigma != (1, 4, 2, 5, 3, 6) and real_mirror(sigma))
         record = {"word": "2 -1 3", "image": [1, 4, 2, 5, 3, 6], "reason": "mirror condition"}
         assert verify_embedding(3) == Report("embedding", 3, 48, (record,))
+        assert embedded[:2] == [(1, 2, 3), (1, 2, 3)]
 
     def test_an_image_off_the_mirror_that_decodes_fails_both_inverse_checks(self, monkeypatch):
         # The image of 2 -1 3 with its last two entries swapped: sigma(1..3) is unchanged, so it still decodes, but it
@@ -198,10 +201,12 @@ class TestVerifiers:
         ))
 
     def test_a_passing_embedding_sweep_embeds_each_word_once(self, monkeypatch):
-        calls, real = [], verify._iota_embed
+        # And inverts each word once, in the same order: the mutation matrix's _inverse row relies on that.
+        calls, inverted, real, real_inverse = [], [], verify._iota_embed, verify._inverse
         monkeypatch.setattr(verify, "_iota_embed", lambda letters: calls.append(letters) or real(letters))
+        monkeypatch.setattr(verify, "_inverse", lambda letters: inverted.append(letters) or real_inverse(letters))
         assert verify_embedding(5).ok
-        assert len(calls) == 3840 and calls == [w.letters for w in enumerate_signed_permutations(5)]
+        assert len(calls) == 3840 and calls == inverted == [w.letters for w in enumerate_signed_permutations(5)]
 
     @pytest.mark.parametrize(
         "image, inverse",
