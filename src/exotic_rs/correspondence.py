@@ -52,7 +52,7 @@ an entry below the moving value: columns increase, so none below has one.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator
 from itertools import count, zip_longest
 from operator import itemgetter
@@ -402,11 +402,14 @@ def bump_once(pair: CorrespondencePair) -> tuple[CorrespondencePair, int, int]:
 
 def _reduce(z: _Rows, m: int) -> tuple[_Tableau, int]:
     """:func:`bump_once`'s step on T: the cascade out of the outermost box of combined row m, which holds n in R, runs
-    on the mutable combined rows z and leaves them as it ends.  Returns the reduced T's rows and the letter."""
+    on the mutable combined rows z, which it leaves relabelled: each entry above the letter's magnitude r, a suffix of
+    its increasing row, down by one.  Returns the reduced T's rows and the letter."""
     letter = _remove(z, m, None)
     r = abs(letter)
-    relabel = lambda rows: tuple(tuple(x - 1 if x > r else x for x in row) for row in rows)
-    return tuple(map(relabel, _frozen(z))), letter
+    for row in z:
+        for j in range(bisect_right(row, r), len(row)):
+            row[j] -= 1
+    return _frozen(z), letter
 
 
 def _drop(R: _Tableau, n: int) -> _Tableau:

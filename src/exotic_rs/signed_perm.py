@@ -189,4 +189,4 @@ def derive_w_tilde(w: SignedPermutation) -> tuple[SignedPermutation, int]:
 def _w_tilde(letters: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     """:func:`derive_w_tilde` on nonempty letter tuples."""
     r = abs(letters[-1])  # magnitudes above r move one step toward 0
-    return tuple(x - (x > r) if x > 0 else x + (x < -r) for x in letters[:-1]), r
+    return tuple([x - (x > r) if x > 0 else x + (x < -r) for x in letters[:-1]]), r

@@ -29,15 +29,13 @@ move.  A failing move or an inexact cell falls back to the flat evaluation.
 Embedding, too, certifies in a pass that embeds each word once, against the formula's image carried down the
 word enumeration, and keeps no image; it runs its exact pass, which keeps every image, only when that fails.
 
-The word sweep of :func:`cells` (:func:`_group_by_shape`) and the walks of
-inverse and wtilde (:func:`_walk`) run each insertion or removal step once per
-call for each distinct (state, letter or box): a memo keys each move by its
-state's id (:func:`_interned`) and its letter or box, the kernel's whole input,
-runs the kernel on a miss only, and dies with the call, so it cannot mask a
-fault.  Wtilde also runs bump_once's step on T once per T and box of n, to
-check its letter against the walk's k = n cascade, and on R once per cell; each
-pair reads its reduced word off the reduced cell's walk at its reduced T and R
-or, if they are no listed pair of one cell, goes by itself.
+The word sweep of :func:`cells` (:func:`_group_by_shape`) grows the words depth first, each node carrying its prefix's
+state and R's box rows as an int, and the walks of inverse and wtilde (:func:`_walk`) carry each T's path down R's box
+rows.  Both run each insertion or removal step once per call for each distinct (state, letter or box): a memo keys each
+move by its state's id (:func:`_interned`) and its letter or box, the kernel's whole input, runs the kernel on a miss
+only, and dies with the call, so it cannot mask a fault.  Wtilde also runs bump_once's step on T once per T and box of
+n, to check its letter against the walk's k = n cascade, and on R once per cell; each pair reads its reduced word off
+the reduced cell's walk at its reduced T and R or, if they are no listed pair of one cell, goes by itself.
 """
 
 from __future__ import annotations
@@ -169,7 +167,8 @@ def _descend(n: int, tables: list[tuple], answers: dict | None = None) -> int | 
             for m, row in enumerate(state):
                 if row and len(row) > len(state[m + 2]):  # a corner, the last box of row m: the state ends in two empty rows
                     letter = correspondence._remove(z := list(map(list, state)), m, hops := None if answers is None else [])
-                    into = level.setdefault(tuple(map(tuple, z)), [0, 0])
+                    if (into := level.get(child := tuple(map(tuple, z)))) is None:
+                        into = level[child] = [0, 0]
                     into[0] += paths
                     if answers is None:
                         if correspondence._place(z, letter, None) != m or tuple(map(tuple, z)) != state:
@@ -190,13 +189,14 @@ def _walk(states: Sequence[tuple], boxes: Sequence[tuple[int, ...]], memo: dict)
     n = sum(map(len, states[0]))
     shared = [0] + [next((d for d in range(n - 1) if a[d] != b[d]), max(n - 1, 0)) for a, b in zip(boxes, boxes[1:])]
     nodes = [(d, ms[d - 1]) for ms, s in zip(boxes, shared) for d in range(s + 1, n + 1)]  # a node's parent comes before it
+    sids, path, letters, width = [0] * (n + 1), [()] * (n + 1), [0] * n, 2 * n  # the path's state ids, states, letters
     for state in states:
-        path, letters, words = [(None, *_interned(memo, state))] * (n + 1), [0] * n, [] if n else [()] * len(boxes)
-        for d, m in nodes:  # path[d - 1] is the parent's move
-            if (entry := memo.get(key := path[d - 1][1] * 2 * n + m)) is None:
-                letter = correspondence._remove(z := list(map(list, path[d - 1][2])), m, None)
+        (sids[0], path[0]), words = _interned(memo, state), [] if n else [()] * len(boxes)
+        for d, m in nodes:  # depth d - 1 is the parent's
+            if (entry := memo.get(key := sids[d - 1] * width + m)) is None:
+                letter = correspondence._remove(z := list(map(list, path[d - 1])), m, None)
                 entry = memo[key] = letter, *_interned(memo, z)
-            path[d], letters[n - d] = entry, entry[0]
+            letters[n - d], sids[d], path[d] = entry
             if d == n:
                 words.append(tuple(letters))
         yield words
@@ -363,29 +363,36 @@ def cells(n: int) -> dict[Bipartition, list[SignedPermutation]]:
 
 
 def _group_by_shape(n: int, item: Callable[[tuple[int, ...], Bitableau, Bitableau], object]) -> dict[Bipartition, list]:
-    """Insert each word of size n once and file ``item(letters, T, R)`` under
-    the shape of its pair (T, R), in the order of :func:`cells`.  Each word steps through the call's memo
-    (:func:`_interned`) to T's state and R's box rows (:func:`_cell_tables`), a move keyed by its prefix's state and its
-    letter as sid * (2n + 1) + letter."""
+    """Insert each word of size n once and file ``item(letters, T, R)`` under the shape of its pair (T, R), in the order
+    of :func:`cells`.  The words grow depth first in canonical order, a letter per node, and each node carries its
+    prefix's state (:func:`_interned`) and its boxes' combined rows, of 1 first, as the base-2n digits of an int; a node
+    is a move of the call's memo keyed by its parent's state and its letter as sid * (2n + 1) + letter.  A word is filed
+    by its state's id, as T's, and its code, as R's box rows (:func:`_cell_tables`), or refused."""
     _check_budget(n, WORD_BUDGET, "cell decomposition")
-    out, tables = {bp: [] for bp in _shapes(n)}, list(_cell_tables(n))  # a bucket for each cell
-    found = {state: (bucket, t) for bucket, (cell, _, _, states) in zip(out.values(), tables) for state, t in zip(states, cell)}
-    placed = {ms: found[state] for _, _, box_rows, states in tables for state, ms in zip(states, box_rows)}  # the same by box rows
-    memo = {}
-    root = _interned(memo, [[], []])
-    for letters in _signed_permutations(n):
-        (sid, state), ms = root, []
-        for letter in letters:
-            if (entry := memo.get(key := sid * (2 * n + 1) + letter)) is None:
-                m = correspondence._place(z := list(map(list, state)), letter, None)
-                entry = memo[key] = m, *_interned(memo, z)
-            m, sid, state = entry
-            ms.append(m)
-        (bucket, t), (bucket_r, r) = found.get(state, (None, None)), placed.get(tuple(ms[::-1]), (None, None))
-        if bucket is None or bucket_r is not bucket:
-            insertion(SignedPermutation(letters))  # rows that are no standard pair raise here, in the validated pair
-            raise ValueError(f"word {_text(letters)!r}: pair outside the enumeration")
-        bucket.append(item(letters, t, r))
+    out, memo, base, found, placed = {bp: [] for bp in _shapes(n)}, {}, 2 * n, {}, {}  # a bucket for each cell
+    for bucket, (cell, _, box_rows, states) in zip(out.values(), _cell_tables(n)):
+        for t, ms, state in zip(cell, box_rows, states):  # each tableau as T, by its state's id, and as R, by its code
+            found[_interned(memo, state)[0]] = placed[sum(m * base**k for k, m in enumerate(ms))] = bucket, t
+    word, unused, wide = [0] * n, list(range(1, n + 1)), base**n  # a row outside 0..2n - 1 makes a code of at least wide: no R's
+
+    def grow(p: int, sid: int, state: tuple, code: int) -> None:  # each word that begins with word[:p], in canonical order
+        if p == n:
+            (bucket, t), (bucket_r, r) = found.get(sid, (None, None)), placed.get(code, (None, None))
+            if bucket is None or bucket_r is not bucket:
+                insertion(SignedPermutation(tuple(word)))  # rows that are no standard pair raise here, in the validated pair
+                raise ValueError(f"word {_text(word)!r}: pair outside the enumeration")
+            return bucket.append(item(tuple(word), t, r))
+        for j in range(len(unused)):
+            a = unused.pop(j)
+            for word[p] in a, -a:
+                if (entry := memo.get(key := sid * (2 * n + 1) + word[p])) is None:
+                    m = correspondence._place(z := list(map(list, state)), word[p], None)
+                    entry = memo[key] = m if 0 <= m < base else wide, *_interned(memo, z)
+                grow(p + 1, entry[1], entry[2], code * base + entry[0])
+            unused.insert(j, a)
+
+    grow(0, *_interned(memo, [[], []]), 0)
+    del grow  # it refers to itself: deleted, it frees the memo with the call, not at the next collection
     return out
 
 

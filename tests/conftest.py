@@ -8,6 +8,7 @@ independently of the insertion algorithm under test.
 from __future__ import annotations
 
 import hypothesis.strategies as st
+import pytest
 
 from exotic_rs import (
     Bipartition,
@@ -22,6 +23,13 @@ from exotic_rs import (
     TerminateUnbarred,
     enumerate_standard_bitableaux,
 )
+
+
+@pytest.fixture(autouse=True)
+def _no_inherited_size_limit(monkeypatch):
+    """Every test starts without the developer's EXOTIC_RS_MAX_N, which would raise the budgets that the tests pin
+    or, if malformed, make the verifiers refuse to run; a test that needs a limit sets it through ``monkeypatch``."""
+    monkeypatch.delenv("EXOTIC_RS_MAX_N", raising=False)
 
 
 @st.composite

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import math
@@ -510,6 +511,62 @@ class TestCells:
             assert len(cell) == count_bitableaux(bp) ** 2
             assert all(insertion(w).shape == bp for w in cell)
 
+    @pytest.mark.parametrize("n", range(6))
+    def test_carried_word_sweep_agrees_with_flat_insertion(self, n):
+        # The word sweep carries each prefix's state and R's box rows down the enumeration; the oracle inserts every
+        # word by itself through the public insertion and groups the pairs by shape.
+        oracle = {bp: [] for bp in enumerate_bipartitions(n)}
+        for w in enumerate_signed_permutations(n):
+            pair = insertion(w)
+            oracle[pair.shape].append((w.letters, pair.T, pair.R))
+        assert list(verify._group_by_shape(n, lambda letters, T, R: (letters, T, R)).items()) == list(oracle.items())
+
+    def test_the_word_sweep_leaves_no_cycle_behind(self):
+        # The sweep's recursion refers to itself: unless it is deleted after the sweep, the memo and every state in it
+        # outlive the call until the collector runs.
+        cells(4)
+        gc.collect()
+        gc.disable()
+        try:
+            cells(4)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize(
+        "n, prefix, letter, row, word",
+        [
+            # Placing 1 into the T of -2 3 gives row 1; 3 -2 reaches that T too, later.
+            (4, (-2, 3), 1, 2, "-2 3 1 4"),
+            # Placing 4 into the T of 2 -1 gives row 0; the prefix -1 2 reaches that T first.
+            (4, (2, -1), 4, 1, "-1 2 4 3"),
+            (5, (3, -1, 2), -4, 4, "-1 3 2 -4 5"),
+            # Rows that no box of size n has, past the last one or negative, name no R: read as digits of base 2n,
+            # these would carry into or borrow from the row of the letter before and name another R of the same cell.
+            (2, (2,), 1, 4, "2 1"),
+            (3, (1, -3), -2, -4, "1 -3 -2"),
+        ],
+    )
+    def test_a_wrong_row_is_refused_at_the_first_word_through_it(self, monkeypatch, n, prefix, letter, row, word):
+        # The first placement of the letter into the prefix's T gives a wrong row: the sweep's memo keeps it for every
+        # word through that move, while the public insertion that names the refused word gets the right one.  The
+        # flat sweep of each word from the empty T refused the same first word.
+        state, real, corrupted = correspondence._insert(prefix)[0], correspondence._place, []
+
+        def corrupt(z, placed, steps):
+            hit = not corrupted and placed == letter and correspondence._frozen(z) == state
+            m = real(z, placed, steps)
+            if hit:
+                assert m != row
+                corrupted.append(m)
+                return row
+            return m
+
+        monkeypatch.setattr(correspondence, "_place", corrupt)
+        with pytest.raises(ValueError, match=rf"^word '{word}': pair outside the enumeration$"):
+            cells(n)
+        assert len(corrupted) == 1
+
 
 class TestPairEnumeration:
     """iter_pairs yields the pairs of the cells that verify._cell_tables checks, once per tableau as its table is built
@@ -609,7 +666,8 @@ class TestTablesHideNoFault:
             assert all(result["failures"] == [] for prop, result in sweep_results(n).items() if prop != "cells")
         warm = patched_enumeration_results()
         src = str(Path(verify.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env = {**os.environ, "PYTHONPATH": src}  # as tests/test_cli.py's child_env: the package's src alone, and no limit
+        env.pop("EXOTIC_RS_MAX_N", None)
         script = "import json, sys; sys.path.insert(0, sys.argv[1]); import test_verify; print(json.dumps(test_verify.patched_enumeration_results()))"
         done = subprocess.run([sys.executable, "-c", script, str(Path(__file__).parent)],
                               capture_output=True, text=True, env=env, timeout=120)
