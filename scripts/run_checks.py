@@ -3,19 +3,19 @@
 
 This is the long-form version of ``exotic-rs verify``: one line per
 (property, size) combination, a final tally, and exit code 1 if anything
-failed (2 for a malformed EXOTIC_RS_MAX_N).  Each property is checked at
-n = 0, 1, 2, ... up to the largest size its verifier accepts (golden only at
-n = 3).  With --json each line is instead a JSON object: one per (property,
+failed (2 for a malformed or negative EXOTIC_RS_MAX_N).  Each property is
+checked at n = 0, 1, 2, ... up to the largest size its verifier accepts
+(golden only at n = 3), which EXOTIC_RS_MAX_N raises as it does for every
+verifier.  With --json each line is instead a JSON object: one per (property,
 size) with its property, n, checked, failures (a count) and elapsed_s, then
-the totals (properties, checked, failures, elapsed_s).  Sizes beyond the
-built-in budgets can be unlocked with --max-n (which sets EXOTIC_RS_MAX_N).
+the totals (properties, checked, failures, elapsed_s).
 
 Usage::
 
-    python scripts/run_checks.py                 # everything, default budgets
+    python scripts/run_checks.py                     # everything, default budgets
     python scripts/run_checks.py -p roundtrip -p transition
-    python scripts/run_checks.py --max-n 7       # spend more time, check more
-    python scripts/run_checks.py --json          # machine-readable, one object a line
+    EXOTIC_RS_MAX_N=7 python scripts/run_checks.py   # spend more time, check more
+    python scripts/run_checks.py --json              # machine-readable, one object a line
 """
 
 from __future__ import annotations
@@ -23,20 +23,11 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import os
 import sys
 import time
 
 from exotic_rs import VERIFIERS, BudgetExceededError, run_verifier
-from exotic_rs.cli import _size
 from exotic_rs.verify import _limit
-
-
-def _max_n(text: str) -> int:
-    """The argparse type of --max-n: a size as the CLI reads one, and not negative."""
-    if (n := _size(text)) < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
-    return n
 
 
 def main() -> int:
@@ -48,14 +39,11 @@ def main() -> int:
         choices=sorted(VERIFIERS),
         help="restrict to these properties (repeatable; default: all)",
     )
-    parser.add_argument("--max-n", type=_max_n, help="raise every budget-limited sweep to this size")
     parser.add_argument("--json", action="store_true", help="print one JSON object per line")
     args = parser.parse_args()
 
-    if args.max_n is not None:
-        os.environ["EXOTIC_RS_MAX_N"] = str(args.max_n)
     try:
-        _limit(0)  # a malformed EXOTIC_RS_MAX_N stops the run before any property prints
+        _limit(0)  # a malformed or negative EXOTIC_RS_MAX_N stops the run before any property prints
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -35,18 +35,18 @@ displacing the smaller entry found there; from combined row 0 the letter
 is emitted unbarred, and when no box is available it is emitted barred.
 
 Each direction is one step on T kept as these rules read it, one list of
-combined rows, and names a box by its combined row: ``_place`` (one letter
-into T) returns the new box's row, where ``_insert`` records k in R, and
-``_remove`` (one cascade out) takes the row that ``_boxes`` gives k in R.
-``_insert`` maps letters to the rows (T, R) of their pair, ``_reverse`` maps
-rows back to letters; ``_reduce`` and ``_drop`` are ``bump_once``'s steps on T
-and on R.  The public functions are thin wrappers that check only what the
-kernels leave open: ``_pair`` accepts a kernel's rows in one scan per tableau
-and builds the pair unchecked, and reverse bumping builds its word unchecked, as
-a checked pair's cascades emit each entry of T once.  Only the ``_with_trace``
-variants and the transition check record steps, as plain tuples whose layout is
-private to this module, which runs no sweep: those are in :mod:`.verify`.  A
-hop's truncation is counted down each component only to the first row without
+combined rows, and names a box by its combined row: ``_place`` (one letter into
+T) returns the new box's row, where ``_insert`` records k in R, and ``_remove``
+(one cascade out) takes the row that ``_boxes`` gives k in R.  ``_insert`` maps
+letters to the rows (T, R) of their pair, ``_reverse`` maps rows back to
+letters; ``_reduce`` and ``_drop`` are ``bump_once``'s steps on T and on R.  The
+public functions are thin wrappers that check only what the kernels leave open:
+``_pair`` accepts a kernel's rows in one scan per tableau and builds the pair
+unchecked, and reverse bumping builds its word unchecked, as a checked pair's
+cascades emit each entry of T once.  Only the ``_with_trace`` variants and the
+transition check record steps: ``_place`` as :class:`InsertionStep` objects,
+``_remove`` as tuples private to this module.  The sweeps are in :mod:`.verify`.
+A hop's truncation is counted down each component only to the first row without
 an entry below the moving value: columns increase, so none below has one.
 """
 

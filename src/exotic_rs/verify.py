@@ -5,15 +5,15 @@ given size), checks one property case by case, and returns a :class:`Report`
 with a deterministic list of failures (canonical word order).  Verifiers
 refuse sizes beyond their budget by raising :class:`BudgetExceededError` --
 never by silently checking less.  The env variable ``EXOTIC_RS_MAX_N``
-(an integer) raises all budgets.  The pair verifiers and :func:`cells` run
+(an integer, not negative) raises all budgets.  The pair verifiers and :func:`cells` run
 the kernels on the cached tableaux' rows, box rows (of n, n - 1, ..., 1) and
 states (tuples of combined rows), kept for the cell tuple they came from, and
 validate pairs only for failure records.  The enumerated cells are checked in one
 place, :func:`_cell_tables`, once per cell as its table is built, which
 :func:`iter_pairs` reads too: a listed tableau that is not a standard tableau of
 its cell's shape is refused by name.  The words of the sweeps are valid by
-construction.  Every sweep is in this module, which calls the kernels of
-:mod:`.correspondence`; that module runs none.
+construction.  Every sweep that runs the kernels of :mod:`.correspondence` is
+in this module; that module runs none.
 
 Roundtrip and transition descend once through the distinct states that
 removal reaches from the listed T's (:func:`_descend`), a move per distinct
@@ -79,7 +79,9 @@ def _limit(default: int) -> int:
         return default
     if _INTEGER.fullmatch(env) is None:
         raise ValueError(f"EXOTIC_RS_MAX_N must be an integer, got {env!r}")
-    return max(default, int(env))
+    if (limit := int(env)) < 0:  # it would leave every budget at its default, and a run would quietly check no more
+        raise ValueError(f"EXOTIC_RS_MAX_N must be >= 0, got {env!r}")
+    return max(default, limit)
 
 
 def _check_budget(n: int, default: int, what: str) -> None:

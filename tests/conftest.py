@@ -7,9 +7,13 @@ independently of the insertion algorithm under test.
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import hypothesis.strategies as st
 import pytest
 
+import exotic_rs
 from exotic_rs import (
     Bipartition,
     Bitableau,
@@ -28,8 +32,16 @@ from exotic_rs import (
 @pytest.fixture(autouse=True)
 def _no_inherited_size_limit(monkeypatch):
     """Every test starts without the developer's EXOTIC_RS_MAX_N, which would raise the budgets that the tests pin
-    or, if malformed, make the verifiers refuse to run; a test that needs a limit sets it through ``monkeypatch``."""
+    or, if malformed or negative, make the verifiers refuse to run; a test that needs a limit sets it through ``monkeypatch``."""
     monkeypatch.delenv("EXOTIC_RS_MAX_N", raising=False)
+
+
+def child_env() -> dict[str, str]:
+    """The environment of a child Python: this one with PYTHONPATH the package's src alone, and with no
+    EXOTIC_RS_MAX_N, which would change what the verifiers reach or, if malformed or negative, make them refuse to run."""
+    env = {**os.environ, "PYTHONPATH": str(Path(exotic_rs.__file__).resolve().parents[1])}
+    env.pop("EXOTIC_RS_MAX_N", None)
+    return env
 
 
 @st.composite

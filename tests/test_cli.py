@@ -6,7 +6,6 @@ import hashlib
 import importlib.util
 import io
 import json
-import os
 import random
 import signal
 import subprocess
@@ -16,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import exotic_rs
+from conftest import child_env
 from exotic_rs import (
     Report,
     SignedPermutation,
@@ -39,14 +39,6 @@ def invoke(capsys, argv, stdin_text=None, monkeypatch=None):
     code = run(argv)
     out, err = capsys.readouterr()
     return code, out, err
-
-
-def child_env() -> dict[str, str]:
-    """The environment of a child Python: this one with PYTHONPATH the package's src alone, and with no
-    EXOTIC_RS_MAX_N, which would change what the verifiers reach or, if malformed, make them refuse to run."""
-    env = {**os.environ, "PYTHONPATH": str(Path(exotic_rs.__file__).resolve().parents[1])}
-    env.pop("EXOTIC_RS_MAX_N", None)
-    return env
 
 
 class TestInsert:
@@ -260,8 +252,7 @@ class TestTable:
         assert code == 0
         assert len(rendered) == sum(map(len, map(exotic_rs.enumerate_standard_bitableaux, enumerate_bipartitions(4)))) == 76
 
-    def test_beyond_budget_exits_2(self, capsys, monkeypatch):
-        monkeypatch.delenv("EXOTIC_RS_MAX_N", raising=False)
+    def test_beyond_budget_exits_2(self, capsys):
         code, _, err = invoke(capsys, ["table", "7"])
         assert code == 2
         assert "EXOTIC_RS_MAX_N" in err
@@ -390,11 +381,15 @@ class TestVerify:
         assert code == 1
         assert "FAILED (1 of 4 checks)" in out
 
-    def test_beyond_budget_exits_2(self, capsys, monkeypatch):
-        monkeypatch.delenv("EXOTIC_RS_MAX_N", raising=False)
+    def test_beyond_budget_exits_2(self, capsys):
         code, _, err = invoke(capsys, ["verify", "roundtrip", "7"])
         assert code == 2
         assert "exceeds the budget" in err
+
+    def test_a_negative_size_limit_exits_2(self, capsys, monkeypatch):
+        # It would leave every budget at its default, so the limit is refused even where the size is within it.
+        monkeypatch.setenv("EXOTIC_RS_MAX_N", "-1")
+        assert invoke(capsys, ["verify", "counting", "3"]) == (2, "", "error: EXOTIC_RS_MAX_N must be >= 0, got '-1'\n")
 
     def test_unknown_property_exits_2(self, capsys):
         code, _, err = invoke(capsys, ["verify", "nope", "3"])
@@ -476,7 +471,6 @@ class TestRunChecks:
             script, "run_verifier",
             lambda prop, n: Report(prop, n, 96, ({"word": "1"},)) if prop == "golden" else real(prop, n),
         )
-        monkeypatch.delenv("EXOTIC_RS_MAX_N", raising=False)
         monkeypatch.setattr("sys.argv", ["run_checks.py", "-p", "golden", "-p", "counting", *flags])
         assert script.main() == 1
         out = capsys.readouterr().out
@@ -487,16 +481,16 @@ class TestRunChecks:
         else:
             assert out.endswith(" 1 FAILURES\n")
 
-    def test_max_n_reads_only_sign_and_ascii_digits(self):
-        done = run_checks("-p", "counting", "--max-n", "\u0663")
+    def test_the_size_is_read_from_the_environment_alone(self):
+        done = run_checks("-p", "counting", "--max-n", "7")
         assert (done.returncode, done.stdout) == (2, "")
-        assert "'\u0663'" in done.stderr
+        assert done.stderr.endswith("run_checks.py: error: unrecognized arguments: --max-n 7\n")
 
-    def test_max_n_refuses_a_negative_size(self):
-        # A negative size would leave every budget at its default and run the default sweep.
-        done = run_checks("-p", "counting", "--max-n", "-1")
+    def test_a_negative_environment_stops_before_any_property(self):
+        # A negative size would leave every budget at its default and quietly run the default sweep.
+        done = run_checks("-p", "golden", "-p", "counting", max_n="-1")
         assert (done.returncode, done.stdout) == (2, "")
-        assert done.stderr.endswith("run_checks.py: error: argument --max-n: must be >= 0, got '-1'\n")
+        assert done.stderr == "error: EXOTIC_RS_MAX_N must be >= 0, got '-1'\n"
 
     def test_malformed_environment_exits_2(self):
         # Exit 1 would mean a property failed.

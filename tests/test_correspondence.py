@@ -11,7 +11,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from conftest import bitableaux, signed_words, standard_pairs
-from exotic_rs import correspondence, signed_perm, verify
+from exotic_rs import correspondence, verify
 from exotic_rs import (
     Bitableau,
     CorrespondencePair,
@@ -216,19 +216,6 @@ class TestInsertion:
         for w in enumerate_signed_permutations(6):
             digest.update(repr(correspondence._insert(w.letters)).encode() + b"\n")
         assert digest.hexdigest() == "7dd98aba0914759214c1cd830c1d948d0c6c243c37ff7d0abfadc0f85947ea9a"
-
-    @pytest.mark.parametrize("n", range(6))
-    def test_word_sweep_files_every_word_in_canonical_order(self, n):
-        # The words of the memoized word sweep in verify._group_by_shape against the flat insertion of each: n = 0
-        # files the empty word.  Each word is filed with the T and R of its flat pair, under their shape, each cell
-        # lists its words in canonical order, and the cells hold every word once.
-        order = {w: k for k, w in enumerate(signed_perm._signed_permutations(n))}
-        filed = verify._group_by_shape(n, lambda letters, T, R: (letters, T, R))
-        for shape, items in filed.items():
-            for letters, T, R in items:
-                assert ((T.left, T.right), (R.left, R.right)) == correspondence._insert(letters) and T.shape == shape
-            assert [order[letters] for letters, _, _ in items] == sorted(order[letters] for letters, _, _ in items)
-        assert sorted(order[letters] for items in filed.values() for letters, _, _ in items) == list(range(len(order)))
 
     def test_box_rows_tell_every_standard_tableau_apart(self):
         for n in range(7):

@@ -6,7 +6,6 @@ import gc
 import hashlib
 import json
 import math
-import os
 import re
 import subprocess
 import sys
@@ -16,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import outcome_of_step
+from conftest import child_env, outcome_of_step
 from exotic_rs import bitableaux, cli, correspondence, partitions, verify
 from exotic_rs import (
     COUNT_BUDGET,
@@ -521,14 +520,16 @@ class TestCells:
             oracle[pair.shape].append((w.letters, pair.T, pair.R))
         assert list(verify._group_by_shape(n, lambda letters, T, R: (letters, T, R)).items()) == list(oracle.items())
 
-    def test_the_word_sweep_leaves_no_cycle_behind(self):
-        # The sweep's recursion refers to itself: unless it is deleted after the sweep, the memo and every state in it
-        # outlive the call until the collector runs.
-        cells(4)
+    @pytest.mark.parametrize("sweep", [*sorted(verify.VERIFIERS), "cells"])
+    def test_the_word_sweep_leaves_no_cycle_behind(self, sweep):
+        # A recursion that refers to itself, as a nested one does, lives in a cycle: unless it is deleted after the
+        # sweep, its memo or buffers outlive the call until the collector runs.
+        call, n = cells if sweep == "cells" else verify.VERIFIERS[sweep], 3 if sweep == "golden" else 5
+        call(n)
         gc.collect()
         gc.disable()
         try:
-            cells(4)
+            call(n)
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -665,12 +666,9 @@ class TestTablesHideNoFault:
         for n in (3, 4):  # build every table of sizes 2 to 4 from the real enumeration
             assert all(result["failures"] == [] for prop, result in sweep_results(n).items() if prop != "cells")
         warm = patched_enumeration_results()
-        src = str(Path(verify.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": src}  # as tests/test_cli.py's child_env: the package's src alone, and no limit
-        env.pop("EXOTIC_RS_MAX_N", None)
         script = "import json, sys; sys.path.insert(0, sys.argv[1]); import test_verify; print(json.dumps(test_verify.patched_enumeration_results()))"
         done = subprocess.run([sys.executable, "-c", script, str(Path(__file__).parent)],
-                              capture_output=True, text=True, env=env, timeout=120)
+                              capture_output=True, text=True, env=child_env(), timeout=120)
         assert done.returncode == 0, done.stderr
         assert warm == json.loads(done.stdout)
         # The patch is seen: roundtrip names the words of the dropped tableau, and cells refuses them.
