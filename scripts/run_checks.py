@@ -3,12 +3,12 @@
 
 This is the long-form version of ``exotic-rs verify``: one line per
 (property, size) combination, a final tally, and exit code 1 if anything
-failed (2 for a malformed or negative EXOTIC_RS_MAX_N).  Each property is
-checked at n = 0, 1, 2, ... up to the largest size its verifier accepts
-(golden only at n = 3), which EXOTIC_RS_MAX_N raises as it does for every
-verifier.  With --json each line is instead a JSON object: one per (property,
-size) with its property, n, checked, failures (a count) and elapsed_s, then
-the totals (properties, checked, failures, elapsed_s).
+failed.  Each property is checked at n = 0, 1, 2, ... up to the largest size
+its verifier accepts (golden only at n = 3), which EXOTIC_RS_MAX_N raises;
+every verifier refuses a malformed or negative value first, so the script
+then exits 2 with nothing printed.  With --json each line is a JSON object:
+one per (property, size) with its property, n, checked, failures (a count)
+and elapsed_s, then the totals (properties, checked, failures, elapsed_s).
 
 Usage::
 
@@ -27,7 +27,6 @@ import sys
 import time
 
 from exotic_rs import VERIFIERS, BudgetExceededError, run_verifier
-from exotic_rs.verify import _limit
 
 
 def main() -> int:
@@ -42,12 +41,6 @@ def main() -> int:
     parser.add_argument("--json", action="store_true", help="print one JSON object per line")
     args = parser.parse_args()
 
-    try:
-        _limit(0)  # a malformed or negative EXOTIC_RS_MAX_N stops the run before any property prints
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-
     properties = list(dict.fromkeys(args.properties or sorted(VERIFIERS)))  # a repeated -p runs once
     failures = 0
     checks = 0
@@ -60,6 +53,9 @@ def main() -> int:
                 report = run_verifier(prop, n)
             except BudgetExceededError:
                 break
+            except ValueError as err:  # a malformed or negative EXOTIC_RS_MAX_N: every verifier refuses it first
+                print(f"error: {err}", file=sys.stderr)
+                return 2
             dt = time.perf_counter() - t0
             if args.json:
                 print(json.dumps({"property": prop, "n": n, "checked": report.checked,

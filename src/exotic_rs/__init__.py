@@ -72,5 +72,5 @@ from .verify import (
     verify_wtilde,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir() if not name.startswith("_") and type(globals()[name]) is not type(verify)]  # no submodule
 __version__ = "0.1.0"

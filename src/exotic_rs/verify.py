@@ -73,23 +73,19 @@ class BudgetExceededError(RuntimeError):
     """The requested size is beyond this verifier's budget."""
 
 
-def _limit(default: int) -> int:
-    env = os.environ.get("EXOTIC_RS_MAX_N")
-    if env is None:
-        return default
-    if _INTEGER.fullmatch(env) is None:
-        raise ValueError(f"EXOTIC_RS_MAX_N must be an integer, got {env!r}")
-    if (limit := int(env)) < 0:  # it would leave every budget at its default, and a run would quietly check no more
-        raise ValueError(f"EXOTIC_RS_MAX_N must be >= 0, got {env!r}")
-    return max(default, limit)
-
-
 def _check_budget(n: int, default: int, what: str) -> None:
+    """Refuse n unless it is an int from 0 to the default raised by EXOTIC_RS_MAX_N, which nothing else reads."""
     if type(n) is not int:  # exact: bool is rejected
         raise ValueError(f"n must be an integer, got {n!r}")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    limit = _limit(default)
+    if (env := os.environ.get("EXOTIC_RS_MAX_N")) is None:
+        limit = default
+    elif _INTEGER.fullmatch(env) is None:
+        raise ValueError(f"EXOTIC_RS_MAX_N must be an integer, got {env!r}")
+    elif (limit := int(env)) < 0:  # it would leave every budget at its default, and a run would quietly check no more
+        raise ValueError(f"EXOTIC_RS_MAX_N must be >= 0, got {env!r}")
+    limit = max(default, limit)
     if n > limit:
         raise BudgetExceededError(
             f"{what} at n={n} exceeds the budget n<={limit}; set EXOTIC_RS_MAX_N to allow more"
@@ -210,10 +206,9 @@ def _walk(states: Sequence[tuple], boxes: Sequence[tuple[int, ...]], memo: dict)
 def verify_golden_n3(n: int = 3) -> Report:
     """Both directions of the frozen n=3 table: insertion(word) = pair and
     reverse_bumping(pair) = word for each of the 48 rows."""
-    if type(n) is not int:  # exact: bool and 3.0 are rejected
-        raise ValueError(f"n must be an integer, got {n!r}")
-    if n != 3:
+    if type(n) is int and n != 3:  # first: no EXOTIC_RS_MAX_N allows another size
         raise ValueError("the golden table is fixed at n=3")
+    _check_budget(n, 3, "golden verification")  # refuses bool and 3.0, and a malformed or negative EXOTIC_RS_MAX_N
     failures = []
     rows = load_golden_table()["rows"]
     words_seen = set()

@@ -391,6 +391,12 @@ class TestVerify:
         monkeypatch.setenv("EXOTIC_RS_MAX_N", "-1")
         assert invoke(capsys, ["verify", "counting", "3"]) == (2, "", "error: EXOTIC_RS_MAX_N must be >= 0, got '-1'\n")
 
+    @pytest.mark.parametrize("value, rule", [("abc", "an integer"), ("-1", ">= 0")])
+    def test_golden_refuses_a_malformed_or_negative_size_limit(self, capsys, monkeypatch, value, rule):
+        # No value of the limit changes golden's table, but golden refuses a bad one as every verifier does.
+        monkeypatch.setenv("EXOTIC_RS_MAX_N", value)
+        assert invoke(capsys, ["verify", "golden", "3"]) == (2, "", f"error: EXOTIC_RS_MAX_N must be {rule}, got {value!r}\n")
+
     def test_unknown_property_exits_2(self, capsys):
         code, _, err = invoke(capsys, ["verify", "nope", "3"])
         assert code == 2
@@ -499,7 +505,7 @@ class TestRunChecks:
         assert done.stderr == "error: EXOTIC_RS_MAX_N must be an integer, got 'abc'\n"
 
     def test_malformed_environment_stops_before_any_property(self):
-        # golden never reads the variable, so it would print its line first.
+        # golden runs first and refuses the value before it prints, as every verifier does.
         done = run_checks("-p", "golden", "-p", "counting", max_n="abc")
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr == "error: EXOTIC_RS_MAX_N must be an integer, got 'abc'\n"

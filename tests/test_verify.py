@@ -10,11 +10,13 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import types
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import exotic_rs
 from conftest import child_env, outcome_of_step
 from exotic_rs import bitableaux, cli, correspondence, partitions, verify
 from exotic_rs import (
@@ -48,6 +50,22 @@ from exotic_rs import (
     verify_wtilde,
 )
 from exotic_rs.correspondence import ClassificationError, FirstRemoval
+
+SWEEPS = [*sorted(verify.VERIFIERS), "cells"]  # every entry point that enumerates, so every caller of the budget check
+
+
+def sweep_call(sweep):
+    return cells if sweep == "cells" else verify.VERIFIERS[sweep]
+
+
+class TestPublicNames:
+    def test_the_star_import_binds_no_submodule(self):
+        # The package's imports bind each submodule as an attribute, which the tests patch through; __all__ leaves them out.
+        exported = {}
+        exec("from exotic_rs import *", exported)
+        assert [name for name in exported if isinstance(exported[name], types.ModuleType)] == []
+        assert sorted(set(exported) - {"__builtins__"}) == sorted(exotic_rs.__all__)
+        assert all(isinstance(getattr(exotic_rs, name), types.ModuleType) for name in ("bitableaux", "partitions", "verify"))
 
 
 class TestReport:
@@ -94,6 +112,15 @@ class TestGoldenTable:
     def test_verifier_is_fixed_at_n3(self):
         with pytest.raises(ValueError, match="fixed at n=3"):
             verify_golden_n3(4)
+
+    @pytest.mark.parametrize("limit", [None, "7", "abc"])
+    @pytest.mark.parametrize("n", [-1, 0, 4])
+    def test_other_sizes_are_refused_before_the_limit_is_read(self, monkeypatch, n, limit):
+        # The budget's refusal would suggest EXOTIC_RS_MAX_N, which cannot make the table another size.
+        if limit is not None:
+            monkeypatch.setenv("EXOTIC_RS_MAX_N", limit)
+        with pytest.raises(ValueError, match=r"\Athe golden table is fixed at n=3\Z"):
+            verify_golden_n3(n)
 
     def test_a_wrong_insertion_is_named_by_its_word(self, monkeypatch):
         real, wrong = verify.insertion, insertion(SignedPermutation.from_text("1 2 3"))
@@ -464,21 +491,36 @@ class TestBudgets:
         monkeypatch.setenv("EXOTIC_RS_MAX_N", "1")
         assert verify_counting(COUNT_BUDGET).ok
 
-    def test_malformed_environment_variable_is_rejected(self, monkeypatch):
+    # Every entry point reads the variable through the one budget check, and refuses a bad value at a size within the
+    # default budget, before it runs: golden too, though no value of the variable changes what it checks.
+    @pytest.mark.parametrize("sweep", SWEEPS)
+    def test_malformed_environment_variable_is_rejected(self, monkeypatch, sweep):
         monkeypatch.setenv("EXOTIC_RS_MAX_N", "plenty")
-        with pytest.raises(ValueError, match="EXOTIC_RS_MAX_N"):
-            verify_counting(COUNT_BUDGET + 1)
+        with pytest.raises(ValueError, match=r"\AEXOTIC_RS_MAX_N must be an integer, got 'plenty'\Z"):
+            sweep_call(sweep)(3)
 
+    @pytest.mark.parametrize("sweep", SWEEPS)
     @pytest.mark.parametrize("value", ["1_0", "\u0669", " 9"])
-    def test_only_ascii_integers_are_read_from_the_environment(self, monkeypatch, value):
+    def test_only_ascii_integers_are_read_from_the_environment(self, monkeypatch, value, sweep):
         # The rule of the word parser: an optional sign and ASCII digits.
         monkeypatch.setenv("EXOTIC_RS_MAX_N", value)
-        with pytest.raises(ValueError, match="EXOTIC_RS_MAX_N must be an integer"):
-            verify_counting(COUNT_BUDGET + 1)
+        with pytest.raises(ValueError, match=rf"\AEXOTIC_RS_MAX_N must be an integer, got {re.escape(repr(value))}\Z"):
+            sweep_call(sweep)(3)
 
-    def test_signed_environment_variable_is_accepted(self, monkeypatch):
-        monkeypatch.setenv("EXOTIC_RS_MAX_N", f"+{COUNT_BUDGET + 1}")
-        assert verify_counting(COUNT_BUDGET + 1).ok
+    @pytest.mark.parametrize("sweep", SWEEPS)
+    def test_negative_environment_variable_is_rejected(self, monkeypatch, sweep):
+        # It would leave every budget at its default, so a run would quietly check no more than without it.
+        monkeypatch.setenv("EXOTIC_RS_MAX_N", "-1")
+        with pytest.raises(ValueError, match=r"\AEXOTIC_RS_MAX_N must be >= 0, got '-1'\Z"):
+            sweep_call(sweep)(3)
+
+    @pytest.mark.parametrize("sweep", SWEEPS)
+    def test_signed_environment_variable_is_accepted(self, monkeypatch, sweep):
+        # Counting, the one sweep cheap past its default budget, shows that the signed value raises it.
+        n = COUNT_BUDGET + 1 if sweep == "counting" else 3
+        monkeypatch.setenv("EXOTIC_RS_MAX_N", f"+{n}")
+        result = sweep_call(sweep)(n)
+        assert result.ok if sweep != "cells" else sum(map(len, result.values())) == 2**n * math.factorial(n)
 
     def test_negative_sizes_are_rejected(self):
         with pytest.raises(ValueError):
@@ -520,11 +562,11 @@ class TestCells:
             oracle[pair.shape].append((w.letters, pair.T, pair.R))
         assert list(verify._group_by_shape(n, lambda letters, T, R: (letters, T, R)).items()) == list(oracle.items())
 
-    @pytest.mark.parametrize("sweep", [*sorted(verify.VERIFIERS), "cells"])
+    @pytest.mark.parametrize("sweep", SWEEPS)
     def test_the_word_sweep_leaves_no_cycle_behind(self, sweep):
         # A recursion that refers to itself, as a nested one does, lives in a cycle: unless it is deleted after the
         # sweep, its memo or buffers outlive the call until the collector runs.
-        call, n = cells if sweep == "cells" else verify.VERIFIERS[sweep], 3 if sweep == "golden" else 5
+        call, n = sweep_call(sweep), 3 if sweep == "golden" else 5
         call(n)
         gc.collect()
         gc.disable()
@@ -623,7 +665,7 @@ class TestCellCheck:
                 assert [next(pairs) for _ in good] == good  # the 47 pairs of the cells before the bad one
                 next(pairs)
             else:
-                (cells if consumer == "cells" else verify.VERIFIERS[consumer])(3)
+                sweep_call(consumer)(3)
         assert str(caught.value) == message
 
 
